@@ -7,7 +7,7 @@ is what the charging replay exploits.
 
 from fractions import Fraction
 
-from .graph import Graph, Measure, SizeError, SubdivisionGraph, cut_capacity
+from .graph import Graph, SizeError, SubdivisionGraph, _gray_min_ratio
 from .config import DEFAULT
 
 
@@ -227,6 +227,7 @@ def respects_exact(g: Graph, p: DemandState, threshold=None):
     """min over cuts with positive demand of cap/dem; (ratio, argmin side).
 
     Ratio is None (interpreted as +infinity) when every cut demand vanishes.
+    The side is the first strict minimizer in Gray order.
     """
     if threshold is None:
         threshold = DEFAULT.brute_threshold
@@ -235,25 +236,11 @@ def respects_exact(g: Graph, p: DemandState, threshold=None):
         raise SizeError("respects_exact needs n <= %d, got %d" % (threshold, n))
     if not p.is_valid():
         raise DemandError("respects_exact requires a valid demand state")
-    verts = g.vertices
-    best = None
-    best_side = None
-    # straightforward subset loop (vertex 0 pinned to one side)
-    for mask in range(0, 1 << (n - 1)):
-        side = {verts[0]}
-        for i in range(1, n):
-            if (mask >> (i - 1)) & 1:
-                side.add(verts[i])
-        if len(side) == n:
-            continue
-        dem = p.dem_across(side)
-        if dem == 0:
-            continue
-        ratio = Fraction(cut_capacity(g, side)) / dem
-        if best is None or ratio < best:
-            best = ratio
-            best_side = frozenset(side)
-    return best, best_side
+    vectors = {v: {} for v in g.vertices}
+    for (v, k), a in p.entries.items():
+        if v in vectors:
+            vectors[v][k] = a
+    return _gray_min_ratio(g, vectors=[vectors[v] for v in g.vertices])
 
 
 def leaf_init(p: DemandState, sub: SubdivisionGraph):

@@ -111,9 +111,6 @@ class TransferMatrix:
     def row_sum(self, u):
         return sum((a for (s, _), a in self.entries.items() if s == u), Fraction(0))
 
-    def col_sum(self, v):
-        return sum((a for (_, t), a in self.entries.items() if t == v), Fraction(0))
-
     def rows(self, u):
         return sorted(((t, a) for (s, t), a in self.entries.items() if s == u))
 

@@ -5,9 +5,15 @@ Conventions used throughout the package:
     with u < v and parallel edges aggregated into the capacity;
   * a "cut" is represented by one side as a frozenset;
   * expansion denominators use exact rationals (fractions.Fraction).
+
+Exact cut enumeration (min_ratio_cut here, respects_exact in demand.py)
+runs on one Gray-code walk, _gray_min_ratio.  Its API stays Fraction: the
+walk scales the masses by the lcm of their denominators so that every
+step is integer arithmetic, and builds one Fraction for the returned ratio.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .config import DEFAULT, Config
 
@@ -322,70 +328,100 @@ class ClusterView:
         return Measure(out)
 
 
+def _gray_min_ratio(g: Graph, weights=None, vectors=None):
+    """Exact minimizer of cap(S, S-bar)/den(S) over the cuts of g.
+
+    Exactly one of `weights` and `vectors` is given, as a list aligned with
+    g.vertices.  With `weights` (rationals), den(S) = min(w(S), w(S-bar)).
+    With `vectors` (dicts commodity -> rational mass),
+    den(S) = sum_k |sum_{v in S} m_k(v)|.  Cuts with den(S) = 0 are skipped.
+
+    The first vertex stays in S while the others follow a Gray code over
+    2^(n-1) sides, so each step toggles one vertex and updates the cut
+    capacity and the masses incrementally.  Masses are scaled by the lcm
+    of their denominators, so the walk runs on ints and compares ratios by
+    cross-multiplication.  Returns (ratio, side) for the first strict
+    minimizer in Gray order, or (None, None) when every den(S) is 0.
+    """
+    n = g.vertex_count
+    if n < 2:
+        return None, None
+    verts = g.vertices
+    if vectors is None:
+        scale = lcm(*(w.denominator for w in weights))
+        plus = [w.numerator * (scale // w.denominator) for w in weights]
+        minus = [-w for w in plus]
+        total = sum(plus)
+    else:
+        scale = lcm(*(a.denominator for vec in vectors for a in vec.values()))
+        commodity = {}
+        plus = []
+        for vec in vectors:
+            plus.append(tuple((commodity.setdefault(k, len(commodity)),
+                               a.numerator * (scale // a.denominator))
+                              for k, a in vec.items()))
+        minus = [tuple((k, -a) for k, a in vec) for vec in plus]
+        total = None
+        sums = [0] * len(commodity)
+    idx = {v: i for i, v in enumerate(verts)}
+    adjz = [[(idx[u], c) for u, c in g.adj[v]] for v in verts]
+    deg = [g.degree(v) for v in verts]
+    # the walk starts from the empty side; step 0 adds the first vertex
+    in_side = [False] * n
+    cap = s = absum = 0
+    # best_cap/best_den = 1/0 stands for +infinity: a side with den = 0
+    # never beats it, any side with den > 0 does
+    best_cap, best_den, best_gray = 1, 0, 0
+    full = (1 << (n - 1)) - 1
+    for i in range(full + 1):
+        # step i > 0 toggles gray bit j - 1, which is vertex j
+        j = (i & -i).bit_length()
+        inside = 0
+        for k, c in adjz[j]:
+            if in_side[k]:
+                inside += c
+        if in_side[j]:
+            in_side[j] = False
+            cap += inside + inside - deg[j]
+            delta = minus[j]
+        else:
+            in_side[j] = True
+            cap += deg[j] - inside - inside
+            delta = plus[j]
+        if total is None:
+            for k, a in delta:
+                old = sums[k]
+                sums[k] = new = old + a
+                absum += abs(new) - abs(old)
+            den = absum
+        else:
+            s += delta
+            den = s if s + s <= total else total - s
+        if cap * best_den < best_cap * den:
+            gray = i ^ (i >> 1)
+            # the whole vertex set is no cut (its demand need not vanish
+            # when the demand state has mass outside g)
+            if gray != full:
+                best_cap, best_den, best_gray = cap, den, gray
+    if not best_den:
+        return None, None
+    side = frozenset(v for j, v in enumerate(verts)
+                     if j == 0 or (best_gray >> (j - 1)) & 1)
+    return Fraction(best_cap * scale, best_den), side
+
+
 def min_ratio_cut(g: Graph, mu: Measure, threshold=None):
     """Exact minimizer of cap(S, S-bar)/min(mu(S), mu(S-bar)).
 
     Returns (ratio, side) or (None, None) when no cut has a positive
-    denominator.  Gray-code enumeration over 2^(n-1) sides.
+    denominator; the side is the first strict minimizer in Gray order.
     """
     n = g.vertex_count
     if threshold is None:
         threshold = DEFAULT.brute_threshold
     if n > threshold:
         raise SizeError("exact enumeration needs n <= %d, got %d" % (threshold, n))
-    if n < 2:
-        return None, None
-    verts = g.vertices
-    idx = {v: i for i, v in enumerate(verts)}
-    # adjacency by index
-    adjz = [[(idx[u], c) for u, c in g.adj[v]] for v in verts]
-    muv = [mu(v) for v in verts]
-    mu_total = sum(muv, Fraction(0))
-    in_side = [False] * n
-    in_side[0] = True
-    cap_cross = g.degree(verts[0])
-    mu_a = muv[0]
-    best_num = None
-    best_den = None
-    best_mask = None
-    # initial state: side = {verts[0]} (the mask-0 cut)
-    den0 = mu_a if mu_a <= mu_total - mu_a else mu_total - mu_a
-    if den0 > 0:
-        best_num, best_den, best_mask = cap_cross, den0, 0
-    prev_gray = 0
-    for i in range(1, 1 << (n - 1)):
-        gray = i ^ (i >> 1)
-        bit = gray ^ prev_gray
-        prev_gray = gray
-        j = bit.bit_length()  # bit k toggles vertex index k+1... bit=2^k -> k+1
-        inside_c = 0
-        deg_j = 0
-        for k, c in adjz[j]:
-            deg_j += c
-            if in_side[k]:
-                inside_c += c
-        outside_c = deg_j - inside_c
-        if in_side[j]:
-            in_side[j] = False
-            cap_cross += inside_c - outside_c
-            mu_a -= muv[j]
-        else:
-            in_side[j] = True
-            cap_cross += outside_c - inside_c
-            mu_a += muv[j]
-        den = mu_a if mu_a <= mu_total - mu_a else mu_total - mu_a
-        if den > 0:
-            if best_num is None or cap_cross * best_den < best_num * den:
-                best_num = cap_cross
-                best_den = den
-                best_mask = gray
-    if best_num is None:
-        return None, None
-    side = {verts[0]}
-    for j in range(1, n):
-        if (best_mask >> (j - 1)) & 1:
-            side.add(verts[j])
-    return Fraction(best_num, 1) / best_den, frozenset(side)
+    return _gray_min_ratio(g, weights=[mu(v) for v in g.vertices])
 
 
 def graph_expansion_exact(g: Graph, mu: Measure, threshold=None):

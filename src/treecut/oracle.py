@@ -41,20 +41,15 @@ def _sweep_orders(g: Graph, mu: Measure):
     m = np.diag([max(float(mu(v)), 1e-9) for v in verts])
     try:
         from scipy.linalg import eigh
-        vals, vecs = eigh(lap, m)
-        fiedler = vecs[:, 1] if vecs.shape[1] > 1 else vecs[:, 0]
-        orders.append([v for _, v in sorted(zip(fiedler, verts),
-                                            key=lambda t: (t[0], t[1]))])
-    except Exception:
-        pass
-    try:
-        from scipy.linalg import eigh
-        vals, vecs = eigh(lap)
-        fiedler = vecs[:, 1] if vecs.shape[1] > 1 else vecs[:, 0]
-        orders.append([v for _, v in sorted(zip(fiedler, verts),
-                                            key=lambda t: (t[0], t[1]))])
-    except Exception:
-        pass
+    except ImportError:
+        # scipy is optional: without it the two spectral orders are skipped
+        eigh = None
+    if eigh is not None:
+        for b in (m, None):
+            _, vecs = eigh(lap, b)
+            fiedler = vecs[:, 1] if vecs.shape[1] > 1 else vecs[:, 0]
+            orders.append([v for _, v in sorted(zip(fiedler, verts),
+                                                key=lambda t: (t[0], t[1]))])
     orders.append(sorted(verts, key=lambda v: (g.degree(v), v)))
     orders.append(sorted(verts, key=lambda v: (-mu(v), v)))
     return orders

@@ -265,9 +265,6 @@ def build_improved(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
     return DecompositionTree(g, root, "improved")
 
 
-_INF = None
-
-
 def mincut_in_tree(tree: DecompositionTree, b):
     """Minimum total weight of tree edges separating the leaves of b from
     the rest, by a two-state dynamic program (each node is on b's side or

@@ -44,7 +44,3 @@ def frac_str(x) -> str:
 
 def parse_frac(s: str) -> Fraction:
     return Fraction(s)
-
-
-def popcount(x: int) -> int:
-    return bin(x).count("1")
