@@ -165,6 +165,8 @@ def cmd_oracle(args):
         phi = parse_frac(args.phi)
     except ValueError:
         raise _UsageError("phi must be a rational, got %r" % args.phi)
+    if phi <= 0:
+        raise _UsageError("phi must be positive, got %r" % args.phi)
     try:
         mu = parse_measure(_read(args.mu, "measure"))
     except ValueError as exc:

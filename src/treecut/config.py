@@ -39,10 +39,6 @@ class Config:
     merge_shrink_coeff: Fraction = Fraction(1, 8)
     merge_loop_slack: int = 16
 
-    # Separator network: exact max-flow yields a 1-fair cut, well inside the
-    # factor-2 guarantees the downstream accounting hard-asserts.
-    fair_cut_alpha: Fraction = Fraction(2)
-
     # Basic mode boundary weight; None means 1/log2(n) (rational surrogate).
     tau_basic: Fraction | None = None
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from .graph import Graph, SizeError, SubdivisionGraph, _gray_min_ratio
 from .config import DEFAULT
+from .util import parse_frac
 
 
 class DemandError(ValueError):
@@ -308,9 +309,12 @@ def parse_demands(text: str) -> DemandState:
             raise DemandError("line %d: expected `v k num den`" % lineno)
         try:
             v, k, num, den = (int(x) for x in parts)
+            if den < 0:
+                num, den = -num, -den
+            amount = parse_frac("%d/%d" % (num, den))
         except ValueError as exc:
             raise DemandError("line %d: %s" % (lineno, exc)) from exc
-        entries[(v, k)] = entries.get((v, k), Fraction(0)) + Fraction(num, den)
+        entries[(v, k)] = entries.get((v, k), Fraction(0)) + amount
     return DemandState(entries)
 
 

@@ -1,4 +1,4 @@
-"""Exact max-flow, fair cuts, flow decomposition, and route-from-cut solvers.
+"""Exact max-flow, flow decomposition, and route-from-cut solvers.
 
 All arithmetic is exact (fractions.Fraction).  The networks are tiny, so a
 plain Dinic solver is plenty; determinism comes from sorted adjacency and
@@ -237,18 +237,6 @@ def max_flow(net: FlowNetwork):
     side = d.residual_reachable(S_NODE)
     cut_side = frozenset(v for v in net.graph.vertices if v in side)
     return FlowSolution(net.graph, flow, source_out, sink_in, value), cut_side
-
-
-def fair_cut(net: FlowNetwork, alpha=1):
-    """(cut side, flow) where every cut edge is (1/alpha)-saturated S->T.
-
-    Exact max-flow makes the returned minimum cut 1-fair, which satisfies the
-    requirement for any alpha >= 1.
-    """
-    if Fraction(alpha) < 1:
-        raise FlowError("fair_cut needs alpha >= 1")
-    sol, side = max_flow(net)
-    return side, sol
 
 
 def path_decomposition(sol: FlowSolution):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .config import DEFAULT, Config
+from .util import parse_frac
 
 
 class GraphError(ValueError):
@@ -488,7 +489,7 @@ def parse_measure(text: str) -> Measure:
         if len(parts) != 2:
             raise GraphError("line %d: expected `v weight`" % lineno)
         try:
-            weights[int(parts[0])] = Fraction(parts[1])
+            weights[int(parts[0])] = parse_frac(parts[1])
         except ValueError as exc:
             raise GraphError("line %d: %s" % (lineno, exc)) from exc
     return Measure(weights)

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .graph import ClusterView, Graph, edge_key
-from .flow import (FlowNetwork, FlowSolution, decompose, max_flow,
-                   path_decomposition)
-from .oracle import cut_or_expander, _log2n
+from .flow import (FlowNetwork, FlowSolution, RouteResult, decompose,
+                   max_flow, path_decomposition)
+from .oracle import RouteRecord, cut_or_expander, _escalation, _log2n
 
 
 class MergeError(ValueError):
@@ -26,32 +26,24 @@ def is_balanced_clustering(g_s: Graph, f_keys):
     g = Graph(g_s.vertices, [(u, v, c) for u, v, c in g_s.edges
                              if (u, v) not in f_keys])
     n = g_s.vertex_count
-    return all(3 * len(comp) <= 2 * n for comp in g.components()), g.components()
-
-
-class AttachmentFlow:
-    """A source/sink attachment flow with its decomposition and constants."""
-
-    def __init__(self, flow, transfer, congestion_cap, within_declared):
-        self.flow = flow
-        self.transfer = transfer
-        self.congestion_cap = Fraction(congestion_cap)
-        self.within_declared = within_declared
+    comps = g.components()
+    return all(3 * len(comp) <= 2 * n for comp in comps), comps
 
 
 def solve_attachment_flow(g: Graph, sources, sinks, cfg: Config):
-    """Saturate all sources into the sinks, escalating the congestion cap."""
+    """Saturate all sources into the sinks, escalating the congestion cap
+    (the sink caps are never boosted); None when no cap up to the limit
+    suffices."""
     total = sum((Fraction(a) for a in sources.values()), Fraction(0))
-    cap = cfg.oracle_congestion_cap
-    while True:
+    for i, (cap, boost) in enumerate(_escalation(cfg, boost_limit=1)):
         net = FlowNetwork(g, sources, sinks, edge_scale=cap)
         sol, _ = max_flow(net)
         if sol.value == total:
-            return AttachmentFlow(sol, decompose(sol, net), cap,
-                                  cap == cfg.oracle_congestion_cap)
-        if cap >= cfg.oracle_congestion_limit:
-            return None
-        cap = cap * 2
+            res = RouteResult(True, flow=sol, transfer=decompose(sol, net),
+                              sources=sources)
+            return RouteRecord(res, cap, sinks, boost,
+                               within_declared=(i == 0))
+    return None
 
 
 class ShrinkResult:
@@ -63,7 +55,7 @@ class ShrinkResult:
         self.f_new = f_new
         self.a_edges = a_edges        # expanding core edge set
         self.c_edges = c_edges        # added separator edges
-        self.flow = flow              # AttachmentFlow X_C -> X_A (case 2)
+        self.flow = flow              # RouteRecord X_C -> X_A (case 2)
         self.outcome = outcome        # the oracle outcome consumed
         self.alpha = alpha            # declared expansion of X_{A u C}
         self.alpha_exact = alpha_exact

@@ -39,17 +39,12 @@ def _sweep_orders(g: Graph, mu: Measure):
         lap[i, i] += c
         lap[j, j] += c
     m = np.diag([max(float(mu(v)), 1e-9) for v in verts])
-    try:
-        from scipy.linalg import eigh
-    except ImportError:
-        # scipy is optional: without it the two spectral orders are skipped
-        eigh = None
-    if eigh is not None:
-        for b in (m, None):
-            _, vecs = eigh(lap, b)
-            fiedler = vecs[:, 1] if vecs.shape[1] > 1 else vecs[:, 0]
-            orders.append([v for _, v in sorted(zip(fiedler, verts),
-                                                key=lambda t: (t[0], t[1]))])
+    from scipy.linalg import eigh
+    for b in (m, None):
+        _, vecs = eigh(lap, b)
+        fiedler = vecs[:, 1] if vecs.shape[1] > 1 else vecs[:, 0]
+        orders.append([v for _, v in sorted(zip(fiedler, verts),
+                                            key=lambda t: (t[0], t[1]))])
     orders.append(sorted(verts, key=lambda v: (g.degree(v), v)))
     orders.append(sorted(verts, key=lambda v: (-mu(v), v)))
     return orders
@@ -114,6 +109,22 @@ class RouteRecord:
         return self.result.feasible
 
 
+def _escalation(cfg: Config, boost_limit=64):
+    """(congestion cap, sink boost) pairs in the order a routing flow tries
+    them: the cap doubles from oracle_congestion_cap up to
+    oracle_congestion_limit, then the sink boost doubles up to boost_limit.
+    Only the first pair is within the declared constants."""
+    cap = cfg.oracle_congestion_cap
+    boost = Fraction(1)
+    yield cap, boost
+    while cap < cfg.oracle_congestion_limit:
+        cap = cap * 2
+        yield cap, boost
+    while boost < boost_limit:
+        boost = boost * 2
+        yield cap, boost
+
+
 def _routed(g: Graph, d, mu: Measure, rate, cfg: Config, cut_edges=None):
     """route_from_cut with sink caps ceil(rate * mu(v)), escalating the
     congestion cap (and, as a last resort, the sink caps) until feasible.
@@ -123,27 +134,16 @@ def _routed(g: Graph, d, mu: Measure, rate, cfg: Config, cut_edges=None):
     d = frozenset(d)
     base_caps = {v: Fraction(ceil_frac(Fraction(rate) * mu(v)))
                  for v in d if mu(v) > 0}
-    cap = cfg.oracle_congestion_cap
-    boost = Fraction(1)
-    first = True
-    while True:
+    for i, (cap, boost) in enumerate(_escalation(cfg)):
         caps = {v: c * boost for v, c in base_caps.items()}
         res = route_from_cut(g, d, caps, cap, cut_edges=cut_edges)
         if res.feasible:
-            return RouteRecord(res, cap, caps, boost, within_declared=first)
-        first = False
-        if cap < cfg.oracle_congestion_limit:
-            cap = cap * 2
-            continue
-        if boost < 64:
-            boost = boost * 2
-            continue
-        # guarantee feasibility: let every source vertex absorb its own units
-        caps = {v: c * boost for v, c in base_caps.items()}
-        for v, amt in (res.sources or {}).items():
-            caps[v] = caps.get(v, Fraction(0)) + Fraction(amt)
-        res = route_from_cut(g, d, caps, cap, cut_edges=cut_edges)
-        return RouteRecord(res, cap, caps, boost, within_declared=False)
+            return RouteRecord(res, cap, caps, boost, within_declared=(i == 0))
+    # guarantee feasibility: let every source vertex absorb its own units
+    for v, amt in (res.sources or {}).items():
+        caps[v] = caps.get(v, Fraction(0)) + Fraction(amt)
+    res = route_from_cut(g, d, caps, cap, cut_edges=cut_edges)
+    return RouteRecord(res, cap, caps, boost, within_declared=False)
 
 
 class PeelStep:
@@ -240,27 +240,21 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
         residual -= s_t
         cum += mu.of(s_t)
     residual = frozenset(residual)
-    peeled_mu = cum
-    if not steps:
-        cert = _expander_certificate(g, mu, phi, threshold, cfg)
-        return OracleOutcome("Expander", g, phi, mu, cfg, steps, residual,
+    if not steps or (ended_no_cut and 0 < cum <= mu_total / logn
+                     and mu.of(residual) > 0):
+        # no sparse cut is left: the last sparsest-cut answer, taken on
+        # G[A] with mu restricted to A, is the expansion of the residual A
+        # (exactly so when its backend was exact)
+        if exact:
+            cert = ExpanderCertificate(ratio, "exact")
+        else:
+            cert = ExpanderCertificate(None, "heuristic",
+                                       heuristic_ratio=ratio)
+        tag = "UnbalancedExpander" if steps else "Expander"
+        return OracleOutcome(tag, g, phi, mu, cfg, steps, residual,
                              certificate=cert)
-    if ended_no_cut and 0 < peeled_mu <= mu_total / logn and \
-            mu.of(residual) > 0:
-        cert = _expander_certificate(g.induced(residual), mu.restrict(residual),
-                                     phi, threshold, cfg)
-        return OracleOutcome("UnbalancedExpander", g, phi, mu, cfg, steps,
-                             residual, certificate=cert)
     return OracleOutcome("BalancedCut", g, phi, mu, cfg, steps, residual,
                          degenerate=(mu.of(residual) == 0))
-
-
-def _expander_certificate(g: Graph, mu: Measure, phi, threshold, cfg: Config):
-    if g.vertex_count <= cfg.brute_threshold:
-        val = graph_expansion_exact(g, mu, cfg.brute_threshold)
-        return ExpanderCertificate(val, "exact")
-    ratio, _, _ = sparsest_cut(g, mu, cfg)
-    return ExpanderCertificate(None, "heuristic", heuristic_ratio=ratio)
 
 
 class RefinedOutcome:

@@ -90,11 +90,11 @@ def crossing_edges(g: Graph, side):
             if (u in side) != (v in side)]
 
 
-def _checked_update(state, q, b_lift, trace, members, label):
-    """Apply a demand matrix, asserting the difference is a valid demand
-    state and that the demand it moves across the lifted cut is bounded by
-    the matrix's own cut demand."""
-    new = update(state, q)
+def _checked_update(state, new, q, b_lift, trace, members, label):
+    """Check a demand move from state to new made by the matrix q: the
+    difference must be a valid demand state, and the demand it moves across
+    the lifted cut is bounded by the matrix's own cut demand.  Returns
+    (new, moved demand)."""
     diff = state - new
     if not diff.is_valid():
         raise ReplayError("%s: update difference is not a valid demand "
@@ -107,7 +107,7 @@ def _checked_update(state, q, b_lift, trace, members, label):
                           % (label, diff_dem, q_dem))
     if trace is not None:
         trace.record(members, label, q_dem, diff_dem)
-    return new
+    return new, diff_dem
 
 
 def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
@@ -161,24 +161,17 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
         for sink, amt in part.flow_to_f.per_source[x]:
             if sink != x:
                 q1.add(x, sink, amt * load / mu)
-    p_l = _checked_update(p_l, q1, b_lift, trace, s, "merge-to-core")
+    p_l, _ = _checked_update(p_l, update(p_l, q1), q1, b_lift, trace, s,
+                             "merge-to-core")
 
     # step 2: cancel opposite masses by spreading over the inter-cluster
     # splits, proportionally to capacity
     if p_l.total_load() > 0:
         if not x_f:
             raise ReplayError("core demand left but no inter-cluster splits")
-        p_l_pre = p_l
-        p_l, q2 = spread_update(p_l, sorted(x_f), weight_of=unit_cap)
-        diff = p_l_pre - p_l
-        if not diff.is_valid():
-            raise ReplayError("spread difference is not a valid demand state")
-        diff_dem = diff.dem_across(b_lift)
-        if diff_dem > q2.dem_across(b_lift):
-            raise ReplayError("spread moved more demand across the cut than "
-                              "its matrix accounts for")
-        if trace is not None:
-            trace.record(s, "merge-spread", q2.dem_across(b_lift), diff_dem)
+        spread, q2 = spread_update(p_l, sorted(x_f), weight_of=unit_cap)
+        p_l, _ = _checked_update(p_l, spread, q2, b_lift, trace, s,
+                                 "merge-spread")
 
     # the surviving mass must fit the capacity of the separator edges that
     # are not boundary edges touching the far side
@@ -202,7 +195,8 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
             for y in x_y_tilde:
                 if y != x:
                     q3.add(x, y, load * unit_cap(y) / cap_y_tilde)
-        p_l = _checked_update(p_l, q3, b_lift, trace, s, "merge-to-sep")
+        p_l, _ = _checked_update(p_l, update(p_l, q3), q3, b_lift, trace, s,
+                                 "merge-to-sep")
         for y in x_y_tilde:
             if p_l.load(y) > unit_cap(y):
                 raise ReplayError("separator split %r holds %s, over its "
@@ -232,7 +226,8 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
         if got > cap6:
             raise ReplayError("boundary split %r received %s, over the "
                               "6*alpha*tau cap %s" % (xb, got, cap6))
-    after = _checked_update(p4, q4, b_lift, trace, s, "merge-to-boundary")
+    after, _ = _checked_update(p4, update(p4, q4), q4, b_lift, trace, s,
+                               "merge-to-boundary")
 
     alpha_out = alpha * (1 + cfg.replay_tau_c * part.tau)
     ok, why = invariant_check(after, view, original, alpha_out)
@@ -265,17 +260,11 @@ def uniformize_refined(state, view: ClusterView, b_lift, cfg=DEFAULT,
         return state
     if state.total_load() == 0:
         return state
-    before = state
     new, q = spread_update(state, sorted(view.x_boundary),
                            weight_of=lambda x:
                            Fraction(base_cap[sub.edge_of_split[x]]))
-    diff = before - new
-    if not diff.is_valid():
-        raise ReplayError("uniformization difference is not valid")
-    dem_diff = diff.dem_across(b_lift)
-    if dem_diff > q.dem_across(b_lift):
-        raise ReplayError("uniformization moved more demand across the cut "
-                          "than its matrix accounts for")
+    new, dem_diff = _checked_update(state, new, q, b_lift, trace, s,
+                                    "refine-uniformize")
     cap_b = Fraction(view.boundary_capacity())
     if new.total_load() > cap_b:
         raise ReplayError("uniformized load %s exceeds the boundary "
@@ -284,8 +273,6 @@ def uniformize_refined(state, view: ClusterView, b_lift, cfg=DEFAULT,
         if new.load(x) > Fraction(base_cap[sub.edge_of_split[x]]):
             raise ReplayError("uniformized split %r is over its capacity"
                               % (x,))
-    if trace is not None:
-        trace.record(s, "refine-uniformize", q.dem_across(b_lift), dem_diff)
     if ledger is not None:
         cross = crossing_edges(view.sprime,
                                b_lift & view.sprime.vertex_set())
@@ -325,7 +312,9 @@ def route_refined_state(state, res: RefinementResult, b_lift, cfg=DEFAULT,
                     q.add(x, sink, amt * load / base_cap[(u, v)])
         if not q.entries:
             return st
-        return _checked_update(st, q, b_lift, trace, s, "refine-route")
+        st, _ = _checked_update(st, update(st, q), q, b_lift, trace, s,
+                                "refine-route")
+        return st
 
     after = process(res.root, state)
     stray = after.support_vertices() - res.view.x_boundary

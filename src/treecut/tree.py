@@ -169,6 +169,34 @@ def _attach_components(g: Graph, kind_root: str):
     return root, work
 
 
+def _grow_merge(g: Graph, sub, node: TreeNode, cluster, tau, cfg: Config,
+                grow_child):
+    """Run the merge phase on cluster with separator weight tau and hang its
+    sub-clusters below node: under a merge-side holder for each side of the
+    separator, or directly when a side is the whole cluster.  Then
+    grow_child(child, sub-cluster) continues below every sub-cluster."""
+    if len(cluster) == 1:
+        return
+    part = merge_phase(ClusterView(sub, cluster), tau, cfg)
+    node.detail = part
+    node.info["tau"] = tau
+    for side, parts in ((part.l_side, part.l_parts),
+                        (part.r_side, part.r_parts)):
+        if not side:
+            continue
+        if side == cluster:
+            holder = node
+        else:
+            holder = _node(g, side, "merge-side")
+            node.children.append(holder)
+        for p in parts:
+            child = _node(g, p, "leaf" if len(p) == 1 else "merge-cluster")
+            holder.children.append(child)
+            grow_child(child, p)
+        holder.sort_children()
+    node.sort_children()
+
+
 def build_basic(g: Graph, cfg: Config = DEFAULT, tau=None) \
         -> DecompositionTree:
     if g.vertex_count == 0:
@@ -181,27 +209,7 @@ def build_basic(g: Graph, cfg: Config = DEFAULT, tau=None) \
     sub = subdivide(g)
 
     def grow(node, cluster):
-        if len(cluster) == 1:
-            return
-        part = merge_phase(ClusterView(sub, cluster), tau, cfg)
-        node.detail = part
-        node.info["tau"] = tau
-        for side, parts in ((part.l_side, part.l_parts),
-                            (part.r_side, part.r_parts)):
-            if not side:
-                continue
-            if side == cluster:
-                holder = node
-            else:
-                holder = _node(g, side, "merge-side")
-                node.children.append(holder)
-            for p in parts:
-                child = _node(g, p, "leaf" if len(p) == 1
-                              else "merge-cluster")
-                holder.children.append(child)
-                grow(child, p)
-            holder.sort_children()
-        node.sort_children()
+        _grow_merge(g, sub, node, cluster, tau, cfg, grow)
 
     root, work = _attach_components(g, "root")
     for holder, comp in work:
@@ -217,27 +225,8 @@ def build_improved(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
     def grow_merge(node, cluster, sigma):
         """Merge with full separator weight, then refine each sub-cluster
         against the enclosing refinement cluster size sigma."""
-        if len(cluster) == 1:
-            return
-        part = merge_phase(ClusterView(sub, cluster), Fraction(1), cfg)
-        node.detail = part
-        node.info["tau"] = Fraction(1)
-        for side, parts in ((part.l_side, part.l_parts),
-                            (part.r_side, part.r_parts)):
-            if not side:
-                continue
-            if side == cluster:
-                holder = node
-            else:
-                holder = _node(g, side, "merge-side")
-                node.children.append(holder)
-            for p in parts:
-                child = _node(g, p, "leaf" if len(p) == 1
-                              else "merge-cluster")
-                holder.children.append(child)
-                grow_refine(child, p, sigma)
-            holder.sort_children()
-        node.sort_children()
+        _grow_merge(g, sub, node, cluster, Fraction(1), cfg,
+                    lambda child, p: grow_refine(child, p, sigma))
 
     def grow_refine(node, cluster, sigma):
         if len(cluster) == 1:

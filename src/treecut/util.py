@@ -43,4 +43,9 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+    """A rational literal such as `3`, `-2/5` or `0.25`; a zero denominator
+    is a ValueError like any other malformed literal."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None

@@ -21,13 +21,9 @@ from treecut.tree import build_basic, build_improved, mincut_in_tree
 from treecut.util import rloglog2
 from treecut.verify import verify_quality
 
+from corpus import random_graph
+
 CORPUS_SIZE = 200
-
-
-def random_graph(rng, n, p, max_cap=8):
-    edges = [(i, j, rng.randint(1, max_cap)) for i in range(n)
-             for j in range(i + 1, n) if rng.random() < p]
-    return Graph(range(n), edges)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +36,7 @@ def corpus():
     for _ in range(CORPUS_SIZE):
         n = rng.randint(2, 12)
         p = rng.choice((0.25, 0.45, 0.65, 0.85))
-        g = random_graph(rng, n, p)
+        g = random_graph(rng, n, p, 8)
         items.append((g, build_basic(g), build_improved(g)))
     return items, time.time() - t0
 
@@ -161,7 +157,7 @@ def test_criterion_04_demand_state_facts():
     checked = 0
     for _ in range(10):
         n = rng.randint(4, 10)
-        g = random_graph(rng, n, 0.6, max_cap=4)
+        g = random_graph(rng, n, 0.6, 4)
         sub = subdivide(g)
         entries = {}
         for k in range(2):
@@ -417,7 +413,7 @@ def test_criterion_10_oracle_equivalence(corpus):
     nets = 0
     while nets < 100:
         n = rng.randint(2, 8)
-        g = random_graph(rng, n, 0.6, max_cap=5)
+        g = random_graph(rng, n, 0.6, 5)
         srcs = {v: rng.randint(1, 6)
                 for v in rng.sample(range(n), rng.randint(1, n - 1))}
         sinks = {v: rng.randint(1, 6)
@@ -434,14 +430,14 @@ def test_criterion_10_oracle_equivalence(corpus):
 
 def test_criterion_11_determinism():
     rng = random.Random(77)
-    g = random_graph(rng, 9, 0.5)
+    g = random_graph(rng, 9, 0.5, 8)
     for build in (build_basic, build_improved):
         a, b = build(g), build(g)
         assert a.to_json() == b.to_json()
         ra = verify_quality(g, a)
         rb = verify_quality(g, b)
         assert ra.to_json() == rb.to_json()
-    g13 = random_graph(rng, 13, 0.4)
+    g13 = random_graph(rng, 13, 0.4, 8)
     t = build_basic(g13)
     cfg = DEFAULT.replace(samples=60, seed=3)
     assert verify_quality(g13, t, cfg=cfg).to_json() \

@@ -10,6 +10,14 @@ RING = os.path.join(FIXTURES, "ring8.edges")
 DEMANDS = os.path.join(FIXTURES, "ring8.demands")
 
 
+def assert_usage_error(argv, capsys):
+    """Exit code 2 with an `error:` line on stderr, not a traceback."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, argv
+    assert "error:" in err and "Traceback" not in err, err
+
+
 @pytest.fixture
 def tree_file(tmp_path):
     out = tmp_path / "tree.json"
@@ -52,6 +60,20 @@ class TestBuildVerify:
                    str(tmp_path / "t.json")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_numbers_exit_two(self, tree_file, tmp_path, capsys):
+        """A zero denominator is malformed input in every file format."""
+        bad = tmp_path / "bad.txt"
+        for text, argv in (
+                ("0 0 1 0\n", ["replay", "--graph", RING, "--tree",
+                               tree_file, "--demands", str(bad),
+                               "--cut", "0"]),
+                ("0 1/0\n", ["oracle", "--graph", RING, "--phi", "1",
+                             "--mu", str(bad)]),
+                ("quality_C = 1/0\n", ["build", "--input", RING,
+                                       "--config", str(bad)])):
+            bad.write_text(text)
+            assert_usage_error(argv, capsys)
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["verify", "--graph", RING,
@@ -131,11 +153,12 @@ class TestOracle:
         assert rc == 0
         assert "refined case" in capsys.readouterr().out
 
-    def test_bad_phi_exits_two(self, tmp_path):
+    def test_bad_phi_exits_two(self, tmp_path, capsys):
         mu = tmp_path / "mu.txt"
         mu.write_text("0 1\n")
-        assert main(["oracle", "--graph", RING, "--phi", "x",
-                     "--mu", str(mu)]) == 2
+        for phi in ("x", "1/0", "-1", "0"):
+            assert_usage_error(["oracle", "--graph", RING, "--phi", phi,
+                                "--mu", str(mu)], capsys)
 
 
 class TestExport:

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from treecut.graph import Graph, Measure, cut_capacity, parse_edge_list, subdivide
 from treecut.demand import (DemandError, DemandMatrix, DemandState, dem_across,
-                            from_matrix, leaf_init, respects_exact,
-                            spread_update, update)
+                            from_matrix, leaf_init, parse_demands,
+                            respects_exact, spread_update, update)
 
 
 def rand_valid_state(rng, vertices, commodities=2):
@@ -221,6 +221,14 @@ class TestLeafInit:
         p = DemandState({(0, 0): 2, (1, 0): -2})
         with pytest.raises(DemandError):
             leaf_init(p, sub)
+
+
+def test_parse_demands():
+    p = parse_demands("0 0 1 -2\n1 0 3 6\n# comment\n1 0 0 5\n")
+    assert p.entries == {(0, 0): Fraction(-1, 2), (1, 0): Fraction(1, 2)}
+    for bad in ("0 0 1 0\n", "0 0 1/2 1\n", "0 0 1\n"):
+        with pytest.raises(DemandError):
+            parse_demands(bad)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,21 +1,13 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from treecut.graph import Graph, Measure, cut_capacity, parse_edge_list
-from treecut.flow import (FlowError, FlowNetwork, decompose, fair_cut,
-                          max_flow, path_decomposition, route_from_cut)
+from treecut.graph import parse_edge_list
+from treecut.flow import (FlowNetwork, decompose, max_flow,
+                          path_decomposition, route_from_cut)
 
-
-def random_graph(rng, n, p=0.6, max_cap=4):
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j, rng.randint(1, max_cap)))
-    return Graph(range(n), edges)
+from corpus import random_graph
 
 
 def brute_min_cut(g, sources, sinks):
@@ -53,7 +45,7 @@ class TestMaxFlow:
     def test_value_equals_brute_min_cut(self):
         rng = random.Random(11)
         for _ in range(40):
-            g = random_graph(rng, rng.randint(3, 7))
+            g = random_graph(rng, rng.randint(3, 7), 0.6, 4)
             verts = list(g.vertices)
             sources = {verts[0]: rng.randint(1, 5)}
             sinks = {verts[-1]: rng.randint(1, 5)}
@@ -68,7 +60,7 @@ class TestMaxFlow:
         """The returned side's augmented cut value equals the flow value."""
         rng = random.Random(5)
         for _ in range(30):
-            g = random_graph(rng, rng.randint(3, 7))
+            g = random_graph(rng, rng.randint(3, 7), 0.6, 4)
             verts = list(g.vertices)
             sources = {verts[0]: rng.randint(1, 5)}
             sinks = {verts[-1]: rng.randint(1, 5)}
@@ -86,32 +78,28 @@ class TestMaxFlow:
         assert sol.congestion() == 3
 
     def test_fair_cut_is_fully_saturated(self):
-        """Exact max flow saturates every min-cut edge source-to-sink, which
-        is 1-fair and hence alpha-fair for every alpha >= 1."""
+        """Exact max flow saturates every edge of its own min cut
+        source-to-sink: the returned side is a 1-fair cut, and hence
+        alpha-fair for every alpha >= 1."""
         rng = random.Random(3)
         for _ in range(25):
-            g = random_graph(rng, rng.randint(3, 7))
+            g = random_graph(rng, rng.randint(3, 7), 0.6, 4)
             verts = list(g.vertices)
             sources = {verts[0]: rng.randint(1, 6)}
             sinks = {verts[-1]: rng.randint(1, 6)}
-            side, sol = fair_cut(FlowNetwork(g, sources, sinks), alpha=2)
+            sol, side = max_flow(FlowNetwork(g, sources, sinks))
             for u, v, c in g.edges:
                 if u in side and v not in side:
                     assert sol.net(u, v) == c
                 elif v in side and u not in side:
                     assert sol.net(v, u) == c
 
-    def test_fair_cut_rejects_alpha_below_one(self):
-        g = parse_edge_list("0 1 1\n")
-        with pytest.raises(FlowError):
-            fair_cut(FlowNetwork(g, {0: 1}, {1: 1}), alpha=Fraction(1, 2))
-
 
 class TestDecomposition:
     def test_paths_reconstruct_value(self):
         rng = random.Random(17)
         for _ in range(30):
-            g = random_graph(rng, rng.randint(3, 7))
+            g = random_graph(rng, rng.randint(3, 7), 0.6, 4)
             verts = list(g.vertices)
             sources = {verts[i]: rng.randint(1, 4)
                        for i in range(len(verts) // 2)}
@@ -154,7 +142,7 @@ class TestRouteFromCut:
     def test_per_edge_attribution_covers_capacity(self):
         rng = random.Random(23)
         for _ in range(25):
-            g = random_graph(rng, rng.randint(4, 8), p=0.7)
+            g = random_graph(rng, rng.randint(4, 8), 0.7, 4)
             verts = list(g.vertices)
             d = frozenset(verts[:len(verts) // 2 + 1])
             cut = [(u, v, c) for u, v, c in g.edges if (u in d) != (v in d)]
@@ -180,7 +168,7 @@ class TestRouteFromCut:
     def test_congestion_respects_cap(self):
         rng = random.Random(31)
         for _ in range(20):
-            g = random_graph(rng, rng.randint(4, 7), p=0.8)
+            g = random_graph(rng, rng.randint(4, 7), 0.8, 4)
             verts = list(g.vertices)
             d = frozenset(verts[1:])
             cut = [(u, v, c) for u, v, c in g.edges if (u in d) != (v in d)]
@@ -196,7 +184,7 @@ class TestRouteFromCut:
 @given(st.integers(0, 10 ** 6))
 def test_flow_conservation_property(seed):
     rng = random.Random(seed)
-    g = random_graph(rng, rng.randint(3, 8))
+    g = random_graph(rng, rng.randint(3, 8), 0.6, 4)
     verts = list(g.vertices)
     sources = {v: rng.randint(1, 3) for v in verts[:2]}
     sinks = {v: rng.randint(1, 3) for v in verts[-2:] if v not in sources}

@@ -10,6 +10,8 @@ from treecut.graph import (ClusterView, Graph, GraphError, Measure, SizeError,
                            parse_edge_list, format_edge_list, parse_measure,
                            set_expands_exact, subdivide)
 
+from corpus import random_graph
+
 
 def k_n(n, cap=1):
     return Graph(range(n), [(i, j, cap) for i in range(n)
@@ -18,16 +20,6 @@ def k_n(n, cap=1):
 
 def cycle(n):
     return Graph(range(n), [(i, (i + 1) % n, 1) for i in range(n)])
-
-
-def random_graph(rng, n, p=0.5, max_cap=3):
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j, rng.randint(1, max_cap)))
-    # keep it connected-ish but allow disconnection on purpose sometimes
-    return Graph(range(n), edges)
 
 
 class TestGraphBasics:
@@ -112,7 +104,7 @@ class TestExpansionOracles:
     def test_gray_code_matches_naive(self, seed, n):
         """The incremental enumerator agrees with a naive re-computation."""
         rng = random.Random(seed)
-        g = random_graph(rng, n)
+        g = random_graph(rng, n, 0.5, 3)
         mu = Measure({v: rng.randint(0, 3) for v in g.vertices})
         ratio, side = min_ratio_cut(g, mu)
         best = None
@@ -144,7 +136,7 @@ class TestSubdivision:
         """Lifting a base cut preserves its capacity in the subdivision."""
         rng = random.Random(7)
         for _ in range(30):
-            g = random_graph(rng, rng.randint(3, 8))
+            g = random_graph(rng, rng.randint(3, 8), 0.5, 3)
             if not g.edges:
                 continue
             sub = subdivide(g)

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from treecut.graph import (ClusterView, Graph, Measure, cut_capacity,
-                           graph_expansion_exact, parse_edge_list, subdivide)
+from treecut.config import DEFAULT
+from treecut.graph import ClusterView, parse_edge_list, subdivide
 from treecut.merge import (MergeError, is_balanced_clustering, merge_phase,
-                           merge_phase_1, merge_phase_2, shrink_step)
+                           merge_phase_1, merge_phase_2, shrink_step,
+                           solve_attachment_flow)
+
+from corpus import random_graph
 
 
 def dumbbell():
@@ -21,15 +24,6 @@ def barbell_k5():
                 edges.append("%d %d" % (base + i, base + j))
     edges.append("4 5")
     return parse_edge_list("\n".join(edges))
-
-
-def random_graph(rng, n, p=0.6, max_cap=3):
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j, rng.randint(1, max_cap)))
-    return Graph(range(n), edges)
 
 
 def view_of(g, cluster):
@@ -73,11 +67,31 @@ class TestShrink:
             shrink_step(view, [])
 
 
+class TestAttachmentFlow:
+    def test_escalates_the_cap_only(self):
+        """One unit along the path 0-1-2 needs congestion 1: from a declared
+        cap of 1/64 the cap doubles six times; the sink caps never grow, so
+        a demand beyond the cap limit has no flow."""
+        g = parse_edge_list("0 1\n1 2\n")
+        cfg = DEFAULT.replace(oracle_congestion_cap=Fraction(1, 64))
+        rec = solve_attachment_flow(g, {0: Fraction(1)}, {2: Fraction(1)},
+                                    cfg)
+        assert rec.feasible and not rec.within_declared
+        assert (rec.congestion_cap, rec.sink_boost) == (1, 1)
+        assert rec.result.flow.value == 1
+        assert rec.result.transfer.entries == {(0, 2): 1}
+        rec = solve_attachment_flow(g, {0: Fraction(1)}, {2: Fraction(1)},
+                                    DEFAULT)
+        assert rec.within_declared and rec.congestion_cap == 4
+        big = Fraction(DEFAULT.oracle_congestion_limit + 1)
+        assert solve_attachment_flow(g, {0: big}, {2: big}, DEFAULT) is None
+
+
 class TestMergePhase1:
     def test_terminal_clustering_is_balanced(self):
         rng = random.Random(29)
         for _ in range(25):
-            g = random_graph(rng, rng.randint(2, 9))
+            g = random_graph(rng, rng.randint(2, 9), 0.6, 3)
             view = view_of(g, g.vertices)
             cl = merge_phase_1(view)
             n = len(view.cluster)
@@ -100,7 +114,7 @@ class TestMergePhase1:
         rng = random.Random(31)
         checked = 0
         for _ in range(30):
-            g = random_graph(rng, rng.randint(3, 6), p=0.8)
+            g = random_graph(rng, rng.randint(3, 6), 0.8, 3)
             view = view_of(g, g.vertices)
             cl = merge_phase_1(view)
             if cl.alpha_measured is None or cl.alpha_declared is None:
@@ -154,7 +168,7 @@ class TestMergePhase2:
         rng = random.Random(37)
         exercised = 0
         for _ in range(30):
-            g = random_graph(rng, rng.randint(4, 8), p=0.6)
+            g = random_graph(rng, rng.randint(4, 8), 0.6, 3)
             verts = list(g.vertices)
             k = rng.randint(2, len(verts) - 1)
             cluster = verts[:k]
@@ -178,7 +192,7 @@ class TestMergePhase2:
     def test_sub_cluster_sizes(self):
         rng = random.Random(39)
         for _ in range(20):
-            g = random_graph(rng, rng.randint(3, 9))
+            g = random_graph(rng, rng.randint(3, 9), 0.6, 3)
             view = view_of(g, g.vertices)
             part = merge_phase(view, Fraction(1, 2))
             n = len(view.cluster)

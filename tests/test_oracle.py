@@ -7,7 +7,10 @@ from treecut.config import DEFAULT
 from treecut.graph import (Graph, Measure, cut_capacity, graph_expansion_exact,
                            parse_edge_list)
 from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
-                            refined_cut_or_expander, sparsest_cut, _log2n)
+                            refined_cut_or_expander, sparsest_cut,
+                            _escalation, _log2n)
+
+from corpus import random_graph
 
 
 def k_n(n):
@@ -17,15 +20,6 @@ def k_n(n):
 
 def dumbbell():
     return parse_edge_list("0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n")
-
-
-def random_graph(rng, n, p=0.5, max_cap=3):
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j, rng.randint(1, max_cap)))
-    return Graph(range(n), edges)
 
 
 class TestSparsestCut:
@@ -39,12 +33,18 @@ class TestSparsestCut:
         """Above the enumeration threshold the sweep returns a real cut whose
         reported ratio matches an exact re-computation."""
         rng = random.Random(1)
-        g = random_graph(rng, 24, p=0.3)
+        g = random_graph(rng, 24, 0.3, 3)
         mu = Measure.indicator(g.vertices)
         ratio, side, exact = sparsest_cut(g, mu, DEFAULT)
         assert not exact
         m = min(mu.of(side), mu.total() - mu.of(side))
         assert ratio == Fraction(cut_capacity(g, side)) / m
+        # at a threshold of exactly that ratio nothing peels, and the
+        # heuristic certificate reports the same sweep answer
+        out = cut_or_expander(g, ratio / _log2n(g.vertex_count), mu)
+        assert out.tag == "Expander"
+        assert out.certificate.verified == "heuristic"
+        assert out.certificate.heuristic_ratio == ratio
 
 
 class TestCutOrExpander:
@@ -53,6 +53,8 @@ class TestCutOrExpander:
         out = cut_or_expander(g, Fraction(1, 4), Measure.indicator(g.vertices))
         assert out.tag == "Expander"
         assert out.certificate.verified == "exact"
+        assert out.certificate.value == graph_expansion_exact(
+            g, Measure.indicator(g.vertices))
         assert check_outcome(out).ok
 
     def test_dumbbell_balanced_cut(self):
@@ -77,6 +79,9 @@ class TestCutOrExpander:
         out = cut_or_expander(g, Fraction(1, 16), mu)
         assert out.tag == "UnbalancedExpander"
         assert out.mu.of(out.peeled) <= mu.total() / out.logn
+        assert out.certificate.verified == "exact"
+        assert out.certificate.value == graph_expansion_exact(
+            g.induced(out.residual), mu.restrict(out.residual))
         assert check_outcome(out).ok
 
     def test_peel_flows_have_recorded_constants(self):
@@ -91,7 +96,7 @@ class TestCutOrExpander:
         rng = random.Random(41)
         checked = 0
         for _ in range(25):
-            g = random_graph(rng, rng.randint(4, 9), p=0.5)
+            g = random_graph(rng, rng.randint(4, 9), 0.5, 3)
             mu = Measure({v: rng.randint(0, 2) for v in g.vertices})
             if mu.total() == 0:
                 continue
@@ -111,7 +116,7 @@ class TestCutOrExpander:
         the residual measure (the stopping-rule guarantee)."""
         rng = random.Random(43)
         for _ in range(20):
-            g = random_graph(rng, rng.randint(5, 9), p=0.4)
+            g = random_graph(rng, rng.randint(5, 9), 0.4, 3)
             mu = Measure.indicator(g.vertices)
             out = cut_or_expander(g, Fraction(1, 8), mu)
             if out.tag != "BalancedCut":
@@ -126,6 +131,39 @@ class TestCutOrExpander:
         out = cut_or_expander(g, Fraction(1, 2), Measure({}))
         assert out.tag == "Expander"
         assert check_outcome(out).ok
+
+
+class TestEscalation:
+    def test_sequence(self):
+        """The cap doubles up to its limit, then the sink boost doubles."""
+        caps = [Fraction(c) for c in (4, 8, 16, 32, 64)]
+        boosts = [Fraction(b) for b in (2, 4, 8, 16, 32, 64)]
+        assert list(_escalation(DEFAULT)) == \
+            [(c, 1) for c in caps] + [(caps[-1], b) for b in boosts]
+        assert list(_escalation(DEFAULT, boost_limit=1)) == \
+            [(c, 1) for c in caps]
+
+    def test_forced_escalation_is_recorded(self):
+        """With no sink at the bridge's endpoints both peel flows cross an
+        edge at congestion 1/2, so a declared cap of 1/64 escalates five
+        times, to 1/2, and the records say so."""
+        g = dumbbell()
+        mu = Measure({0: 1, 1: 1, 4: 1, 5: 1})
+        cfg = DEFAULT.replace(oracle_congestion_cap=Fraction(1, 64))
+        out = cut_or_expander(g, Fraction(1, 4), mu, cfg)
+        recs = [r for s in out.steps for r in (s.flow_in, s.flow_out)]
+        assert len(recs) == 2
+        for rec in recs:
+            assert rec.feasible and not rec.within_declared
+            assert (rec.congestion_cap, rec.sink_boost) == (Fraction(1, 2), 1)
+            assert rec.result.flow.congestion() == Fraction(1, 2)
+        rep = check_outcome(out)
+        assert rep.ok, rep.failures
+        assert sum("needed escalation" in n for n in rep.notes) == 2
+        # at the declared default cap the same flows need no escalation
+        out = cut_or_expander(g, Fraction(1, 4), mu)
+        assert all(r.within_declared for s in out.steps
+                   for r in (s.flow_in, s.flow_out))
 
 
 class TestRefined:
@@ -161,7 +199,7 @@ class TestRefined:
         rng = random.Random(47)
         tags = set()
         for _ in range(40):
-            g = random_graph(rng, rng.randint(4, 9), p=0.45)
+            g = random_graph(rng, rng.randint(4, 9), 0.45, 3)
             mu = Measure({v: rng.randint(0, 2) for v in g.vertices})
             nu = Measure({v: rng.randint(0, 2) for v in g.vertices})
             if mu.total() == 0:

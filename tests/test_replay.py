@@ -9,11 +9,7 @@ from treecut.replay import (ChargeLedger, ReplayError, full_replay,
                             replay_merge_cluster)
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 
-
-def random_graph(rng, n, p=0.55, max_cap=6):
-    edges = [(i, j, rng.randint(1, max_cap)) for i in range(n)
-             for j in range(i + 1, n) if rng.random() < p]
-    return Graph(range(n), edges)
+from corpus import random_graph
 
 
 def random_demand(rng, n, pairs=3):
@@ -99,7 +95,7 @@ class TestPreconditions:
 
     def test_mismatched_child_states_rejected(self):
         rng = random.Random(1)
-        g = random_graph(rng, 5, p=0.9)
+        g = random_graph(rng, 5, 0.9, 6)
         t = build_basic(g)
         from treecut.merge import MergePartition
         node = next(n for n in t.nodes()
@@ -155,7 +151,7 @@ class TestCoverage:
         checked = 0
         for _ in range(12):
             n = rng.randint(3, 8)
-            g = random_graph(rng, n)
+            g = random_graph(rng, n, 0.55, 6)
             p0 = random_demand(rng, n)
             b = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
             for build in (build_basic, build_improved):
@@ -185,7 +181,7 @@ class TestRandomSweep:
         ran = {"basic": 0, "improved": 0}
         for _ in range(25):
             n = rng.randint(2, 9)
-            g = random_graph(rng, n)
+            g = random_graph(rng, n, 0.55, 6)
             p0 = random_demand(rng, n)
             b = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
             for build, tag in ((build_basic, "basic"),

@@ -8,11 +8,7 @@ from treecut.graph import Graph, capacity, cut_capacity, parse_edge_list
 from treecut.tree import (DecompositionTree, TreeError, TreeNode, build_basic,
                           build_improved, mincut_in_tree)
 
-
-def random_graph(rng, n, p=0.5, max_cap=4):
-    edges = [(i, j, rng.randint(1, max_cap)) for i in range(n)
-             for j in range(i + 1, n) if rng.random() < p]
-    return Graph(range(n), edges)
+from corpus import random_graph
 
 
 def brute_tree_mincut(tree, b):
@@ -49,7 +45,7 @@ class TestBuildShapes:
 
     def test_leaf_weights_are_degrees(self):
         rng = random.Random(5)
-        g = random_graph(rng, 8, p=0.6)
+        g = random_graph(rng, 8, 0.6, 4)
         for t in (build_basic(g), build_improved(g)):
             for leaf in t.leaves():
                 v = next(iter(leaf.members))
@@ -57,7 +53,7 @@ class TestBuildShapes:
 
     def test_all_weights_recompute(self):
         rng = random.Random(6)
-        g = random_graph(rng, 9, p=0.5)
+        g = random_graph(rng, 9, 0.5, 4)
         for t in (build_basic(g), build_improved(g)):
             verts = g.vertex_set()
             for node in t.nodes():
@@ -81,7 +77,7 @@ class TestBuildShapes:
     def test_merge_clusters_shrink_by_two_thirds(self):
         rng = random.Random(8)
         for _ in range(10):
-            g = random_graph(rng, rng.randint(4, 9), p=0.6)
+            g = random_graph(rng, rng.randint(4, 9), 0.6, 4)
             t = build_basic(g)
             for node in t.nodes():
                 if node.kind != "merge-cluster":
@@ -99,7 +95,7 @@ class TestSerialization:
     def test_round_trip_byte_identical(self):
         rng = random.Random(9)
         for _ in range(6):
-            g = random_graph(rng, rng.randint(2, 8), p=0.5)
+            g = random_graph(rng, rng.randint(2, 8), 0.5, 4)
             for t in (build_basic(g), build_improved(g)):
                 blob = t.to_json()
                 again = DecompositionTree.from_json(blob)
@@ -140,7 +136,7 @@ class TestMincutInTree:
 
     def test_complement_of_singleton(self):
         rng = random.Random(11)
-        g = random_graph(rng, 7, p=0.6)
+        g = random_graph(rng, 7, 0.6, 4)
         t = build_improved(g)
         for v in g.vertices:
             rest = g.vertex_set() - {v}
@@ -150,7 +146,7 @@ class TestMincutInTree:
         rng = random.Random(13)
         checked = 0
         for _ in range(10):
-            g = random_graph(rng, rng.randint(3, 7), p=0.55)
+            g = random_graph(rng, rng.randint(3, 7), 0.55, 4)
             for t in (build_basic(g), build_improved(g)):
                 if len(t.nodes()) - 1 > 15:
                     continue
@@ -183,7 +179,7 @@ class TestLowerBound:
     def test_lower_bound_random(self):
         rng = random.Random(17)
         for _ in range(8):
-            g = random_graph(rng, rng.randint(4, 9), p=0.5)
+            g = random_graph(rng, rng.randint(4, 9), 0.5, 4)
             for t in (build_basic(g), build_improved(g)):
                 for _ in range(10):
                     k = rng.randint(1, g.vertex_count - 1)

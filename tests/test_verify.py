@@ -9,11 +9,7 @@ from treecut.tree import build_basic, build_improved
 from treecut.verify import (QualityReport, VerifyError, verify_flow_quality,
                             verify_quality)
 
-
-def random_graph(rng, n, p=0.5, max_cap=6):
-    edges = [(i, j, rng.randint(1, max_cap)) for i in range(n)
-             for j in range(i + 1, n) if rng.random() < p]
-    return Graph(range(n), edges)
+from corpus import random_graph
 
 
 class TestQuality:
@@ -34,7 +30,7 @@ class TestQuality:
                 assert ratio == 1
 
     def test_exhaustive_covers_every_cut_once(self):
-        g = random_graph(random.Random(2), 6, p=0.8)
+        g = random_graph(random.Random(2), 6, 0.8, 6)
         r = verify_quality(g, build_basic(g))
         assert len(r.records) == 2 ** 5 - 1
         assert len({c for c, _, _, _ in r.records}) == len(r.records)
@@ -42,7 +38,7 @@ class TestQuality:
     def test_ratios_at_least_one(self):
         rng = random.Random(3)
         for _ in range(6):
-            g = random_graph(rng, rng.randint(3, 8))
+            g = random_graph(rng, rng.randint(3, 8), 0.5, 6)
             for build in (build_basic, build_improved):
                 r = verify_quality(g, build(g))
                 assert r.ok
@@ -117,7 +113,7 @@ class TestEnvelope:
     def test_corpus_within_declared_envelope(self):
         rng = random.Random(5)
         for _ in range(8):
-            g = random_graph(rng, rng.randint(2, 9))
+            g = random_graph(rng, rng.randint(2, 9), 0.5, 6)
             for build in (build_basic, build_improved):
                 r = verify_quality(g, build(g))
                 assert r.within_envelope(g.vertex_count)
