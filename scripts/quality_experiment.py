@@ -11,12 +11,9 @@ import statistics
 import sys
 import time
 
-from treecut.config import DEFAULT
 from treecut.graph import Graph
-from treecut.oracle import _log2n
 from treecut.tree import build_basic, build_improved
-from treecut.util import rloglog2
-from treecut.verify import verify_quality
+from treecut.verify import quality_envelope, verify_quality
 
 
 def random_graph(rng, n, p, max_cap):
@@ -43,7 +40,7 @@ def main():
         g = random_graph(rng, n, p, args.max_cap)
         qb = verify_quality(g, build_basic(g)).worst
         qi = verify_quality(g, build_improved(g)).worst
-        env = DEFAULT.quality_C * _log2n(n) ** 2 * rloglog2(max(2, n))
+        env = quality_envelope(n)
         ok = qb <= env and qi <= env
         rows.append((n, g.edge_count, qb, qi, ok))
         print("%3d: n=%2d m=%2d basic=%-10s improved=%-10s within=%s"

@@ -1,6 +1,6 @@
 """Hierarchical tree cut-sparsifiers with mechanically checked certificates."""
 
-from .config import Config, DEFAULT, load_config, dump_config
+from .config import Config, DEFAULT, load_config
 from .graph import (
     Graph,
     GraphError,
@@ -12,7 +12,6 @@ from .graph import (
     cut_capacity,
     cut_expansion,
     graph_expansion_exact,
-    set_expands_exact,
     min_ratio_cut,
     subdivide,
     parse_edge_list,
@@ -27,7 +26,6 @@ from .demand import (
     invariant_check,
     leaf_init,
     parse_demands,
-    format_demands,
     respects_exact,
     spread_update,
     update,
@@ -73,14 +71,14 @@ from .verify import (
 )
 
 __all__ = [
-    "Config", "DEFAULT", "load_config", "dump_config",
+    "Config", "DEFAULT", "load_config",
     "Graph", "GraphError", "SizeError", "Measure", "SubdivisionGraph",
     "ClusterView", "capacity", "cut_capacity", "cut_expansion",
-    "graph_expansion_exact", "set_expands_exact", "min_ratio_cut",
+    "graph_expansion_exact", "min_ratio_cut",
     "subdivide", "parse_edge_list", "parse_measure",
     "DemandError", "DemandMatrix", "DemandState", "dem_across",
     "from_matrix", "invariant_check", "leaf_init", "parse_demands",
-    "format_demands", "respects_exact", "spread_update", "update",
+    "respects_exact", "spread_update", "update",
     "OracleError", "OracleOutcome", "RefinedOutcome", "check_outcome",
     "check_refined", "cut_or_expander", "refined_cut_or_expander",
     "sparsest_cut",

@@ -7,17 +7,17 @@ malformed input.
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .config import DEFAULT, load_config
 from .demand import parse_demands
-from .graph import Measure, parse_edge_list, parse_measure
+from .graph import parse_edge_list, parse_measure
 from .oracle import (check_outcome, check_refined, cut_or_expander,
                      refined_cut_or_expander)
 from .replay import ReplayError, full_replay
 from .tree import DecompositionTree, TreeError, build_basic, build_improved
 from .util import frac_str, parse_frac
-from .verify import VerifyError, verify_flow_quality, verify_quality
+from .verify import (VerifyError, quality_envelope, verify_flow_quality,
+                     verify_quality)
 
 
 def _read(path, what):
@@ -59,8 +59,6 @@ def _parse_cut(text):
 def cmd_build(args):
     g = _load_graph(args.input)
     cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
     build = build_basic if args.mode == "basic" else build_improved
     t = build(g, cfg)
     blob = t.to_json()
@@ -74,15 +72,17 @@ def cmd_build(args):
     return 0
 
 
-def _load_tree(args, g):
-    text = _read(args.tree, "tree")
+def _load_tree(path):
+    """(tree, text) of a tree file.  A tree that fails its own checks (a
+    tampered weight, say) exits 1 in every command; a malformed document
+    is a usage error."""
+    text = _read(path, "tree")
     try:
-        t = DecompositionTree.from_json(text)
-    except (TreeError, ValueError, KeyError) as exc:
-        raise _UsageError("tree file %r: %s" % (args.tree, exc))
-    if t.graph.vertex_set() != g.vertex_set() or t.graph.cap != g.cap:
-        raise _UsageError("tree was not built from the given graph")
-    return t, text
+        return DecompositionTree.from_json(text), text
+    except TreeError:
+        raise
+    except ValueError as exc:
+        raise _UsageError("tree file %r: %s" % (path, exc))
 
 
 def cmd_verify(args):
@@ -92,15 +92,7 @@ def cmd_verify(args):
         cfg = cfg.replace(samples=args.samples)
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
-    text = _read(args.tree, "tree")
-    try:
-        t = DecompositionTree.from_json(text)
-    except TreeError as exc:
-        # an inconsistent tree is a verification failure, not a usage error
-        print("tree verification failed: %s" % exc)
-        return 1
-    except (ValueError, KeyError) as exc:
-        raise _UsageError("tree file %r: %s" % (args.tree, exc))
+    t, _ = _load_tree(args.tree)
     mode = "exhaustive" if args.exhaustive else None
     try:
         report = verify_quality(g, t, mode=mode, cfg=cfg)
@@ -113,7 +105,7 @@ def cmd_verify(args):
     print("quality alpha = %s (%s over %d cuts)"
           % (frac_str(report.worst), report.mode, len(report.records)))
     print("declared envelope = %s; within: %s"
-          % (frac_str(report.envelope(n, cfg)),
+          % (frac_str(quality_envelope(n, cfg)),
              report.within_envelope(n, cfg)))
     if report.violations:
         print("LOWER BOUND VIOLATED at cut %r"
@@ -127,7 +119,10 @@ def cmd_verify(args):
 def cmd_replay(args):
     g = _load_graph(args.graph)
     cfg = _load_config(args.config)
-    t_stored, blob = _load_tree(args, g)
+    t_stored, blob = _load_tree(args.tree)
+    if t_stored.graph.vertex_set() != g.vertex_set() \
+            or t_stored.graph.cap != g.cap:
+        raise _UsageError("tree was not built from the given graph")
     try:
         p = parse_demands(_read(args.demands, "demands"))
     except ValueError as exc:
@@ -208,12 +203,7 @@ def cmd_oracle(args):
 
 
 def cmd_export(args):
-    g = None
-    text = _read(args.tree, "tree")
-    try:
-        t = DecompositionTree.from_json(text)
-    except (TreeError, ValueError, KeyError) as exc:
-        raise _UsageError("tree file %r: %s" % (args.tree, exc))
+    t, _ = _load_tree(args.tree)
     dot = t.to_dot()
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -234,7 +224,6 @@ def make_parser():
     b.add_argument("--input", required=True, help="edge-list file")
     b.add_argument("--mode", choices=("basic", "improved"), default="basic")
     b.add_argument("--out", help="output tree JSON (default stdout)")
-    b.add_argument("--seed", type=int)
     b.add_argument("--config")
     b.set_defaults(func=cmd_build)
 
@@ -280,6 +269,10 @@ def main(argv=None):
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except TreeError as exc:
+        # an inconsistent tree is a verification failure, not a usage error
+        print("tree verification failed: %s" % exc)
+        return 1
 
 
 if __name__ == "__main__":

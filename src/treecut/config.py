@@ -5,10 +5,10 @@ here so certificates are reproducible and the verifier can report
 measured-vs-declared values.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .util import frac_str, parse_frac
+from .util import parse_frac
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,6 @@ def load_config(path: str) -> Config:
             else:
                 kw[key] = parse_frac(val)
     return Config(**kw)
-
-
-def dump_config(cfg: Config) -> str:
-    lines = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if v is None:
-            lines.append("%s = none" % f.name)
-        elif isinstance(v, Fraction):
-            lines.append("%s = %s" % (f.name, frac_str(v)))
-        else:
-            lines.append("%s = %s" % (f.name, v))
-    return "\n".join(lines) + "\n"
 
 
 DEFAULT = Config()

@@ -103,9 +103,6 @@ class DemandState:
     def support_vertices(self):
         return frozenset(v for (v, _), a in self.entries.items() if a)
 
-    def commodities(self):
-        return frozenset(k for (_, k) in self.entries)
-
     def commodity_totals(self):
         out = {}
         for (_, k), a in self.entries.items():
@@ -316,11 +313,3 @@ def parse_demands(text: str) -> DemandState:
             raise DemandError("line %d: %s" % (lineno, exc)) from exc
         entries[(v, k)] = entries.get((v, k), Fraction(0)) + amount
     return DemandState(entries)
-
-
-def format_demands(p: DemandState) -> str:
-    lines = []
-    for (v, k) in sorted(p.entries):
-        a = p.entries[(v, k)]
-        lines.append("%d %d %d %d" % (v, k, a.numerator, a.denominator))
-    return "\n".join(lines) + ("\n" if lines else "")

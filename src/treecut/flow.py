@@ -8,7 +8,7 @@ lexicographic path peeling.
 from collections import deque
 from fractions import Fraction
 
-from .graph import Graph, GraphError, Measure, edge_key
+from .graph import Graph, GraphError, edge_key
 
 S_NODE = -1
 T_NODE = -2
@@ -68,61 +68,6 @@ class FlowSolution:
         for v, f in self.sink_in.items():
             bal[v] = bal.get(v, Fraction(0)) - f
         return all(x == 0 for x in bal.values())
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        return FlowSolution(
-            self.graph,
-            {k: v * factor for k, v in self.flow.items()},
-            {k: v * factor for k, v in self.source_out.items()},
-            {k: v * factor for k, v in self.sink_in.items()},
-            self.value * factor)
-
-    def to_lines(self):
-        out = []
-        for v in sorted(self.source_out):
-            out.append("s %d %s" % (v, self.source_out[v]))
-        for (u, v) in sorted(self.flow):
-            out.append("%d %d %s" % (u, v, self.flow[(u, v)]))
-        for v in sorted(self.sink_in):
-            out.append("%d t %s" % (v, self.sink_in[v]))
-        return "\n".join(out)
-
-
-class TransferMatrix:
-    """Sparse (source vertex, sink vertex) -> nonnegative amount."""
-
-    def __init__(self, entries=()):
-        self.entries = {}
-        for (u, v), a in dict(entries).items():
-            a = Fraction(a)
-            if a < 0:
-                raise FlowError("negative transfer")
-            if a:
-                self.entries[(u, v)] = self.entries.get((u, v), Fraction(0)) + a
-
-    def add(self, u, v, a):
-        a = Fraction(a)
-        if a < 0:
-            raise FlowError("negative transfer")
-        if a:
-            self.entries[(u, v)] = self.entries.get((u, v), Fraction(0)) + a
-
-    def row_sum(self, u):
-        return sum((a for (s, _), a in self.entries.items() if s == u), Fraction(0))
-
-    def rows(self, u):
-        return sorted(((t, a) for (s, t), a in self.entries.items() if s == u))
-
-    def sources(self):
-        return sorted({s for s, _ in self.entries})
-
-    def total(self):
-        return sum(self.entries.values(), Fraction(0))
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        return TransferMatrix({k: a * factor for k, a in self.entries.items()})
 
 
 class _Dinic:
@@ -289,14 +234,16 @@ def path_decomposition(sol: FlowSolution):
     return paths
 
 
-def decompose(sol: FlowSolution, net: FlowNetwork) -> TransferMatrix:
-    """TransferMatrix from source-attachment entry to sink-attachment exit."""
+def decompose(sol: FlowSolution):
+    """{(source vertex, sink vertex): amount} from source-attachment entry
+    to sink-attachment exit."""
     if not sol.check_conservation():
         raise FlowError("flow does not conserve")
-    tm = TransferMatrix()
+    transfer = {}
     for verts, amt in path_decomposition(sol):
-        tm.add(verts[0], verts[-1], amt)
-    return tm
+        key = (verts[0], verts[-1])
+        transfer[key] = transfer.get(key, Fraction(0)) + amt
+    return transfer
 
 
 class RouteResult:
@@ -304,7 +251,7 @@ class RouteResult:
                  certificate=None, sources=None):
         self.feasible = feasible
         self.flow = flow
-        self.transfer = transfer          # TransferMatrix source vertex -> sink
+        self.transfer = transfer          # (source vertex, sink) -> amount
         self.per_edge = per_edge          # cut edge key -> [(sink, amount)]
         self.certificate = certificate    # infeasibility cut side
         self.sources = sources            # vertex -> injected amount
@@ -346,11 +293,12 @@ def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap, cut_edges=None):
     if sol.value != total:
         return RouteResult(False, flow=sol, certificate=frozenset(side),
                            sources=sources)
-    transfer = decompose(sol, net)
+    transfer = decompose(sol)
     # attribute each source vertex's transfers to its individual cut edges,
     # proportionally to edge capacity, in sorted edge order
     per_edge = {}
-    rows = {v: [[t, a] for t, a in transfer.rows(v)] for v in sources}
+    rows = {v: sorted([t, a] for (s, t), a in transfer.items() if s == v)
+            for v in sources}
     for u, v, c in sorted((edge_key(u, v) + (c,)) for u, v, c in cut_edges):
         inside = u if u in d else v
         want = Fraction(c)

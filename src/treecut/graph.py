@@ -15,7 +15,7 @@ step is integer arithmetic, and builds one Fraction for the returned ratio.
 from fractions import Fraction
 from math import lcm
 
-from .config import DEFAULT, Config
+from .config import DEFAULT
 from .util import parse_frac
 
 
@@ -67,9 +67,6 @@ class Graph:
 
     def degree(self, v):
         return sum(c for _, c in self.adj[v])
-
-    def total_capacity(self):
-        return sum(c for _, _, c in self.edges)
 
     def has_edge(self, u, v):
         return edge_key(u, v) in self.cap
@@ -145,10 +142,6 @@ class Measure:
     def indicator(cls, vertices):
         return cls({v: 1 for v in vertices})
 
-    @classmethod
-    def uniform(cls, vertices, w=1):
-        return cls({v: w for v in vertices})
-
     def __call__(self, v):
         return self.weights.get(v, Fraction(0))
 
@@ -159,15 +152,9 @@ class Measure:
     def total(self):
         return sum(self.weights.values(), Fraction(0))
 
-    def support(self):
-        return frozenset(self.weights)
-
     def restrict(self, vertices):
         vs = set(vertices)
         return Measure({v: w for v, w in self.weights.items() if v in vs})
-
-    def scaled(self, factor):
-        return Measure({v: w * Fraction(factor) for v, w in self.weights.items()})
 
 
 def capacity(g: Graph, a, b) -> int:
@@ -237,9 +224,6 @@ class SubdivisionGraph:
 
     def split(self, u, v):
         return self.split_of_edge[edge_key(u, v)]
-
-    def splits_of(self, edge_keys):
-        return frozenset(self.split_of_edge[k] for k in edge_keys)
 
     def is_split(self, v):
         return v in self.edge_of_split
@@ -320,12 +304,11 @@ class ClusterView:
         return Measure({self.root.split(u, v): w * c
                         for u, v, c in self.boundary_edges})
 
-    def split_measure(self, edge_keys, weight=1):
-        w = Fraction(weight)
+    def split_measure(self, edge_keys):
         out = {}
         for k in edge_keys:
             k = edge_key(*k)
-            out[self.root.split(*k)] = w * self.root.base.cap[k]
+            out[self.root.split(*k)] = self.root.base.cap[k]
         return Measure(out)
 
 
@@ -429,21 +412,6 @@ def graph_expansion_exact(g: Graph, mu: Measure, threshold=None):
     """Minimum cut expansion over all cuts; None when undefined."""
     ratio, _ = min_ratio_cut(g, mu, threshold)
     return ratio
-
-
-def set_expands_exact(g: Graph, a, mu: Measure, alpha, threshold=None):
-    """Does the set a alpha-expand in g w.r.t. mu?
-
-    Equivalent to g being an alpha-expander for mu restricted to a.  Returns
-    (True, None) or (False, witness_side).
-    """
-    a = frozenset(a)
-    ratio, side = min_ratio_cut(g, mu.restrict(a), threshold)
-    if ratio is None:
-        return True, None
-    if ratio >= Fraction(alpha):
-        return True, None
-    return False, side
 
 
 def parse_edge_list(text: str) -> Graph:

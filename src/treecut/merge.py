@@ -39,7 +39,7 @@ def solve_attachment_flow(g: Graph, sources, sinks, cfg: Config):
         net = FlowNetwork(g, sources, sinks, edge_scale=cap)
         sol, _ = max_flow(net)
         if sol.value == total:
-            res = RouteResult(True, flow=sol, transfer=decompose(sol, net),
+            res = RouteResult(True, flow=sol, transfer=decompose(sol),
                               sources=sources)
             return RouteRecord(res, cap, sinks, boost,
                                within_declared=(i == 0))
@@ -50,7 +50,7 @@ class ShrinkResult:
     """Outcome of one shrink step: either a smaller F, or an expanding one."""
 
     def __init__(self, case, f_new=None, a_edges=None, c_edges=None,
-                 flow=None, outcome=None, alpha=None, alpha_exact=None):
+                 flow=None, outcome=None, alpha=None):
         self.case = case              # 1 = shrank, 2 = expanding
         self.f_new = f_new
         self.a_edges = a_edges        # expanding core edge set
@@ -58,7 +58,6 @@ class ShrinkResult:
         self.flow = flow              # RouteRecord X_C -> X_A (case 2)
         self.outcome = outcome        # the oracle outcome consumed
         self.alpha = alpha            # declared expansion of X_{A u C}
-        self.alpha_exact = alpha_exact
 
 
 def _edge_preimages(view: ClusterView, gsub: Graph, side):
@@ -82,8 +81,7 @@ def _cap_of(view: ClusterView, keys):
     return sum(view.root.base.cap[edge_key(*k)] for k in keys)
 
 
-def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT,
-                collect=None):
+def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT):
     """One application of the shrink-or-certify step to the edge set F."""
     f_keys = frozenset(edge_key(*k) for k in f_keys)
     ok, _ = is_balanced_clustering(view.graph_in, f_keys)
@@ -94,13 +92,10 @@ def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT,
     phi = cfg.merge_phi_coeff / logn
     mu = view.split_measure(f_keys)
     outcome = cut_or_expander(gsub, phi, mu, cfg)
-    if collect is not None:
-        collect.append(outcome)
     threshold = cfg.oracle_sparsity_c * phi * logn   # = merge_phi_coeff
     if outcome.tag == "Expander":
         return ShrinkResult(2, a_edges=f_keys, c_edges=frozenset(),
-                            flow=None, outcome=outcome, alpha=threshold,
-                            alpha_exact=(outcome.certificate.verified == "exact"))
+                            flow=None, outcome=outcome, alpha=threshold)
     a_side = outcome.residual
     a_edges, c_edges = _edge_preimages(view, gsub, a_side)
     f_in_a = f_keys & a_edges
@@ -136,8 +131,7 @@ def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT,
     c_const = flow.congestion_cap
     alpha = phi_core / (2 * (a_const + 1 + c_const * phi_core))
     return ShrinkResult(2, a_edges=f_in_a, c_edges=c_edges, flow=flow,
-                        outcome=outcome, alpha=alpha,
-                        alpha_exact=(outcome.certificate.verified == "exact"))
+                        outcome=outcome, alpha=alpha)
 
 
 class BalancedClustering:
@@ -159,8 +153,8 @@ class BalancedClustering:
         return frozenset(self.view.root.split(u, v) for u, v in self.f_keys)
 
 
-def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT,
-                  collect=None) -> BalancedClustering:
+def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT) \
+        -> BalancedClustering:
     s = view.cluster
     if len(s) == 1:
         return BalancedClustering(view, [s], frozenset(), frozenset(),
@@ -182,7 +176,8 @@ def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT,
         iters += 1
         if iters > bound:
             raise MergeError("shrink loop exceeded its bound of %d" % bound)
-        res = shrink_step(view, f, cfg, collect=outcomes)
+        res = shrink_step(view, f, cfg)
+        outcomes.append(res.outcome)
         if res.case == 2:
             result = res
             break
@@ -211,8 +206,6 @@ def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT,
         from .graph import graph_expansion_exact
         alpha_measured = graph_expansion_exact(view.sub_in, mu_f,
                                                cfg.brute_threshold)
-    if collect is not None:
-        collect.extend(outcomes)
     return BalancedClustering(view, comps, f_final, f_tilde, result.alpha,
                               alpha_measured, result.flow, outcomes, iters)
 
@@ -407,9 +400,9 @@ def _check_partition(part: MergePartition, cfg: Config):
             raise MergeError("sub-cluster size violates the 2/3 bound")
 
 
-def merge_phase(view: ClusterView, tau, cfg: Config = DEFAULT,
-                collect=None) -> MergePartition:
+def merge_phase(view: ClusterView, tau, cfg: Config = DEFAULT) \
+        -> MergePartition:
     if len(view.cluster) < 2:
         raise MergeError("merge_phase needs at least two vertices")
-    clustering = merge_phase_1(view, cfg, collect=collect)
+    clustering = merge_phase_1(view, cfg)
     return merge_phase_2(view, clustering, tau, cfg)

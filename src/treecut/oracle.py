@@ -10,10 +10,10 @@ constants.
 from fractions import Fraction
 
 from .config import DEFAULT, Config
-from .graph import (Graph, Measure, SizeError, cut_capacity, cut_expansion,
-                    graph_expansion_exact, min_ratio_cut)
+from .graph import (Graph, Measure, cut_expansion, graph_expansion_exact,
+                    min_ratio_cut)
 from .flow import route_from_cut
-from .util import ceil_frac, frac_str, rlog2
+from .util import ceil_frac, rlog2
 
 
 class OracleError(ValueError):
@@ -170,11 +170,9 @@ class ExpanderCertificate:
 
 
 class OracleOutcome:
-    TAGS = ("Expander", "BalancedCut", "UnbalancedExpander")
-
     def __init__(self, tag, g, phi, mu, cfg, steps, residual, certificate=None,
                  degenerate=False):
-        self.tag = tag
+        self.tag = tag          # Expander | BalancedCut | UnbalancedExpander
         self.graph = g
         self.phi = Fraction(phi)
         self.mu = mu
@@ -192,10 +190,6 @@ class OracleOutcome:
         for s in self.steps:
             out |= s.side
         return frozenset(out)
-
-    @property
-    def cut_side(self):
-        return self.residual
 
 
 def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
@@ -258,12 +252,10 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
 
 
 class RefinedOutcome:
-    TAGS = ("1", "2a", "2b", "2c", "3a", "3b")
-
     def __init__(self, tag, base: OracleOutcome, nu: Measure, cut_a=None,
                  cut_a1=None, cut_a2=None, flow_steps=(), extra_flow=None,
                  truncated_at=None):
-        self.tag = tag
+        self.tag = tag                # 1 | 2a | 2b | 2c | 3a | 3b
         self.base = base
         self.nu = nu
         self.cut_a = cut_a            # A (cases 2a/2b/3a/3b)

@@ -18,7 +18,7 @@ from .merge import MergePartition
 from .oracle import _log2n
 from .refine import RefinementResult
 from .tree import DecompositionTree, mincut_in_tree
-from .util import rloglog2
+from .verify import quality_envelope
 
 
 class ReplayError(ValueError):
@@ -504,10 +504,9 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
         raise ReplayError("final coverage inequality failed")
 
     n = g.vertex_count
-    logn = _log2n(n)
     if t.mode == "basic":
-        envelope = cfg.quality_C * logn ** 3
+        envelope = cfg.quality_C * _log2n(n) ** 3
     else:
-        envelope = cfg.quality_C * logn ** 2 * rloglog2(max(2, n))
+        envelope = quality_envelope(n, cfg)
     return ReplayReport(ledger, trace, dem_p, cap_cut, initial_dem,
                         ledger.max_per_edge(), envelope)

@@ -11,7 +11,8 @@ import json
 from fractions import Fraction
 
 from .config import DEFAULT, Config
-from .graph import (ClusterView, Graph, capacity, format_edge_list, subdivide)
+from .graph import (ClusterView, Graph, capacity, format_edge_list,
+                    parse_edge_list, subdivide)
 from .merge import merge_phase
 from .oracle import _log2n
 from .refine import refine
@@ -23,6 +24,25 @@ class TreeError(ValueError):
 
 
 FORMAT_VERSION = 1
+
+
+def _field(rec, key, kind, default=None):
+    """rec[key], which must be a kind; ValueError for a malformed document."""
+    if not isinstance(rec, dict):
+        raise ValueError("tree document: expected an object, got %s"
+                         % type(rec).__name__)
+    value = rec.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError("tree document: %r must be a %s"
+                         % (key, kind.__name__))
+    return value
+
+
+def _vertices(rec, key):
+    value = _field(rec, key, list)
+    if not all(type(v) is int for v in value):
+        raise ValueError("tree document: %r must list integer vertices" % key)
+    return value
 
 
 class TreeNode:
@@ -112,25 +132,28 @@ class DecompositionTree:
 
     @classmethod
     def from_json(cls, text: str) -> "DecompositionTree":
-        doc = json.loads(text)
-        if doc.get("format_version") != FORMAT_VERSION:
+        """A document of the wrong shape raises ValueError; a well-formed
+        tree that contradicts its graph or version raises TreeError."""
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("tree document nests too deeply") from None
+        if _field(doc, "format_version", object) != FORMAT_VERSION:
             raise TreeError("unsupported format version")
-        from .graph import parse_edge_list
-        parsed = parse_edge_list(doc["graph"]) if doc["graph"].strip() \
-            else None
-        edges = parsed.edges if parsed is not None else []
-        g = Graph(doc["vertices"], edges)
+        graph = _field(doc, "graph", str)
+        edges = parse_edge_list(graph).edges if graph.strip() else []
+        g = Graph(_vertices(doc, "vertices"), edges)
 
         def dec(rec):
-            node = TreeNode(rec["members"], rec["kind"],
-                            parse_frac(rec["weight"]))
-            if "info" in rec:
-                node.info = dict(rec["info"])
-            for c in rec.get("children", ()):
+            node = TreeNode(_vertices(rec, "members"),
+                            _field(rec, "kind", str),
+                            parse_frac(_field(rec, "weight", str)),
+                            _field(rec, "info", dict, {}))
+            for c in _field(rec, "children", list, []):
                 node.children.append(dec(c))
             return node
 
-        return cls(g, dec(doc["tree"]), doc["mode"])
+        return cls(g, dec(doc.get("tree")), _field(doc, "mode", str))
 
     def to_dot(self) -> str:
         lines = ["graph decomposition {", "  node [shape=box];"]
@@ -197,12 +220,10 @@ def _grow_merge(g: Graph, sub, node: TreeNode, cluster, tau, cfg: Config,
     node.sort_children()
 
 
-def build_basic(g: Graph, cfg: Config = DEFAULT, tau=None) \
-        -> DecompositionTree:
+def build_basic(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
     if g.vertex_count == 0:
         raise TreeError("empty graph")
-    if tau is None:
-        tau = cfg.tau_basic
+    tau = cfg.tau_basic
     if tau is None:
         tau = Fraction(1) / _log2n(g.vertex_count)
     tau = Fraction(tau)

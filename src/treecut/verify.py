@@ -13,12 +13,18 @@ from fractions import Fraction
 from .config import DEFAULT, Config
 from .graph import Graph, cut_capacity
 from .oracle import _log2n
-from .tree import DecompositionTree, TreeError, mincut_in_tree
+from .tree import DecompositionTree, mincut_in_tree
 from .util import frac_str, rloglog2
 
 
 class VerifyError(ValueError):
     pass
+
+
+def quality_envelope(n, cfg: Config = DEFAULT):
+    """The declared quality bound quality_C * (log2 n)^2 * max(1, log2 log2 n)
+    for an n-vertex graph."""
+    return cfg.quality_C * _log2n(n) ** 2 * rloglog2(max(2, n))
 
 
 class QualityReport:
@@ -37,12 +43,8 @@ class QualityReport:
     def ok(self):
         return not self.violations
 
-    def envelope(self, n, cfg: Config = DEFAULT):
-        logn = _log2n(n)
-        return cfg.quality_C * logn ** 2 * rloglog2(max(2, n))
-
     def within_envelope(self, n, cfg: Config = DEFAULT):
-        return self.ok and self.worst <= self.envelope(n, cfg)
+        return self.ok and self.worst <= quality_envelope(n, cfg)
 
     def to_json(self):
         doc = {"format_version": 1,
@@ -97,26 +99,25 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
         raise VerifyError("unknown verification mode %r" % mode)
 
     verts = sorted(g.vertices)
-    cuts = []
-    seen = set()
-
-    def push(b):
-        b = frozenset(b)
-        if b and b != g.vertex_set() and b not in seen:
-            # store each cut by the side avoiding the last vertex, so a
-            # side and its complement are never both checked
-            comp = g.vertex_set() - b
-            key = b if verts[-1] not in b else comp
-            if key in seen:
-                return
-            seen.add(key)
-            cuts.append(key)
-
     samples = 0
     if mode == "exhaustive":
-        for b in _all_cuts(verts):
-            push(b)
+        cuts = list(_all_cuts(verts))
     else:
+        cuts = []
+        seen = set()
+
+        def push(b):
+            b = frozenset(b)
+            if b and b != g.vertex_set() and b not in seen:
+                # store each cut by the side avoiding the last vertex, so a
+                # side and its complement are never both checked
+                comp = g.vertex_set() - b
+                key = b if verts[-1] not in b else comp
+                if key in seen:
+                    return
+                seen.add(key)
+                cuts.append(key)
+
         for v in verts:
             push({v})
         for node in t.nodes():

@@ -13,13 +13,12 @@ from treecut.demand import (DemandMatrix, DemandState, leaf_init, update)
 from treecut.flow import FlowNetwork, max_flow
 from treecut.graph import Graph, cut_capacity, subdivide
 from treecut.merge import MergePartition
-from treecut.oracle import _log2n, check_outcome, check_refined
+from treecut.oracle import check_outcome, check_refined
 from treecut.refine import RefinementResult, product_growth_ok, \
     route_inter_to_boundary
 from treecut.replay import full_replay
 from treecut.tree import build_basic, build_improved, mincut_in_tree
-from treecut.util import rloglog2
-from treecut.verify import verify_quality
+from treecut.verify import quality_envelope, verify_quality
 
 from corpus import random_graph
 
@@ -91,7 +90,7 @@ def test_criterion_02_quality_envelope(corpus_reports):
     basic, improved = [], []
     for g, rb, ri in reports:
         n = g.vertex_count
-        bound = DEFAULT.quality_C * _log2n(n) ** 2 * rloglog2(max(2, n))
+        bound = quality_envelope(n)
         assert rb.worst <= bound and ri.worst <= bound
         basic.append(rb.worst)
         improved.append(ri.worst)

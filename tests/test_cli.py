@@ -53,6 +53,38 @@ class TestBuildVerify:
         assert rc == 1
         assert "fail" in capsys.readouterr().out.lower()
 
+    def test_tree_files_exit_alike_in_every_command(self, tree_file,
+                                                    tmp_path, capsys):
+        """A tampered tree exits 1 and a malformed one 2, whichever command
+        reads it."""
+        blob = open(tree_file).read()
+        doc = json.loads(blob)
+
+        def edited(**changes):
+            return json.dumps(dict(doc, **changes))
+
+        malformed = ("[]", "{", "[" * 100000, edited(graph=5),
+                     edited(tree=dict(doc["tree"], children=5)),
+                     edited(vertices=[0, "a"]),
+                     edited(tree=dict(doc["tree"], members="01234567")),
+                     edited(tree=dict(doc["tree"], weight=[])))
+        tampered = blob.replace('"weight":"4"', '"weight":"1"', 1)
+        assert tampered != blob
+        bad = tmp_path / "bad.json"
+        for argv in (["verify", "--graph", RING],
+                     ["replay", "--graph", RING, "--demands", DEMANDS,
+                      "--cut", "0"],
+                     ["export"]):
+            argv = argv + ["--tree", str(bad)]
+            for text in malformed:
+                bad.write_text(text)
+                assert_usage_error(argv, capsys)
+            bad.write_text(tampered)
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert "tree verification failed" in captured.out
+            assert "Traceback" not in captured.err
+
     def test_malformed_graph_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 not-a-vertex\n")

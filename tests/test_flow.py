@@ -125,9 +125,9 @@ class TestDecomposition:
         g = parse_edge_list("0 1 2\n0 2 2\n1 3 2\n2 3 2\n")
         net = FlowNetwork(g, {0: 4}, {3: 4})
         sol, _ = max_flow(net)
-        tm = decompose(sol, net)
-        assert tm.row_sum(0) == 4
-        assert sum(a for (_, t), a in tm.entries.items() if t == 3) == 4
+        transfer = decompose(sol)
+        assert sum(a for (s, _), a in transfer.items() if s == 0) == 4
+        assert sum(a for (_, t), a in transfer.items() if t == 3) == 4
 
 
 class TestRouteFromCut:

@@ -8,7 +8,7 @@ from treecut.graph import (ClusterView, Graph, GraphError, Measure, SizeError,
                            capacity, cut_capacity, cut_expansion,
                            graph_expansion_exact, min_ratio_cut,
                            parse_edge_list, format_edge_list, parse_measure,
-                           set_expands_exact, subdivide)
+                           subdivide)
 
 from corpus import random_graph
 
@@ -90,14 +90,6 @@ class TestExpansionOracles:
         g = cycle(20)
         with pytest.raises(SizeError):
             min_ratio_cut(g, Measure.indicator(g.vertices), threshold=18)
-
-    def test_set_expands(self):
-        g = k_n(4)
-        ok, _ = set_expands_exact(g, {0, 1}, Measure.indicator(range(4)), 3)
-        assert ok
-        ok, witness = set_expands_exact(cycle(8), {0, 4},
-                                        Measure.indicator(range(8)), 3)
-        assert not ok and witness is not None
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(4, 9))

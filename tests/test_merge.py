@@ -79,7 +79,7 @@ class TestAttachmentFlow:
         assert rec.feasible and not rec.within_declared
         assert (rec.congestion_cap, rec.sink_boost) == (1, 1)
         assert rec.result.flow.value == 1
-        assert rec.result.transfer.entries == {(0, 2): 1}
+        assert rec.result.transfer == {(0, 2): 1}
         rec = solve_attachment_flow(g, {0: Fraction(1)}, {2: Fraction(1)},
                                     DEFAULT)
         assert rec.within_declared and rec.congestion_cap == 4
