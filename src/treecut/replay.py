@@ -17,7 +17,7 @@ from .graph import (ClusterView, Graph, cut_capacity, edge_key, subdivide)
 from .merge import MergePartition
 from .oracle import _log2n
 from .refine import RefinementResult
-from .tree import DecompositionTree, mincut_in_tree
+from .tree import DecompositionTree, mincut_plan
 from .verify import quality_envelope
 
 
@@ -405,10 +405,11 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
         raise ReplayError("cut side must be a proper nonempty vertex subset")
     if not p.is_valid():
         raise ReplayError("demand state is not valid")
+    mincut = mincut_plan(t)
     for node in t.nodes():
         if node.members == verts:
             continue
-        if p.dem_across(node.members) > mincut_in_tree(t, node.members):
+        if p.dem_across(node.members) > mincut(node.members):
             raise ReplayError("demand state is not 1-respected by the tree "
                               "(violated at %r)" % sorted(node.members))
 

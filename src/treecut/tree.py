@@ -8,6 +8,7 @@ tree answers cut queries through `mincut_in_tree`.
 """
 
 import json
+import math
 from fractions import Fraction
 
 from .config import DEFAULT, Config
@@ -132,14 +133,15 @@ class DecompositionTree:
 
     @classmethod
     def from_json(cls, text: str) -> "DecompositionTree":
-        """A document of the wrong shape raises ValueError; a well-formed
-        tree that contradicts its graph or version raises TreeError."""
+        """A document of the wrong shape or of an unsupported format
+        version raises ValueError; a well-formed tree that contradicts its
+        graph raises TreeError."""
         try:
             doc = json.loads(text)
         except RecursionError:
             raise ValueError("tree document nests too deeply") from None
         if _field(doc, "format_version", object) != FORMAT_VERSION:
-            raise TreeError("unsupported format version")
+            raise ValueError("tree document: unsupported format version")
         graph = _field(doc, "graph", str)
         edges = parse_edge_list(graph).edges if graph.strip() else []
         g = Graph(_vertices(doc, "vertices"), edges)
@@ -275,36 +277,64 @@ def build_improved(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
     return DecompositionTree(g, root, "improved")
 
 
+def mincut_plan(tree: DecompositionTree):
+    """Plan the tree min-cut dynamic program once and return query(b), the
+    minimum total weight of tree edges separating the leaves of b from the
+    rest, as a Fraction.  query does not check b: it must be a proper
+    nonempty subset of the tree's vertices.
+
+    Each node is on b's side or not, and a child edge pays its weight when
+    the sides differ.  A leaf's side is fixed by its vertex, so a leaf child
+    adds its weight to exactly one of its parent's two states and needs no
+    state of its own.  The plan lists the internal nodes in post-order, each
+    with its leaf children as (vertex, weight) and its internal children as
+    (plan index, weight).  Weights are scaled by the lcm of their
+    denominators, so the DP runs on ints; the lcm is 1 for every tree that
+    passed validate().  The plan copies the weights: edit the tree, plan
+    again."""
+    scale = math.lcm(*(node.weight.denominator for node in tree.root.walk()))
+    plan = []
+
+    def add(node):
+        leaves, inner = [], []
+        for c in node.children:
+            w = c.weight.numerator * (scale // c.weight.denominator)
+            if c.is_leaf:
+                leaves.append((next(iter(c.members)), w))
+            else:
+                inner.append((add(c), w))
+        plan.append((leaves, inner))
+        return len(plan) - 1
+
+    add(tree.root)
+
+    def query(b):
+        cost = []
+        for leaves, inner in plan:
+            cost_in = cost_out = 0
+            for v, w in leaves:
+                if v in b:
+                    cost_out += w
+                else:
+                    cost_in += w
+            for i, w in inner:
+                ci, co = cost[i]
+                cost_in += min(ci, co + w)
+                cost_out += min(co, ci + w)
+            cost.append((cost_in, cost_out))
+        return Fraction(min(cost[-1]), scale)
+
+    return query
+
+
 def mincut_in_tree(tree: DecompositionTree, b):
     """Minimum total weight of tree edges separating the leaves of b from
-    the rest, by a two-state dynamic program (each node is on b's side or
-    not; a child edge pays its weight when the sides differ)."""
+    the rest (see mincut_plan).  To answer many queries on one tree, plan
+    once with mincut_plan."""
     b = frozenset(b)
     verts = tree.graph.vertex_set()
     if not b or b >= verts:
         raise TreeError("query side must be a proper nonempty subset")
     if not b <= verts:
         raise TreeError("query side contains unknown vertices")
-
-    def solve(node):
-        if node.is_leaf:
-            v = next(iter(node.members))
-            inb = v in b
-            return (Fraction(0) if inb else None,
-                    None if inb else Fraction(0))
-        cost_in, cost_out = Fraction(0), Fraction(0)
-        for c in node.children:
-            ci, co = solve(c)
-            w = c.weight
-            opts_in = [x for x in (ci, None if co is None else co + w)
-                       if x is not None]
-            opts_out = [x for x in (co, None if ci is None else ci + w)
-                        if x is not None]
-            cost_in = None if (cost_in is None or not opts_in) \
-                else cost_in + min(opts_in)
-            cost_out = None if (cost_out is None or not opts_out) \
-                else cost_out + min(opts_out)
-        return cost_in, cost_out
-
-    ci, co = solve(tree.root)
-    return min(x for x in (ci, co) if x is not None)
+    return mincut_plan(tree)(b)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .config import DEFAULT, Config
 from .graph import Graph, cut_capacity
 from .oracle import _log2n
-from .tree import DecompositionTree, mincut_in_tree
+from .tree import DecompositionTree, mincut_plan
 from .util import frac_str, rloglog2
 
 
@@ -103,15 +103,16 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
     if mode == "exhaustive":
         cuts = list(_all_cuts(verts))
     else:
+        vset = g.vertex_set()
         cuts = []
         seen = set()
 
         def push(b):
             b = frozenset(b)
-            if b and b != g.vertex_set() and b not in seen:
+            if b and b != vset and b not in seen:
                 # store each cut by the side avoiding the last vertex, so a
                 # side and its complement are never both checked
-                comp = g.vertex_set() - b
+                comp = vset - b
                 key = b if verts[-1] not in b else comp
                 if key in seen:
                     return
@@ -131,9 +132,10 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
     records = []
     violations = []
     worst = Fraction(1)
+    mincut = mincut_plan(t)
     for b in cuts:
         cap = Fraction(cut_capacity(g, b))
-        mc = mincut_in_tree(t, b)
+        mc = mincut(b)
         if cap > mc:
             violations.append(b)
             records.append((b, cap, mc, None))

@@ -20,7 +20,7 @@ from treecut.replay import full_replay
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 from treecut.verify import quality_envelope, verify_quality
 
-from corpus import random_graph
+from corpus import brute_tree_mincut, random_graph
 
 CORPUS_SIZE = 200
 
@@ -353,26 +353,6 @@ def test_criterion_09_charging_replay(corpus):
     assert secs < 600, "replay suite took %.0fs" % secs
     print("\nCRITERION 9 PASS: %d (graph, demand, cut) triples replayed "
           "clean in both modes (%.0fs)" % (done, secs))
-
-
-def brute_tree_mincut(tree, b):
-    import itertools
-    nodes = tree.nodes()
-    internal = [n for n in nodes if not n.is_leaf]
-    best = None
-    for bits in itertools.product((False, True), repeat=len(internal)):
-        side = {id(n): s for n, s in zip(internal, bits)}
-        for n in nodes:
-            if n.is_leaf:
-                side[id(n)] = next(iter(n.members)) in b
-        cost = Fraction(0)
-        for n in nodes:
-            for c in n.children:
-                if side[id(c)] != side[id(n)]:
-                    cost += c.weight
-        if best is None or cost < best:
-            best = cost
-    return best
 
 
 def brute_min_cut(net):

@@ -67,7 +67,8 @@ class TestBuildVerify:
                      edited(tree=dict(doc["tree"], children=5)),
                      edited(vertices=[0, "a"]),
                      edited(tree=dict(doc["tree"], members="01234567")),
-                     edited(tree=dict(doc["tree"], weight=[])))
+                     edited(tree=dict(doc["tree"], weight=[])),
+                     edited(format_version=99))
         tampered = blob.replace('"weight":"4"', '"weight":"1"', 1)
         assert tampered != blob
         bad = tmp_path / "bad.json"

@@ -8,27 +8,27 @@ from treecut.graph import Graph, capacity, cut_capacity, parse_edge_list
 from treecut.tree import (DecompositionTree, TreeError, TreeNode, build_basic,
                           build_improved, mincut_in_tree)
 
-from corpus import random_graph
+from corpus import brute_tree_mincut, random_graph
 
 
-def brute_tree_mincut(tree, b):
-    """Exhaustive side assignment over internal nodes (leaves forced)."""
-    nodes = tree.nodes()
-    internal = [n for n in nodes if not n.is_leaf]
-    best = None
-    for bits in itertools.product((False, True), repeat=len(internal)):
-        side = {id(n): s for n, s in zip(internal, bits)}
-        for n in nodes:
-            if n.is_leaf:
-                side[id(n)] = next(iter(n.members)) in b
-        cost = Fraction(0)
-        for n in nodes:
-            for c in n.children:
-                if side[id(c)] != side[id(n)]:
-                    cost += c.weight
-        if best is None or cost < best:
-            best = cost
-    return best
+def proper_sides(g):
+    """Every proper nonempty vertex subset of g."""
+    verts = sorted(g.vertices)
+    for r in range(1, len(verts)):
+        for b in itertools.combinations(verts, r):
+            yield frozenset(b)
+
+
+def triangle_chain(k):
+    """k triangles of capacity 3 joined in a path by edges of capacity 1;
+    both build modes nest their trees k internal levels deep."""
+    edges = []
+    for c in range(k):
+        a, b, d = 3 * c, 3 * c + 1, 3 * c + 2
+        edges += [(a, b, 3), (b, d, 3), (a, d, 3)]
+        if c + 1 < k:
+            edges.append((d, d + 1, 1))
+    return Graph(range(3 * k), edges)
 
 
 class TestBuildShapes:
@@ -120,11 +120,13 @@ class TestSerialization:
         assert dot.count("label=") >= 2 * len(t.nodes()) - 1
 
     def test_format_version_enforced(self):
+        """Another format version is an input error, not a failed tree."""
         g = parse_edge_list("0 1\n")
         blob = build_basic(g).to_json().replace('"format_version":1',
                                                 '"format_version":99')
-        with pytest.raises(TreeError):
+        with pytest.raises(ValueError) as exc:
             DecompositionTree.from_json(blob)
+        assert not isinstance(exc.value, TreeError)
 
 
 class TestMincutInTree:
@@ -144,18 +146,44 @@ class TestMincutInTree:
 
     def test_matches_bruteforce(self):
         rng = random.Random(13)
+        graphs = [random_graph(rng, rng.randint(3, 7), 0.55, 4)
+                  for _ in range(10)]
+        # small random trees are flat; these two have inner nodes
+        graphs += [triangle_chain(2), triangle_chain(3)]
         checked = 0
-        for _ in range(10):
-            g = random_graph(rng, rng.randint(3, 7), 0.55, 4)
+        for g in graphs:
             for t in (build_basic(g), build_improved(g)):
-                if len(t.nodes()) - 1 > 15:
-                    continue
-                for _ in range(4):
-                    k = rng.randint(1, g.vertex_count - 1)
-                    b = frozenset(rng.sample(sorted(g.vertices), k))
-                    assert mincut_in_tree(t, b) == brute_tree_mincut(t, b)
+                for b in proper_sides(g):
+                    got = mincut_in_tree(t, b)
+                    assert type(got) is Fraction
+                    assert got == brute_tree_mincut(t, b)
                     checked += 1
-        assert checked >= 20
+        assert checked >= 500
+
+    def test_tampered_fractional_weights_stay_exact(self):
+        """Weights edited after the build need not be integers: the DP
+        rescales them and returns the exact Fraction."""
+        g = triangle_chain(2)
+        for t in (build_basic(g), build_improved(g)):
+            leaf = t.leaves()[0]
+            inner = next(n for n in t.nodes()
+                         if n is not t.root and not n.is_leaf)
+            leaf.weight = Fraction(1, 2)
+            inner.weight = Fraction(7, 3)
+            values = set()
+            for b in proper_sides(g):
+                got = mincut_in_tree(t, b)
+                assert type(got) is Fraction
+                assert got == brute_tree_mincut(t, b)
+                values.add(got)
+            assert {v.denominator for v in values} >= {2, 3}
+
+    def test_lone_leaf_root_costs_nothing(self):
+        g = parse_edge_list("0 1\n")
+        t = build_basic(g)
+        t.root.children = []
+        got = mincut_in_tree(t, {0})
+        assert type(got) is Fraction and got == 0
 
     def test_trivial_queries_rejected(self):
         g = parse_edge_list("0 1\n")

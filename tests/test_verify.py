@@ -1,3 +1,5 @@
+import hashlib
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +12,17 @@ from treecut.verify import (QualityReport, VerifyError, verify_flow_quality,
                             verify_quality)
 
 from corpus import random_graph
+
+RING = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                    "ring8.edges")
+# sha256 of to_json() plus every table line of the ring8 reports, taken
+# with the recursive Fraction tree DP that the integer kernel replaced
+RING_REPORTS = {
+    "exhaustive":
+        "8d4bf9eed395cff1f7d87e6ec660c19379f27eef9ad379e0076d365742c337de",
+    "sampled":
+        "6502b6c7474603d3a2cfb7037a168a826126820ea057277ff432ef503e091c24",
+}
 
 
 class TestQuality:
@@ -64,6 +77,16 @@ class TestQuality:
         assert not r.ok
         assert frozenset({1}) in r.violations or any(
             1 in c for c in r.violations)
+
+
+@pytest.mark.parametrize("build", [build_basic, build_improved])
+@pytest.mark.parametrize("mode", sorted(RING_REPORTS))
+def test_ring8_report_bytes_pinned(build, mode):
+    with open(RING) as fh:
+        g = parse_edge_list(fh.read())
+    r = verify_quality(g, build(g), mode, DEFAULT.replace(samples=200, seed=0))
+    blob = r.to_json() + "\n".join(r.table_lines(limit=None)) + "\n"
+    assert hashlib.sha256(blob.encode()).hexdigest() == RING_REPORTS[mode]
 
 
 class TestSampled:
