@@ -65,6 +65,17 @@ class Config:
     samples: int = 10000
     seed: int = 0
 
+    def __post_init__(self):
+        # a zero cap would make the congestion escalation double 0 forever
+        for name in ("oracle_sparsity_c", "oracle_sink_scale",
+                     "oracle_congestion_cap", "oracle_congestion_limit"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError("%s must be > 0, got %s" % (name, value))
+        if self.tau_basic is not None and not 0 < self.tau_basic <= 1:
+            raise ValueError("tau_basic must be None or in (0, 1], got %s"
+                             % self.tau_basic)
+
     def replace(self, **kw) -> "Config":
         vals = {f.name: getattr(self, f.name) for f in fields(self)}
         vals.update(kw)

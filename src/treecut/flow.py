@@ -1,12 +1,15 @@
 """Exact max-flow, flow decomposition, and route-from-cut solvers.
 
-All arithmetic is exact (fractions.Fraction).  The networks are tiny, so a
-plain Dinic solver is plenty; determinism comes from sorted adjacency and
+All arithmetic is exact.  The API is fractions.Fraction throughout;
+max_flow scales every capacity by the lcm of the denominators and runs a
+plain Dinic solver on Python ints, and decomposition and routing work on
+the Fraction flows it returns.  Determinism comes from sorted adjacency and
 lexicographic path peeling.
 """
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from .graph import Graph, GraphError, edge_key
 
@@ -71,9 +74,14 @@ class FlowSolution:
 
 
 class _Dinic:
+    """Dinic's algorithm on int capacities.  Arc i is paired with its
+    reverse arc i ^ 1; res holds residual capacities, so the flow on a
+    forward arc i is res[i ^ 1]."""
+
     def __init__(self):
         self.head = {}
-        self.arcs = []  # [to, cap, flow]; arc i paired with i^1
+        self.to = []
+        self.res = []
 
     def add_node(self, v):
         if v not in self.head:
@@ -82,10 +90,12 @@ class _Dinic:
     def add_arc(self, u, v, cap):
         self.add_node(u)
         self.add_node(v)
-        self.head[u].append(len(self.arcs))
-        self.arcs.append([v, Fraction(cap), Fraction(0)])
-        self.head[v].append(len(self.arcs))
-        self.arcs.append([u, Fraction(0), Fraction(0)])
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.res.append(cap)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.res.append(0)
 
     def _bfs(self, s, t):
         level = {s: 0}
@@ -93,39 +103,61 @@ class _Dinic:
         while q:
             v = q.popleft()
             for i in self.head[v]:
-                to, cap, fl = self.arcs[i]
-                if cap - fl > 0 and to not in level:
+                to = self.to[i]
+                if self.res[i] > 0 and to not in level:
                     level[to] = level[v] + 1
                     q.append(to)
         return level if t in level else None
 
-    def _dfs(self, v, t, pushed, level, it):
-        if v == t:
-            return pushed
-        while it[v] < len(self.head[v]):
-            i = self.head[v][it[v]]
-            to, cap, fl = self.arcs[i]
-            if cap - fl > 0 and level.get(to, -1) == level[v] + 1:
-                got = self._dfs(to, t, min(pushed, cap - fl), level, it)
-                if got > 0:
-                    self.arcs[i][2] += got
-                    self.arcs[i ^ 1][2] -= got
-                    return got
-            it[v] += 1
-        return Fraction(0)
+    def _augment(self, s, t, level, it):
+        """Push along one s-t path of the level graph; returns the amount
+        (0 once the level graph is blocked).
+
+        This is the usual recursive blocking-flow DFS with an explicit
+        path: arcs out of v are scanned from it[v], and it[v] moves past an
+        arc only when the search beyond it fails.  The first arc's residual
+        bounds the push, so no infinite sentinel is needed.
+        """
+        head, to, res = self.head, self.to, self.res
+        path = []
+        v = s
+        while v != t:
+            arcs = head[v]
+            k = it[v]
+            want = level[v] + 1
+            while k < len(arcs):
+                i = arcs[k]
+                if res[i] > 0 and level.get(to[i], -1) == want:
+                    break
+                k += 1
+            it[v] = k
+            if k < len(arcs):
+                path.append(i)
+                v = to[i]
+            elif path:
+                # dead end: back up and skip the arc that led here
+                v = to[path.pop() ^ 1]
+                it[v] += 1
+            else:
+                return 0
+        pushed = min(res[i] for i in path)
+        for i in path:
+            res[i] -= pushed
+            res[i ^ 1] += pushed
+        return pushed
 
     def max_flow(self, s, t):
         self.add_node(s)
         self.add_node(t)
-        total = Fraction(0)
+        total = 0
         while True:
             level = self._bfs(s, t)
             if level is None:
                 break
-            it = {v: 0 for v in self.head}
+            it = dict.fromkeys(self.head, 0)
             while True:
-                pushed = self._dfs(s, t, Fraction(10) ** 30, level, it)
-                if pushed == 0:
+                pushed = self._augment(s, t, level, it)
+                if not pushed:
                     break
                 total += pushed
         return total
@@ -136,8 +168,8 @@ class _Dinic:
         while stack:
             v = stack.pop()
             for i in self.head[v]:
-                to, cap, fl = self.arcs[i]
-                if cap - fl > 0 and to not in seen:
+                to = self.to[i]
+                if self.res[i] > 0 and to not in seen:
                     seen.add(to)
                     stack.append(to)
         return seen
@@ -147,41 +179,54 @@ def max_flow(net: FlowNetwork):
     """Exact max flow; returns (FlowSolution, min_cut_side).
 
     min_cut_side is the set of base vertices on the source side of a minimum
-    cut (vertices residually reachable from s).
+    cut (vertices residually reachable from s).  Capacities are scaled by
+    the lcm of their denominators, Dinic runs on ints, and every amount is
+    divided back into a Fraction for the FlowSolution.
     """
+    es = net.edge_scale
+    terminal = list(net.source_caps.values()) + list(net.sink_caps.values())
+    scale = lcm(es.denominator, *(c.denominator for c in terminal))
+
+    def scaled(c):
+        return c.numerator * (scale // c.denominator)
+
+    unit = scaled(es)
     d = _Dinic()
     for v in net.graph.vertices:
         d.add_node(v)
     arc_of_edge = {}
     for u, v, c in net.graph.edges:
-        cap = Fraction(c) * net.edge_scale
-        i = len(d.arcs)
+        i = len(d.to)
         # undirected edge: capacity c in each direction, net bounded by c
-        d.add_arc(u, v, cap)
-        j = len(d.arcs)
-        d.add_arc(v, u, cap)
+        d.add_arc(u, v, c * unit)
+        j = len(d.to)
+        d.add_arc(v, u, c * unit)
         arc_of_edge[(u, v)] = (i, j)
     src_arcs = {}
     for v in sorted(net.source_caps):
-        src_arcs[v] = len(d.arcs)
-        d.add_arc(S_NODE, v, net.source_caps[v])
+        src_arcs[v] = len(d.to)
+        d.add_arc(S_NODE, v, scaled(net.source_caps[v]))
     sink_arcs = {}
     for v in sorted(net.sink_caps):
-        sink_arcs[v] = len(d.arcs)
-        d.add_arc(v, T_NODE, net.sink_caps[v])
+        sink_arcs[v] = len(d.to)
+        d.add_arc(v, T_NODE, scaled(net.sink_caps[v]))
     value = d.max_flow(S_NODE, T_NODE)
+    res = d.res
     flow = {}
     for (u, v), (i, j) in arc_of_edge.items():
-        f = d.arcs[i][2] - d.arcs[j][2]
+        f = res[i ^ 1] - res[j ^ 1]
         if f > 0:
-            flow[(u, v)] = f
+            flow[(u, v)] = Fraction(f, scale)
         elif f < 0:
-            flow[(v, u)] = -f
-    source_out = {v: d.arcs[i][2] for v, i in src_arcs.items() if d.arcs[i][2]}
-    sink_in = {v: d.arcs[i][2] for v, i in sink_arcs.items() if d.arcs[i][2]}
+            flow[(v, u)] = Fraction(-f, scale)
+    source_out = {v: Fraction(res[i ^ 1], scale)
+                  for v, i in src_arcs.items() if res[i ^ 1]}
+    sink_in = {v: Fraction(res[i ^ 1], scale)
+               for v, i in sink_arcs.items() if res[i ^ 1]}
     side = d.residual_reachable(S_NODE)
     cut_side = frozenset(v for v in net.graph.vertices if v in side)
-    return FlowSolution(net.graph, flow, source_out, sink_in, value), cut_side
+    return (FlowSolution(net.graph, flow, source_out, sink_in,
+                         Fraction(value, scale)), cut_side)
 
 
 def path_decomposition(sol: FlowSolution):

@@ -8,6 +8,7 @@ constants.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .config import DEFAULT, Config
 from .graph import (Graph, Measure, cut_expansion, graph_expansion_exact,
@@ -51,34 +52,38 @@ def _sweep_orders(g: Graph, mu: Measure):
 
 
 def _sweep_best(g: Graph, mu: Measure):
-    """Best prefix cut over the candidate orderings (exact ratios)."""
-    mu_total = mu.of(g.vertices)
-    best = None
-    best_side = None
+    """Best prefix cut over the candidate orderings, then the singletons.
+
+    mu is scaled by the lcm of its denominators, so prefix capacities and
+    prefix masses are ints and ratios compare by cross-multiplication.
+    Returns (ratio, side) for the first strict minimizer, or (None, None)
+    when no cut has a positive denominator.
+    """
+    mass = {v: mu(v) for v in g.vertices}
+    scale = lcm(*(m.denominator for m in mass.values()))
+    w = {v: m.numerator * (scale // m.denominator) for v, m in mass.items()}
+    total = sum(w.values())
+    # best_cap/best_den = 1/0 stands for +infinity, as in _gray_min_ratio
+    best_cap, best_den, best_side = 1, 0, None
     for order in _sweep_orders(g, mu):
         side = set()
-        cap = 0
-        mu_a = Fraction(0)
+        cap = mu_a = 0
         for v in order[:-1]:
             for u, c in g.adj[v]:
                 cap += c if u not in side else -c
             side.add(v)
-            mu_a += mu(v)
-            den = min(mu_a, mu_total - mu_a)
-            if den > 0:
-                ratio = Fraction(cap) / den
-                if best is None or ratio < best:
-                    best = ratio
-                    best_side = frozenset(side)
-    # always consider singletons as well
+            mu_a += w[v]
+            den = min(mu_a, total - mu_a)
+            if den > 0 and cap * best_den < best_cap * den:
+                best_cap, best_den, best_side = cap, den, frozenset(side)
     for v in g.vertices:
-        den = min(mu(v), mu_total - mu(v))
-        if den > 0:
-            ratio = Fraction(g.degree(v)) / den
-            if best is None or ratio < best:
-                best = ratio
-                best_side = frozenset([v])
-    return best, best_side
+        den = min(w[v], total - w[v])
+        cap = g.degree(v)
+        if den > 0 and cap * best_den < best_cap * den:
+            best_cap, best_den, best_side = cap, den, frozenset([v])
+    if not best_den:
+        return None, None
+    return Fraction(best_cap * scale, best_den), best_side
 
 
 def sparsest_cut(g: Graph, mu: Measure, cfg: Config = DEFAULT):

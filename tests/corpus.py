@@ -1,9 +1,12 @@
-"""Shared random test graphs and the brute-force tree min-cut."""
+"""Shared random test graphs and measures, and the brute-force tree min-cut."""
 
 import itertools
 from fractions import Fraction
 
-from treecut.graph import Graph
+from treecut.graph import Graph, Measure
+
+# denominators of the random masses below
+DENOMINATORS = (1, 3, 7, 384)
 
 
 def random_graph(rng, n, p, max_cap):
@@ -15,6 +18,24 @@ def random_graph(rng, n, p, max_cap):
     edges = [(i, j, rng.randint(1, max_cap)) for i in range(n)
              for j in range(i + 1, n) if rng.random() < p]
     return Graph(range(n), edges)
+
+
+def labelled_graph(rng, n, labels=None):
+    """Random capacities 1..8, edge density from sparse (usually
+    disconnected) to dense, and, when `labels` is set, vertex ids that are
+    not 0..n-1."""
+    ids = labels or list(range(n))
+    p = rng.choice((0.15, 0.4, 0.8))
+    return Graph(ids, [(ids[i], ids[j], rng.randint(1, 8))
+                       for i in range(n) for j in range(i + 1, n)
+                       if rng.random() < p])
+
+
+def random_measure(rng, vertices):
+    """Mixed denominators and zero-weight vertices."""
+    return Measure({v: Fraction(rng.choice((0, 0, 1, 2, 5)),
+                                rng.choice(DENOMINATORS))
+                    for v in vertices})
 
 
 def brute_tree_mincut(tree, b):

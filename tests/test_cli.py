@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import treecut
 from treecut.cli import main
+from treecut.config import Config
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 RING = os.path.join(FIXTURES, "ring8.edges")
@@ -119,6 +124,60 @@ class TestBuildVerify:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+
+def ring_of_cliques_file(path, k, s):
+    """k cliques of s vertices (capacity 3) joined in a ring by unit edges."""
+    lines = []
+    for c in range(k):
+        base = c * s
+        lines += ["%d %d 3" % (base + i, base + j)
+                  for i in range(s) for j in range(i + 1, s)]
+        lines.append("%d %d 1" % (base + s - 1, ((c + 1) % k) * s))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestConfig:
+    def test_zero_congestion_cap_exits_two(self, tmp_path):
+        """A zero cap once made the congestion escalation double 0 forever,
+        so the build runs in a subprocess under a timeout."""
+        ring = ring_of_cliques_file(tmp_path / "ring.edges", 6, 4)
+        cfg = tmp_path / "cap.cfg"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(treecut.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        for value in ("0", "-1"):
+            cfg.write_text("oracle_congestion_cap = %s\n" % value)
+            proc = subprocess.run(
+                [sys.executable, "-m", "treecut.cli", "build", "--input",
+                 ring, "--config", str(cfg), "--out",
+                 str(tmp_path / "t.json")],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2, proc.stderr
+            assert "error:" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_zero_tau_basic_exits_two(self, tmp_path, capsys):
+        ring = ring_of_cliques_file(tmp_path / "ring.edges", 6, 4)
+        cfg = tmp_path / "tau.cfg"
+        for value in ("0", "-1/2", "3/2"):
+            cfg.write_text("tau_basic = %s\n" % value)
+            assert_usage_error(["build", "--input", ring, "--config",
+                                str(cfg), "--out", str(tmp_path / "t.json")],
+                               capsys)
+
+    def test_api_refuses_bad_values(self):
+        for name in ("oracle_sparsity_c", "oracle_sink_scale",
+                     "oracle_congestion_cap", "oracle_congestion_limit"):
+            for value in (Fraction(0), Fraction(-1, 2)):
+                with pytest.raises(ValueError, match=name):
+                    Config(**{name: value})
+        for value in (Fraction(0), Fraction(-1), Fraction(3, 2)):
+            with pytest.raises(ValueError, match="tau_basic"):
+                Config(tau_basic=value)
+        assert Config(tau_basic=Fraction(1)).tau_basic == 1
+        assert Config(tau_basic=None).tau_basic is None
 
 
 class TestReplay:

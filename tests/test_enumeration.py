@@ -9,7 +9,7 @@ import pytest
 from treecut.demand import DemandState, respects_exact
 from treecut.graph import Graph, Measure, SizeError, cut_capacity, min_ratio_cut
 
-DENOMINATORS = (1, 3, 7, 384)
+from corpus import DENOMINATORS, labelled_graph, random_measure
 
 
 def reference_min_ratio(g, den_of):
@@ -33,24 +33,6 @@ def reference_min_ratio(g, den_of):
     return best, best_side
 
 
-def random_graph(rng, n, labels=None):
-    """Random capacities 1..8, edge density from sparse (usually
-    disconnected) to dense, and, when `labels` is set, vertex ids that are
-    not 0..n-1."""
-    ids = labels or list(range(n))
-    p = rng.choice((0.15, 0.4, 0.8))
-    return Graph(ids, [(ids[i], ids[j], rng.randint(1, 8))
-                       for i in range(n) for j in range(i + 1, n)
-                       if rng.random() < p])
-
-
-def random_measure(rng, vertices):
-    """Mixed denominators and zero-weight vertices."""
-    return Measure({v: Fraction(rng.choice((0, 0, 1, 2, 5)),
-                                rng.choice(DENOMINATORS))
-                    for v in vertices})
-
-
 def random_state(rng, vertices, commodities=3):
     """A valid demand state with mixed denominators."""
     entries = {}
@@ -69,7 +51,7 @@ def graphs(seed, count=60):
     for t in range(count):
         n = 1 + t % 10
         labels = sorted(rng.sample(range(40), n)) if t % 3 == 0 else None
-        yield rng, random_graph(rng, n, labels)
+        yield rng, labelled_graph(rng, n, labels)
 
 
 class TestMinRatioCut:
@@ -88,7 +70,7 @@ class TestMinRatioCut:
 
     def test_threshold_is_inclusive(self):
         rng = random.Random(3)
-        g = random_graph(rng, 10)
+        g = labelled_graph(rng, 10)
         mu = random_measure(rng, g.vertices)
         want = reference_min_ratio(
             g, lambda s: min(mu.of(s), mu.of(g.vertex_set() - s)))
@@ -137,7 +119,7 @@ class TestRespectsExact:
 
     def test_threshold_is_inclusive(self):
         rng = random.Random(7)
-        g = random_graph(rng, 10)
+        g = labelled_graph(rng, 10)
         p = random_state(rng, list(g.vertices))
         want, _ = reference_min_ratio(g, p.dem_across)
         assert respects_exact(g, p, threshold=10)[0] == want

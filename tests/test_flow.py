@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from treecut.graph import parse_edge_list
+from treecut.graph import Graph, parse_edge_list
 from treecut.flow import (FlowNetwork, decompose, max_flow,
                           path_decomposition, route_from_cut)
 
@@ -76,6 +76,16 @@ class TestMaxFlow:
         sol, _ = max_flow(FlowNetwork(g, {0: 10}, {1: 10}, edge_scale=3))
         assert sol.value == 3
         assert sol.congestion() == 3
+
+    def test_long_path_does_not_recurse(self):
+        """The blocking-flow search is iterative: a 1,500-vertex path is
+        deeper than Python's default recursion limit."""
+        n = 1500
+        g = Graph(range(n), [(i, i + 1, 2) for i in range(n - 1)])
+        sol, side = max_flow(FlowNetwork(g, {0: 5}, {n - 1: 5}))
+        assert sol.value == 2
+        assert sol.flow == {(i, i + 1): 2 for i in range(n - 1)}
+        assert side == frozenset({0})
 
     def test_fair_cut_is_fully_saturated(self):
         """Exact max flow saturates every edge of its own min cut

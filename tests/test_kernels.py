@@ -1,0 +1,230 @@
+"""The integer sweep backend and the integer Dinic solver, checked against
+plain Fraction references of the same algorithms."""
+
+import random
+from collections import deque
+from fractions import Fraction
+
+from treecut.flow import S_NODE, T_NODE, FlowNetwork, max_flow
+from treecut.graph import Graph, Measure
+from treecut.oracle import _sweep_best, _sweep_orders
+
+from corpus import DENOMINATORS, labelled_graph, random_measure
+
+
+def reference_sweep(g, mu):
+    """First strict minimizer of cap/den over the prefix cuts of every
+    candidate ordering, then the singletons, all in Fraction."""
+    mu_total = mu.of(g.vertices)
+    best, best_side = None, None
+    for order in _sweep_orders(g, mu):
+        for k in range(1, len(order)):
+            side = frozenset(order[:k])
+            den = min(mu.of(side), mu_total - mu.of(side))
+            if den > 0:
+                cap = sum(c for v in side for u, c in g.adj[v]
+                          if u not in side)
+                ratio = Fraction(cap) / den
+                if best is None or ratio < best:
+                    best, best_side = ratio, side
+    for v in g.vertices:
+        den = min(mu(v), mu_total - mu(v))
+        if den > 0:
+            ratio = Fraction(g.degree(v)) / den
+            if best is None or ratio < best:
+                best, best_side = ratio, frozenset([v])
+    return best, best_side
+
+
+class ReferenceDinic:
+    """Recursive blocking-flow Dinic in Fraction, arcs [to, cap, flow]."""
+
+    def __init__(self):
+        self.head = {}
+        self.arcs = []
+
+    def add_arc(self, u, v, cap):
+        for x in (u, v):
+            self.head.setdefault(x, [])
+        self.head[u].append(len(self.arcs))
+        self.arcs.append([v, Fraction(cap), Fraction(0)])
+        self.head[v].append(len(self.arcs))
+        self.arcs.append([u, Fraction(0), Fraction(0)])
+
+    def residual(self, i):
+        return self.arcs[i][1] - self.arcs[i][2]
+
+    def reach(self, s):
+        seen = {s: 0}
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            for i in self.head[v]:
+                to = self.arcs[i][0]
+                if self.residual(i) > 0 and to not in seen:
+                    seen[to] = seen[v] + 1
+                    q.append(to)
+        return seen
+
+    def dfs(self, v, t, pushed, level, it):
+        if v == t:
+            return pushed
+        while it[v] < len(self.head[v]):
+            i = self.head[v][it[v]]
+            to = self.arcs[i][0]
+            if self.residual(i) > 0 and level.get(to, -1) == level[v] + 1:
+                got = self.dfs(to, t, min(pushed, self.residual(i)), level,
+                               it)
+                if got > 0:
+                    self.arcs[i][2] += got
+                    self.arcs[i ^ 1][2] -= got
+                    return got
+            it[v] += 1
+        return Fraction(0)
+
+    def run(self, s, t):
+        total = Fraction(0)
+        while True:
+            level = self.reach(s)
+            if t not in level:
+                return total
+            it = {v: 0 for v in self.head}
+            while True:
+                pushed = self.dfs(s, t, Fraction(10) ** 30, level, it)
+                if pushed == 0:
+                    break
+                total += pushed
+
+
+def reference_max_flow(net):
+    """(value, flow, source_out, sink_in, min-cut side) in Fraction."""
+    d = ReferenceDinic()
+    for v in net.graph.vertices:
+        d.head.setdefault(v, [])
+    pairs = {}
+    for u, v, c in net.graph.edges:
+        i = len(d.arcs)
+        d.add_arc(u, v, c * net.edge_scale)
+        pairs[(u, v)] = (i, len(d.arcs))
+        d.add_arc(v, u, c * net.edge_scale)
+    src = {}
+    for v in sorted(net.source_caps):
+        src[v] = len(d.arcs)
+        d.add_arc(S_NODE, v, net.source_caps[v])
+    snk = {}
+    for v in sorted(net.sink_caps):
+        snk[v] = len(d.arcs)
+        d.add_arc(v, T_NODE, net.sink_caps[v])
+    d.head.setdefault(S_NODE, [])
+    d.head.setdefault(T_NODE, [])
+    value = d.run(S_NODE, T_NODE)
+    flow = {}
+    for (u, v), (i, j) in pairs.items():
+        f = d.arcs[i][2] - d.arcs[j][2]
+        if f > 0:
+            flow[(u, v)] = f
+        elif f < 0:
+            flow[(v, u)] = -f
+    source_out = {v: d.arcs[i][2] for v, i in src.items() if d.arcs[i][2]}
+    sink_in = {v: d.arcs[i][2] for v, i in snk.items() if d.arcs[i][2]}
+    side = d.reach(S_NODE)
+    return (value, flow, source_out, sink_in,
+            frozenset(v for v in net.graph.vertices if v in side))
+
+
+def graphs(seed, count=60):
+    rng = random.Random(seed)
+    for t in range(count):
+        n = 2 + t % 14
+        labels = sorted(rng.sample(range(60), n)) if t % 3 == 0 else None
+        yield rng, labelled_graph(rng, n, labels)
+
+
+class TestSweep:
+    def test_matches_reference(self):
+        for rng, g in graphs(1):
+            mu = random_measure(rng, g.vertices)
+            got = _sweep_best(g, mu)
+            assert got == reference_sweep(g, mu)
+            assert got[0] is None or type(got[0]) is Fraction
+
+    def test_each_denominator(self):
+        for den in DENOMINATORS:
+            for rng, g in graphs(2 + den, count=20):
+                mu = Measure({v: Fraction(rng.randint(0, 5), den)
+                              for v in g.vertices})
+                assert _sweep_best(g, mu) == reference_sweep(g, mu)
+
+    def test_non_contiguous_labels(self):
+        rng = random.Random(3)
+        for n in range(2, 14):
+            labels = sorted(rng.sample(range(5, 500), n))
+            g = labelled_graph(rng, n, labels)
+            mu = random_measure(rng, labels)
+            assert _sweep_best(g, mu) == reference_sweep(g, mu)
+
+    def test_all_zero_measure(self):
+        for _, g in graphs(4, count=10):
+            assert _sweep_best(g, Measure({})) == (None, None)
+            assert _sweep_best(g, Measure({v: 0 for v in g.vertices})) \
+                == (None, None)
+
+    def test_ties_keep_the_first_cut(self):
+        # on a uniform cycle many prefix cuts tie; the first one met wins
+        g = Graph(range(10), [(i, (i + 1) % 10, 1) for i in range(10)])
+        mu = Measure.indicator(range(10))
+        assert _sweep_best(g, mu) == reference_sweep(g, mu)
+        assert _sweep_best(g, mu)[0] == Fraction(2, 5)
+
+
+def random_network(rng, g, edge_scale):
+    verts = list(g.vertices)
+    sources = {v: Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS))
+               for v in rng.sample(verts, rng.randint(1, len(verts)))}
+    sinks = {v: Fraction(rng.randint(0, 9), rng.choice(DENOMINATORS))
+             for v in rng.sample(verts, rng.randint(1, len(verts)))}
+    return FlowNetwork(g, sources, sinks, edge_scale)
+
+
+def solved(net):
+    sol, side = max_flow(net)
+    amounts = [sol.value, *sol.flow.values(), *sol.source_out.values(),
+               *sol.sink_in.values()]
+    assert all(type(a) is Fraction for a in amounts)
+    return sol.value, sol.flow, sol.source_out, sol.sink_in, side
+
+
+class TestDinic:
+    def test_matches_reference(self):
+        for scale in (1, Fraction(1, 64), Fraction(3, 2)):
+            for rng, g in graphs(5, count=40):
+                net = random_network(rng, g, scale)
+                assert solved(net) == reference_max_flow(net)
+
+    def test_flow_order_matches_reference(self):
+        # the augmenting paths, not only the flow value, are the same
+        for rng, g in graphs(6, count=40):
+            net = random_network(rng, g, Fraction(3, 2))
+            got, want = solved(net), reference_max_flow(net)
+            assert list(got[1].items()) == list(want[1].items())
+
+    def test_infeasible_network(self):
+        # the sinks take less than the sources offer: the flow stops at the
+        # sink caps and the cut side holds every vertex
+        g = Graph(range(4), [(0, 1, 2), (1, 2, 2), (2, 3, 2)])
+        net = FlowNetwork(g, {0: 3, 1: Fraction(1, 3)},
+                          {2: Fraction(1, 7), 3: Fraction(5, 384)},
+                          edge_scale=Fraction(3, 2))
+        got = solved(net)
+        assert got == reference_max_flow(net)
+        assert got[0] == Fraction(1, 7) + Fraction(5, 384)
+        assert got[4] == frozenset(range(4))
+
+    def test_edge_scale_bounds_the_flow(self):
+        g = Graph(range(3), [(0, 1, 3), (1, 2, 5)])
+        net = FlowNetwork(g, {0: 10}, {2: Fraction(21, 2)},
+                          edge_scale=Fraction(1, 64))
+        got = solved(net)
+        assert got == reference_max_flow(net)
+        assert got[0] == Fraction(3, 64)
+        assert got[4] == frozenset({0})
