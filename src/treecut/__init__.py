@@ -27,7 +27,6 @@ from .demand import (
     leaf_init,
     parse_demands,
     respects_exact,
-    spread_update,
     update,
 )
 from .oracle import (
@@ -78,7 +77,7 @@ __all__ = [
     "subdivide", "parse_edge_list", "parse_measure",
     "DemandError", "DemandMatrix", "DemandState", "dem_across",
     "from_matrix", "invariant_check", "leaf_init", "parse_demands",
-    "respects_exact", "spread_update", "update",
+    "respects_exact", "update",
     "OracleError", "OracleOutcome", "RefinedOutcome", "check_outcome",
     "check_refined", "cut_or_expander", "refined_cut_or_expander",
     "sparsest_cut",

@@ -1,8 +1,12 @@
 """Demand states and demand matrices: validity, cut demands, updates.
 
-A demand state holds signed per-vertex, per-commodity masses; moving mass
-with a demand matrix via `update` lets opposite-signed masses cancel, which
-is what the charging replay exploits.
+A demand state holds signed per-vertex, per-commodity masses.  A demand
+matrix says how much mass each source sends to each target; it is built
+either by `DemandMatrix.spread` (mass spread over a target set in
+proportion to weights) or from a stored flow scaled to the load present.
+`update` is the one kernel that applies a matrix to a state; moving mass
+lets opposite-signed masses cancel, which is what the charging replay
+exploits.
 """
 
 from fractions import Fraction
@@ -52,25 +56,29 @@ class DemandMatrix:
         return sum(self.entries.values(), Fraction(0))
 
     @classmethod
-    def all_to_all(cls, vertices, weight_of=None):
-        """D(u,v) = w(v)/W for every ordered pair; uniform when weights are 1.
+    def spread(cls, mass, targets, weight_of=None):
+        """Q(u, v) = mass[u] * w(v) / W for every u in mass and every target
+        v != u, where W is the total weight of the targets (1 each when
+        weight_of is None).
 
-        Matches the all-to-all demand of a set A (each vertex holds one unit
-        spread over the set), generalized to capacity-weighted targets.
+        With mass = the loads of the sources among the targets, `update`
+        leaves every target holding the share w(v)/W of the summed vector;
+        with unit masses it is the all-to-all demand of the target set.
         """
-        vs = sorted(vertices)
+        vs = sorted(targets)
         if weight_of is None:
             w = {v: Fraction(1) for v in vs}
         else:
             w = {v: Fraction(weight_of(v)) for v in vs}
         total = sum(w.values(), Fraction(0))
         if total == 0:
-            raise DemandError("all_to_all needs positive total weight")
+            raise DemandError("spread needs positive total target weight")
         q = cls()
-        for u in vs:
+        for u in sorted(mass):
+            m = mass[u]
             for v in vs:
-                if u != v:
-                    q.add(u, v, w[v] / total)
+                if v != u:
+                    q.add(u, v, m * w[v] / total)
         return q
 
 
@@ -170,55 +178,29 @@ def update(p: DemandState, q: DemandMatrix) -> DemandState:
     Each source u sends the fraction sum_v Q(u,v) / ||P(u)||_1 of every one
     of its masses; receivers get the source's mass mix scaled by Q(v,u).
     """
-    loads = p.loads()
-    out = dict(p.entries)
-    row = {}
-    for (u, v), a in q.entries.items():
-        row[u] = row.get(u, Fraction(0)) + a
-    for u, sent in row.items():
-        if sent > 0 and loads.get(u, Fraction(0)) == 0:
+    zero = Fraction(0)
+    vectors = {}
+    for (v, k), m in p.entries.items():
+        vectors.setdefault(v, []).append((k, m))
+    sent = {}
+    for (u, _), a in q.entries.items():
+        sent[u] = sent.get(u, zero) + a
+    # each source's masses as shares of its load, m / ||P(u)||_1
+    shares = {}
+    for u in sent:
+        vec = vectors.get(u, ())
+        load = sum((abs(m) for _, m in vec), zero)
+        if load == 0:
             raise DemandError("update source %r has zero load" % (u,))
+        shares[u] = [(k, m / load) for k, m in vec]
+    out = dict(p.entries)
     for (u, v), a in q.entries.items():
-        lu = loads[u]
-        for k, m in p.vector(u).items():
-            share = (m / lu) * a
-            out[(v, k)] = out.get((v, k), Fraction(0)) + share
-    for u, sent in row.items():
-        if sent == 0:
-            continue
-        lu = loads[u]
-        for k, m in p.vector(u).items():
-            out[(u, k)] = out.get((u, k), Fraction(0)) - (m / lu) * sent
+        for k, share in shares[u]:
+            out[(v, k)] = out.get((v, k), zero) + share * a
+    for u, total in sent.items():
+        for k, share in shares[u]:
+            out[(u, k)] = out.get((u, k), zero) - share * total
     return DemandState(out)
-
-
-def spread_update(p: DemandState, vertices, weight_of=None):
-    """Move every vertex's whole load with a scaled all-to-all matrix.
-
-    Each u in `vertices` sends its entire load, distributed over `vertices`
-    proportionally to weight_of; afterwards every v holds the weight share
-    w(v)/W of the summed vector.  Returns (new state, applied matrix).
-    """
-    vs = sorted(vertices)
-    if weight_of is None:
-        w = {v: Fraction(1) for v in vs}
-    else:
-        w = {v: Fraction(weight_of(v)) for v in vs}
-    total_w = sum(w.values(), Fraction(0))
-    if total_w == 0:
-        raise DemandError("spread_update needs positive total weight")
-    loads = p.loads()
-    q = DemandMatrix()
-    for u in vs:
-        lu = loads.get(u, Fraction(0))
-        if lu == 0:
-            continue
-        # Q(u, v) = ||P(u)||_1 * w(v)/W; u keeps exactly the share w(u)/W of
-        # its own mass, so every vertex ends with (w(v)/W) * sum P.
-        for v in vs:
-            if v != u:
-                q.add(u, v, lu * w[v] / total_w)
-    return update(p, q), q
 
 
 def respects_exact(g: Graph, p: DemandState, threshold=None):

@@ -126,6 +126,9 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.vertex_count, self.edge_count)
 
 
+_ZERO = Fraction(0)     # weight off the support; one shared immutable zero
+
+
 class Measure:
     """Nonnegative vertex weighting."""
 
@@ -143,7 +146,7 @@ class Measure:
         return cls({v: 1 for v in vertices})
 
     def __call__(self, v):
-        return self.weights.get(v, Fraction(0))
+        return self.weights.get(v, _ZERO)
 
     def of(self, vertices):
         return sum((self.weights[v] for v in vertices if v in self.weights),

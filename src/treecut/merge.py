@@ -245,8 +245,8 @@ class MergePartition:
         return tuple(sorted(self.l_parts + self.r_parts, key=min))
 
 
-def merge_phase_2(view: ClusterView, clustering: BalancedClustering, tau,
-                  cfg: Config = DEFAULT) -> MergePartition:
+def merge_phase_2(view: ClusterView, clustering: BalancedClustering, tau) \
+        -> MergePartition:
     tau = Fraction(tau)
     if not (0 < tau <= 1):
         raise MergeError("tau must be in (0, 1]")
@@ -284,14 +284,14 @@ def merge_phase_2(view: ClusterView, clustering: BalancedClustering, tau,
     r_side = frozenset(v for v in view.cluster if v in reach)
     l_side = view.cluster - r_side
 
-    flow_to_b, flow_to_f = _separator_flows(view, sol, side, x_y, mu_tau, tau)
+    flow_to_b, flow_to_f = _separator_flows(view, sol, side, x_y, mu_tau)
     part = MergePartition(view, clustering, tau, x_y, y_keys, l_side, r_side,
                           flow_to_b, flow_to_f, mu_tau, side, sol)
-    _check_partition(part, cfg)
+    _check_partition(part)
     return part
 
 
-def _separator_flows(view, sol: FlowSolution, side, x_y, mu_tau, tau):
+def _separator_flows(view, sol: FlowSolution, side, x_y, mu_tau):
     """Split each max-flow path at its unique cut crossing; the suffixes give
     the X_Y -> X_B flow and the reversed prefixes the X_Y -> X_F flow, each
     scaled so every x_y sends exactly mu_tau(x_y)."""
@@ -358,7 +358,7 @@ def _separator_flows(view, sol: FlowSolution, side, x_y, mu_tau, tau):
     return to_b, to_f
 
 
-def _check_partition(part: MergePartition, cfg: Config):
+def _check_partition(part: MergePartition):
     """Hard contracts: separation, flow constants, and sub-cluster sizes."""
     view = part.view
     gsp = view.sprime
@@ -405,4 +405,4 @@ def merge_phase(view: ClusterView, tau, cfg: Config = DEFAULT) \
     if len(view.cluster) < 2:
         raise MergeError("merge_phase needs at least two vertices")
     clustering = merge_phase_1(view, cfg)
-    return merge_phase_2(view, clustering, tau, cfg)
+    return merge_phase_2(view, clustering, tau)

@@ -374,12 +374,7 @@ def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
               for x in view.x_boundary}
     # each boundary split sources its full capacity, spread over the others
     # in proportion to their capacities
-    shares = DemandMatrix.all_to_all(sorted(view.x_boundary),
-                                     weight_of=lambda x: weight[x])
-    q = DemandMatrix()
-    for (u, v), a in shares.entries.items():
-        q.add(u, v, a * weight[u])
-    p = from_matrix(q)
+    p = from_matrix(DemandMatrix.spread(weight, weight, weight.get))
     ratio, _ = respects_exact(view.sprime, p, cfg.brute_threshold)
     if ratio is None:
         return LeafCertificate(cluster, f, target, None, "exact", True)
@@ -402,8 +397,7 @@ class RoutingProfile:
         return sum(self.loads.values(), Fraction(0))
 
 
-def route_inter_to_boundary(result: RefinementResult,
-                            cfg: Config = DEFAULT) -> RoutingProfile:
+def route_inter_to_boundary(result: RefinementResult) -> RoutingProfile:
     """Move one unit of mass per unit of inter-cluster edge capacity to the
     boundary of the refined cluster, one binary-tree node at a time from the
     leaves up, scaling each node's stored flow by the load actually present

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .demand import (DemandMatrix, DemandState, invariant_check, leaf_init,
-                     spread_update, update)
+                     update)
 from .graph import (ClusterView, Graph, cut_capacity, edge_key, subdivide)
 from .merge import MergePartition
 from .oracle import _log2n
@@ -90,11 +90,19 @@ def crossing_edges(g: Graph, side):
             if (u in side) != (v in side)]
 
 
-def _checked_update(state, new, q, b_lift, trace, members, label):
-    """Check a demand move from state to new made by the matrix q: the
-    difference must be a valid demand state, and the demand it moves across
-    the lifted cut is bounded by the matrix's own cut demand.  Returns
-    (new, moved demand)."""
+def _charge(ledger, view, b_lift, label, dem_diff):
+    """Charge the demand a cluster moved across the lifted cut to the
+    subdivision edges of its S' that cross the cut."""
+    cross = crossing_edges(view.sprime, b_lift & view.sprime.vertex_set())
+    ledger.add(view.cluster, label, cross, dem_diff)
+
+
+def _move(state, q, b_lift, trace, members, label):
+    """Apply the matrix q to state and check the move: the difference must
+    be a valid demand state, and the demand it moves across the lifted cut
+    is bounded by the matrix's own cut demand.  Returns (new state, moved
+    demand)."""
+    new = update(state, q)
     diff = state - new
     if not diff.is_valid():
         raise ReplayError("%s: update difference is not a valid demand "
@@ -105,20 +113,34 @@ def _checked_update(state, new, q, b_lift, trace, members, label):
         raise ReplayError("%s: moved %s across the cut but the applied "
                           "matrix only accounts for %s"
                           % (label, diff_dem, q_dem))
-    if trace is not None:
-        trace.record(members, label, q_dem, diff_dem)
+    trace.record(members, label, q_dem, diff_dem)
     return new, diff_dem
 
 
+def _flow_matrix(loads, sources, rows, unit):
+    """Scale a stored flow to the load present: rows[x] lists the
+    (sink, amount) of the flow that carries unit[x] out of source x, and
+    each source x with a load sends amount * load / unit[x] to each sink
+    other than itself."""
+    q = DemandMatrix()
+    for x in sources:
+        load = loads.get(x, Fraction(0))
+        if load == 0:
+            continue
+        for sink, amt in rows[x]:
+            if sink != x:
+                q.add(x, sink, amt * load / unit[x])
+    return q
+
+
 def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
-                         original, cfg: Config = DEFAULT, ledger=None,
-                         trace=None):
+                         original, cfg: Config, ledger, trace):
     """Merge the sub-cluster demand states of one cluster into a state on
     the cluster boundary, step by step along the stored separator flows.
 
     child_states maps each sub-cluster frozenset to its demand state;
     `original` is the base demand state the invariant conserves against.
-    Returns (new state, charge, new load factor).
+    Returns (new state, new load factor).
     """
     alpha = Fraction(alpha)
     view = part.view
@@ -151,27 +173,18 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
 
     # step 1: move the core side's separator loads onto the inter-cluster
     # splits, scaling each stored per-source flow to the load present
-    q1 = DemandMatrix()
-    loads_l = p_l.loads()
-    for x in sorted(x_y):
-        load = loads_l.get(x, Fraction(0))
-        if load == 0:
-            continue
-        mu = part.mu_tau[x]
-        for sink, amt in part.flow_to_f.per_source[x]:
-            if sink != x:
-                q1.add(x, sink, amt * load / mu)
-    p_l, _ = _checked_update(p_l, update(p_l, q1), q1, b_lift, trace, s,
-                             "merge-to-core")
+    q1 = _flow_matrix(p_l.loads(), sorted(x_y), part.flow_to_f.per_source,
+                      part.mu_tau)
+    p_l, _ = _move(p_l, q1, b_lift, trace, s, "merge-to-core")
 
     # step 2: cancel opposite masses by spreading over the inter-cluster
     # splits, proportionally to capacity
     if p_l.total_load() > 0:
         if not x_f:
             raise ReplayError("core demand left but no inter-cluster splits")
-        spread, q2 = spread_update(p_l, sorted(x_f), weight_of=unit_cap)
-        p_l, _ = _checked_update(p_l, spread, q2, b_lift, trace, s,
-                                 "merge-spread")
+        q2 = DemandMatrix.spread(p_l.restrict_vertices(x_f).loads(), x_f,
+                                 unit_cap)
+        p_l, _ = _move(p_l, q2, b_lift, trace, s, "merge-spread")
 
     # the surviving mass must fit the capacity of the separator edges that
     # are not boundary edges touching the far side
@@ -188,15 +201,8 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     # proportionally to capacity
     if p_l.total_load() > 0:
         x_y_tilde = sorted(sub.split(u, v) for u, v in y_tilde)
-        q3 = DemandMatrix()
-        for x, load in sorted(p_l.loads().items()):
-            if load == 0:
-                continue
-            for y in x_y_tilde:
-                if y != x:
-                    q3.add(x, y, load * unit_cap(y) / cap_y_tilde)
-        p_l, _ = _checked_update(p_l, update(p_l, q3), q3, b_lift, trace, s,
-                                 "merge-to-sep")
+        q3 = DemandMatrix.spread(p_l.loads(), x_y_tilde, unit_cap)
+        p_l, _ = _move(p_l, q3, b_lift, trace, s, "merge-to-sep")
         for y in x_y_tilde:
             if p_l.load(y) > unit_cap(y):
                 raise ReplayError("separator split %r holds %s, over its "
@@ -206,18 +212,15 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     # step 4: everything still on non-boundary separator splits rides the
     # stored separator-to-boundary flow
     p4 = p_l + p_r
-    q4 = DemandMatrix()
     loads4 = p4.loads()
-    for x in sorted(x_y - x_b):
+    sources4 = sorted(x_y - x_b)
+    for x in sources4:
         load = loads4.get(x, Fraction(0))
-        if load == 0:
-            continue
-        scale = load / part.mu_tau[x]
-        if scale > 3 * alpha:
+        if load > 3 * alpha * part.mu_tau[x]:
             raise ReplayError("separator source %r needs flow scale %s over "
-                              "the 3*alpha cap" % (x, scale))
-        for sink, amt in part.flow_to_b.per_source[x]:
-            q4.add(x, sink, amt * scale)
+                              "the 3*alpha cap" % (x, load / part.mu_tau[x]))
+    q4 = _flow_matrix(loads4, sources4, part.flow_to_b.per_source,
+                      part.mu_tau)
     received = {}
     for (_, v), a in q4.entries.items():
         received[v] = received.get(v, Fraction(0)) + a
@@ -226,8 +229,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
         if got > cap6:
             raise ReplayError("boundary split %r received %s, over the "
                               "6*alpha*tau cap %s" % (xb, got, cap6))
-    after, _ = _checked_update(p4, update(p4, q4), q4, b_lift, trace, s,
-                               "merge-to-boundary")
+    after, _ = _move(p4, q4, b_lift, trace, s, "merge-to-boundary")
 
     alpha_out = alpha * (1 + cfg.replay_tau_c * part.tau)
     ok, why = invariant_check(after, view, original, alpha_out)
@@ -236,16 +238,11 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     diff = before - after
     if not diff.is_valid():
         raise ReplayError("merge before/after difference is not valid")
-    charge = Fraction(0)
-    if ledger is not None:
-        cross = crossing_edges(view.sprime,
-                               b_lift & view.sprime.vertex_set())
-        charge = ledger.add(s, "merge", cross, diff.dem_across(b_lift))
-    return after, charge, alpha_out
+    _charge(ledger, view, b_lift, "merge", diff.dem_across(b_lift))
+    return after, alpha_out
 
 
-def uniformize_refined(state, view: ClusterView, b_lift, cfg=DEFAULT,
-                       ledger=None, trace=None):
+def uniformize_refined(state, view: ClusterView, b_lift, ledger, trace):
     """Spread a refinement cluster's state over its boundary splits
     (capacity weighted).  After the cancellation the leftover must fit the
     boundary capacity, so every split carries at most one unit per unit of
@@ -260,11 +257,10 @@ def uniformize_refined(state, view: ClusterView, b_lift, cfg=DEFAULT,
         return state
     if state.total_load() == 0:
         return state
-    new, q = spread_update(state, sorted(view.x_boundary),
-                           weight_of=lambda x:
-                           Fraction(base_cap[sub.edge_of_split[x]]))
-    new, dem_diff = _checked_update(state, new, q, b_lift, trace, s,
-                                    "refine-uniformize")
+    q = DemandMatrix.spread(state.restrict_vertices(view.x_boundary).loads(),
+                            view.x_boundary,
+                            lambda x: base_cap[sub.edge_of_split[x]])
+    new, dem_diff = _move(state, q, b_lift, trace, s, "refine-uniformize")
     cap_b = Fraction(view.boundary_capacity())
     if new.total_load() > cap_b:
         raise ReplayError("uniformized load %s exceeds the boundary "
@@ -273,15 +269,11 @@ def uniformize_refined(state, view: ClusterView, b_lift, cfg=DEFAULT,
         if new.load(x) > Fraction(base_cap[sub.edge_of_split[x]]):
             raise ReplayError("uniformized split %r is over its capacity"
                               % (x,))
-    if ledger is not None:
-        cross = crossing_edges(view.sprime,
-                               b_lift & view.sprime.vertex_set())
-        ledger.add(s, "refine-uniformize", cross, dem_diff)
+    _charge(ledger, view, b_lift, "refine-uniformize", dem_diff)
     return new
 
 
-def route_refined_state(state, res: RefinementResult, b_lift, cfg=DEFAULT,
-                        ledger=None, trace=None):
+def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
     """Carry the mass sitting on a refined cluster's inter-cluster splits
     to its boundary, one binary-tree cut at a time along the stored flows.
 
@@ -298,22 +290,17 @@ def route_refined_state(state, res: RefinementResult, b_lift, cfg=DEFAULT,
             st = process(node.right, st)
         if not node.cut_keys or node.route is None:
             return st
-        loads = st.loads()
-        q = DemandMatrix()
-        left_set = node.left.dset
+        rows = {}
+        unit = {}
         for u, v in node.cut_keys:
             x = sub.split(u, v)
-            load = loads.get(x, Fraction(0))
-            if load == 0:
-                continue
-            inner = u if u in left_set else v
-            for sink, amt in node.route.result.per_edge[edge_key(x, inner)]:
-                if sink != x:
-                    q.add(x, sink, amt * load / base_cap[(u, v)])
+            inner = u if u in node.left.dset else v
+            rows[x] = node.route.result.per_edge[edge_key(x, inner)]
+            unit[x] = base_cap[(u, v)]
+        q = _flow_matrix(st.loads(), rows, rows, unit)
         if not q.entries:
             return st
-        st, _ = _checked_update(st, update(st, q), q, b_lift, trace, s,
-                                "refine-route")
+        st, _ = _move(st, q, b_lift, trace, s, "refine-route")
         return st
 
     after = process(res.root, state)
@@ -321,13 +308,10 @@ def route_refined_state(state, res: RefinementResult, b_lift, cfg=DEFAULT,
     if stray:
         raise ReplayError("refinement routing left demand off the cluster "
                           "boundary: %r" % sorted(stray))
-    if ledger is not None:
-        diff = before - after
-        if not diff.is_valid():
-            raise ReplayError("routing difference is not valid")
-        cross = crossing_edges(res.view.sprime,
-                               b_lift & res.view.sprime.vertex_set())
-        ledger.add(s, "refine-route", cross, diff.dem_across(b_lift))
+    diff = before - after
+    if not diff.is_valid():
+        raise ReplayError("routing difference is not valid")
+    _charge(ledger, res.view, b_lift, "refine-route", diff.dem_across(b_lift))
     worst = Fraction(1)
     for x, load in after.loads().items():
         worst = max(worst, load / base_cap[sub.edge_of_split[x]])
@@ -335,8 +319,7 @@ def route_refined_state(state, res: RefinementResult, b_lift, cfg=DEFAULT,
 
 
 def replay_improved_cluster(child_states, part: MergePartition, refinements,
-                            b_lift, original, cfg: Config = DEFAULT,
-                            ledger=None, trace=None):
+                            b_lift, original, cfg: Config, ledger, trace):
     """One combine of the alternating pipeline: uniformize each refinement
     cluster, route each merge sub-cluster's inter-cluster mass to its
     boundary, then run the full-weight merge replay.
@@ -344,6 +327,7 @@ def replay_improved_cluster(child_states, part: MergePartition, refinements,
     child_states maps refinement clusters (or unrefined sub-clusters) to
     states; refinements maps each merge sub-cluster to its stored
     refinement result, or None when it was not split further.
+    Returns (new state, new load factor).
     """
     sub_states = {}
     worst_alpha = Fraction(1)
@@ -357,21 +341,20 @@ def replay_improved_cluster(child_states, part: MergePartition, refinements,
         total = DemandState()
         for r in pieces:
             st = uniformize_refined(child_states[r],
-                                    ClusterView(view_root, r), b_lift, cfg,
+                                    ClusterView(view_root, r), b_lift,
                                     ledger, trace)
             total = total + st
         if res is not None and len(res.clusters) > 1:
-            total, a3 = route_refined_state(total, res, b_lift, cfg, ledger,
+            total, a3 = route_refined_state(total, res, b_lift, ledger,
                                             trace)
             worst_alpha = max(worst_alpha, a3)
         sub_states[s_i] = total
-    alpha_merge = worst_alpha
-    after, charge, alpha_out = replay_merge_cluster(
-        sub_states, part, b_lift, alpha_merge, original, cfg, ledger, trace)
+    after, alpha_out = replay_merge_cluster(
+        sub_states, part, b_lift, worst_alpha, original, cfg, ledger, trace)
     if alpha_out > cfg.alpha_improved_cap:
         raise ReplayError("combined load factor %s exceeds the configured "
                           "cap %s" % (alpha_out, cfg.alpha_improved_cap))
-    return after, charge, alpha_out
+    return after, alpha_out
 
 
 class ReplayReport:
@@ -468,9 +451,8 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
                 st, a = state_of(c)
                 child_states[s_i] = st
                 alpha_in = max(alpha_in, a)
-            after, _, alpha_out = replay_merge_cluster(
-                child_states, part, b_lift, alpha_in, p, cfg, ledger, trace)
-            return after, alpha_out
+            return replay_merge_cluster(child_states, part, b_lift,
+                                        alpha_in, p, cfg, ledger, trace)
         child_states = {}
         refinements = {}
         for s_i, c in cluster_nodes.items():
@@ -482,9 +464,8 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
             else:
                 refinements[s_i] = None
                 child_states[s_i] = state_of(c)[0]
-        after, _, alpha_out = replay_improved_cluster(
-            child_states, part, refinements, b_lift, p, cfg, ledger, trace)
-        return after, alpha_out
+        return replay_improved_cluster(child_states, part, refinements,
+                                       b_lift, p, cfg, ledger, trace)
 
     if t.root.detail is None and t.root.children \
             and all(c.kind == "component" for c in t.root.children):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from treecut.graph import Graph, Measure, cut_capacity, parse_edge_list, subdivide
 from treecut.demand import (DemandError, DemandMatrix, DemandState, dem_across,
                             from_matrix, leaf_init, parse_demands,
-                            respects_exact, spread_update, update)
+                            respects_exact, update)
 
 
 def rand_valid_state(rng, vertices, commodities=2):
@@ -107,20 +107,28 @@ class TestMatrixStateBridge:
                 assert dem_p <= dem_q <= 2 * dem_p or dem_q == dem_p == 0
 
     def test_all_to_all_row_sums(self):
-        q = DemandMatrix.all_to_all([0, 1, 2, 3])
+        q = DemandMatrix.spread({v: 1 for v in range(4)}, [0, 1, 2, 3])
         for u in range(4):
             assert q.row_sum(u) == Fraction(3, 4)
 
     def test_all_to_all_weighted(self):
-        q = DemandMatrix.all_to_all([0, 1], weight_of=lambda v: v + 1)
+        q = DemandMatrix.spread({0: 1, 1: 1}, [0, 1],
+                                weight_of=lambda v: v + 1)
         assert q.entries[(0, 1)] == Fraction(2, 3)
         assert q.entries[(1, 0)] == Fraction(1, 3)
+
+
+def spread_all(p, vertices, weight_of=None):
+    """Move every vertex's whole load over `vertices` by weight."""
+    q = DemandMatrix.spread(p.restrict_vertices(vertices).loads(), vertices,
+                            weight_of)
+    return update(p, q), q
 
 
 class TestSpread:
     def test_spread_equalizes(self):
         p = DemandState({(0, 0): 6, (1, 0): -6, (1, 1): 3, (2, 1): -3})
-        out, q = spread_update(p, [0, 1, 2])
+        out, q = spread_all(p, [0, 1, 2])
         for k in (0, 1):
             tot = sum(p.mass(v, k) for v in range(3))
             for v in range(3):
@@ -129,7 +137,7 @@ class TestSpread:
     def test_spread_weighted_shares(self):
         p = DemandState({(0, 0): 8, (1, 0): -8, (0, 1): 4, (2, 1): -4})
         w = {0: 1, 1: 2, 2: 1}
-        out, _ = spread_update(p, [0, 1, 2], weight_of=lambda v: w[v])
+        out, _ = spread_all(p, [0, 1, 2], weight_of=lambda v: w[v])
         for v in range(3):
             for k in (0, 1):
                 tot = sum(p.mass(u, k) for u in range(3))
@@ -141,9 +149,30 @@ class TestSpread:
             p = rand_valid_state(rng, list(range(5)))
             if p.is_zero():
                 continue
-            out, q = spread_update(p, list(range(5)))
+            out, q = spread_all(p, list(range(5)))
             assert q.total() <= p.total_load()
             assert out.is_valid() == p.is_valid()
+
+    def test_sources_outside_targets_send_everything(self):
+        """Sources that are not targets send their whole mass, split over
+        the targets by weight (the shape of the replay's merge-to-sep)."""
+        q = DemandMatrix.spread({0: 6, 1: Fraction(3, 7)}, [2, 3],
+                                weight_of=lambda v: v)
+        assert q.entries == {(0, 2): Fraction(12, 5), (0, 3): Fraction(18, 5),
+                             (1, 2): Fraction(6, 35), (1, 3): Fraction(9, 35)}
+        p = DemandState({(0, 0): 4, (0, 1): -2, (1, 0): Fraction(-3, 7),
+                         (2, 0): Fraction(-25, 7), (3, 1): 2})
+        out = update(p, q)
+        assert out.mass(0, 0) == out.mass(0, 1) == out.mass(1, 0) == 0
+        assert out.mass(2, 0) == Fraction(-25, 7) + Fraction(8, 5) \
+            - Fraction(6, 35)
+        assert out.commodity_totals() == p.commodity_totals()
+
+    def test_zero_target_weight_rejected(self):
+        with pytest.raises(DemandError):
+            DemandMatrix.spread({0: 1}, [1, 2], weight_of=lambda v: 0)
+        with pytest.raises(DemandError):
+            DemandMatrix.spread({0: 1}, [])
 
 
 class TestRespects:
@@ -238,6 +267,6 @@ def test_update_validity_property(seed):
     p = rand_valid_state(rng, list(range(5)), commodities=3)
     if p.is_zero():
         return
-    out, _ = spread_update(p, list(range(5)))
+    out, _ = spread_all(p, list(range(5)))
     assert out.is_valid()
     assert out.commodity_totals() == p.commodity_totals() == {}

@@ -1,8 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+parameter a library function takes is read in its body.
 
 A plain AST scan, so it needs no linter: a name bound by `import` or
-`from ... import` (at any depth) must be read somewhere in the module.
-The package's `__init__.py` re-exports names and is skipped.
+`from ... import` (at any depth) must be read somewhere in the module, and
+a parameter of any function or method (`self` and `cls` excepted) must be
+read somewhere in that function, nested functions included.  The
+package's `__init__.py` re-exports names and is skipped.
 """
 
 import ast
@@ -29,10 +32,35 @@ def unused_imports(source):
                   if name not in used)
 
 
+def unused_params(source):
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, p) for p in params
+                if p not in ("self", "cls") and p not in read]
+    return sorted(out)
+
+
 def test_scan_finds_unused_names():
     src = ("import os\nimport numpy as np\nfrom a.b import c, d as e\n"
            "def f():\n    from x import y\n    return np, e\n")
     assert unused_imports(src) == [(1, "os"), (3, "c"), (5, "y")]
+
+
+def test_scan_finds_unused_params():
+    src = ("def f(a, b, *c, d=1, **e):\n    return a + d\n"
+           "class K:\n    def m(self, x, y):\n        def g(z):\n"
+           "            return x\n        return g\n"
+           "    @classmethod\n    def k(cls, w):\n        w = 1\n")
+    assert unused_params(src) == [
+        (1, "f", "b"), (1, "f", "c"), (1, "f", "e"), (4, "m", "y"),
+        (5, "g", "z"), (9, "k", "w")]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -40,3 +68,10 @@ def test_no_unused_imports(module):
     dead = unused_imports((SRC / module).read_text())
     assert not dead, "%s imports names it never uses: %s" % (
         module, ", ".join("%s (line %d)" % (n, l) for l, n in dead))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_params(module):
+    dead = unused_params((SRC / module).read_text())
+    assert not dead, "%s has parameters its functions never read: %s" % (
+        module, ", ".join("%s.%s (line %d)" % (f, p, l) for l, f, p in dead))

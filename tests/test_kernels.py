@@ -1,10 +1,13 @@
-"""The integer sweep backend and the integer Dinic solver, checked against
-plain Fraction references of the same algorithms."""
+"""The integer sweep backend, the integer Dinic solver and the grouped
+demand update, checked against plain references of the same algorithms."""
 
 import random
 from collections import deque
 from fractions import Fraction
 
+import pytest
+
+from treecut.demand import DemandError, DemandMatrix, DemandState, update
 from treecut.flow import S_NODE, T_NODE, FlowNetwork, max_flow
 from treecut.graph import Graph, Measure
 from treecut.oracle import _sweep_best, _sweep_orders
@@ -228,3 +231,83 @@ class TestDinic:
         assert got == reference_max_flow(net)
         assert got[0] == Fraction(3, 64)
         assert got[4] == frozenset({0})
+
+
+def reference_update(p, q):
+    """P^(up Q) entry by entry: every matrix entry rescans P for the
+    source's vector."""
+    loads = p.loads()
+    out = dict(p.entries)
+    row = {}
+    for (u, v), a in q.entries.items():
+        row[u] = row.get(u, Fraction(0)) + a
+    for u, sent in row.items():
+        if sent > 0 and loads.get(u, Fraction(0)) == 0:
+            raise DemandError("update source %r has zero load" % (u,))
+    for (u, v), a in q.entries.items():
+        lu = loads[u]
+        for k, m in p.vector(u).items():
+            share = (m / lu) * a
+            out[(v, k)] = out.get((v, k), Fraction(0)) + share
+    for u, sent in row.items():
+        if sent == 0:
+            continue
+        lu = loads[u]
+        for k, m in p.vector(u).items():
+            out[(u, k)] = out.get((u, k), Fraction(0)) - (m / lu) * sent
+    return DemandState(out)
+
+
+def random_state(rng, verts):
+    return DemandState({(v, k): Fraction(rng.randint(-9, 9),
+                                         rng.choice(DENOMINATORS))
+                        for v in verts for k in range(3)
+                        if rng.random() < 0.5})
+
+
+def random_matrix(rng, verts, sources):
+    q = DemandMatrix()
+    for _ in range(rng.randint(1, 10)):
+        u = rng.choice(sources)
+        v = rng.choice([w for w in verts if w != u])
+        q.add(u, v, Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS)))
+    return q
+
+
+class TestUpdate:
+    def test_matches_reference(self):
+        rng = random.Random(8)
+        seen = 0
+        while seen < 200:
+            verts = sorted(rng.sample(range(40), rng.randint(2, 8)))
+            p = random_state(rng, verts)
+            if p.is_zero():
+                continue
+            seen += 1
+            q = random_matrix(rng, verts,
+                              sorted({v for v, _ in p.entries}))
+            got, want = update(p, q), reference_update(p, q)
+            assert list(got.entries.items()) == list(want.entries.items())
+            assert all(type(a) is Fraction for a in got.entries.values())
+
+    def test_spread_matches_reference(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            verts = list(range(rng.randint(2, 8)))
+            p = random_state(rng, verts)
+            targets = rng.sample(verts, rng.randint(1, len(verts)))
+            w = {v: Fraction(rng.randint(1, 5), rng.choice(DENOMINATORS))
+                 for v in targets}
+            q = DemandMatrix.spread(p.loads(), targets, w.get)
+            assert update(p, q).entries == reference_update(p, q).entries
+
+    def test_zero_load_source_rejected(self):
+        rng = random.Random(10)
+        for _ in range(40):
+            verts = list(range(6))
+            p = random_state(rng, verts[:3])
+            q = random_matrix(rng, verts, verts)
+            q.add(4, 5, Fraction(1, 7))
+            for apply in (update, reference_update):
+                with pytest.raises(DemandError):
+                    apply(p, q)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from treecut.config import DEFAULT
 from treecut.demand import DemandState
 from treecut.graph import Graph, parse_edge_list
-from treecut.replay import (ChargeLedger, ReplayError, full_replay,
-                            replay_merge_cluster)
+from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
+                            full_replay, replay_merge_cluster)
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 
 from corpus import random_graph
@@ -103,7 +104,8 @@ class TestPreconditions:
         from treecut.graph import subdivide
         with pytest.raises(ReplayError, match="child states"):
             replay_merge_cluster({}, node.detail, frozenset(), 1,
-                                 DemandState())
+                                 DemandState(), DEFAULT, ChargeLedger(),
+                                 ReplayTrace())
 
 
 class TestSingleEdge:
