@@ -7,11 +7,18 @@ proportion to weights) or from a stored flow scaled to the load present.
 `update` is the one kernel that applies a matrix to a state; moving mass
 lets opposite-signed masses cancel, which is what the charging replay
 exploits.
+
+`update` and `spread` keep the Fraction API but run on ints: they scale the
+masses, amounts and weights by the lcm of their denominators, accumulate
+every output numerator over one common denominator, and build one Fraction
+per output entry.  The state sums (`loads`, `total_load`,
+`commodity_totals`, `dem_across`) add numerators over one lcm the same way.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .graph import Graph, SizeError, SubdivisionGraph, _gray_min_ratio
+from .graph import _ZERO, Graph, SizeError, SubdivisionGraph, _gray_min_ratio
 from .config import DEFAULT
 from .util import parse_frac
 
@@ -20,40 +27,50 @@ class DemandError(ValueError):
     pass
 
 
+def _frac(a):
+    return a if type(a) is Fraction else Fraction(a)
+
+
+def _int_sums(terms):
+    """(d, {key: n}) where n / d is the sum of num / den over the terms
+    (key, num, den) with that key, d is the lcm of the denominators, and
+    the keys are in first-seen order."""
+    terms = list(terms)
+    d = lcm(*(den for _, _, den in terms))
+    sums = {}
+    for key, num, den in terms:
+        sums[key] = sums.get(key, 0) + num * (d // den)
+    return d, sums
+
+
 class DemandMatrix:
     """Sparse nonnegative (source, target) -> amount with zero diagonal."""
 
     def __init__(self, entries=()):
         self.entries = {}
         for (u, v), a in dict(entries).items():
-            a = Fraction(a)
+            a = _frac(a)
             if a < 0:
                 raise DemandError("negative demand entry")
             if u == v:
                 raise DemandError("diagonal demand entry at %r" % (u,))
             if a:
-                self.entries[(u, v)] = self.entries.get((u, v), Fraction(0)) + a
+                self.entries[(u, v)] = self.entries.get((u, v), _ZERO) + a
 
     def add(self, u, v, a):
-        a = Fraction(a)
+        a = _frac(a)
         if a < 0 or u == v:
             raise DemandError("bad demand entry")
         if a:
-            self.entries[(u, v)] = self.entries.get((u, v), Fraction(0)) + a
-
-    def row_sum(self, u):
-        return sum((a for (s, _), a in self.entries.items() if s == u), Fraction(0))
+            self.entries[(u, v)] = self.entries.get((u, v), _ZERO) + a
 
     def dem_across(self, side):
         side = frozenset(side)
-        tot = Fraction(0)
+        tot = _ZERO
         for (u, v), a in self.entries.items():
             if (u in side) != (v in side):
                 tot += a
         return tot
-
-    def total(self):
-        return sum(self.entries.values(), Fraction(0))
 
     @classmethod
     def spread(cls, mass, targets, weight_of=None):
@@ -67,18 +84,32 @@ class DemandMatrix:
         """
         vs = sorted(targets)
         if weight_of is None:
-            w = {v: Fraction(1) for v in vs}
+            weights = [1] * len(vs)
         else:
-            w = {v: Fraction(weight_of(v)) for v in vs}
-        total = sum(w.values(), Fraction(0))
+            weights = [_frac(weight_of(v)) for v in vs]
+        sources = sorted(mass)
+        masses = [_frac(mass[u]) for u in sources]
+        # Q(u, v) = (m_u * c) * (w_v * e) / (c * e * W) with c, e the lcms
+        # of the mass and weight denominators
+        e = lcm(*(w.denominator for w in weights))
+        ws = [w.numerator * (e // w.denominator) for w in weights]
+        total = sum(ws)
         if total == 0:
             raise DemandError("spread needs positive total target weight")
+        c = lcm(*(m.denominator for m in masses))
+        den = c * total
         q = cls()
-        for u in sorted(mass):
-            m = mass[u]
-            for v in vs:
-                if v != u:
-                    q.add(u, v, m * w[v] / total)
+        entries = q.entries
+        for u, m in zip(sources, masses):
+            mu = m.numerator * (c // m.denominator)
+            if not mu:
+                continue
+            for v, w in zip(vs, ws):
+                if v != u and w:
+                    a = Fraction(mu * w, den)
+                    if a < 0:
+                        raise DemandError("bad demand entry")
+                    entries[(u, v)] = a
         return q
 
 
@@ -88,34 +119,35 @@ class DemandState:
     def __init__(self, entries=()):
         self.entries = {}
         for (v, k), a in dict(entries).items():
-            a = Fraction(a)
+            a = _frac(a)
             if a:
                 self.entries[(v, k)] = a
 
     def mass(self, v, k):
-        return self.entries.get((v, k), Fraction(0))
+        return self.entries.get((v, k), _ZERO)
 
     def vector(self, v):
         return {k: a for (u, k), a in self.entries.items() if u == v}
 
     def load(self, v):
         return sum((abs(a) for (u, _), a in self.entries.items() if u == v),
-                   Fraction(0))
+                   _ZERO)
+
+    def _load_sums(self):
+        return _int_sums((v, abs(a.numerator), a.denominator)
+                         for (v, _), a in self.entries.items())
 
     def loads(self):
-        out = {}
-        for (v, _), a in self.entries.items():
-            out[v] = out.get(v, Fraction(0)) + abs(a)
-        return out
+        d, sums = self._load_sums()
+        return {v: Fraction(n, d) for v, n in sums.items()}
 
     def support_vertices(self):
         return frozenset(v for (v, _), a in self.entries.items() if a)
 
     def commodity_totals(self):
-        out = {}
-        for (_, k), a in self.entries.items():
-            out[k] = out.get(k, Fraction(0)) + a
-        return {k: a for k, a in out.items() if a}
+        d, sums = _int_sums((k, a.numerator, a.denominator)
+                            for (_, k), a in self.entries.items())
+        return {k: Fraction(n, d) for k, n in sums.items() if n}
 
     def is_valid(self):
         return not self.commodity_totals()
@@ -126,13 +158,13 @@ class DemandState:
     def __add__(self, other):
         out = dict(self.entries)
         for key, a in other.entries.items():
-            out[key] = out.get(key, Fraction(0)) + a
+            out[key] = out.get(key, _ZERO) + a
         return DemandState(out)
 
     def __sub__(self, other):
         out = dict(self.entries)
         for key, a in other.entries.items():
-            out[key] = out.get(key, Fraction(0)) - a
+            out[key] = out.get(key, _ZERO) - a
         return DemandState(out)
 
     def scaled(self, factor):
@@ -147,22 +179,22 @@ class DemandState:
     def dem_across(self, side):
         """sum_k |sum_{u in side} P(u, k)| (symmetric for valid states)."""
         side = frozenset(side)
-        sums = {}
-        for (v, k), a in self.entries.items():
-            if v in side:
-                sums[k] = sums.get(k, Fraction(0)) + a
-        return sum((abs(a) for a in sums.values()), Fraction(0))
+        d, sums = _int_sums((k, a.numerator, a.denominator)
+                            for (v, k), a in self.entries.items()
+                            if v in side)
+        return Fraction(sum(abs(n) for n in sums.values()), d)
 
     def total_load(self):
-        return sum((abs(a) for a in self.entries.values()), Fraction(0))
+        d, sums = self._load_sums()
+        return Fraction(sum(sums.values()), d)
 
 
 def from_matrix(q: DemandMatrix) -> DemandState:
     """Demand state equivalent of a demand matrix (commodities = sources)."""
     entries = {}
     for (u, v), a in q.entries.items():
-        entries[(u, u)] = entries.get((u, u), Fraction(0)) + a
-        entries[(v, u)] = entries.get((v, u), Fraction(0)) - a
+        entries[(u, u)] = entries.get((u, u), _ZERO) + a
+        entries[(v, u)] = entries.get((v, u), _ZERO) - a
     return DemandState(entries)
 
 
@@ -177,29 +209,50 @@ def update(p: DemandState, q: DemandMatrix) -> DemandState:
 
     Each source u sends the fraction sum_v Q(u,v) / ||P(u)||_1 of every one
     of its masses; receivers get the source's mass mix scaled by Q(v,u).
+
+    With P = M/d and Q = A/e over the lcms d and e of their denominators,
+    source u's load is L_u/d, and the mass m of commodity k at u sends
+    M(u,k) * A(u,v) / (L_u * e) to v.  Every changed entry is accumulated
+    as a numerator over d * e * lcm_u(L_u).
     """
-    zero = Fraction(0)
+    d = lcm(*(m.denominator for m in p.entries.values()))
+    e = lcm(*(a.denominator for a in q.entries.values()))
     vectors = {}
     for (v, k), m in p.entries.items():
-        vectors.setdefault(v, []).append((k, m))
+        vectors.setdefault(v, []).append(
+            (k, m.numerator * (d // m.denominator)))
     sent = {}
     for (u, _), a in q.entries.items():
-        sent[u] = sent.get(u, zero) + a
-    # each source's masses as shares of its load, m / ||P(u)||_1
-    shares = {}
+        sent[u] = sent.get(u, 0) + a.numerator * (e // a.denominator)
+    loads = {}
     for u in sent:
-        vec = vectors.get(u, ())
-        load = sum((abs(m) for _, m in vec), zero)
+        load = sum(abs(m) for _, m in vectors.get(u, ()))
         if load == 0:
             raise DemandError("update source %r has zero load" % (u,))
-        shares[u] = [(k, m / load) for k, m in vec]
-    out = dict(p.entries)
+        loads[u] = load
+    big = lcm(*loads.values())
+    den = d * e * big
+    # source u's masses times d * big / L_u: times A(u,v) they are the
+    # numerators (over den) of what u sends to v
+    rows = {}
+    for u, load in loads.items():
+        f = d * (big // load)
+        rows[u] = [(k, m * f) for k, m in vectors[u]]
+    acc = {}
     for (u, v), a in q.entries.items():
-        for k, share in shares[u]:
-            out[(v, k)] = out.get((v, k), zero) + share * a
+        a = a.numerator * (e // a.denominator)
+        for k, m in rows[u]:
+            acc[(v, k)] = acc.get((v, k), 0) + m * a
     for u, total in sent.items():
-        for k, share in shares[u]:
-            out[(u, k)] = out.get((u, k), zero) - share * total
+        for k, m in rows[u]:
+            acc[(u, k)] = acc.get((u, k), 0) - m * total
+    scale = den // d
+    out = dict(p.entries)
+    for key, n in acc.items():
+        m = out.get(key)
+        if m is not None:
+            n += m.numerator * (d // m.denominator) * scale
+        out[key] = Fraction(n, den)
     return DemandState(out)
 
 
@@ -234,7 +287,7 @@ def leaf_init(p: DemandState, sub: SubdivisionGraph):
     out = {}
     for v in g.vertices:
         vec = p.vector(v)
-        load = sum((abs(a) for a in vec.values()), Fraction(0))
+        load = sum((abs(a) for a in vec.values()), _ZERO)
         deg = g.degree(v)
         if load > deg:
             raise DemandError("leaf_init: load %s exceeds degree %d at vertex %r"
@@ -244,7 +297,7 @@ def leaf_init(p: DemandState, sub: SubdivisionGraph):
             for u, c in g.adj[v]:
                 x = sub.split(v, u)
                 for k, a in vec.items():
-                    entries[(x, k)] = entries.get((x, k), Fraction(0)) + \
+                    entries[(x, k)] = entries.get((x, k), _ZERO) + \
                         a * Fraction(c, deg)
         out[v] = DemandState(entries)
     return out
@@ -293,5 +346,5 @@ def parse_demands(text: str) -> DemandState:
             amount = parse_frac("%d/%d" % (num, den))
         except ValueError as exc:
             raise DemandError("line %d: %s" % (lineno, exc)) from exc
-        entries[(v, k)] = entries.get((v, k), Fraction(0)) + amount
+        entries[(v, k)] = entries.get((v, k), _ZERO) + amount
     return DemandState(entries)

@@ -126,7 +126,7 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.vertex_count, self.edge_count)
 
 
-_ZERO = Fraction(0)     # weight off the support; one shared immutable zero
+_ZERO = Fraction(0)     # one shared immutable zero for lookup defaults
 
 
 class Measure:
@@ -213,6 +213,7 @@ class SubdivisionGraph:
         nxt = (max(base.vertices) + 1) if base.vertices else 0
         self.split_of_edge = {}
         self.edge_of_split = {}
+        self._views = {}
         verts = list(base.vertices)
         edges = []
         for u, v, c in base.edges:
@@ -230,6 +231,15 @@ class SubdivisionGraph:
 
     def is_split(self, v):
         return v in self.edge_of_split
+
+    def view(self, cluster):
+        """The ClusterView of cluster, built on the first call and returned
+        by every later one; views are never changed after construction."""
+        cluster = frozenset(cluster)
+        view = self._views.get(cluster)
+        if view is None:
+            view = self._views[cluster] = ClusterView(self, cluster)
+        return view
 
     def lift_cut(self, side):
         """Lift a base cut (B, W) to (B', W'): split nodes of crossing edges

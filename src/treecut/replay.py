@@ -13,7 +13,8 @@ from fractions import Fraction
 from .config import DEFAULT, Config
 from .demand import (DemandMatrix, DemandState, invariant_check, leaf_init,
                      update)
-from .graph import (ClusterView, Graph, cut_capacity, edge_key, subdivide)
+from .graph import (_ZERO, ClusterView, Graph, cut_capacity, edge_key,
+                    subdivide)
 from .merge import MergePartition
 from .oracle import _log2n
 from .refine import RefinementResult
@@ -50,7 +51,7 @@ class ChargeLedger:
                 "crossing edges" % (sorted(members), dem_diff))
         charge = dem_diff / cap
         for k, _ in cross:
-            self.per_edge[k] = self.per_edge.get(k, Fraction(0)) + charge
+            self.per_edge[k] = self.per_edge.get(k, _ZERO) + charge
         self.clusters.append((frozenset(members), label, charge, dem_diff,
                               cap))
         return charge
@@ -124,7 +125,7 @@ def _flow_matrix(loads, sources, rows, unit):
     other than itself."""
     q = DemandMatrix()
     for x in sources:
-        load = loads.get(x, Fraction(0))
+        load = loads.get(x, _ZERO)
         if load == 0:
             continue
         for sink, amt in rows[x]:
@@ -215,7 +216,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     loads4 = p4.loads()
     sources4 = sorted(x_y - x_b)
     for x in sources4:
-        load = loads4.get(x, Fraction(0))
+        load = loads4.get(x, _ZERO)
         if load > 3 * alpha * part.mu_tau[x]:
             raise ReplayError("separator source %r needs flow scale %s over "
                               "the 3*alpha cap" % (x, load / part.mu_tau[x]))
@@ -223,7 +224,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
                       part.mu_tau)
     received = {}
     for (_, v), a in q4.entries.items():
-        received[v] = received.get(v, Fraction(0)) + a
+        received[v] = received.get(v, _ZERO) + a
     for xb, got in received.items():
         cap6 = 6 * alpha * part.tau * unit_cap(xb)
         if got > cap6:
@@ -340,9 +341,8 @@ def replay_improved_cluster(child_states, part: MergePartition, refinements,
             pieces = list(res.clusters)
         total = DemandState()
         for r in pieces:
-            st = uniformize_refined(child_states[r],
-                                    ClusterView(view_root, r), b_lift,
-                                    ledger, trace)
+            st = uniformize_refined(child_states[r], view_root.view(r),
+                                    b_lift, ledger, trace)
             total = total + st
         if res is not None and len(res.clusters) > 1:
             total, a3 = route_refined_state(total, res, b_lift, ledger,

@@ -1,5 +1,6 @@
-"""The integer sweep backend, the integer Dinic solver and the grouped
-demand update, checked against plain references of the same algorithms."""
+"""The integer sweep backend, the integer Dinic solver and the integer
+demand update and spread, checked against plain references of the same
+algorithms."""
 
 import random
 from collections import deque
@@ -258,37 +259,92 @@ def reference_update(p, q):
     return DemandState(out)
 
 
-def random_state(rng, verts):
-    return DemandState({(v, k): Fraction(rng.randint(-9, 9),
-                                         rng.choice(DENOMINATORS))
+def reference_spread(mass, targets, weight_of=None):
+    """DemandMatrix.spread in Fraction: every entry goes through add."""
+    vs = sorted(targets)
+    if weight_of is None:
+        w = {v: Fraction(1) for v in vs}
+    else:
+        w = {v: Fraction(weight_of(v)) for v in vs}
+    total = sum(w.values(), Fraction(0))
+    if total == 0:
+        raise DemandError("spread needs positive total target weight")
+    q = DemandMatrix()
+    for u in sorted(mass):
+        m = mass[u]
+        for v in vs:
+            if v != u:
+                q.add(u, v, m * w[v] / total)
+    return q
+
+
+# mixed denominators with large lcms, and denominators that share no
+# factor with DENOMINATORS
+WIDE_DENOMINATORS = DENOMINATORS + (384 * 7 * 11, 11 * 13, 2 ** 20, 1009)
+FOREIGN_DENOMINATORS = (5, 17, 19 * 23, 10007)
+
+
+def random_state(rng, verts, dens=DENOMINATORS):
+    return DemandState({(v, k): Fraction(rng.randint(-9, 9), rng.choice(dens))
                         for v in verts for k in range(3)
                         if rng.random() < 0.5})
 
 
-def random_matrix(rng, verts, sources):
+def random_matrix(rng, verts, sources, dens=DENOMINATORS):
     q = DemandMatrix()
     for _ in range(rng.randint(1, 10)):
         u = rng.choice(sources)
         v = rng.choice([w for w in verts if w != u])
-        q.add(u, v, Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS)))
+        q.add(u, v, Fraction(rng.randint(1, 9), rng.choice(dens)))
     return q
+
+
+def assert_same_entries(got, want):
+    """Equal entries in the same insertion order, every one a Fraction."""
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert all(type(a) is Fraction for a in got.entries.values())
+
+
+def update_cases(seed, state_dens, matrix_dens, count=200):
+    rng = random.Random(seed)
+    seen = 0
+    while seen < count:
+        verts = sorted(rng.sample(range(40), rng.randint(2, 8)))
+        p = random_state(rng, verts, state_dens)
+        if p.is_zero():
+            continue
+        seen += 1
+        yield p, random_matrix(rng, verts, sorted({v for v, _ in p.entries}),
+                               matrix_dens)
 
 
 class TestUpdate:
     def test_matches_reference(self):
-        rng = random.Random(8)
-        seen = 0
-        while seen < 200:
-            verts = sorted(rng.sample(range(40), rng.randint(2, 8)))
-            p = random_state(rng, verts)
-            if p.is_zero():
-                continue
-            seen += 1
-            q = random_matrix(rng, verts,
-                              sorted({v for v, _ in p.entries}))
-            got, want = update(p, q), reference_update(p, q)
-            assert list(got.entries.items()) == list(want.entries.items())
-            assert all(type(a) is Fraction for a in got.entries.values())
+        for p, q in update_cases(8, DENOMINATORS, DENOMINATORS):
+            assert_same_entries(update(p, q), reference_update(p, q))
+
+    def test_large_mixed_denominators(self):
+        for p, q in update_cases(11, WIDE_DENOMINATORS, WIDE_DENOMINATORS):
+            assert_same_entries(update(p, q), reference_update(p, q))
+
+    def test_matrix_denominators_unrelated_to_state(self):
+        for p, q in update_cases(12, WIDE_DENOMINATORS, FOREIGN_DENOMINATORS):
+            assert_same_entries(update(p, q), reference_update(p, q))
+
+    def test_repeated_updates_match_reference(self):
+        # denominators compound over a chain of moves, as in a replay
+        rng = random.Random(13)
+        for _ in range(20):
+            verts = list(range(6))
+            p = random_state(rng, verts, WIDE_DENOMINATORS)
+            want = p
+            for _ in range(4):
+                if p.is_zero():
+                    break
+                sources = sorted({v for v, _ in p.entries})
+                q = random_matrix(rng, verts, sources, FOREIGN_DENOMINATORS)
+                p, want = update(p, q), reference_update(want, q)
+                assert_same_entries(p, want)
 
     def test_spread_matches_reference(self):
         rng = random.Random(9)
@@ -311,3 +367,57 @@ class TestUpdate:
             for apply in (update, reference_update):
                 with pytest.raises(DemandError):
                     apply(p, q)
+
+
+def random_spread(rng):
+    """(mass, targets, weight_of): masses on sources in and out of the
+    targets, some of them zero, and target weights some of which are 0
+    (weight_of None for unit weights)."""
+    verts = sorted(rng.sample(range(30), rng.randint(2, 9)))
+    targets = rng.sample(verts, rng.randint(1, len(verts)))
+    mass = {u: Fraction(rng.choice((0, 1, 2, 5, 9)),
+                        rng.choice(WIDE_DENOMINATORS))
+            for u in rng.sample(verts, rng.randint(1, len(verts)))}
+    if rng.random() < 0.2:
+        return mass, targets, None
+    w = {v: Fraction(rng.choice((0, 1, 3, 8)), rng.choice(WIDE_DENOMINATORS))
+         for v in targets}
+    if not any(w.values()):
+        w[targets[0]] = Fraction(1, 7)
+    return mass, targets, w.get
+
+
+class TestSpread:
+    def test_matches_reference(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            mass, targets, weight_of = random_spread(rng)
+            assert_same_entries(
+                DemandMatrix.spread(mass, targets, weight_of),
+                reference_spread(mass, targets, weight_of))
+
+    def test_sources_outside_targets(self):
+        rng = random.Random(15)
+        for _ in range(60):
+            mass, targets, weight_of = random_spread(rng)
+            outside = {u + 100: a for u, a in mass.items()}
+            got = DemandMatrix.spread(outside, targets, weight_of)
+            assert_same_entries(got, reference_spread(outside, targets,
+                                                      weight_of))
+            assert {u for u, _ in got.entries} <= set(outside)
+
+    def test_int_masses_and_weights(self):
+        got = DemandMatrix.spread({0: 3, 4: 0, 5: 2}, [0, 1, 2, 3],
+                                  lambda v: v)
+        assert_same_entries(got, reference_spread({0: 3, 4: 0, 5: 2},
+                                                  [0, 1, 2, 3], lambda v: v))
+
+    def test_zero_total_weight_rejected(self):
+        for spread in (DemandMatrix.spread, reference_spread):
+            with pytest.raises(DemandError):
+                spread({0: Fraction(1, 3)}, [1, 2], lambda v: 0)
+
+    def test_negative_mass_rejected(self):
+        for spread in (DemandMatrix.spread, reference_spread):
+            with pytest.raises(DemandError):
+                spread({0: Fraction(-1, 3)}, [1, 2])

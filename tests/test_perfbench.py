@@ -1,0 +1,27 @@
+"""Every benchmark workload runs clean at smoke size: a kernel change that
+breaks a benchmark operation fails here, not only in a timed run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["small-exact", "rings", "query"])
+def test_smoke_run_is_correct(workload):
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
+                           "--workload", workload, "--seed", "1",
+                           "--seconds", "1", "--trace", "0", "--smoke"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    digest = [json.loads(line.split(" ", 2)[2]) for line in lines
+              if line.startswith("# digest ")]
+    assert len(digest) == 1 and digest[0]["fail_rate"] == 0, proc.stdout
+    result = json.loads(lines[-1])
+    assert result["correct"] is True, proc.stdout + proc.stderr
+    assert result["failed"] == 0

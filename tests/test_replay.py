@@ -1,16 +1,30 @@
+import hashlib
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from treecut.config import DEFAULT
-from treecut.demand import DemandState
+from treecut.demand import DemandState, parse_demands
 from treecut.graph import Graph, parse_edge_list
 from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
                             full_replay, replay_merge_cluster)
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 
 from corpus import random_graph
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+# sha256 of the ring8 replay for the cut {0, 1, 2}: ledger report lines,
+# sorted per-edge charges, trace steps and the report's five figures, taken
+# with the Fraction demand update and spread that the integer kernels
+# replaced
+RING_REPLAYS = {
+    "basic":
+        "78297492ca62892227295c46343b182210ba7cd2a39aee28d02dd894672ccc79",
+    "improved":
+        "2c3863fc05a5b66384620f9324483db5d8a3d9499a8a98da433e0ff8eefe5334",
+}
 
 
 def random_demand(rng, n, pairs=3):
@@ -196,3 +210,22 @@ class TestRandomSweep:
                 assert rep.within_envelope, (tag, rep.max_charge)
                 ran[tag] += 1
         assert min(ran.values()) >= 15
+
+
+@pytest.mark.parametrize("build", [build_basic, build_improved])
+def test_ring8_replay_bytes_pinned(build):
+    with open(os.path.join(FIXTURES, "ring8.edges")) as fh:
+        g = parse_edge_list(fh.read())
+    with open(os.path.join(FIXTURES, "ring8.demands")) as fh:
+        p = parse_demands(fh.read())
+    t = build(g)
+    rep = full_replay(t, p, {0, 1, 2})
+    lines = rep.ledger.report_lines()
+    lines += ["%s %s" % kv for kv in sorted(rep.ledger.per_edge.items())]
+    lines += ["%s %s %s %s" % (sorted(m), label, q_dem, diff_dem)
+              for m, label, q_dem, diff_dem in rep.trace.steps]
+    lines.append(" ".join(str(x) for x in (
+        rep.dem_p, rep.cap_cut, rep.initial_dem, rep.max_charge,
+        rep.envelope)))
+    blob = "\n".join(lines) + "\n"
+    assert hashlib.sha256(blob.encode()).hexdigest() == RING_REPLAYS[t.mode]
