@@ -156,10 +156,7 @@ class DemandState:
         return not self.entries
 
     def __add__(self, other):
-        out = dict(self.entries)
-        for key, a in other.entries.items():
-            out[key] = out.get(key, _ZERO) + a
-        return DemandState(out)
+        return sum_states((self, other))
 
     def __sub__(self, other):
         out = dict(self.entries)
@@ -187,6 +184,22 @@ class DemandState:
     def total_load(self):
         d, sums = self._load_sums()
         return Fraction(sum(sums.values()), d)
+
+
+def sum_states(states) -> DemandState:
+    """The sum of the states, built as one DemandState: the same entries,
+    in the same insertion order, as chaining `+` from an empty state.  A key
+    is popped as soon as its running sum reaches zero, so it re-enters at
+    the end if a later state brings it back."""
+    out = {}
+    for st in states:
+        for key, a in st.entries.items():
+            s = out.get(key, _ZERO) + a
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return DemandState(out)
 
 
 def from_matrix(q: DemandMatrix) -> DemandState:

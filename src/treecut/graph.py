@@ -13,6 +13,7 @@ step is integer arithmetic, and builds one Fraction for the returned ratio.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .config import DEFAULT
@@ -281,32 +282,50 @@ class ClusterView:
         self.x_inner = frozenset(sub.split(u, v) for u, v in self.inner_keys)
         self.x_boundary = frozenset(sub.split(u, v) for u, v in self.boundary_keys)
 
-        # G[S]
-        self.graph_in = Graph(sorted(s), self.inner_edges)
-        # G[S]' : subdivision of G[S] with inherited split ids
-        sv = list(s) + sorted(self.x_inner)
+    # The derived graphs are built on first use: a view is kept for the
+    # life of its subdivision graph (SubdivisionGraph.view), and most
+    # callers read one or two of them.
+
+    @cached_property
+    def graph_in(self):
+        """G[S]."""
+        return Graph(sorted(self.cluster), self.inner_edges)
+
+    def _inner_subdivision(self):
+        """Vertex and edge lists of G[S]' with inherited split ids."""
+        sv = list(self.cluster) + sorted(self.x_inner)
         se = []
         for u, v, c in self.inner_edges:
-            x = sub.split(u, v)
+            x = self.root.split(u, v)
             se.append((u, x, c))
             se.append((x, v, c))
-        self.sub_in = Graph(sv, se)
-        # G'[S'] : S plus every split node of an incident edge
-        pv = list(sv) + sorted(self.x_boundary)
-        pe = list(se)
+        return sv, se
+
+    def _pendants(self):
+        """Each boundary edge as (endpoint in S, its split node, capacity)."""
+        out = []
         for u, v, c in self.boundary_edges:
-            x = sub.split(u, v)
-            inside = u if u in s else v
-            pe.append((inside, x, c))
-        self.sprime = Graph(pv, pe)
-        # G~(S) : G[S] plus boundary split nodes only (interior edges intact)
-        tv = list(s) + sorted(self.x_boundary)
-        te = list(self.inner_edges)
-        for u, v, c in self.boundary_edges:
-            x = sub.split(u, v)
-            inside = u if u in s else v
-            te.append((inside, x, c))
-        self.g_tilde = Graph(tv, te)
+            inside = u if u in self.cluster else v
+            out.append((inside, self.root.split(u, v), c))
+        return out
+
+    @cached_property
+    def sub_in(self):
+        """G[S]': the subdivision of G[S]."""
+        return Graph(*self._inner_subdivision())
+
+    @cached_property
+    def sprime(self):
+        """G'[S']: S plus every split node of an incident edge."""
+        sv, se = self._inner_subdivision()
+        return Graph(sv + sorted(self.x_boundary), se + self._pendants())
+
+    @cached_property
+    def g_tilde(self):
+        """G~(S): G[S] plus boundary split nodes only (interior edges
+        intact)."""
+        return Graph(list(self.cluster) + sorted(self.x_boundary),
+                     list(self.inner_edges) + self._pendants())
 
     def boundary_capacity(self):
         return sum(c for _, _, c in self.boundary_edges)

@@ -26,7 +26,12 @@ def _log2n(n):
 
 
 def _sweep_orders(g: Graph, mu: Measure):
-    """Candidate vertex orderings for sweep cuts (spectral + fallbacks)."""
+    """Candidate vertex orderings for sweep cuts (spectral + fallbacks).
+
+    The spectral orderings sort by a Fiedler vector, of the mu-weighted
+    generalized problem and of the plain Laplacian; eigh computes only the
+    two smallest eigenpairs.  g needs at least 2 vertices.
+    """
     import numpy as np
     orders = []
     verts = list(g.vertices)
@@ -42,8 +47,8 @@ def _sweep_orders(g: Graph, mu: Measure):
     m = np.diag([max(float(mu(v)), 1e-9) for v in verts])
     from scipy.linalg import eigh
     for b in (m, None):
-        _, vecs = eigh(lap, b)
-        fiedler = vecs[:, 1] if vecs.shape[1] > 1 else vecs[:, 0]
+        _, vecs = eigh(lap, b, subset_by_index=[0, 1])
+        fiedler = vecs[:, 1]
         orders.append([v for _, v in sorted(zip(fiedler, verts),
                                             key=lambda t: (t[0], t[1]))])
     orders.append(sorted(verts, key=lambda v: (g.degree(v), v)))
@@ -57,8 +62,10 @@ def _sweep_best(g: Graph, mu: Measure):
     mu is scaled by the lcm of its denominators, so prefix capacities and
     prefix masses are ints and ratios compare by cross-multiplication.
     Returns (ratio, side) for the first strict minimizer, or (None, None)
-    when no cut has a positive denominator.
+    when no cut has a positive denominator (always so below 2 vertices).
     """
+    if g.vertex_count < 2:
+        return None, None
     mass = {v: mu(v) for v in g.vertices}
     scale = lcm(*(m.denominator for m in mass.values()))
     w = {v: m.numerator * (scale // m.denominator) for v, m in mass.items()}

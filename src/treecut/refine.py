@@ -170,7 +170,7 @@ def _route_cut_to_left(sub_root, left_set, ctx_set, cut_keys, rate,
     with capacity rate * c(b), boosted if needed.  Returns (record, sinks);
     the record is None when no route exists at any escalation level.
     """
-    view_l = ClusterView(sub_root, left_set)
+    view_l = sub_root.view(left_set)
     g = view_l.g_tilde
     ctx_set = frozenset(ctx_set)
     left_set = frozenset(left_set)
@@ -236,7 +236,7 @@ class _Builder:
         dset = frozenset(dset)
         cfg = self.cfg
         f = f_value(len(dset), self.sigma, self.n, cfg)
-        view = ClusterView(self.sub_root, dset)
+        view = self.sub_root.view(dset)
         mu = view.boundary_measure()
         if mu.total() == 0 or len(dset) == 1:
             return self.leaf(dset, "1")
@@ -363,7 +363,7 @@ def _assign_left_depths(root: BinaryNode):
 def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
     n = sub_root.base.vertex_count
     f = f_value(len(cluster), sigma, n, cfg)
-    view = ClusterView(sub_root, cluster)
+    view = sub_root.view(cluster)
     target = cfg.kappa / (f * _log2n(n))
     if not view.x_boundary:
         return LeafCertificate(cluster, f, target, None, "exact", True)

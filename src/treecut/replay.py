@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .demand import (DemandMatrix, DemandState, invariant_check, leaf_init,
-                     update)
+                     sum_states, update)
 from .graph import (_ZERO, ClusterView, Graph, cut_capacity, edge_key,
                     subdivide)
 from .merge import MergePartition
@@ -157,12 +157,8 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     def unit_cap(x):
         return Fraction(base_cap[sub.edge_of_split[x]])
 
-    p_l = DemandState()
-    p_r = DemandState()
-    for c in part.l_parts:
-        p_l = p_l + child_states[c]
-    for c in part.r_parts:
-        p_r = p_r + child_states[c]
+    p_l = sum_states(child_states[c] for c in part.l_parts)
+    p_r = sum_states(child_states[c] for c in part.r_parts)
     before = p_l + p_r
 
     # a boundary split belongs to one sub-cluster; an inner split to two
@@ -339,11 +335,10 @@ def replay_improved_cluster(child_states, part: MergePartition, refinements,
             pieces = [s_i]
         else:
             pieces = list(res.clusters)
-        total = DemandState()
-        for r in pieces:
-            st = uniformize_refined(child_states[r], view_root.view(r),
-                                    b_lift, ledger, trace)
-            total = total + st
+        total = sum_states(
+            uniformize_refined(child_states[r], view_root.view(r), b_lift,
+                               ledger, trace)
+            for r in pieces)
         if res is not None and len(res.clusters) > 1:
             total, a3 = route_refined_state(total, res, b_lift, ledger,
                                             trace)
@@ -408,9 +403,7 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
     b_lift = sub.lift_cut(b)
 
     leaf_states = leaf_init(p, sub)
-    initial = DemandState()
-    for st in leaf_states.values():
-        initial = initial + st
+    initial = sum_states(leaf_states.values())
     dem_p = p.dem_across(b)
     cap_cut = Fraction(cut_capacity(g, b))
     initial_dem = initial.dem_across(b_lift)

@@ -12,8 +12,8 @@ import math
 from fractions import Fraction
 
 from .config import DEFAULT, Config
-from .graph import (ClusterView, Graph, capacity, format_edge_list,
-                    parse_edge_list, subdivide)
+from .graph import (Graph, capacity, format_edge_list, parse_edge_list,
+                    subdivide)
 from .merge import merge_phase
 from .oracle import _log2n
 from .refine import refine
@@ -202,7 +202,7 @@ def _grow_merge(g: Graph, sub, node: TreeNode, cluster, tau, cfg: Config,
     grow_child(child, sub-cluster) continues below every sub-cluster."""
     if len(cluster) == 1:
         return
-    part = merge_phase(ClusterView(sub, cluster), tau, cfg)
+    part = merge_phase(sub.view(cluster), tau, cfg)
     node.detail = part
     node.info["tau"] = tau
     for side, parts in ((part.l_side, part.l_parts),
@@ -257,7 +257,7 @@ def build_improved(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
         if 2 * sigma < 3 * len(cluster):
             raise TreeError("merge phase broke its 2/3 size contract "
                             "(sigma=%d, |S|=%d)" % (sigma, len(cluster)))
-        res = refine(ClusterView(sub, cluster), sigma, cfg)
+        res = refine(sub.view(cluster), sigma, cfg)
         node.refinement = res
         node.info["sigma"] = sigma
         if res.clusters == (frozenset(cluster),):

@@ -20,6 +20,18 @@ def random_graph(rng, n, p, max_cap):
     return Graph(range(n), edges)
 
 
+def ring_of_cliques(k, s):
+    """k cliques of s vertices (capacity 3) joined in a ring by unit edges,
+    numbered clique by clique, as in the benchmark's rings workload."""
+    edges = []
+    for c in range(k):
+        base = c * s
+        edges += [(base + i, base + j, 3)
+                  for i in range(s) for j in range(i + 1, s)]
+        edges.append((base + s - 1, ((c + 1) % k) * s, 1))
+    return Graph(range(k * s), edges)
+
+
 def labelled_graph(rng, n, labels=None):
     """Random capacities 1..8, edge density from sparse (usually
     disconnected) to dense, and, when `labels` is set, vertex ids that are

@@ -1,6 +1,6 @@
-"""The integer sweep backend, the integer Dinic solver and the integer
-demand update and spread, checked against plain references of the same
-algorithms."""
+"""The integer sweep backend, the integer Dinic solver, the integer
+demand update and spread and the one-pass state sum, checked against plain
+references of the same algorithms."""
 
 import random
 from collections import deque
@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from treecut.demand import DemandError, DemandMatrix, DemandState, update
+from treecut.demand import (DemandError, DemandMatrix, DemandState,
+                            sum_states, update)
 from treecut.flow import S_NODE, T_NODE, FlowNetwork, max_flow
 from treecut.graph import Graph, Measure
 from treecut.oracle import _sweep_best, _sweep_orders
@@ -421,3 +422,58 @@ class TestSpread:
         for spread in (DemandMatrix.spread, reference_spread):
             with pytest.raises(DemandError):
                 spread({0: Fraction(-1, 3)}, [1, 2])
+
+
+def reference_add(p, q):
+    """p + q entry by entry, zero sums dropped when the state is built."""
+    out = dict(p.entries)
+    for key, a in q.entries.items():
+        out[key] = out.get(key, Fraction(0)) + a
+    return DemandState(out)
+
+
+def cancelling_states(rng):
+    """(states, chained sum, cancelled keys): random states mixed with
+    negated parts of the running sum, so that keys cancel to zero and later
+    states bring some of them back."""
+    verts = list(range(rng.randint(2, 6)))
+    states, total, cancelled = [], DemandState(), 0
+    for _ in range(rng.randint(1, 8)):
+        if total.entries and rng.random() < 0.4:
+            keys = rng.sample(sorted(total.entries),
+                              rng.randint(1, len(total.entries)))
+            st = DemandState({k: -total.entries[k] for k in keys})
+            cancelled += len(keys)
+        else:
+            st = random_state(rng, verts, WIDE_DENOMINATORS)
+        states.append(st)
+        total = reference_add(total, st)
+    return states, total, cancelled
+
+
+class TestStateSum:
+    def test_matches_chained_add(self):
+        rng = random.Random(16)
+        cancelled = 0
+        for _ in range(300):
+            states, want, c = cancelling_states(rng)
+            assert_same_entries(sum_states(iter(states)), want)
+            cancelled += c
+        assert cancelled > 100
+
+    def test_add_is_the_two_state_sum(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            verts = list(range(5))
+            p = random_state(rng, verts)
+            q = random_state(rng, verts) if rng.random() < 0.5 \
+                else p.scaled(-1)
+            assert_same_entries(p + q, reference_add(p, q))
+
+    def test_reentered_key_moves_to_the_end(self):
+        a = DemandState({(0, 0): 1, (1, 0): -1})
+        got = sum_states([a, DemandState({(0, 0): -1}),
+                          DemandState({(2, 0): 2}), DemandState({(0, 0): 5})])
+        assert list(got.entries) == [(1, 0), (2, 0), (0, 0)]
+        assert sum_states([a, a.scaled(-1)]).is_zero()
+        assert sum_states([]).is_zero()

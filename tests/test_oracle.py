@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from treecut.config import DEFAULT
-from treecut.graph import (Graph, Measure, cut_capacity, graph_expansion_exact,
+from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
+                           graph_expansion_exact, min_ratio_cut,
                            parse_edge_list)
+from treecut.merge import MergePartition
 from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
                             refined_cut_or_expander, sparsest_cut,
-                            _escalation, _log2n)
+                            _escalation, _log2n, _sweep_best, _sweep_orders)
+from treecut.tree import build_basic
 
-from corpus import random_graph
+from corpus import random_graph, random_measure, ring_of_cliques
 
 
 def k_n(n):
@@ -45,6 +48,67 @@ class TestSparsestCut:
         assert out.tag == "Expander"
         assert out.certificate.verified == "heuristic"
         assert out.certificate.heuristic_ratio == ratio
+
+
+def bridged_cliques(s):
+    """Two K_s joined by one unit bridge between s-1 and s."""
+    left = [(i, j, 1) for i in range(s) for j in range(i + 1, s)]
+    right = [(u + s, v + s, 1) for u, v, _ in left]
+    return Graph(range(2 * s), left + right + [(s - 1, s, 1)])
+
+
+class TestSweep:
+    """Checks that hold whichever Fiedler vector the eigensolver returns."""
+
+    def test_tiny_graphs_skip_the_solver(self, monkeypatch):
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        for n in (0, 1):
+            g = Graph(range(n), [])
+            assert _sweep_best(g, Measure.indicator(g.vertices)) == \
+                (None, None)
+
+    def test_two_vertices(self):
+        mu = Measure.indicator([0, 1])
+        ratio, side = _sweep_best(Graph([0, 1], [(0, 1, 3)]), mu)
+        assert ratio == 3 and side in ({0}, {1})
+        ratio, side = _sweep_best(Graph([0, 1], []), mu)
+        assert ratio == 0 and side in ({0}, {1})
+        assert _sweep_best(Graph([0, 1], []), Measure({0: 1})) == \
+            (None, None)
+
+    def test_bridge_of_two_cliques(self):
+        g = bridged_cliques(12)
+        ratio, side, exact = sparsest_cut(g, Measure.indicator(g.vertices))
+        assert not exact
+        assert ratio == Fraction(1, 12)
+        assert side in (frozenset(range(12)), frozenset(range(12, 24)))
+
+    def test_never_below_the_exact_minimum(self):
+        rng = random.Random(53)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(2, 12), rng.choice((0.3, 0.6)),
+                             4)
+            mu = random_measure(rng, g.vertices)
+            ratio, side = _sweep_best(g, mu)
+            exact, _ = min_ratio_cut(g, mu)
+            assert (ratio is None) == (exact is None)
+            if ratio is not None:
+                assert ratio >= exact
+                assert ratio == cut_expansion(g, side, mu)
+
+    def test_orders_are_permutations(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(2, 12), 0.4, 3)
+            orders = _sweep_orders(g, random_measure(rng, g.vertices))
+            assert len(orders) == 4
+            for order in orders:
+                assert sorted(order) == sorted(g.vertices)
 
 
 class TestCutOrExpander:
@@ -131,6 +195,23 @@ class TestCutOrExpander:
         out = cut_or_expander(g, Fraction(1, 2), Measure({}))
         assert out.tag == "Expander"
         assert check_outcome(out).ok
+
+    def test_sweep_driven_ring_builds_check(self):
+        """Every oracle outcome of the 6x4 and 8x6 basic ring builds passes
+        its self-check; most of them come from the sweep backend."""
+        swept = 0
+        for k, s in ((6, 4), (8, 6)):
+            tree = build_basic(ring_of_cliques(k, s))
+            for node in tree.nodes():
+                if not isinstance(node.detail, MergePartition):
+                    continue
+                for out in node.detail.clustering.outcomes:
+                    rep = check_outcome(out)
+                    assert rep.ok, rep.failures
+                    swept += any(not step.exact for step in out.steps) or (
+                        out.certificate is not None
+                        and out.certificate.verified == "heuristic")
+        assert swept >= 5
 
 
 class TestEscalation:
