@@ -5,6 +5,7 @@ here so certificates are reproducible and the verifier can report
 measured-vs-declared values.
 """
 
+import dataclasses
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -77,15 +78,13 @@ class Config:
                              % self.tau_basic)
 
     def replace(self, **kw) -> "Config":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        vals.update(kw)
-        return Config(**vals)
+        return dataclasses.replace(self, **kw)
 
 
 def load_config(path: str) -> Config:
     """Read key=value lines ('#' comments); values parsed as rationals/ints."""
     kw = {}
-    ftypes = {f.name: f for f in fields(Config)}
+    ftypes = {f.name: f.type for f in fields(Config)}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -97,8 +96,7 @@ def load_config(path: str) -> Config:
             key, val = key.strip(), val.strip()
             if key not in ftypes:
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
-            if key in ("brute_threshold", "merge_loop_slack", "replay_tau_c",
-                       "samples", "seed"):
+            if ftypes[key] is int:
                 kw[key] = int(val)
             elif key == "tau_basic":
                 kw[key] = None if val.lower() == "none" else parse_frac(val)

@@ -25,8 +25,18 @@ def _log2n(n):
     return max(Fraction(1), rlog2(max(2, n)))
 
 
-def _sweep_orders(g: Graph, mu: Measure):
-    """Candidate vertex orderings for sweep cuts (spectral + fallbacks).
+def _sweep_weights(g: Graph, mu: Measure):
+    """(w, scale, deg): mu scaled by scale, the lcm of its denominators, to
+    int masses w, and the weighted degree of every vertex."""
+    mass = {v: mu(v) for v in g.vertices}
+    scale = lcm(*(m.denominator for m in mass.values()))
+    w = {v: m.numerator * (scale // m.denominator) for v, m in mass.items()}
+    return w, scale, {v: g.degree(v) for v in g.vertices}
+
+
+def _sweep_orders(g: Graph, w, scale, deg):
+    """Candidate vertex orderings for sweep cuts (spectral + fallbacks),
+    from the int masses w (mu = w / scale) and degrees deg.
 
     The spectral orderings sort by a Fiedler vector, of the mu-weighted
     generalized problem and of the plain Laplacian; eigh computes only the
@@ -44,15 +54,15 @@ def _sweep_orders(g: Graph, mu: Measure):
         lap[j, i] -= c
         lap[i, i] += c
         lap[j, j] += c
-    m = np.diag([max(float(mu(v)), 1e-9) for v in verts])
+    # int / int is correctly rounded, so this is float(mu(v))
+    m = np.diag([max(w[v] / scale, 1e-9) for v in verts])
     from scipy.linalg import eigh
     for b in (m, None):
         _, vecs = eigh(lap, b, subset_by_index=[0, 1])
-        fiedler = vecs[:, 1]
-        orders.append([v for _, v in sorted(zip(fiedler, verts),
-                                            key=lambda t: (t[0], t[1]))])
-    orders.append(sorted(verts, key=lambda v: (g.degree(v), v)))
-    orders.append(sorted(verts, key=lambda v: (-mu(v), v)))
+        fiedler = vecs[:, 1].tolist()
+        orders.append([v for _, v in sorted(zip(fiedler, verts))])
+    orders.append(sorted(verts, key=lambda v: (deg[v], v)))
+    orders.append(sorted(verts, key=lambda v: (-w[v], v)))
     return orders
 
 
@@ -66,13 +76,11 @@ def _sweep_best(g: Graph, mu: Measure):
     """
     if g.vertex_count < 2:
         return None, None
-    mass = {v: mu(v) for v in g.vertices}
-    scale = lcm(*(m.denominator for m in mass.values()))
-    w = {v: m.numerator * (scale // m.denominator) for v, m in mass.items()}
+    w, scale, deg = _sweep_weights(g, mu)
     total = sum(w.values())
     # best_cap/best_den = 1/0 stands for +infinity, as in _gray_min_ratio
     best_cap, best_den, best_side = 1, 0, None
-    for order in _sweep_orders(g, mu):
+    for order in _sweep_orders(g, w, scale, deg):
         side = set()
         cap = mu_a = 0
         for v in order[:-1]:
@@ -85,7 +93,7 @@ def _sweep_best(g: Graph, mu: Measure):
                 best_cap, best_den, best_side = cap, den, frozenset(side)
     for v in g.vertices:
         den = min(w[v], total - w[v])
-        cap = g.degree(v)
+        cap = deg[v]
         if den > 0 and cap * best_den < best_cap * den:
             best_cap, best_den, best_side = cap, den, frozenset([v])
     if not best_den:
@@ -137,7 +145,7 @@ def _escalation(cfg: Config, boost_limit=64):
         yield cap, boost
 
 
-def _routed(g: Graph, d, mu: Measure, rate, cfg: Config, cut_edges=None):
+def _routed(g: Graph, d, mu: Measure, rate, cfg: Config):
     """route_from_cut with sink caps ceil(rate * mu(v)), escalating the
     congestion cap (and, as a last resort, the sink caps) until feasible.
 
@@ -148,13 +156,13 @@ def _routed(g: Graph, d, mu: Measure, rate, cfg: Config, cut_edges=None):
                  for v in d if mu(v) > 0}
     for i, (cap, boost) in enumerate(_escalation(cfg)):
         caps = {v: c * boost for v, c in base_caps.items()}
-        res = route_from_cut(g, d, caps, cap, cut_edges=cut_edges)
+        res = route_from_cut(g, d, caps, cap)
         if res.feasible:
             return RouteRecord(res, cap, caps, boost, within_declared=(i == 0))
     # guarantee feasibility: let every source vertex absorb its own units
     for v, amt in (res.sources or {}).items():
         caps[v] = caps.get(v, Fraction(0)) + Fraction(amt)
-    res = route_from_cut(g, d, caps, cap, cut_edges=cut_edges)
+    res = route_from_cut(g, d, caps, cap)
     return RouteRecord(res, cap, caps, boost, within_declared=False)
 
 

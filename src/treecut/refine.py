@@ -87,11 +87,27 @@ class BinaryNode:
         return self.left is None and self.right is None
 
     def walk(self):
-        yield self
+        """The nodes of this subtree, children before their parent: the
+        left subtree, then the right subtree, then this node."""
         if self.left is not None:
             yield from self.left.walk()
         if self.right is not None:
             yield from self.right.walk()
+        yield self
+
+    def rows(self, sub):
+        """(rows, unit) of the stored cut-to-left flow, keyed by the split
+        node x of each cut edge (in cut_keys order): rows[x] lists the
+        (sink, amount) the flow sends from x into the left side, and
+        unit[x] is the capacity of x's base edge, the amount x sources."""
+        per_edge = self.route.result.per_edge
+        rows, unit = {}, {}
+        for u, v in self.cut_keys:
+            x = sub.split(u, v)
+            inner = u if u in self.left.dset else v
+            rows[x] = per_edge[edge_key(x, inner)]
+            unit[x] = sub.base.cap[(u, v)]
+        return rows, unit
 
 
 class LeafCertificate:
@@ -127,18 +143,6 @@ class RefinementResult:
         return frozenset(out)
 
 
-def _boundary_cap_at(g: Graph, cluster, part):
-    """Capacity of boundary edges of `cluster` whose inner endpoint lies in
-    `part` (the relocated split-node measure of that part)."""
-    cluster = frozenset(cluster)
-    tot = Fraction(0)
-    for v in part:
-        for u, c in g.adj[v]:
-            if u not in cluster:
-                tot += c
-    return tot
-
-
 def _check_contraction(g: Graph, s, r, node: BinaryNode):
     """Each recursion edge must shrink either the vertex count (to <= 3/4)
     or the boundary measure (by half the non-child boundary, or to 7/8)."""
@@ -146,13 +150,15 @@ def _check_contraction(g: Graph, s, r, node: BinaryNode):
     if 4 * len(r) <= 3 * len(s):
         node.contraction[r] = "size"
         return
-    cap_cut = Fraction(capacity(g, r, s - r))
-    mu_rest = _boundary_cap_at(g, s, s - r)
+    # a part's boundary measure: the capacity of its edges leaving s
+    outside = g.vertex_set() - s
+    cap_cut = capacity(g, r, s - r)
+    mu_rest = capacity(g, s - r, outside)
     if mu_rest > 0 and 2 * cap_cut <= mu_rest:
         node.contraction[r] = "measure"
         return
-    mu_r = _boundary_cap_at(g, s, r) + cap_cut
-    mu_s = _boundary_cap_at(g, s, s)
+    mu_r = capacity(g, r, outside) + cap_cut
+    mu_s = capacity(g, s, outside)
     if 8 * mu_r <= 7 * mu_s:
         node.contraction[r] = "measure-7/8"
         return
@@ -413,35 +419,23 @@ def route_inter_to_boundary(result: RefinementResult) -> RoutingProfile:
     notes = list(result.notes)
     envelope_ok = True
 
-    def process(node):
-        nonlocal envelope_ok
-        if node.left is not None:
-            process(node.left)
-        if node.right is not None:
-            process(node.right)
+    for node in result.root.walk():
         if not node.cut_keys:
-            return
+            continue
         if node.route is None:
             notes.append("unrouted cut at depth %d stays in place"
                          % node.left_depth)
             envelope_ok = False
-            return
-        max_scale = Fraction(0)
-        for u, v in node.cut_keys:
-            x = sub.split(u, v)
-            max_scale = max(max_scale,
-                            loads.get(x, Fraction(0)) / base_cap[(u, v)])
-        per_edge = node.route.result.per_edge
-        left_set = node.left.dset
-        for u, v in node.cut_keys:
-            x = sub.split(u, v)
+            continue
+        rows, unit = node.rows(sub)
+        max_scale = max(loads.get(x, Fraction(0)) / unit[x] for x in rows)
+        for x, row in rows.items():
             load = loads.get(x, Fraction(0))
             if load == 0:
                 continue
-            scale = load / base_cap[(u, v)]
+            scale = load / unit[x]
             loads[x] = Fraction(0)
-            inner = u if u in left_set else v
-            for sink, amt in per_edge[edge_key(x, inner)]:
+            for sink, amt in row:
                 loads[sink] = loads.get(sink, Fraction(0)) + amt * scale
         flow = node.route.result.flow
         for (a, b), fval in flow.flow.items():
@@ -456,8 +450,6 @@ def route_inter_to_boundary(result: RefinementResult) -> RoutingProfile:
         checks.append((node.dset, node.left_depth, worst, env))
         if worst > env:
             envelope_ok = False
-
-    process(result.root)
     loads = {x: l for x, l in loads.items() if l}
     per_unit = Fraction(0)
     for x, l in loads.items():

@@ -278,34 +278,19 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
     sub = res.view.root
     base_cap = sub.base.cap
     s = res.view.cluster
-    before = state
-
-    def process(node, st):
-        if node.left is not None:
-            st = process(node.left, st)
-        if node.right is not None:
-            st = process(node.right, st)
+    after = state
+    for node in res.root.walk():
         if not node.cut_keys or node.route is None:
-            return st
-        rows = {}
-        unit = {}
-        for u, v in node.cut_keys:
-            x = sub.split(u, v)
-            inner = u if u in node.left.dset else v
-            rows[x] = node.route.result.per_edge[edge_key(x, inner)]
-            unit[x] = base_cap[(u, v)]
-        q = _flow_matrix(st.loads(), rows, rows, unit)
-        if not q.entries:
-            return st
-        st, _ = _move(st, q, b_lift, trace, s, "refine-route")
-        return st
-
-    after = process(res.root, state)
+            continue
+        rows, unit = node.rows(sub)
+        q = _flow_matrix(after.loads(), rows, rows, unit)
+        if q.entries:
+            after, _ = _move(after, q, b_lift, trace, s, "refine-route")
     stray = after.support_vertices() - res.view.x_boundary
     if stray:
         raise ReplayError("refinement routing left demand off the cluster "
                           "boundary: %r" % sorted(stray))
-    diff = before - after
+    diff = state - after
     if not diff.is_valid():
         raise ReplayError("routing difference is not valid")
     _charge(ledger, res.view, b_lift, "refine-route", diff.dem_across(b_lift))

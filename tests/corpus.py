@@ -1,9 +1,12 @@
-"""Shared random test graphs and measures, and the brute-force tree min-cut."""
+"""Shared random test graphs, measures and demand states, and the
+brute-force tree min-cut."""
 
 import itertools
 from fractions import Fraction
 
+from treecut.demand import DemandState
 from treecut.graph import Graph, Measure
+from treecut.tree import mincut_in_tree
 
 # denominators of the random masses below
 DENOMINATORS = (1, 3, 7, 384)
@@ -48,6 +51,35 @@ def random_measure(rng, vertices):
     return Measure({v: Fraction(rng.choice((0, 0, 1, 2, 5)),
                                 rng.choice(DENOMINATORS))
                     for v in vertices})
+
+
+def random_demand(rng, n, pairs=3):
+    """1..pairs commodities on vertices 0..n-1, each sending 1..4 units
+    between two distinct vertices."""
+    entries = {}
+    for k in range(rng.randint(1, pairs)):
+        u, v = rng.sample(range(n), 2)
+        a = Fraction(rng.randint(1, 4))
+        entries[(u, k)] = entries.get((u, k), Fraction(0)) + a
+        entries[(v, k)] = entries.get((v, k), Fraction(0)) - a
+    return DemandState(entries)
+
+
+def scale_to_respect(t, p):
+    """Largest multiple of p the tree 1-respects (None if impossible)."""
+    worst = Fraction(0)
+    verts = t.graph.vertex_set()
+    for node in t.nodes():
+        if node.members == verts:
+            continue
+        d = p.dem_across(node.members)
+        if d == 0:
+            continue
+        mc = mincut_in_tree(t, node.members)
+        if mc == 0:
+            return None
+        worst = max(worst, d / mc)
+    return p.scaled(Fraction(1) / worst) if worst > 1 else p
 
 
 def brute_tree_mincut(tree, b):

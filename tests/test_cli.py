@@ -8,7 +8,10 @@ import pytest
 
 import treecut
 from treecut.cli import main
-from treecut.config import Config
+from treecut.config import DEFAULT, Config, load_config
+from treecut.graph import format_edge_list
+
+from corpus import ring_of_cliques
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 RING = os.path.join(FIXTURES, "ring8.edges")
@@ -127,14 +130,7 @@ class TestBuildVerify:
 
 
 def ring_of_cliques_file(path, k, s):
-    """k cliques of s vertices (capacity 3) joined in a ring by unit edges."""
-    lines = []
-    for c in range(k):
-        base = c * s
-        lines += ["%d %d 3" % (base + i, base + j)
-                  for i in range(s) for j in range(i + 1, s)]
-        lines.append("%d %d 1" % (base + s - 1, ((c + 1) % k) * s))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(format_edge_list(ring_of_cliques(k, s)))
     return str(path)
 
 
@@ -166,6 +162,20 @@ class TestConfig:
             assert_usage_error(["build", "--input", ring, "--config",
                                 str(cfg), "--out", str(tmp_path / "t.json")],
                                capsys)
+
+    def test_load_config_types(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("# tuned\nbrute_threshold = 12\nsamples = 500\n"
+                       "seed = 7  # fixed\nkappa = 1/96\ntau_basic = none\n")
+        c = load_config(str(cfg))
+        for name, value in (("brute_threshold", 12), ("samples", 500),
+                            ("seed", 7)):
+            assert type(getattr(c, name)) is int
+            assert getattr(c, name) == value
+        assert type(c.kappa) is Fraction and c.kappa == Fraction(1, 96)
+        assert c.tau_basic is None
+        with pytest.raises(ValueError, match="oracle_congestion_cap"):
+            DEFAULT.replace(oracle_congestion_cap=0)
 
     def test_api_refuses_bad_values(self):
         for name in ("oracle_sparsity_c", "oracle_sink_scale",

@@ -12,7 +12,7 @@ from treecut.demand import (DemandError, DemandMatrix, DemandState,
                             sum_states, update)
 from treecut.flow import S_NODE, T_NODE, FlowNetwork, max_flow
 from treecut.graph import Graph, Measure
-from treecut.oracle import _sweep_best, _sweep_orders
+from treecut.oracle import _sweep_best, _sweep_orders, _sweep_weights
 
 from corpus import DENOMINATORS, labelled_graph, random_measure
 
@@ -22,7 +22,7 @@ def reference_sweep(g, mu):
     candidate ordering, then the singletons, all in Fraction."""
     mu_total = mu.of(g.vertices)
     best, best_side = None, None
-    for order in _sweep_orders(g, mu):
+    for order in _sweep_orders(g, *_sweep_weights(g, mu)):
         for k in range(1, len(order)):
             side = frozenset(order[:k])
             den = min(mu.of(side), mu_total - mu.of(side))

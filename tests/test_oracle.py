@@ -10,7 +10,8 @@ from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
 from treecut.merge import MergePartition
 from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
                             refined_cut_or_expander, sparsest_cut,
-                            _escalation, _log2n, _sweep_best, _sweep_orders)
+                            _escalation, _log2n, _sweep_best, _sweep_orders,
+                            _sweep_weights)
 from treecut.tree import build_basic
 
 from corpus import random_graph, random_measure, ring_of_cliques
@@ -105,7 +106,8 @@ class TestSweep:
         rng = random.Random(59)
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 12), 0.4, 3)
-            orders = _sweep_orders(g, random_measure(rng, g.vertices))
+            orders = _sweep_orders(
+                g, *_sweep_weights(g, random_measure(rng, g.vertices)))
             assert len(orders) == 4
             for order in orders:
                 assert sorted(order) == sorted(g.vertices)

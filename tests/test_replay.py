@@ -10,9 +10,9 @@ from treecut.demand import DemandState, parse_demands
 from treecut.graph import Graph, parse_edge_list
 from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
                             full_replay, replay_merge_cluster)
-from treecut.tree import build_basic, build_improved, mincut_in_tree
+from treecut.tree import build_basic, build_improved
 
-from corpus import random_graph
+from corpus import random_demand, random_graph, scale_to_respect
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 # sha256 of the ring8 replay for the cut {0, 1, 2}: ledger report lines,
@@ -25,33 +25,6 @@ RING_REPLAYS = {
     "improved":
         "2c3863fc05a5b66384620f9324483db5d8a3d9499a8a98da433e0ff8eefe5334",
 }
-
-
-def random_demand(rng, n, pairs=3):
-    entries = {}
-    for k in range(rng.randint(1, pairs)):
-        u, v = rng.sample(range(n), 2)
-        a = Fraction(rng.randint(1, 4))
-        entries[(u, k)] = entries.get((u, k), Fraction(0)) + a
-        entries[(v, k)] = entries.get((v, k), Fraction(0)) - a
-    return DemandState(entries)
-
-
-def scale_to_respect(t, p):
-    """Largest multiple of p the tree 1-respects (None if impossible)."""
-    worst = Fraction(0)
-    verts = t.graph.vertex_set()
-    for node in t.nodes():
-        if node.members == verts:
-            continue
-        d = p.dem_across(node.members)
-        if d == 0:
-            continue
-        mc = mincut_in_tree(t, node.members)
-        if mc == 0:
-            return None
-        worst = max(worst, d / mc)
-    return p.scaled(Fraction(1) / worst) if worst > 1 else p
 
 
 class TestChargeLedger:
