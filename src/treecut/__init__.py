@@ -65,7 +65,6 @@ from .replay import (
 from .verify import (
     QualityReport,
     VerifyError,
-    verify_flow_quality,
     verify_quality,
 )
 
@@ -87,5 +86,5 @@ __all__ = [
     "build_improved", "mincut_in_tree",
     "ChargeLedger", "ReplayError", "ReplayReport", "full_replay",
     "replay_improved_cluster", "replay_merge_cluster",
-    "QualityReport", "VerifyError", "verify_flow_quality", "verify_quality",
+    "QualityReport", "VerifyError", "verify_quality",
 ]

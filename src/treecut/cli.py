@@ -16,8 +16,7 @@ from .oracle import (check_outcome, check_refined, cut_or_expander,
 from .replay import ReplayError, full_replay
 from .tree import DecompositionTree, TreeError, build_basic, build_improved
 from .util import frac_str, parse_frac
-from .verify import (VerifyError, quality_envelope, verify_flow_quality,
-                     verify_quality)
+from .verify import VerifyError, quality_envelope, verify_quality
 
 
 def _read(path, what):
@@ -26,6 +25,18 @@ def _read(path, what):
             return fh.read()
     except OSError as exc:
         raise _UsageError("cannot read %s file %r: %s" % (what, path, exc))
+
+
+def _write(path, text, what):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError("cannot write %s file %r: %s" % (what, path, exc))
 
 
 class _UsageError(Exception):
@@ -48,12 +59,34 @@ def _load_config(path):
         raise _UsageError("config file %r: %s" % (path, exc))
 
 
-def _parse_cut(text):
+def _known(g, vertices, what):
+    """Refuse an input that names vertices the graph does not have."""
+    unknown = sorted(set(vertices) - g.vertex_set())
+    if unknown:
+        raise _UsageError("%s names vertices not in the graph: %s"
+                          % (what, ", ".join(map(str, unknown))))
+
+
+def _parse_cut(text, g):
     try:
-        return frozenset(int(v) for v in text.replace(",", " ").split())
+        b = frozenset(int(v) for v in text.replace(",", " ").split())
     except ValueError:
         raise _UsageError("cut must be a list of integer vertices, got %r"
                           % text)
+    _known(g, b, "cut")
+    if not b or b == g.vertex_set():
+        raise _UsageError("cut must be a proper nonempty vertex subset, "
+                          "got %r" % text)
+    return b
+
+
+def _load_measure(path, g):
+    try:
+        mu = parse_measure(_read(path, "measure"))
+    except ValueError as exc:
+        raise _UsageError("measure file %r: %s" % (path, exc))
+    _known(g, mu.weights, "measure file %r" % path)
+    return mu
 
 
 def cmd_build(args):
@@ -61,12 +94,7 @@ def cmd_build(args):
     cfg = _load_config(args.config)
     build = build_basic if args.mode == "basic" else build_improved
     t = build(g, cfg)
-    blob = t.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(blob)
-    else:
-        sys.stdout.write(blob)
+    _write(args.out, t.to_json(), "tree")
     print("built %s tree: %d nodes, %d leaves"
           % (args.mode, len(t.nodes()), len(t.leaves())), file=sys.stderr)
     return 0
@@ -89,7 +117,10 @@ def cmd_verify(args):
     g = _load_graph(args.graph)
     cfg = _load_config(args.config)
     if args.samples is not None:
-        cfg = cfg.replace(samples=args.samples)
+        try:
+            cfg = cfg.replace(samples=args.samples)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
     t, _ = _load_tree(args.tree)
@@ -111,8 +142,6 @@ def cmd_verify(args):
         print("LOWER BOUND VIOLATED at cut %r"
               % sorted(report.violations[0]))
         return 1
-    print("flow quality envelope = %s"
-          % frac_str(verify_flow_quality(report, n)))
     return 0
 
 
@@ -127,7 +156,8 @@ def cmd_replay(args):
         p = parse_demands(_read(args.demands, "demands"))
     except ValueError as exc:
         raise _UsageError("demands file %r: %s" % (args.demands, exc))
-    b = _parse_cut(args.cut)
+    _known(g, p.support_vertices(), "demands file %r" % args.demands)
+    b = _parse_cut(args.cut, g)
     # the stored flows are not serialized, so rebuild deterministically and
     # insist the result matches the given tree byte for byte
     build = build_basic if t_stored.mode == "basic" else build_improved
@@ -162,15 +192,9 @@ def cmd_oracle(args):
         raise _UsageError("phi must be a rational, got %r" % args.phi)
     if phi <= 0:
         raise _UsageError("phi must be positive, got %r" % args.phi)
-    try:
-        mu = parse_measure(_read(args.mu, "measure"))
-    except ValueError as exc:
-        raise _UsageError("measure file %r: %s" % (args.mu, exc))
+    mu = _load_measure(args.mu, g)
     if args.nu:
-        try:
-            nu = parse_measure(_read(args.nu, "measure"))
-        except ValueError as exc:
-            raise _UsageError("measure file %r: %s" % (args.nu, exc))
+        nu = _load_measure(args.nu, g)
         outcome = refined_cut_or_expander(g, phi, mu, nu, cfg)
         base = outcome.base
         print("refined case: %s (base %s)" % (outcome.tag, base.tag))
@@ -204,12 +228,7 @@ def cmd_oracle(args):
 
 def cmd_export(args):
     t, _ = _load_tree(args.tree)
-    dot = t.to_dot()
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dot)
-    else:
-        sys.stdout.write(dot)
+    _write(args.dot, t.to_dot(), "DOT")
     return 0
 
 

@@ -76,6 +76,8 @@ class Config:
         if self.tau_basic is not None and not 0 < self.tau_basic <= 1:
             raise ValueError("tau_basic must be None or in (0, 1], got %s"
                              % self.tau_basic)
+        if self.samples < 0:
+            raise ValueError("samples must be >= 0, got %s" % self.samples)
 
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

@@ -50,12 +50,11 @@ class ShrinkResult:
     """Outcome of one shrink step: either a smaller F, or an expanding one."""
 
     def __init__(self, case, f_new=None, a_edges=None, c_edges=None,
-                 flow=None, outcome=None, alpha=None):
+                 outcome=None, alpha=None):
         self.case = case              # 1 = shrank, 2 = expanding
         self.f_new = f_new
         self.a_edges = a_edges        # expanding core edge set
         self.c_edges = c_edges        # added separator edges
-        self.flow = flow              # RouteRecord X_C -> X_A (case 2)
         self.outcome = outcome        # the oracle outcome consumed
         self.alpha = alpha            # declared expansion of X_{A u C}
 
@@ -95,7 +94,7 @@ def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT):
     threshold = cfg.oracle_sparsity_c * phi * logn   # = merge_phi_coeff
     if outcome.tag == "Expander":
         return ShrinkResult(2, a_edges=f_keys, c_edges=frozenset(),
-                            flow=None, outcome=outcome, alpha=threshold)
+                            outcome=outcome, alpha=threshold)
     a_side = outcome.residual
     a_edges, c_edges = _edge_preimages(view, gsub, a_side)
     f_in_a = f_keys & a_edges
@@ -130,21 +129,19 @@ def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT):
     a_const = Fraction(1)            # per-unit sink receipt
     c_const = flow.congestion_cap
     alpha = phi_core / (2 * (a_const + 1 + c_const * phi_core))
-    return ShrinkResult(2, a_edges=f_in_a, c_edges=c_edges, flow=flow,
+    return ShrinkResult(2, a_edges=f_in_a, c_edges=c_edges,
                         outcome=outcome, alpha=alpha)
 
 
 class BalancedClustering:
     def __init__(self, view, components, f_keys, f_tilde, alpha_declared,
-                 alpha_measured, expansion_flow, outcomes, iterations):
+                 outcomes, iterations):
         self.view = view
         self.components = tuple(sorted((frozenset(z) for z in components),
                                        key=min))
         self.f_keys = frozenset(f_keys)          # actual inter-cluster edges
         self.f_tilde = frozenset(f_tilde)        # terminal F (superset)
         self.alpha_declared = alpha_declared
-        self.alpha_measured = alpha_measured     # exact re-measurement or None
-        self.expansion_flow = expansion_flow
         self.outcomes = outcomes
         self.iterations = iterations
 
@@ -158,13 +155,13 @@ def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT) \
     s = view.cluster
     if len(s) == 1:
         return BalancedClustering(view, [s], frozenset(), frozenset(),
-                                  None, None, None, [], 0)
+                                  None, [], 0)
     f = frozenset(view.inner_keys)
     outcomes = []
     if not f:
         comps = view.graph_in.components()
         return BalancedClustering(view, comps, frozenset(), frozenset(),
-                                  None, None, None, outcomes, 0)
+                                  None, outcomes, 0)
     logn = float(_log2n(view.sub_in.vertex_count))
     shrink = float(cfg.merge_shrink_coeff) / logn
     cap_f = _cap_of(view, f)
@@ -200,21 +197,14 @@ def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT) \
                         if comp_of[u] != comp_of[v])
     if not f_final <= f_tilde:
         raise MergeError("re-tightened F escaped the terminal F")
-    alpha_measured = None
-    mu_f = view.split_measure(f_final)
-    if view.sub_in.vertex_count <= cfg.brute_threshold and result.alpha is not None:
-        from .graph import graph_expansion_exact
-        alpha_measured = graph_expansion_exact(view.sub_in, mu_f,
-                                               cfg.brute_threshold)
     return BalancedClustering(view, comps, f_final, f_tilde, result.alpha,
-                              alpha_measured, result.flow, outcomes, iters)
+                              outcomes, iters)
 
 
 class SeparatorFlow:
     """Per-separator-node transfers derived from the exact max flow."""
 
-    def __init__(self, flow, per_source, congestion, sink_in):
-        self.flow = flow                  # FlowSolution on G'[S']
+    def __init__(self, per_source, congestion, sink_in):
         self.per_source = per_source      # x_y -> [(target, amount)]
         self.congestion = congestion
         self.sink_in = sink_in            # target -> received amount
@@ -222,7 +212,7 @@ class SeparatorFlow:
 
 class MergePartition:
     def __init__(self, view, clustering, tau, x_y, y_keys, l_side, r_side,
-                 flow_to_b, flow_to_f, mu_tau, net_cut_side, net_flow):
+                 flow_to_b, flow_to_f, mu_tau):
         self.view = view
         self.clustering = clustering
         self.tau = Fraction(tau)
@@ -233,8 +223,6 @@ class MergePartition:
         self.flow_to_b = flow_to_b        # SeparatorFlow X_Y -> X_B
         self.flow_to_f = flow_to_f        # SeparatorFlow X_Y -> X_F
         self.mu_tau = mu_tau              # dict split node -> weight
-        self.net_cut_side = net_cut_side
-        self.net_flow = net_flow
         self.l_parts = tuple(sorted((z & l_side for z in clustering.components
                                      if z & l_side), key=min))
         self.r_parts = tuple(sorted((z & r_side for z in clustering.components
@@ -286,7 +274,7 @@ def merge_phase_2(view: ClusterView, clustering: BalancedClustering, tau) \
 
     flow_to_b, flow_to_f = _separator_flows(view, sol, side, x_y, mu_tau)
     part = MergePartition(view, clustering, tau, x_y, y_keys, l_side, r_side,
-                          flow_to_b, flow_to_f, mu_tau, side, sol)
+                          flow_to_b, flow_to_f, mu_tau)
     _check_partition(part)
     return part
 
@@ -351,7 +339,7 @@ def _separator_flows(view, sol: FlowSolution, side, x_y, mu_tau):
                           sink_in,
                           sum((mu_tau[x] for x in x_y if crossings.get(x)),
                               Fraction(0)))
-        return SeparatorFlow(fs, per_source, fs.congestion(), sink_in)
+        return SeparatorFlow(per_source, fs.congestion(), sink_in)
 
     to_b = build(lambda pre, suf: suf, reverse=False)
     to_f = build(lambda pre, suf: pre, reverse=True)

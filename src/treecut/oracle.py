@@ -273,8 +273,7 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
 
 class RefinedOutcome:
     def __init__(self, tag, base: OracleOutcome, nu: Measure, cut_a=None,
-                 cut_a1=None, cut_a2=None, flow_steps=(), extra_flow=None,
-                 truncated_at=None):
+                 cut_a1=None, cut_a2=None, flow_steps=(), extra_flow=None):
         self.tag = tag                # 1 | 2a | 2b | 2c | 3a | 3b
         self.base = base
         self.nu = nu
@@ -283,7 +282,6 @@ class RefinedOutcome:
         self.cut_a2 = cut_a2          # A2 (case 2c)
         self.flow_steps = list(flow_steps)   # peel steps whose in-side flows apply
         self.extra_flow = extra_flow  # RouteRecord into an expander side
-        self.truncated_at = truncated_at     # T0 for 2b/2c
 
 
 def refined_cut_or_expander(g: Graph, phi, mu: Measure, nu: Measure,
@@ -322,14 +320,13 @@ def refined_cut_or_expander(g: Graph, phi, mu: Measure, nu: Measure,
         kept = base.steps[:t0 + 1]
         peeled = frozenset().union(*(s.side for s in kept))
         return RefinedOutcome("2b", base, nu, cut_a=verts - peeled,
-                              flow_steps=kept, truncated_at=t0)
+                              flow_steps=kept)
     a1 = verts - (frozenset().union(*(s.side for s in base.steps[:t0]))
                   if t0 > 0 else frozenset())
     a2 = a1 - base.steps[t0].side
     return RefinedOutcome("2c", base, nu, cut_a1=a1, cut_a2=a2,
                           flow_steps=base.steps[:t0],
-                          extra_flow=base.steps[t0].flow_out,
-                          truncated_at=t0)
+                          extra_flow=base.steps[t0].flow_out)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,6 @@ class BinaryNode:
         self.right = None
         self.cut_keys = ()        # base edges between left and right sets
         self.route = None         # RouteRecord into the left side
-        self.sink_rate = None     # per-unit sink rate used for the route
         self.sink_splits = frozenset()
         self.left_depth = None
         self.cluster_leaf = False
@@ -325,7 +324,6 @@ class _Builder:
             or (v in left_set and u in right_set)))
         node.cut_keys = cut_keys
         rate = self.cfg.c0_declared * phi * logt
-        node.sink_rate = rate
         route, sinks = _route_cut_to_left(self.sub_root, left_set, ctx_set,
                                           cut_keys, rate, self.cfg)
         node.sink_splits = sinks

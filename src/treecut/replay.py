@@ -366,6 +366,10 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
     verts = g.vertex_set()
     if not b or b >= verts or not b <= verts:
         raise ReplayError("cut side must be a proper nonempty vertex subset")
+    outside = sorted(p.support_vertices() - verts)
+    if outside:
+        raise ReplayError("demand state has mass at vertices outside the "
+                          "graph: %s" % ", ".join(map(str, outside)))
     if not p.is_valid():
         raise ReplayError("demand state is not valid")
     mincut = mincut_plan(t)

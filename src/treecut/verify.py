@@ -145,13 +145,3 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
             worst = max(worst, ratio)
         records.append((b, cap, mc, ratio))
     return QualityReport(records, worst, mode, samples, cfg.seed, violations)
-
-
-def verify_flow_quality(report: QualityReport, n):
-    """Certified multicommodity-routing quality envelope derived from the
-    cut quality: worst cut ratio times log2(n).  Refuses when the report
-    carries lower-bound violations."""
-    if report.violations:
-        raise VerifyError("report has lower-bound violations, e.g. at %r"
-                          % sorted(report.violations[0]))
-    return report.worst * _log2n(n)

@@ -116,6 +116,30 @@ class TestBuildVerify:
             bad.write_text(text)
             assert_usage_error(argv, capsys)
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        assert_usage_error(["build", "--input", RING, "--out",
+                            str(tmp_path / "missing" / "t.json")], capsys)
+
+    def test_vertices_outside_the_graph_exit_two(self, tree_file, tmp_path,
+                                                 capsys):
+        """Demands, cuts and measures may name only vertices of the graph,
+        and a cut must be a proper nonempty subset."""
+        outside = tmp_path / "outside.demands"
+        outside.write_text("0 0 1 1\n50 0 -1 1\n")
+        replay = ["replay", "--graph", RING, "--tree", tree_file,
+                  "--demands"]
+        for demands, cut in ((str(outside), "0"), (DEMANDS, "0,99"),
+                             (DEMANDS, ""), (DEMANDS, "0,1,2,3,4,5,6,7")):
+            assert_usage_error(replay + [demands, "--cut", cut], capsys)
+        mu = tmp_path / "mu.txt"
+        mu.write_text("".join("%d 1\n" % v for v in range(8)))
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n99 1\n")
+        for measures in (["--mu", str(bad)],
+                         ["--mu", str(mu), "--nu", str(bad)]):
+            assert_usage_error(["oracle", "--graph", RING, "--phi", "1/24"]
+                               + measures, capsys)
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["verify", "--graph", RING,
                      "--tree", str(tmp_path / "nope.json")]) == 2
@@ -188,6 +212,17 @@ class TestConfig:
                 Config(tau_basic=value)
         assert Config(tau_basic=Fraction(1)).tau_basic == 1
         assert Config(tau_basic=None).tau_basic is None
+        with pytest.raises(ValueError, match="samples"):
+            DEFAULT.replace(samples=-5)
+        assert Config(samples=0).samples == 0
+
+    def test_negative_samples_exit_two(self, tree_file, tmp_path, capsys):
+        assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
+                            "--samples", "-5"], capsys)
+        cfg = tmp_path / "samples.cfg"
+        cfg.write_text("samples = -1\n")
+        assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
+                            "--config", str(cfg)], capsys)
 
 
 class TestReplay:
@@ -271,3 +306,7 @@ class TestExport:
         text = dot.read_text()
         assert text.startswith("graph decomposition {")
         assert "label=" in text
+
+    def test_unwritable_dot_exits_two(self, tree_file, tmp_path, capsys):
+        assert_usage_error(["export", "--tree", tree_file, "--dot",
+                            str(tmp_path / "missing" / "t.dot")], capsys)

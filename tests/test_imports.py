@@ -1,11 +1,14 @@
-"""Every name a library module imports is used in that module, and every
-parameter a library function takes is read in its body.
+"""Every name a library module imports is used in that module, every
+parameter a library function takes is read in its body, and every attribute
+a library class stores is read somewhere.
 
 A plain AST scan, so it needs no linter: a name bound by `import` or
-`from ... import` (at any depth) must be read somewhere in the module, and
-a parameter of any function or method (`self` and `cls` excepted) must be
-read somewhere in that function, nested functions included.  The
-package's `__init__.py` re-exports names and is skipped.
+`from ... import` (at any depth) must be read somewhere in the module, a
+parameter of any function or method (`self` and `cls` excepted) must be
+read somewhere in that function, nested functions included, and an
+attribute a class stores on `self` must be loaded by name (`.attr`)
+somewhere in the library, its tests or its benchmark.  The package's
+`__init__.py` re-exports names and is skipped.
 """
 
 import ast
@@ -13,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "treecut"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "treecut"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = ("src", "tests", "perfbench")
 
 
 def unused_imports(source):
@@ -47,6 +52,26 @@ def unused_params(source):
     return sorted(out)
 
 
+def loaded_attrs(source):
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_fields(source, loaded):
+    """(line, class, attribute) for each attribute a class stores on
+    `self` whose name is not in `loaded`."""
+    out = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        out |= {(n.lineno, cls.name, n.attr) for n in ast.walk(cls)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"
+                and n.attr not in loaded}
+    return sorted(out)
+
+
 def test_scan_finds_unused_names():
     src = ("import os\nimport numpy as np\nfrom a.b import c, d as e\n"
            "def f():\n    from x import y\n    return np, e\n")
@@ -63,6 +88,22 @@ def test_scan_finds_unused_params():
         (5, "g", "z"), (9, "k", "w")]
 
 
+def test_scan_finds_unread_fields():
+    src = ("class K:\n    def __init__(self, a):\n        self.a = a\n"
+           "        self.b, self.c = a\n        self.d = self.a\n"
+           "    def m(self, o):\n        self.e += 1\n        o.f = 2\n"
+           "        return self.c\n")
+    loaded = loaded_attrs(src) | loaded_attrs("print(x.b)")
+    assert unread_fields(src, loaded) == [
+        (5, "K", "d"), (7, "K", "e")]
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    return set().union(*(loaded_attrs(p.read_text()) for d in READERS
+                         for p in (ROOT / d).rglob("*.py")))
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     dead = unused_imports((SRC / module).read_text())
@@ -75,3 +116,10 @@ def test_no_unused_params(module):
     dead = unused_params((SRC / module).read_text())
     assert not dead, "%s has parameters its functions never read: %s" % (
         module, ", ".join("%s.%s (line %d)" % (f, p, l) for l, f, p in dead))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_fields(module, loaded):
+    dead = unread_fields((SRC / module).read_text(), loaded)
+    assert not dead, "%s stores attributes nothing reads: %s" % (
+        module, ", ".join("%s.%s (line %d)" % (c, a, l) for l, c, a in dead))

@@ -66,6 +66,13 @@ class TestPreconditions:
         with pytest.raises(ReplayError):
             full_replay(t, p, {0, 1})
 
+    def test_outside_vertex_rejected(self):
+        g = parse_edge_list("0 1\n")
+        t = build_basic(g)
+        p = DemandState({(0, 0): 1, (50, 0): -1})
+        with pytest.raises(ReplayError, match="outside the graph: 50"):
+            full_replay(t, p, {0})
+
     def test_unrespected_demand_rejected(self):
         g = parse_edge_list("0 1\n")
         t = build_basic(g)

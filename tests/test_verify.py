@@ -8,8 +8,7 @@ import pytest
 from treecut.config import DEFAULT
 from treecut.graph import Graph, parse_edge_list
 from treecut.tree import build_basic, build_improved
-from treecut.verify import (QualityReport, VerifyError, verify_flow_quality,
-                            verify_quality)
+from treecut.verify import VerifyError, verify_quality
 
 from corpus import random_graph
 
@@ -116,20 +115,6 @@ class TestSampled:
         cfg = DEFAULT.replace(samples=40)
         assert verify_quality(g, t, cfg=cfg).to_json() \
             == verify_quality(g, t, cfg=cfg).to_json()
-
-
-class TestFlowQuality:
-    def test_plain_multiplication(self):
-        r = QualityReport([], Fraction(1), "exhaustive", 0, 0, [])
-        assert verify_flow_quality(r, 2) == 1
-        r = QualityReport([], Fraction(4), "exhaustive", 0, 0, [])
-        assert verify_flow_quality(r, 16) == 16
-
-    def test_refuses_on_violations(self):
-        r = QualityReport([], Fraction(1), "exhaustive", 0, 0,
-                          [frozenset({0})])
-        with pytest.raises(VerifyError):
-            verify_flow_quality(r, 4)
 
 
 class TestEnvelope:
