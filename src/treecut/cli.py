@@ -67,6 +67,14 @@ def _known(g, vertices, what):
                           % (what, ", ".join(map(str, unknown))))
 
 
+def _line_vertices(text):
+    """The vertex that opens each data line of a measure or demands file
+    that parsed; the parsed objects drop zero entries, so only the lines
+    show every vertex the file names."""
+    lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    return [int(parts[0]) for parts in lines if parts]
+
+
 def _parse_cut(text, g):
     try:
         b = frozenset(int(v) for v in text.replace(",", " ").split())
@@ -81,11 +89,12 @@ def _parse_cut(text, g):
 
 
 def _load_measure(path, g):
+    text = _read(path, "measure")
     try:
-        mu = parse_measure(_read(path, "measure"))
+        mu = parse_measure(text)
     except ValueError as exc:
         raise _UsageError("measure file %r: %s" % (path, exc))
-    _known(g, mu.weights, "measure file %r" % path)
+    _known(g, _line_vertices(text), "measure file %r" % path)
     return mu
 
 
@@ -152,11 +161,12 @@ def cmd_replay(args):
     if t_stored.graph.vertex_set() != g.vertex_set() \
             or t_stored.graph.cap != g.cap:
         raise _UsageError("tree was not built from the given graph")
+    text = _read(args.demands, "demands")
     try:
-        p = parse_demands(_read(args.demands, "demands"))
+        p = parse_demands(text)
     except ValueError as exc:
         raise _UsageError("demands file %r: %s" % (args.demands, exc))
-    _known(g, p.support_vertices(), "demands file %r" % args.demands)
+    _known(g, _line_vertices(text), "demands file %r" % args.demands)
     b = _parse_cut(args.cut, g)
     # the stored flows are not serialized, so rebuild deterministically and
     # insist the result matches the given tree byte for byte

@@ -26,9 +26,12 @@ class Config:
     # ceil(oracle_sink_scale * phi * log2(n) * mu(v)) into the peeled side
     # and the residual side.
     oracle_sink_scale: Fraction = Fraction(1)
-    # Edge congestion cap for those routing flows; if a flow is infeasible at
-    # this cap, the cap is doubled (up to oracle_congestion_limit) and the
-    # achieved value is recorded on the outcome.
+    # Edge congestion cap for every routing flow the build records (oracle
+    # peels, merge attachments, refinement cuts).  oracle._escalate walks
+    # the whole order for a flow infeasible at this cap: the cap doubles up
+    # to oracle_congestion_limit, then the sink caps are boosted, doubling
+    # up to 64 times; attachment flows are never boosted.  The record keeps
+    # the constants reached and whether the declared ones sufficed.
     oracle_congestion_cap: Fraction = Fraction(4)
     oracle_congestion_limit: Fraction = Fraction(64)
 

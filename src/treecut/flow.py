@@ -292,11 +292,10 @@ def decompose(sol: FlowSolution):
 
 
 class RouteResult:
-    def __init__(self, feasible, flow=None, transfer=None, per_edge=None,
-                 certificate=None, sources=None):
+    def __init__(self, feasible, flow=None, per_edge=None, certificate=None,
+                 sources=None):
         self.feasible = feasible
         self.flow = flow
-        self.transfer = transfer          # (source vertex, sink) -> amount
         self.per_edge = per_edge          # cut edge key -> [(sink, amount)]
         self.certificate = certificate    # infeasibility cut side
         self.sources = sources            # vertex -> injected amount
@@ -307,10 +306,11 @@ def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap, cut_edges=None):
 
     g_s: the ambient graph; d: the receiving side.  Every vertex v in d
     sources the total capacity of its cut edges (edges leaving d inside g_s,
-    or the given subset).  Sinks absorb up to sink_caps(v); edge congestion
-    is capped at congestion_cap.  Returns a RouteResult; on infeasibility the
-    certificate is the set of d-vertices whose sink+boundary capacity is
-    exhausted (source side of the auxiliary min cut).
+    or the given subset).  Sinks absorb up to sink_caps[v] (a dict); edge
+    congestion is capped at congestion_cap.  Returns a RouteResult; on
+    infeasibility the certificate is the set of d-vertices whose
+    sink+boundary capacity is exhausted (source side of the auxiliary min
+    cut).
     """
     d = frozenset(d)
     if cut_edges is None:
@@ -329,9 +329,8 @@ def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap, cut_edges=None):
         inside = u if u in d else v
         sources[inside] = sources.get(inside, 0) + c
     gd = g_s.induced(d)
-    caps = sink_caps if isinstance(sink_caps, dict) else \
-        {v: sink_caps(v) for v in gd.vertices}
-    caps = {v: Fraction(c) for v, c in caps.items() if v in d and Fraction(c) > 0}
+    caps = {v: Fraction(c) for v, c in sink_caps.items()
+            if v in d and Fraction(c) > 0}
     net = FlowNetwork(gd, sources, caps, edge_scale=congestion_cap)
     sol, side = max_flow(net)
     total = sum(Fraction(c) for c in sources.values())
@@ -360,5 +359,4 @@ def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap, cut_edges=None):
         if want != 0:
             raise FlowError("internal attribution mismatch")
         per_edge[(u, v)] = alloc
-    return RouteResult(True, flow=sol, transfer=transfer, per_edge=per_edge,
-                       sources=sources)
+    return RouteResult(True, flow=sol, per_edge=per_edge, sources=sources)

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .graph import ClusterView, Graph, edge_key
-from .flow import (FlowNetwork, FlowSolution, RouteResult, decompose,
-                   max_flow, path_decomposition)
-from .oracle import RouteRecord, cut_or_expander, _escalation, _log2n
+from .flow import (FlowNetwork, FlowSolution, RouteResult, max_flow,
+                   path_decomposition)
+from .oracle import cut_or_expander, _escalate, _log2n
 
 
 class MergeError(ValueError):
@@ -35,15 +35,13 @@ def solve_attachment_flow(g: Graph, sources, sinks, cfg: Config):
     (the sink caps are never boosted); None when no cap up to the limit
     suffices."""
     total = sum((Fraction(a) for a in sources.values()), Fraction(0))
-    for i, (cap, boost) in enumerate(_escalation(cfg, boost_limit=1)):
-        net = FlowNetwork(g, sources, sinks, edge_scale=cap)
-        sol, _ = max_flow(net)
-        if sol.value == total:
-            res = RouteResult(True, flow=sol, transfer=decompose(sol),
-                              sources=sources)
-            return RouteRecord(res, cap, sinks, boost,
-                               within_declared=(i == 0))
-    return None
+
+    def solve(caps, cap):
+        sol, _ = max_flow(FlowNetwork(g, sources, caps, edge_scale=cap))
+        return RouteResult(sol.value == total, flow=sol, sources=sources)
+
+    rec = _escalate(solve, sinks, cfg, boost_limit=1)
+    return rec if rec.feasible else None
 
 
 class ShrinkResult:

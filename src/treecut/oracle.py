@@ -129,41 +129,44 @@ class RouteRecord:
         return self.result.feasible
 
 
-def _escalation(cfg: Config, boost_limit=64):
-    """(congestion cap, sink boost) pairs in the order a routing flow tries
-    them: the cap doubles from oracle_congestion_cap up to
-    oracle_congestion_limit, then the sink boost doubles up to boost_limit.
-    Only the first pair is within the declared constants."""
-    cap = cfg.oracle_congestion_cap
-    boost = Fraction(1)
-    yield cap, boost
-    while cap < cfg.oracle_congestion_limit:
-        cap = cap * 2
-        yield cap, boost
-    while boost < boost_limit:
-        boost = boost * 2
-        yield cap, boost
+def _escalate(solve, sink_caps, cfg: Config, boost_limit=64):
+    """The one congestion-escalation loop: solve(caps, cap) routes once with
+    sink caps `caps` at congestion cap `cap` and returns a RouteResult.
+
+    The cap doubles from oracle_congestion_cap up to oracle_congestion_limit,
+    then the sink caps are multiplied by a boost doubling up to boost_limit.
+    Returns the RouteRecord of the first feasible level (within_declared
+    only at the first), else that of the last level tried.
+    """
+    cap, boost, within = cfg.oracle_congestion_cap, Fraction(1), True
+    while True:
+        caps = {v: c * boost for v, c in sink_caps.items()}
+        res = solve(caps, cap)
+        if res.feasible:
+            return RouteRecord(res, cap, caps, boost, within)
+        if cap < cfg.oracle_congestion_limit:
+            cap = cap * 2
+        elif boost < boost_limit:
+            boost = boost * 2
+        else:
+            return RouteRecord(res, cap, caps, boost, False)
+        within = False
 
 
 def _routed(g: Graph, d, mu: Measure, rate, cfg: Config):
-    """route_from_cut with sink caps ceil(rate * mu(v)), escalating the
-    congestion cap (and, as a last resort, the sink caps) until feasible.
-
-    Records whether the declared config constants sufficed.
-    """
+    """route_from_cut with sink caps ceil(rate * mu(v)), escalated by
+    _escalate; past the last level each source absorbs its own units."""
     d = frozenset(d)
     base_caps = {v: Fraction(ceil_frac(Fraction(rate) * mu(v)))
                  for v in d if mu(v) > 0}
-    for i, (cap, boost) in enumerate(_escalation(cfg)):
-        caps = {v: c * boost for v, c in base_caps.items()}
-        res = route_from_cut(g, d, caps, cap)
-        if res.feasible:
-            return RouteRecord(res, cap, caps, boost, within_declared=(i == 0))
-    # guarantee feasibility: let every source vertex absorb its own units
-    for v, amt in (res.sources or {}).items():
-        caps[v] = caps.get(v, Fraction(0)) + Fraction(amt)
-    res = route_from_cut(g, d, caps, cap)
-    return RouteRecord(res, cap, caps, boost, within_declared=False)
+    rec = _escalate(lambda caps, cap: route_from_cut(g, d, caps, cap),
+                    base_caps, cfg)
+    if not rec.feasible:
+        caps = rec.sink_caps
+        for v, amt in (rec.result.sources or {}).items():
+            caps[v] = caps.get(v, Fraction(0)) + Fraction(amt)
+        rec.result = route_from_cut(g, d, caps, rec.congestion_cap)
+    return rec
 
 
 class PeelStep:

@@ -14,8 +14,8 @@ from .config import DEFAULT, Config
 from .demand import DemandMatrix, from_matrix, respects_exact
 from .flow import route_from_cut
 from .graph import ClusterView, Graph, Measure, capacity, edge_key
-from .oracle import (RouteRecord, check_refined, refined_cut_or_expander,
-                     _escalation, _log2n)
+from .oracle import (check_refined, refined_cut_or_expander, _escalate,
+                     _log2n)
 from .util import ceil_frac, rlog2, rloglog2
 
 
@@ -197,13 +197,9 @@ def _route_cut_to_left(sub_root, left_set, ctx_set, cut_keys, rate,
         half_edges.append((x, inner))
     base_caps = {x: Fraction(rate) * base_cap[sub_root.edge_of_split[x]]
                  for x in sorted(sinks)}
-    for i, (cap, boost) in enumerate(_escalation(cfg)):
-        caps = {x: c * boost for x, c in base_caps.items()}
-        res = route_from_cut(g, d, caps, cap, cut_edges=half_edges)
-        if res.feasible:
-            return RouteRecord(res, cap, caps, boost,
-                               within_declared=(i == 0)), sinks
-    return None, sinks
+    rec = _escalate(lambda caps, cap: route_from_cut(
+        g, d, caps, cap, cut_edges=half_edges), base_caps, cfg)
+    return (rec if rec.feasible else None), sinks
 
 
 class _Builder:

@@ -140,6 +140,22 @@ class TestBuildVerify:
             assert_usage_error(["oracle", "--graph", RING, "--phi", "1/24"]
                                + measures, capsys)
 
+    def test_zero_entries_at_unknown_vertices_exit_two(self, tree_file,
+                                                       tmp_path, capsys):
+        """A line naming a vertex outside the graph is refused even when
+        its entries are zero or cancel, so the parsed input drops them."""
+        zero_mu = tmp_path / "zero.txt"
+        zero_mu.write_text("0 1\n99 0\n")
+        cancel = tmp_path / "cancel.demands"
+        cancel.write_text("0 0 1 1\n1 0 -1 1\n99 0 1 1\n99 0 -1 1\n")
+        for argv in (["oracle", "--graph", RING, "--phi", "1/24",
+                      "--mu", str(zero_mu)],
+                     ["replay", "--graph", RING, "--tree", tree_file,
+                      "--demands", str(cancel), "--cut", "0"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and "99" in err, err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["verify", "--graph", RING,
                      "--tree", str(tmp_path / "nope.json")]) == 2

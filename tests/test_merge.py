@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from treecut import graph
+from treecut import graph, merge
 from treecut.config import DEFAULT
-from treecut.graph import ClusterView, parse_edge_list, subdivide
+from treecut.graph import ClusterView, Graph, parse_edge_list, subdivide
 from treecut.merge import (MergeError, is_balanced_clustering, merge_phase,
                            merge_phase_1, merge_phase_2, shrink_step,
                            solve_attachment_flow)
+from treecut.tree import build_basic, build_improved
+from treecut.verify import verify_quality
 
 from corpus import random_graph
 
@@ -80,12 +82,41 @@ class TestAttachmentFlow:
         assert rec.feasible and not rec.within_declared
         assert (rec.congestion_cap, rec.sink_boost) == (1, 1)
         assert rec.result.flow.value == 1
-        assert rec.result.transfer == {(0, 2): 1}
+        sol = rec.result.flow
+        assert (sol.source_out, sol.sink_in) == ({0: 1}, {2: 1})
         rec = solve_attachment_flow(g, {0: Fraction(1)}, {2: Fraction(1)},
                                     DEFAULT)
         assert rec.within_declared and rec.congestion_cap == 4
         big = Fraction(DEFAULT.oracle_congestion_limit + 1)
         assert solve_attachment_flow(g, {0: big}, {2: big}, DEFAULT) is None
+
+    @pytest.mark.parametrize("build", [build_basic, build_improved])
+    def test_reached_from_a_build(self, build, monkeypatch):
+        """On this graph shrink_step certifies an UnbalancedExpander core
+        through the attachment flow once per build.  The tree verifies at
+        the declared cap, and still does when a cap of 1/64 has to escalate
+        to 1."""
+        g = Graph(range(12), [(0, 6, 6), (0, 9, 3), (0, 11, 7), (1, 9, 6),
+                              (3, 5, 5), (3, 8, 1), (3, 9, 8), (3, 10, 1),
+                              (4, 9, 5), (6, 8, 2), (6, 11, 7), (7, 10, 6),
+                              (8, 11, 8), (9, 11, 8)])
+        recs = []
+
+        def recorded(*args):
+            recs.append(solve_attachment_flow(*args))
+            return recs[-1]
+
+        monkeypatch.setattr(merge, "solve_attachment_flow", recorded)
+        low = DEFAULT.replace(oracle_congestion_cap=Fraction(1, 64))
+        for cfg in (DEFAULT, low):
+            recs.clear()
+            t = build(g, cfg)
+            assert recs and all(r.feasible for r in recs)
+            report = verify_quality(g, t, mode="exhaustive", cfg=cfg)
+            assert not report.violations
+            assert report.worst == Fraction(31, 6)
+        assert all(not r.within_declared and r.congestion_cap == 1
+                   for r in recs)
 
 
 class TestMergePhase1:

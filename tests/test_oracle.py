@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from treecut.config import DEFAULT
+from treecut.flow import RouteResult
 from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
                            graph_expansion_exact, min_ratio_cut,
                            parse_edge_list)
 from treecut.merge import MergePartition
 from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
                             refined_cut_or_expander, sparsest_cut,
-                            _escalation, _log2n, _sweep_best, _sweep_orders,
+                            _escalate, _log2n, _sweep_best, _sweep_orders,
                             _sweep_weights)
 from treecut.tree import build_basic
 
@@ -218,13 +219,25 @@ class TestCutOrExpander:
 
 class TestEscalation:
     def test_sequence(self):
-        """The cap doubles up to its limit, then the sink boost doubles."""
+        """The cap doubles up to its limit, then the sink boost doubles; a
+        flow infeasible at every level gets the record of the last one."""
         caps = [Fraction(c) for c in (4, 8, 16, 32, 64)]
         boosts = [Fraction(b) for b in (2, 4, 8, 16, 32, 64)]
-        assert list(_escalation(DEFAULT)) == \
-            [(c, 1) for c in caps] + [(caps[-1], b) for b in boosts]
-        assert list(_escalation(DEFAULT, boost_limit=1)) == \
-            [(c, 1) for c in caps]
+        for limit, want in ((64, [(c, 1) for c in caps]
+                             + [(caps[-1], b) for b in boosts]),
+                            (1, [(c, 1) for c in caps])):
+            tried = []
+
+            def solve(sink_caps, cap):
+                tried.append((cap, sink_caps["x"] / 3))
+                return RouteResult(False)
+
+            rec = _escalate(solve, {"x": Fraction(3)}, DEFAULT,
+                            boost_limit=limit)
+            assert tried == want
+            assert not rec.feasible and not rec.within_declared
+            assert (rec.congestion_cap, rec.sink_boost) == want[-1]
+            assert rec.sink_caps == {"x": 3 * want[-1][1]}
 
     def test_forced_escalation_is_recorded(self):
         """With no sink at the bridge's endpoints both peel flows cross an

@@ -220,6 +220,22 @@ class TestRouting:
         prof = route_inter_to_boundary(res)
         assert prof.per_unit_max <= Fraction(3, 10 ** 5)
 
+    def test_escalated_routes_keep_their_caps(self):
+        """At a declared cap of 1e-6 the cut-to-left routes must escalate;
+        each records the cap it reached, and its flow stays within it."""
+        g = triangle_chain()
+        cfg = DEFAULT.replace(oracle_congestion_cap=Fraction(1, 10 ** 6))
+        res = refine(view_of(g, range(12)), 30, cfg)
+        escalated = [node.route for node in res.root.walk()
+                     if node.route is not None
+                     and not node.route.within_declared]
+        assert escalated
+        for route in escalated:
+            assert route.result.flow.congestion() <= route.congestion_cap
+        prof = route_inter_to_boundary(res)
+        assert prof.total() == sum(Fraction(g.cap[k])
+                                   for k in res.inter_cluster_keys)
+
 
 class TestRandomSweep:
     def test_refine_always_returns_checked_partitions(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from treecut import oracle
 from treecut.config import DEFAULT
 from treecut.demand import DemandState, parse_demands
 from treecut.graph import Graph, parse_edge_list
@@ -193,12 +194,23 @@ class TestRandomSweep:
 
 
 @pytest.mark.parametrize("build", [build_basic, build_improved])
-def test_ring8_replay_bytes_pinned(build):
+def test_ring8_replay_bytes_pinned(build, monkeypatch):
     with open(os.path.join(FIXTURES, "ring8.edges")) as fh:
         g = parse_edge_list(fh.read())
     with open(os.path.join(FIXTURES, "ring8.demands")) as fh:
         p = parse_demands(fh.read())
+    # the pin holds on every scipy/LAPACK build only while no oracle call
+    # reaches the float sweep backend
+    sweeps = []
+    sweep_best = oracle._sweep_best
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep_best(*args)
+
+    monkeypatch.setattr(oracle, "_sweep_best", counted)
     t = build(g)
+    assert not sweeps
     rep = full_replay(t, p, {0, 1, 2})
     lines = rep.ledger.report_lines()
     lines += ["%s %s" % kv for kv in sorted(rep.ledger.per_edge.items())]
