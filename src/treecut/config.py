@@ -70,12 +70,20 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
-        # a zero cap would make the congestion escalation double 0 forever
+        # a zero cap would make the congestion escalation double 0 forever;
+        # a zero merge or schedule coefficient makes an oracle phi 0 or
+        # divides by 0, and a zero kappa makes every leaf-certificate
+        # target 0
         for name in ("oracle_sparsity_c", "oracle_sink_scale",
-                     "oracle_congestion_cap", "oracle_congestion_limit"):
+                     "oracle_congestion_cap", "oracle_congestion_limit",
+                     "merge_phi_coeff", "merge_shrink_coeff", "c_phi",
+                     "c0_declared", "kappa"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError("%s must be > 0, got %s" % (name, value))
+        if self.merge_loop_slack < 0:
+            raise ValueError("merge_loop_slack must be >= 0, got %s"
+                             % self.merge_loop_slack)
         if self.tau_basic is not None and not 0 < self.tau_basic <= 1:
             raise ValueError("tau_basic must be None or in (0, 1], got %s"
                              % self.tau_basic)

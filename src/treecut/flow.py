@@ -1,4 +1,4 @@
-"""Exact max-flow, flow decomposition, and route-from-cut solvers.
+"""Exact max-flow, path decomposition, and route-from-cut solvers.
 
 All arithmetic is exact.  The API is fractions.Fraction throughout;
 max_flow scales every capacity by the lcm of the denominators and runs a
@@ -11,7 +11,7 @@ from collections import deque
 from fractions import Fraction
 from math import lcm
 
-from .graph import Graph, GraphError, edge_key
+from .graph import Graph
 
 S_NODE = -1
 T_NODE = -2
@@ -279,84 +279,32 @@ def path_decomposition(sol: FlowSolution):
     return paths
 
 
-def decompose(sol: FlowSolution):
-    """{(source vertex, sink vertex): amount} from source-attachment entry
-    to sink-attachment exit."""
-    if not sol.check_conservation():
-        raise FlowError("flow does not conserve")
-    transfer = {}
-    for verts, amt in path_decomposition(sol):
-        key = (verts[0], verts[-1])
-        transfer[key] = transfer.get(key, Fraction(0)) + amt
-    return transfer
-
-
 class RouteResult:
-    def __init__(self, feasible, flow=None, per_edge=None, certificate=None,
-                 sources=None):
+    def __init__(self, feasible, flow, sources):
         self.feasible = feasible
-        self.flow = flow
-        self.per_edge = per_edge          # cut edge key -> [(sink, amount)]
-        self.certificate = certificate    # infeasibility cut side
+        self.flow = flow                  # the max flow found
         self.sources = sources            # vertex -> injected amount
 
 
-def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap, cut_edges=None):
+def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap):
     """Route one unit per unit of cut-edge capacity from the cut into G[D].
 
     g_s: the ambient graph; d: the receiving side.  Every vertex v in d
-    sources the total capacity of its cut edges (edges leaving d inside g_s,
-    or the given subset).  Sinks absorb up to sink_caps[v] (a dict); edge
-    congestion is capped at congestion_cap.  Returns a RouteResult; on
-    infeasibility the certificate is the set of d-vertices whose
-    sink+boundary capacity is exhausted (source side of the auxiliary min
-    cut).
+    sources the total capacity of its edges leaving d inside g_s.  Sinks
+    absorb up to sink_caps[v] (a dict); edge congestion is capped at
+    congestion_cap.  The route is feasible when the max flow saturates
+    every source.
     """
     d = frozenset(d)
-    if cut_edges is None:
-        cut_edges = [(u, v, c) for u, v, c in g_s.edges if (u in d) != (v in d)]
-    else:
-        norm = []
-        for e in cut_edges:
-            u, v = e[0], e[1]
-            c = g_s.edge_capacity(u, v)
-            if c == 0 or ((u in d) == (v in d)):
-                raise GraphError("bad cut edge (%r, %r)" % (u, v))
-            norm.append((u, v, c))
-        cut_edges = norm
     sources = {}
-    for u, v, c in cut_edges:
-        inside = u if u in d else v
-        sources[inside] = sources.get(inside, 0) + c
+    for u, v, c in g_s.edges:
+        if (u in d) != (v in d):
+            inside = u if u in d else v
+            sources[inside] = sources.get(inside, 0) + c
     gd = g_s.induced(d)
     caps = {v: Fraction(c) for v, c in sink_caps.items()
             if v in d and Fraction(c) > 0}
-    net = FlowNetwork(gd, sources, caps, edge_scale=congestion_cap)
-    sol, side = max_flow(net)
+    sol, _ = max_flow(FlowNetwork(gd, sources, caps,
+                                  edge_scale=congestion_cap))
     total = sum(Fraction(c) for c in sources.values())
-    if sol.value != total:
-        return RouteResult(False, flow=sol, certificate=frozenset(side),
-                           sources=sources)
-    transfer = decompose(sol)
-    # attribute each source vertex's transfers to its individual cut edges,
-    # proportionally to edge capacity, in sorted edge order
-    per_edge = {}
-    rows = {v: sorted([t, a] for (s, t), a in transfer.items() if s == v)
-            for v in sources}
-    for u, v, c in sorted((edge_key(u, v) + (c,)) for u, v, c in cut_edges):
-        inside = u if u in d else v
-        want = Fraction(c)
-        alloc = []
-        row = rows[inside]
-        for cell in row:
-            if want == 0:
-                break
-            take = min(cell[1], want)
-            if take > 0:
-                alloc.append((cell[0], take))
-                cell[1] -= take
-                want -= take
-        if want != 0:
-            raise FlowError("internal attribution mismatch")
-        per_edge[(u, v)] = alloc
-    return RouteResult(True, flow=sol, per_edge=per_edge, sources=sources)
+    return RouteResult(sol.value == total, sol, sources)

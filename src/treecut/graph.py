@@ -330,10 +330,9 @@ class ClusterView:
     def boundary_capacity(self):
         return sum(c for _, _, c in self.boundary_edges)
 
-    def boundary_measure(self, weight=1):
+    def boundary_measure(self):
         """Capacity-weighted measure on the boundary split nodes."""
-        w = Fraction(weight)
-        return Measure({self.root.split(u, v): w * c
+        return Measure({self.root.split(u, v): c
                         for u, v, c in self.boundary_edges})
 
     def split_measure(self, edge_keys):

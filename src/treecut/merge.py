@@ -332,12 +332,9 @@ def _separator_flows(view, sol: FlowSolution, side, x_y, mu_tau):
                     k = (path[i], path[i + 1])
                     edge_flow[k] = edge_flow.get(k, Fraction(0)) + a
             per_source[x] = rows
-        fs = FlowSolution(gsp, edge_flow,
-                          {x: mu_tau[x] for x in x_y if crossings.get(x)},
-                          sink_in,
-                          sum((mu_tau[x] for x in x_y if crossings.get(x)),
-                              Fraction(0)))
-        return SeparatorFlow(per_source, fs.congestion(), sink_in)
+        congestion = max((a / gsp.edge_capacity(*k)
+                          for k, a in edge_flow.items()), default=Fraction(0))
+        return SeparatorFlow(per_source, congestion, sink_in)
 
     to_b = build(lambda pre, suf: suf, reverse=False)
     to_f = build(lambda pre, suf: pre, reverse=True)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .demand import DemandMatrix, from_matrix, respects_exact
-from .flow import route_from_cut
+from .flow import path_decomposition, route_from_cut
 from .graph import ClusterView, Graph, Measure, capacity, edge_key
 from .oracle import (check_refined, refined_cut_or_expander, _escalate,
                      _log2n)
@@ -75,6 +75,8 @@ class BinaryNode:
         self.right = None
         self.cut_keys = ()        # base edges between left and right sets
         self.route = None         # RouteRecord into the left side
+        self.rows = {}            # cut split x -> [(sink, amount)] of route
+        self.unit = {}            # cut split x -> capacity x sources
         self.sink_splits = frozenset()
         self.left_depth = None
         self.cluster_leaf = False
@@ -93,20 +95,6 @@ class BinaryNode:
         if self.right is not None:
             yield from self.right.walk()
         yield self
-
-    def rows(self, sub):
-        """(rows, unit) of the stored cut-to-left flow, keyed by the split
-        node x of each cut edge (in cut_keys order): rows[x] lists the
-        (sink, amount) the flow sends from x into the left side, and
-        unit[x] is the capacity of x's base edge, the amount x sources."""
-        per_edge = self.route.result.per_edge
-        rows, unit = {}, {}
-        for u, v in self.cut_keys:
-            x = sub.split(u, v)
-            inner = u if u in self.left.dset else v
-            rows[x] = per_edge[edge_key(x, inner)]
-            unit[x] = sub.base.cap[(u, v)]
-        return rows, unit
 
 
 class LeafCertificate:
@@ -190,16 +178,53 @@ def _route_cut_to_left(sub_root, left_set, ctx_set, cut_keys, rate,
         return None, sinks
     d = frozenset(g.vertices) - cut_splits
     base_cap = sub_root.base.cap
-    half_edges = []
-    for u, v in sorted(edge_key(*k) for k in cut_keys):
-        x = sub_root.split(u, v)
-        inner = u if u in left_set else v
-        half_edges.append((x, inner))
     base_caps = {x: Fraction(rate) * base_cap[sub_root.edge_of_split[x]]
                  for x in sorted(sinks)}
-    rec = _escalate(lambda caps, cap: route_from_cut(
-        g, d, caps, cap, cut_edges=half_edges), base_caps, cfg)
+    rec = _escalate(lambda caps, cap: route_from_cut(g, d, caps, cap),
+                    base_caps, cfg)
     return (rec if rec.feasible else None), sinks
+
+
+def _cut_rows(sub_root, flow, cut_keys, left_set):
+    """Attribute a feasible cut-to-left flow to its cut edges.
+
+    Returns (rows, unit), both keyed by the split node x of each cut edge in
+    cut_keys order: rows[x] lists the (sink, amount) the flow sends from x
+    into the left side, and unit[x] is the capacity of x's base edge, the
+    amount x sources.  The flow enters at each cut edge's inner endpoint;
+    that endpoint's transfers, sorted by sink, are handed out to its cut
+    edges in edge_key(x, inner) order.
+    """
+    if not flow.check_conservation():
+        raise RefineError("cut-to-left flow does not conserve")
+    transfers = {}
+    for verts, amt in path_decomposition(flow):
+        row = transfers.setdefault(verts[0], {})
+        row[verts[-1]] = row.get(verts[-1], Fraction(0)) + amt
+    cells = {v: sorted([t, a] for t, a in row.items())
+             for v, row in transfers.items()}
+    inner, unit = {}, {}
+    for u, v in cut_keys:
+        x = sub_root.split(u, v)
+        inner[x] = u if u in left_set else v
+        unit[x] = sub_root.base.cap[(u, v)]
+    rows = {}
+    for x in sorted(unit, key=lambda x: edge_key(x, inner[x])):
+        want = Fraction(unit[x])
+        alloc = []
+        for cell in cells.get(inner[x], ()):
+            if want == 0:
+                break
+            take = min(cell[1], want)
+            if take > 0:
+                alloc.append((cell[0], take))
+                cell[1] -= take
+                want -= take
+        if want != 0:
+            raise RefineError("cut-to-left flow leaves cut split %r short "
+                              "by %s" % (x, want))
+        rows[x] = alloc
+    return {x: rows[x] for x in unit}, unit
 
 
 class _Builder:
@@ -332,6 +357,9 @@ class _Builder:
                 raise RefineError("cut-to-boundary flow infeasible at every "
                                   "escalation level in %r" % sorted(left_set))
         node.route = route
+        if route is not None:
+            node.rows, node.unit = _cut_rows(self.sub_root, route.result.flow,
+                                             cut_keys, left_set)
 
 
 def refine(view: ClusterView, sigma: int, cfg: Config = DEFAULT) \
@@ -421,9 +449,9 @@ def route_inter_to_boundary(result: RefinementResult) -> RoutingProfile:
                          % node.left_depth)
             envelope_ok = False
             continue
-        rows, unit = node.rows(sub)
-        max_scale = max(loads.get(x, Fraction(0)) / unit[x] for x in rows)
-        for x, row in rows.items():
+        unit = node.unit
+        max_scale = max(loads.get(x, Fraction(0)) / unit[x] for x in unit)
+        for x, row in node.rows.items():
             load = loads.get(x, Fraction(0))
             if load == 0:
                 continue

@@ -282,8 +282,7 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
     for node in res.root.walk():
         if not node.cut_keys or node.route is None:
             continue
-        rows, unit = node.rows(sub)
-        q = _flow_matrix(after.loads(), rows, rows, unit)
+        q = _flow_matrix(after.loads(), node.rows, node.rows, node.unit)
         if q.entries:
             after, _ = _move(after, q, b_lift, trace, s, "refine-route")
     stray = after.support_vertices() - res.view.x_boundary

@@ -1,11 +1,11 @@
-"""Shared random test graphs, measures and demand states, and the
-brute-force tree min-cut."""
+"""Shared test graphs, measures and demand states, and the brute-force
+tree min-cut and terminal-augmented min cut."""
 
 import itertools
 from fractions import Fraction
 
 from treecut.demand import DemandState
-from treecut.graph import Graph, Measure
+from treecut.graph import ClusterView, Graph, Measure, subdivide
 from treecut.tree import mincut_in_tree
 
 # denominators of the random masses below
@@ -33,6 +33,26 @@ def ring_of_cliques(k, s):
                   for i in range(s) for j in range(i + 1, s)]
         edges.append((base + s - 1, ((c + 1) % k) * s, 1))
     return Graph(range(k * s), edges)
+
+
+def triangle_chain():
+    """Four triangles in a path with unit bridges; every triangle is tied to
+    a hub vertex with huge capacity, so the bridges are genuinely sparse
+    against the boundary measure and the refinement of 0..11 splits and
+    routes."""
+    edges = []
+    for t in range(4):
+        b = 3 * t
+        edges += [(b, b + 1, 50), (b, b + 2, 50), (b + 1, b + 2, 50)]
+    edges += [(2, 3, 1), (5, 6, 1), (8, 9, 1)]
+    for t in range(4):
+        edges.append((3 * t, 12, 10 ** 5))
+    return Graph(range(13), edges)
+
+
+def view_of(g, cluster):
+    """The cluster's view in the subdivision of g."""
+    return ClusterView(subdivide(g), cluster)
 
 
 def labelled_graph(rng, n, labels=None):
@@ -99,4 +119,24 @@ def brute_tree_mincut(tree, b):
                     cost += c.weight
         if best is None or cost < best:
             best = cost
+    return best
+
+
+def brute_min_cut(net):
+    """Exhaustive minimum, over vertex sides A, of the terminal-augmented
+    cut of a FlowNetwork: sources outside A, sinks inside A, and the scaled
+    base edges across A."""
+    verts = sorted(net.graph.vertices)
+    n = len(verts)
+    best = None
+    for mask in range(1 << n):
+        a = {verts[i] for i in range(n) if (mask >> i) & 1}
+        val = sum((c for v, c in net.source_caps.items() if v not in a),
+                  Fraction(0))
+        val += sum((c for v, c in net.sink_caps.items() if v in a),
+                   Fraction(0))
+        val += net.edge_scale * Fraction(
+            sum(c for u, v, c in net.graph.edges if (u in a) != (v in a)))
+        if best is None or val < best:
+            best = val
     return best

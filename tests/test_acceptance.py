@@ -20,8 +20,8 @@ from treecut.replay import full_replay
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 from treecut.verify import quality_envelope, verify_quality
 
-from corpus import (brute_tree_mincut, random_demand, random_graph,
-                    scale_to_respect)
+from corpus import (brute_min_cut, brute_tree_mincut, random_demand,
+                    random_graph, scale_to_respect, triangle_chain)
 
 CORPUS_SIZE = 200
 
@@ -48,21 +48,6 @@ def corpus_reports(corpus):
     out = [(g, verify_quality(g, tb), verify_quality(g, ti))
            for g, tb, ti in items]
     return out, build_secs + (time.time() - t0)
-
-
-def _heavy_ratio_graph():
-    """Four strong triangles tied to a hub, joined by unit bridges: the
-    bridges are genuinely sparse against the boundary measure, so the
-    refinement splits and routes."""
-    edges = []
-    for t in range(4):
-        base = 3 * t
-        edges += [(base, base + 1, 50), (base, base + 2, 50),
-                  (base + 1, base + 2, 50)]
-    edges += [(2, 3, 1), (5, 6, 1), (8, 9, 1)]
-    for t in range(4):
-        edges.append((3 * t, 12, 10 ** 5))
-    return Graph(range(13), edges)
 
 
 def _partitions(tree):
@@ -205,7 +190,7 @@ def test_criterion_05_oracle_postconditions(corpus):
     # capacity ratios make the refinement split
     from treecut.graph import ClusterView
     from treecut.refine import refine
-    res = refine(ClusterView(subdivide(_heavy_ratio_graph()), range(12)), 18)
+    res = refine(ClusterView(subdivide(triangle_chain()), range(12)), 18)
     for _, out in res.outcomes:
         rep = check_refined(out)
         assert rep.ok, rep.failures
@@ -281,7 +266,7 @@ def test_criterion_08_refinement_contracts(corpus):
     # inter-cluster edges
     from treecut.graph import ClusterView
     from treecut.refine import refine
-    g = _heavy_ratio_graph()
+    g = triangle_chain()
     check_res(refine(ClusterView(subdivide(g), range(12)), 18))
     # a strong core with a thinly attached appendage trims to a leaf
     edges = [(i, j, 10) for i in range(6) for j in range(i + 1, 6)]
@@ -330,23 +315,6 @@ def test_criterion_09_charging_replay(corpus):
     print("\nCRITERION 9 PASS: %d (graph, demand, cut) triples replayed "
           "clean in both modes, worst per-edge charge %s basic, %s improved "
           "(%.0fs)" % (done, worst["basic"], worst["improved"], secs))
-
-
-def brute_min_cut(net):
-    verts = sorted(net.graph.vertices)
-    n = len(verts)
-    best = None
-    for mask in range(1 << n):
-        a = {verts[i] for i in range(n) if (mask >> i) & 1}
-        val = sum((c for v, c in net.source_caps.items() if v not in a),
-                  Fraction(0))
-        val += sum((c for v, c in net.sink_caps.items() if v in a),
-                   Fraction(0))
-        val += net.edge_scale * Fraction(
-            sum(c for u, v, c in net.graph.edges if (u in a) != (v in a)))
-        if best is None or val < best:
-            best = val
-    return best
 
 
 def test_criterion_10_oracle_equivalence(corpus):

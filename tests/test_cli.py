@@ -203,6 +203,18 @@ class TestConfig:
                                 str(cfg), "--out", str(tmp_path / "t.json")],
                                capsys)
 
+    def test_out_of_range_constants_exit_two(self, tmp_path, capsys):
+        """Each of these once ended in a traceback (or, for kappa, in a
+        build whose leaf-certificate targets were all 0)."""
+        cfg = tmp_path / "bad.cfg"
+        for line in ("merge_phi_coeff = 0", "merge_shrink_coeff = 0",
+                     "merge_loop_slack = -100", "c_phi = -1",
+                     "c0_declared = 0", "kappa = 0"):
+            cfg.write_text(line + "\n")
+            assert_usage_error(["build", "--input", RING, "--config",
+                                str(cfg), "--out", str(tmp_path / "t.json")],
+                               capsys)
+
     def test_load_config_types(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# tuned\nbrute_threshold = 12\nsamples = 500\n"
@@ -219,10 +231,15 @@ class TestConfig:
 
     def test_api_refuses_bad_values(self):
         for name in ("oracle_sparsity_c", "oracle_sink_scale",
-                     "oracle_congestion_cap", "oracle_congestion_limit"):
+                     "oracle_congestion_cap", "oracle_congestion_limit",
+                     "merge_phi_coeff", "merge_shrink_coeff", "c_phi",
+                     "c0_declared", "kappa"):
             for value in (Fraction(0), Fraction(-1, 2)):
                 with pytest.raises(ValueError, match=name):
                     Config(**{name: value})
+        with pytest.raises(ValueError, match="merge_loop_slack"):
+            Config(merge_loop_slack=-1)
+        assert Config(merge_loop_slack=0).merge_loop_slack == 0
         for value in (Fraction(0), Fraction(-1), Fraction(3, 2)):
             with pytest.raises(ValueError, match="tau_basic"):
                 Config(tau_basic=value)

@@ -175,9 +175,11 @@ class TestClusterView:
         assert v.g_tilde.has_edge(2, x)
 
     def test_boundary_measure_weighting(self):
-        v = self.view
-        m = v.boundary_measure(Fraction(1, 2))
-        assert m.total() == Fraction(1, 2)
+        # each boundary split weighs its edge's capacity
+        sub = subdivide(parse_edge_list("0 1 2\n1 2 3\n"))
+        m = ClusterView(sub, [1]).boundary_measure()
+        assert m(sub.split(0, 1)) == 2 and m(sub.split(1, 2)) == 3
+        assert m.total() == 5
 
     def test_split_measure(self):
         v = self.view

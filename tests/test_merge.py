@@ -5,14 +5,14 @@ import pytest
 
 from treecut import graph, merge
 from treecut.config import DEFAULT
-from treecut.graph import ClusterView, Graph, parse_edge_list, subdivide
+from treecut.graph import Graph, parse_edge_list
 from treecut.merge import (MergeError, is_balanced_clustering, merge_phase,
                            merge_phase_1, merge_phase_2, shrink_step,
                            solve_attachment_flow)
 from treecut.tree import build_basic, build_improved
 from treecut.verify import verify_quality
 
-from corpus import random_graph
+from corpus import random_graph, view_of
 
 
 def dumbbell():
@@ -27,10 +27,6 @@ def barbell_k5():
                 edges.append("%d %d" % (base + i, base + j))
     edges.append("4 5")
     return parse_edge_list("\n".join(edges))
-
-
-def view_of(g, cluster):
-    return ClusterView(subdivide(g), cluster)
 
 
 class TestBalancedClustering:

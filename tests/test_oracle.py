@@ -230,7 +230,7 @@ class TestEscalation:
 
             def solve(sink_caps, cap):
                 tried.append((cap, sink_caps["x"] / 3))
-                return RouteResult(False)
+                return RouteResult(False, None, {})
 
             rec = _escalate(solve, {"x": Fraction(3)}, DEFAULT,
                             boost_limit=limit)

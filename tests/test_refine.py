@@ -4,29 +4,26 @@ from fractions import Fraction
 import pytest
 
 from treecut.config import DEFAULT
-from treecut.graph import ClusterView, Graph, subdivide
+from treecut.graph import Graph
 from treecut.refine import (RefineError, f_value, product_envelope,
                             product_growth_ok, refine,
                             route_inter_to_boundary, schedule_cf)
 from treecut.util import rlog2, rloglog2
 
-
-def view_of(g, cluster):
-    return ClusterView(subdivide(g), cluster)
+from corpus import triangle_chain, view_of
 
 
-def triangle_chain():
-    """Four triangles in a path with unit bridges; every triangle is tied to
-    an outside vertex with huge capacity, so the bridges are genuinely
-    sparse relative to the boundary measure."""
-    edges = []
-    for t in range(4):
-        b = 3 * t
-        edges += [(b, b + 1, 50), (b, b + 2, 50), (b + 1, b + 2, 50)]
-    edges += [(2, 3, 1), (5, 6, 1), (8, 9, 1)]
-    for t in range(4):
-        edges.append((3 * t, 12, 10 ** 5))
-    return Graph(range(13), edges)
+def assert_rows_cover_cuts(res):
+    """Every routed node's rows are keyed by exactly the split nodes of its
+    cut edges, and each split's row carries the capacity it sources."""
+    sub = res.view.root
+    for node in res.root.walk():
+        if node.route is None:
+            continue
+        assert list(node.rows) == [sub.split(u, v) for u, v in node.cut_keys]
+        assert list(node.unit) == list(node.rows)
+        for x, row in node.rows.items():
+            assert sum(a for _, a in row) == node.unit[x]
 
 
 def core_with_appendage():
@@ -220,6 +217,11 @@ class TestRouting:
         prof = route_inter_to_boundary(res)
         assert prof.per_unit_max <= Fraction(3, 10 ** 5)
 
+    def test_rows_cover_each_cut_split(self):
+        res = refine(view_of(triangle_chain(), range(12)), 18)
+        assert sum(node.route is not None for node in res.root.walk()) == 3
+        assert_rows_cover_cuts(res)
+
     def test_escalated_routes_keep_their_caps(self):
         """At a declared cap of 1e-6 the cut-to-left routes must escalate;
         each records the cap it reached, and its flow stays within it."""
@@ -253,6 +255,7 @@ class TestRandomSweep:
                 case_tags.add(node.case)
                 if node.left is not None:
                     assert 4 * len(node.left.dset) <= 3 * len(node.dset)
+            assert_rows_cover_cuts(res)
             prof = route_inter_to_boundary(res)
             assert prof.envelope_ok, prof.notes
             for cert in res.certificates:

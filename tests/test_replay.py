@@ -9,11 +9,14 @@ from treecut import oracle
 from treecut.config import DEFAULT
 from treecut.demand import DemandState, parse_demands
 from treecut.graph import Graph, parse_edge_list
+from treecut.refine import refine
 from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
-                            full_replay, replay_merge_cluster)
+                            full_replay, replay_merge_cluster,
+                            route_refined_state)
 from treecut.tree import build_basic, build_improved
 
-from corpus import random_demand, random_graph, scale_to_respect
+from corpus import (random_demand, random_graph, scale_to_respect,
+                    triangle_chain, view_of)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 # sha256 of the ring8 replay for the cut {0, 1, 2}: ledger report lines,
@@ -26,6 +29,10 @@ RING_REPLAYS = {
     "improved":
         "2c3863fc05a5b66384620f9324483db5d8a3d9499a8a98da433e0ff8eefe5334",
 }
+# sha256 of the refine-route step on the triangle chain: the state after
+# it, the ledger lines and per-edge charges, and the trace steps
+REFINE_ROUTE = \
+    "bb3053201bf5897502c1a0ea67661cc3eb4055908be4346622261ae1138f0cb0"
 
 
 class TestChargeLedger:
@@ -221,3 +228,27 @@ def test_ring8_replay_bytes_pinned(build, monkeypatch):
         rep.envelope)))
     blob = "\n".join(lines) + "\n"
     assert hashlib.sha256(blob.encode()).hexdigest() == RING_REPLAYS[t.mode]
+
+
+def test_refine_route_step_pinned():
+    """No benchmark build splits a refinement cluster, so this is the run
+    of the replay's refine-route step: the triangle chain refines into four
+    clusters joined by three routed cuts, and each commodity's inter-cluster
+    mass is carried along the stored flows to the cluster boundary."""
+    res = refine(view_of(triangle_chain(), range(12)), 18)
+    sub = res.view.root
+    xs = sorted(sub.split(u, v) for u, v in res.inter_cluster_keys)
+    assert len(res.clusters) == 4 and xs == [17, 22, 27]
+    assert sum(node.route is not None for node in res.root.walk()) == 3
+    entries = {}
+    for k in range(len(xs) - 1):
+        entries[(xs[k], k)] = Fraction(1, 2)
+        entries[(xs[k + 1], k)] = Fraction(-1, 2)
+    ledger, trace = ChargeLedger(), ReplayTrace()
+    after, worst = route_refined_state(DemandState(entries), res,
+                                       sub.lift_cut(range(6)), ledger, trace)
+    assert worst == 1
+    assert len(trace.steps) == 3
+    blob = repr((sorted(after.entries.items()), ledger.report_lines(),
+                 sorted(ledger.per_edge.items()), trace.steps))
+    assert hashlib.sha256(blob.encode()).hexdigest() == REFINE_ROUTE
