@@ -22,15 +22,11 @@ class Config:
     # Oracle: peel while the sparsest-cut ratio is below
     # oracle_sparsity_c * phi * log2(n).
     oracle_sparsity_c: Fraction = Fraction(1)
-    # Sink capacities for the per-step routing flows:
-    # ceil(oracle_sink_scale * phi * log2(n) * mu(v)) into the peeled side
-    # and the residual side.
-    oracle_sink_scale: Fraction = Fraction(1)
-    # Edge congestion cap for every routing flow the build records (oracle
-    # peels, merge attachments, refinement cuts).  oracle._escalate walks
-    # the whole order for a flow infeasible at this cap: the cap doubles up
-    # to oracle_congestion_limit, then the sink caps are boosted, doubling
-    # up to 64 times; attachment flows are never boosted.  The record keeps
+    # Edge congestion cap for every routing flow the build records (merge
+    # attachments and refinement cuts).  flow.escalate walks the whole
+    # order for a flow infeasible at this cap: the cap doubles up to
+    # oracle_congestion_limit, then the sink caps are boosted, doubling up
+    # to 64 times; attachment flows are never boosted.  The record keeps
     # the constants reached and whether the declared ones sufficed.
     oracle_congestion_cap: Fraction = Fraction(4)
     oracle_congestion_limit: Fraction = Fraction(64)
@@ -72,12 +68,12 @@ class Config:
     def __post_init__(self):
         # a zero cap would make the congestion escalation double 0 forever;
         # a zero merge or schedule coefficient makes an oracle phi 0 or
-        # divides by 0, and a zero kappa makes every leaf-certificate
-        # target 0
-        for name in ("oracle_sparsity_c", "oracle_sink_scale",
-                     "oracle_congestion_cap", "oracle_congestion_limit",
-                     "merge_phi_coeff", "merge_shrink_coeff", "c_phi",
-                     "c0_declared", "kappa"):
+        # divides by 0, a zero kappa makes every leaf-certificate target 0,
+        # and a quality_C <= 0 declares an envelope no tree can meet
+        for name in ("oracle_sparsity_c", "oracle_congestion_cap",
+                     "oracle_congestion_limit", "merge_phi_coeff",
+                     "merge_shrink_coeff", "c_phi", "c0_declared", "kappa",
+                     "quality_C"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError("%s must be > 0, got %s" % (name, value))

@@ -1,4 +1,5 @@
-"""Exact max-flow, path decomposition, and route-from-cut solvers.
+"""Exact max-flow, path decomposition, and route-from-cut solvers, and the
+one congestion-escalation loop over routing flows.
 
 All arithmetic is exact.  The API is fractions.Fraction throughout;
 max_flow scales every capacity by the lcm of the denominators and runs a
@@ -11,6 +12,7 @@ from collections import deque
 from fractions import Fraction
 from math import lcm
 
+from .config import Config
 from .graph import Graph
 
 S_NODE = -1
@@ -280,10 +282,9 @@ def path_decomposition(sol: FlowSolution):
 
 
 class RouteResult:
-    def __init__(self, feasible, flow, sources):
+    def __init__(self, feasible, flow):
         self.feasible = feasible
         self.flow = flow                  # the max flow found
-        self.sources = sources            # vertex -> injected amount
 
 
 def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap):
@@ -307,4 +308,44 @@ def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap):
     sol, _ = max_flow(FlowNetwork(gd, sources, caps,
                                   edge_scale=congestion_cap))
     total = sum(Fraction(c) for c in sources.values())
-    return RouteResult(sol.value == total, sol, sources)
+    return RouteResult(sol.value == total, sol)
+
+
+class RouteRecord:
+    """A Remark-style routing flow with the constants actually used."""
+
+    def __init__(self, result, congestion_cap, sink_caps, sink_boost,
+                 within_declared):
+        self.result = result
+        self.congestion_cap = Fraction(congestion_cap)
+        self.sink_caps = dict(sink_caps)
+        self.sink_boost = Fraction(sink_boost)
+        self.within_declared = bool(within_declared)
+
+    @property
+    def feasible(self):
+        return self.result.feasible
+
+
+def escalate(solve, sink_caps, cfg: Config, boost_limit=64):
+    """The one congestion-escalation loop: solve(caps, cap) routes once with
+    sink caps `caps` at congestion cap `cap` and returns a RouteResult.
+
+    The cap doubles from oracle_congestion_cap up to oracle_congestion_limit,
+    then the sink caps are multiplied by a boost doubling up to boost_limit.
+    Returns the RouteRecord of the first feasible level (within_declared
+    only at the first), else that of the last level tried.
+    """
+    cap, boost, within = cfg.oracle_congestion_cap, Fraction(1), True
+    while True:
+        caps = {v: c * boost for v, c in sink_caps.items()}
+        res = solve(caps, cap)
+        if res.feasible:
+            return RouteRecord(res, cap, caps, boost, within)
+        if cap < cfg.oracle_congestion_limit:
+            cap = cap * 2
+        elif boost < boost_limit:
+            boost = boost * 2
+        else:
+            return RouteRecord(res, cap, caps, boost, False)
+        within = False

@@ -42,6 +42,9 @@ class Graph:
         for u, v, c in edges:
             if u == v:
                 raise GraphError("self-loop at %r" % (u,))
+            if c != int(c):
+                raise GraphError("capacity %s on edge (%r, %r) is not an "
+                                 "integer" % (c, u, v))
             c = int(c)
             if c < 1:
                 raise GraphError("capacity must be >= 1 on edge (%r, %r)" % (u, v))

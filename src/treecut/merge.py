@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .graph import ClusterView, Graph, edge_key
-from .flow import (FlowNetwork, FlowSolution, RouteResult, max_flow,
-                   path_decomposition)
-from .oracle import cut_or_expander, _escalate, _log2n
+from .flow import (FlowNetwork, FlowSolution, RouteResult, escalate,
+                   max_flow, path_decomposition)
+from .oracle import cut_or_expander, _log2n
 
 
 class MergeError(ValueError):
@@ -38,9 +38,9 @@ def solve_attachment_flow(g: Graph, sources, sinks, cfg: Config):
 
     def solve(caps, cap):
         sol, _ = max_flow(FlowNetwork(g, sources, caps, edge_scale=cap))
-        return RouteResult(sol.value == total, flow=sol, sources=sources)
+        return RouteResult(sol.value == total, flow=sol)
 
-    rec = _escalate(solve, sinks, cfg, boost_limit=1)
+    rec = escalate(solve, sinks, cfg, boost_limit=1)
     return rec if rec.feasible else None
 
 

@@ -2,19 +2,20 @@
 
 Desk-scale implementation of the oracle contract: an exact (or, above the
 brute-force threshold, spectral-sweep) sparsest-cut backend drives a peeling
-loop; outcomes carry peel sequences, routing flows, and certificates, and a
+loop; outcomes carry peel sequences and expander certificates, and a
 self-checker validates every emitted outcome against its own declared
-constants.
+constants.  The oracle routes no flow: every flow the build keeps is routed
+by the step that uses it (merge and refine).
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .config import DEFAULT, Config
 from .graph import (Graph, Measure, cut_expansion, graph_expansion_exact,
                     min_ratio_cut)
-from .flow import route_from_cut
-from .util import ceil_frac, rlog2
+from .util import rlog2
 
 
 class OracleError(ValueError):
@@ -113,74 +114,12 @@ def sparsest_cut(g: Graph, mu: Measure, cfg: Config = DEFAULT):
     return ratio, side, False
 
 
-class RouteRecord:
-    """A Remark-style routing flow with the constants actually used."""
-
-    def __init__(self, result, congestion_cap, sink_caps, sink_boost,
-                 within_declared):
-        self.result = result
-        self.congestion_cap = Fraction(congestion_cap)
-        self.sink_caps = dict(sink_caps)
-        self.sink_boost = Fraction(sink_boost)
-        self.within_declared = bool(within_declared)
-
-    @property
-    def feasible(self):
-        return self.result.feasible
-
-
-def _escalate(solve, sink_caps, cfg: Config, boost_limit=64):
-    """The one congestion-escalation loop: solve(caps, cap) routes once with
-    sink caps `caps` at congestion cap `cap` and returns a RouteResult.
-
-    The cap doubles from oracle_congestion_cap up to oracle_congestion_limit,
-    then the sink caps are multiplied by a boost doubling up to boost_limit.
-    Returns the RouteRecord of the first feasible level (within_declared
-    only at the first), else that of the last level tried.
-    """
-    cap, boost, within = cfg.oracle_congestion_cap, Fraction(1), True
-    while True:
-        caps = {v: c * boost for v, c in sink_caps.items()}
-        res = solve(caps, cap)
-        if res.feasible:
-            return RouteRecord(res, cap, caps, boost, within)
-        if cap < cfg.oracle_congestion_limit:
-            cap = cap * 2
-        elif boost < boost_limit:
-            boost = boost * 2
-        else:
-            return RouteRecord(res, cap, caps, boost, False)
-        within = False
-
-
-def _routed(g: Graph, d, mu: Measure, rate, cfg: Config):
-    """route_from_cut with sink caps ceil(rate * mu(v)), escalated by
-    _escalate; past the last level each source absorbs its own units."""
-    d = frozenset(d)
-    base_caps = {v: Fraction(ceil_frac(Fraction(rate) * mu(v)))
-                 for v in d if mu(v) > 0}
-    rec = _escalate(lambda caps, cap: route_from_cut(g, d, caps, cap),
-                    base_caps, cfg)
-    if not rec.feasible:
-        caps = rec.sink_caps
-        for v, amt in (rec.result.sources or {}).items():
-            caps[v] = caps.get(v, Fraction(0)) + Fraction(amt)
-        rec.result = route_from_cut(g, d, caps, rec.congestion_cap)
-    return rec
-
-
 class PeelStep:
-    def __init__(self, residual, side, ratio, exact, flow_in, flow_out):
+    def __init__(self, residual, side, ratio, exact):
         self.residual = frozenset(residual)    # A_t
         self.side = frozenset(side)            # S_t
         self.ratio = ratio                     # measured sparsity in G[A_t]
         self.exact = exact                     # backend was exact
-        self.flow_in = flow_in                 # RouteRecord into S_t
-        self.flow_out = flow_out               # RouteRecord into A_t \ S_t
-
-    @property
-    def rest(self):
-        return self.residual - self.side
 
 
 class ExpanderCertificate:
@@ -228,7 +167,6 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
         raise OracleError("phi must be positive")
     logn = _log2n(g.vertex_count)
     threshold = cfg.oracle_sparsity_c * phi * logn
-    sink_rate = cfg.oracle_sink_scale * phi * logn
     mu_total = mu.of(g.vertices)
     residual = set(g.vertices)
     cum = Fraction(0)
@@ -248,12 +186,8 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
         def key(s):
             return (mu.of(s), len(s), tuple(sorted(s)))
         s_t = side if key(side) <= key(other) else other
-        rest = frozenset(residual) - s_t
-        flow_in = _routed(g_a, s_t, mu, sink_rate, cfg)
-        flow_out = _routed(g_a, rest, mu, sink_rate, cfg) if rest else None
         steps.append(PeelStep(frozenset(residual), s_t,
-                              cut_expansion(g_a, s_t, mu_a), exact,
-                              flow_in, flow_out))
+                              cut_expansion(g_a, s_t, mu_a), exact))
         residual -= s_t
         cum += mu.of(s_t)
     residual = frozenset(residual)
@@ -276,15 +210,13 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
 
 class RefinedOutcome:
     def __init__(self, tag, base: OracleOutcome, nu: Measure, cut_a=None,
-                 cut_a1=None, cut_a2=None, flow_steps=(), extra_flow=None):
+                 cut_a1=None, cut_a2=None):
         self.tag = tag                # 1 | 2a | 2b | 2c | 3a | 3b
         self.base = base
         self.nu = nu
         self.cut_a = cut_a            # A (cases 2a/2b/3a/3b)
         self.cut_a1 = cut_a1          # A1 (case 2c)
         self.cut_a2 = cut_a2          # A2 (case 2c)
-        self.flow_steps = list(flow_steps)   # peel steps whose in-side flows apply
-        self.extra_flow = extra_flow  # RouteRecord into an expander side
 
 
 def refined_cut_or_expander(g: Graph, phi, mu: Measure, nu: Measure,
@@ -293,23 +225,16 @@ def refined_cut_or_expander(g: Graph, phi, mu: Measure, nu: Measure,
     base = cut_or_expander(g, phi, mu, cfg)
     nu_total = nu.of(g.vertices)
     verts = g.vertex_set()
-    logn = base.logn
-    sink_rate_exp = cfg.oracle_sink_scale * Fraction(phi) * logn
     if base.tag == "Expander":
         return RefinedOutcome("1", base, nu)
     if base.tag == "UnbalancedExpander":
         a = base.residual
-        extra = _routed(g, a, mu, sink_rate_exp, cfg)
-        if nu.of(verts - a) >= nu_total / 2:
-            return RefinedOutcome("3a", base, nu, cut_a=a,
-                                  flow_steps=base.steps, extra_flow=extra)
-        return RefinedOutcome("3b", base, nu, cut_a=a,
-                              flow_steps=base.steps, extra_flow=extra)
+        tag = "3a" if nu.of(verts - a) >= nu_total / 2 else "3b"
+        return RefinedOutcome(tag, base, nu, cut_a=a)
     # BalancedCut
     abar = base.peeled
     if nu.of(abar) <= nu_total / 4:
-        return RefinedOutcome("2a", base, nu, cut_a=base.residual,
-                              flow_steps=base.steps)
+        return RefinedOutcome("2a", base, nu, cut_a=base.residual)
     cum = Fraction(0)
     t0 = None
     for i, step in enumerate(base.steps):
@@ -320,16 +245,12 @@ def refined_cut_or_expander(g: Graph, phi, mu: Measure, nu: Measure,
     if t0 is None:
         raise OracleError("internal: truncation index not found")
     if cum <= nu_total / 2:
-        kept = base.steps[:t0 + 1]
-        peeled = frozenset().union(*(s.side for s in kept))
-        return RefinedOutcome("2b", base, nu, cut_a=verts - peeled,
-                              flow_steps=kept)
+        peeled = frozenset().union(*(s.side for s in base.steps[:t0 + 1]))
+        return RefinedOutcome("2b", base, nu, cut_a=verts - peeled)
     a1 = verts - (frozenset().union(*(s.side for s in base.steps[:t0]))
                   if t0 > 0 else frozenset())
     a2 = a1 - base.steps[t0].side
-    return RefinedOutcome("2c", base, nu, cut_a1=a1, cut_a2=a2,
-                          flow_steps=base.steps[:t0],
-                          extra_flow=base.steps[t0].flow_out)
+    return RefinedOutcome("2c", base, nu, cut_a1=a1, cut_a2=a2)
 
 
 # ---------------------------------------------------------------------------
@@ -350,34 +271,6 @@ class CheckReport:
 
     def note(self, msg):
         self.notes.append(msg)
-
-
-def _check_route(rep: CheckReport, rec: RouteRecord, g_sub: Graph, d, label):
-    if rec is None:
-        return
-    if not rec.feasible:
-        rep.fail("%s: routing flow infeasible" % label)
-        return
-    sol = rec.result.flow
-    if not sol.check_conservation():
-        rep.fail("%s: flow does not conserve" % label)
-    # sources: each cut edge injects its capacity at its endpoint inside d
-    want = {}
-    for u, v, c in g_sub.edges:
-        if (u in d) != (v in d):
-            inside = u if u in d else v
-            want[inside] = want.get(inside, 0) + c
-    have = {v: a for v, a in sol.source_out.items()}
-    if {k: Fraction(v) for k, v in want.items()} != have:
-        rep.fail("%s: source amounts do not match cut-edge capacities" % label)
-    if sol.congestion() > rec.congestion_cap:
-        rep.fail("%s: congestion %s exceeds cap %s"
-                 % (label, sol.congestion(), rec.congestion_cap))
-    for v, got in sol.sink_in.items():
-        if got > rec.sink_caps.get(v, Fraction(0)):
-            rep.fail("%s: sink %r over its cap" % (label, v))
-    if not rec.within_declared:
-        rep.note("%s: needed escalation beyond the declared constants" % label)
 
 
 def check_outcome(outcome: OracleOutcome) -> CheckReport:
@@ -408,10 +301,6 @@ def check_outcome(outcome: OracleOutcome) -> CheckReport:
                          % (i, ratio, outcome.threshold))
         if mu.of(step.side) > mu.of(residual) / 2:
             rep.fail("step %d: peeled the larger-mu side" % i)
-        _check_route(rep, step.flow_in, g_a, step.side, "step %d in-flow" % i)
-        if step.flow_out is not None:
-            _check_route(rep, step.flow_out, g_a, step.rest,
-                         "step %d out-flow" % i)
         residual = residual - step.side
     if residual != outcome.residual:
         rep.fail("residual after peeling does not match the outcome")
@@ -483,10 +372,11 @@ def check_refined(outcome: RefinedOutcome) -> CheckReport:
             rep.fail("2a: nu of the peeled side exceeds nu(V)/4")
         if tag == "2b" and not (nu_total / 4 < nbar <= nu_total / 2):
             rep.fail("2b: nu of the peeled side outside (1/4, 1/2]")
-        peeled = frozenset().union(*(s.side for s in outcome.flow_steps)) \
-            if outcome.flow_steps else frozenset()
-        if peeled != verts - a:
-            rep.fail("%s: flow steps do not cover the cut side" % tag)
+        # V \ A is what a leading run of the (checked) peel steps removed
+        leading = accumulate((s.side for s in outcome.base.steps),
+                             frozenset.union, initial=frozenset())
+        if verts - a not in leading:
+            rep.fail("%s: V\\A is not the union of leading peel steps" % tag)
     elif tag == "2c":
         a1, a2 = outcome.cut_a1, outcome.cut_a2
         mu = outcome.base.mu
@@ -496,8 +386,6 @@ def check_refined(outcome: RefinedOutcome) -> CheckReport:
             rep.fail("2c: nu(A1\\A2) below nu(V)/4")
         if nu.of(verts - a1) > nu_total / 4:
             rep.fail("2c: nu(V\\A1) above nu(V)/4")
-        if outcome.extra_flow is None:
-            rep.fail("2c: missing the residual-side flow at the truncation step")
     elif tag in ("3a", "3b"):
         a = outcome.cut_a
         nbar = nu.of(verts - a)
@@ -505,10 +393,6 @@ def check_refined(outcome: RefinedOutcome) -> CheckReport:
             rep.fail("3a: nu(V\\A) below nu(V)/2")
         if tag == "3b" and nbar > nu_total / 2:
             rep.fail("3b: nu(V\\A) above nu(V)/2")
-        if outcome.extra_flow is None:
-            rep.fail("%s: missing the expander-side flow" % tag)
-        else:
-            _check_route(rep, outcome.extra_flow, g, a, "%s expander flow" % tag)
     else:
         rep.fail("unknown refined tag %r" % (tag,))
     return rep

@@ -12,10 +12,9 @@ from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .demand import DemandMatrix, from_matrix, respects_exact
-from .flow import path_decomposition, route_from_cut
+from .flow import escalate, path_decomposition, route_from_cut
 from .graph import ClusterView, Graph, Measure, capacity, edge_key
-from .oracle import (check_refined, refined_cut_or_expander, _escalate,
-                     _log2n)
+from .oracle import check_refined, refined_cut_or_expander, _log2n
 from .util import ceil_frac, rlog2, rloglog2
 
 
@@ -180,8 +179,8 @@ def _route_cut_to_left(sub_root, left_set, ctx_set, cut_keys, rate,
     base_cap = sub_root.base.cap
     base_caps = {x: Fraction(rate) * base_cap[sub_root.edge_of_split[x]]
                  for x in sorted(sinks)}
-    rec = _escalate(lambda caps, cap: route_from_cut(g, d, caps, cap),
-                    base_caps, cfg)
+    rec = escalate(lambda caps, cap: route_from_cut(g, d, caps, cap),
+                   base_caps, cfg)
     return (rec if rec.feasible else None), sinks
 
 

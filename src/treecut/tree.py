@@ -142,6 +142,9 @@ class DecompositionTree:
             raise ValueError("tree document nests too deeply") from None
         if _field(doc, "format_version", object) != FORMAT_VERSION:
             raise ValueError("tree document: unsupported format version")
+        mode = _field(doc, "mode", str)
+        if mode not in ("basic", "improved"):
+            raise ValueError("tree document: unknown mode %r" % mode)
         graph = _field(doc, "graph", str)
         edges = parse_edge_list(graph).edges if graph.strip() else []
         g = Graph(_vertices(doc, "vertices"), edges)
@@ -155,7 +158,7 @@ class DecompositionTree:
                 node.children.append(dec(c))
             return node
 
-        return cls(g, dec(doc.get("tree")), _field(doc, "mode", str))
+        return cls(g, dec(doc.get("tree")), mode)
 
     def to_dot(self) -> str:
         lines = ["graph decomposition {", "  node [shape=box];"]

@@ -76,7 +76,7 @@ class TestBuildVerify:
                      edited(vertices=[0, "a"]),
                      edited(tree=dict(doc["tree"], members="01234567")),
                      edited(tree=dict(doc["tree"], weight=[])),
-                     edited(format_version=99))
+                     edited(format_version=99), edited(mode="weird"))
         tampered = blob.replace('"weight":"4"', '"weight":"1"', 1)
         assert tampered != blob
         bad = tmp_path / "bad.json"
@@ -230,7 +230,7 @@ class TestConfig:
             DEFAULT.replace(oracle_congestion_cap=0)
 
     def test_api_refuses_bad_values(self):
-        for name in ("oracle_sparsity_c", "oracle_sink_scale",
+        for name in ("oracle_sparsity_c", "quality_C",
                      "oracle_congestion_cap", "oracle_congestion_limit",
                      "merge_phi_coeff", "merge_shrink_coeff", "c_phi",
                      "c0_declared", "kappa"):

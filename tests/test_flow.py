@@ -113,7 +113,7 @@ class TestRouteFromCut:
         g = parse_edge_list("0 1 2\n1 2 1\n2 3 1\n")
         res = route_from_cut(g, {1, 2, 3}, {2: 1, 3: 1}, congestion_cap=2)
         assert res.feasible
-        assert res.sources == {1: 2}
+        assert res.flow.source_out == {1: 2}
         assert res.flow.value == 2
         assert res.flow.sink_in == {2: 1, 3: 1}
 

@@ -32,6 +32,18 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             Graph([0], [(0, 0, 1)])
 
+    def test_non_integral_capacity_rejected(self):
+        """A fractional capacity was once truncated, so the tree was built
+        for a different graph; integral values of any number type stay
+        accepted."""
+        import numpy as np
+        for c in (Fraction(3, 2), 2.9, 0.5):
+            with pytest.raises(GraphError, match=r"edge \(0, 1\)"):
+                Graph(range(3), [(0, 1, c), (1, 2, 2)])
+        g = Graph(range(3), [(0, 1, Fraction(4, 2)), (1, 2, np.int64(3))])
+        assert g.cap == {(0, 1): 2, (1, 2): 3}
+        assert all(type(c) is int for c in g.cap.values())
+
     def test_components(self):
         g = Graph(range(5), [(0, 1, 1), (3, 4, 1)])
         assert g.components() == [frozenset({0, 1}), frozenset({2}),

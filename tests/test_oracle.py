@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from treecut.config import DEFAULT
-from treecut.flow import RouteResult
+import treecut.flow
+from treecut.flow import RouteResult, escalate
 from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
                            graph_expansion_exact, min_ratio_cut,
                            parse_edge_list)
 from treecut.merge import MergePartition
 from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
-                            refined_cut_or_expander, sparsest_cut,
-                            _escalate, _log2n, _sweep_best, _sweep_orders,
-                            _sweep_weights)
+                            refined_cut_or_expander, sparsest_cut, _log2n,
+                            _sweep_best, _sweep_orders, _sweep_weights)
 from treecut.tree import build_basic
 
 from corpus import random_graph, random_measure, ring_of_cliques
@@ -25,6 +25,13 @@ def k_n(n):
 
 def dumbbell():
     return parse_edge_list("0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n")
+
+
+def k8_pendant():
+    """A K8 with vertex 8 hanging off vertex 0."""
+    return parse_edge_list(
+        "\n".join("%d %d" % (i, j) for i in range(8)
+                  for j in range(i + 1, 8)) + "\n8 0\n")
 
 
 class TestSparsestCut:
@@ -139,9 +146,7 @@ class TestCutOrExpander:
         """A K8 with one pendant vertex under a heavy measure: the pendant
         cut is sparse and peels off, the core certifies, and the peeled
         measure stays below mu_total / log n."""
-        g = parse_edge_list(
-            "\n".join("%d %d" % (i, j) for i in range(8)
-                      for j in range(i + 1, 8)) + "\n8 0\n")
+        g = k8_pendant()
         mu = Measure({v: 8 for v in range(9)})
         out = cut_or_expander(g, Fraction(1, 16), mu)
         assert out.tag == "UnbalancedExpander"
@@ -150,14 +155,6 @@ class TestCutOrExpander:
         assert out.certificate.value == graph_expansion_exact(
             g.induced(out.residual), mu.restrict(out.residual))
         assert check_outcome(out).ok
-
-    def test_peel_flows_have_recorded_constants(self):
-        g = dumbbell()
-        out = cut_or_expander(g, Fraction(1, 4), Measure.indicator(g.vertices))
-        for step in out.steps:
-            for rec in (step.flow_in, step.flow_out):
-                assert rec.feasible
-                assert rec.result.flow.congestion() <= rec.congestion_cap
 
     def test_telescoping_and_smaller_side(self):
         rng = random.Random(41)
@@ -174,7 +171,8 @@ class TestCutOrExpander:
             seen = set()
             for step in out.steps:
                 assert step.residual == g.vertex_set() - seen
-                assert out.mu.of(step.side) <= out.mu.of(step.rest)
+                assert out.mu.of(step.side) <= \
+                    out.mu.of(step.residual - step.side)
                 seen |= step.side
         assert checked >= 10
 
@@ -230,36 +228,14 @@ class TestEscalation:
 
             def solve(sink_caps, cap):
                 tried.append((cap, sink_caps["x"] / 3))
-                return RouteResult(False, None, {})
+                return RouteResult(False, None)
 
-            rec = _escalate(solve, {"x": Fraction(3)}, DEFAULT,
-                            boost_limit=limit)
+            rec = escalate(solve, {"x": Fraction(3)}, DEFAULT,
+                           boost_limit=limit)
             assert tried == want
             assert not rec.feasible and not rec.within_declared
             assert (rec.congestion_cap, rec.sink_boost) == want[-1]
             assert rec.sink_caps == {"x": 3 * want[-1][1]}
-
-    def test_forced_escalation_is_recorded(self):
-        """With no sink at the bridge's endpoints both peel flows cross an
-        edge at congestion 1/2, so a declared cap of 1/64 escalates five
-        times, to 1/2, and the records say so."""
-        g = dumbbell()
-        mu = Measure({0: 1, 1: 1, 4: 1, 5: 1})
-        cfg = DEFAULT.replace(oracle_congestion_cap=Fraction(1, 64))
-        out = cut_or_expander(g, Fraction(1, 4), mu, cfg)
-        recs = [r for s in out.steps for r in (s.flow_in, s.flow_out)]
-        assert len(recs) == 2
-        for rec in recs:
-            assert rec.feasible and not rec.within_declared
-            assert (rec.congestion_cap, rec.sink_boost) == (Fraction(1, 2), 1)
-            assert rec.result.flow.congestion() == Fraction(1, 2)
-        rep = check_outcome(out)
-        assert rep.ok, rep.failures
-        assert sum("needed escalation" in n for n in rep.notes) == 2
-        # at the declared default cap the same flows need no escalation
-        out = cut_or_expander(g, Fraction(1, 4), mu)
-        assert all(r.within_declared for s in out.steps
-                   for r in (s.flow_in, s.flow_out))
 
 
 class TestRefined:
@@ -280,9 +256,7 @@ class TestRefined:
         assert rep.ok, rep.failures
 
     def test_case_3_split_by_nu(self):
-        g = parse_edge_list(
-            "\n".join("%d %d" % (i, j) for i in range(8)
-                      for j in range(i + 1, 8)) + "\n8 0\n")
+        g = k8_pendant()
         mu = Measure({v: 8 for v in range(9)})
         for nu, want in ((Measure({8: 1}), "3a"), (Measure({0: 1}), "3b")):
             out = refined_cut_or_expander(g, Fraction(1, 16), mu, nu)
@@ -305,3 +279,86 @@ class TestRefined:
             assert rep.ok, (out.tag, rep.failures)
             tags.add(out.tag)
         assert len(tags) >= 2
+
+
+def _dumbbell_outcome():
+    return cut_or_expander(dumbbell(), Fraction(1, 4),
+                           Measure.indicator(range(6)))
+
+
+def _balanced_outcome():
+    """A weighted dumbbell whose peel ends in a BalancedCut."""
+    mu = Measure({0: 4, 1: 4, 2: 4, 3: 4, 4: 4, 5: 1})
+    out = cut_or_expander(dumbbell(), Fraction(1, 4), mu)
+    assert out.tag == "BalancedCut"
+    return out
+
+
+def _refined_2b():
+    mu = Measure.indicator(range(6))
+    out = refined_cut_or_expander(dumbbell(), Fraction(1, 4), mu, mu)
+    assert out.tag == "2b"
+    return out
+
+
+class TestCheckersReject:
+    """Every tampered outcome fails its self-check with the matching
+    message."""
+
+    @pytest.mark.parametrize("make, tamper, message", [
+        (_dumbbell_outcome,
+         lambda out: setattr(out.steps[0], "ratio", out.steps[0].ratio + 1),
+         "recorded sparsity"),
+        (lambda: cut_or_expander(k8_pendant(), Fraction(1, 16),
+                                 Measure({v: 8 for v in range(9)})),
+         lambda out: setattr(out.steps[0], "side",
+                             out.steps[0].residual - out.steps[0].side),
+         "peeled the larger-mu side"),
+        (_dumbbell_outcome,
+         lambda out: setattr(out, "residual",
+                             out.residual - {min(out.residual)}),
+         "residual after peeling does not match"),
+        (lambda: cut_or_expander(k_n(5), Fraction(1, 4),
+                                 Measure.indicator(range(5))),
+         lambda out: setattr(out.certificate, "value",
+                             out.certificate.value + 1),
+         "recorded value"),
+        (_balanced_outcome,
+         lambda out: setattr(out, "residual", frozenset({5})),
+         "a side is below mu(V)/(4 log n)"),
+        (_refined_2b,
+         lambda out: setattr(out, "cut_a", out.cut_a | {2}),
+         "not the union of leading peel steps"),
+    ], ids=["ratio", "larger-side", "residual", "certificate", "balance",
+            "leading-steps"])
+    def test_tampered_outcome_fails(self, make, tamper, message):
+        out = make()
+        check = check_refined if hasattr(out, "nu") else check_outcome
+        assert check(out).ok
+        tamper(out)
+        rep = check(out)
+        assert not rep.ok
+        assert any(message in f for f in rep.failures), rep.failures
+
+
+class TestNoRouting:
+    def test_oracle_routes_nothing(self, monkeypatch):
+        """Neither oracle routes a flow: each flow the build keeps is routed
+        where it is used."""
+        calls = []
+        real = treecut.flow.max_flow
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(treecut.flow, "max_flow", counted)
+        g = dumbbell()
+        out = cut_or_expander(g, Fraction(1, 4), Measure.indicator(g.vertices))
+        assert out.steps
+        mu = Measure({v: 8 for v in range(9)})
+        for nu, want in ((Measure({8: 1}), "3a"), (Measure({0: 1}), "3b")):
+            out = refined_cut_or_expander(k8_pendant(), Fraction(1, 16), mu,
+                                          nu)
+            assert out.tag == want
+        assert calls == []
