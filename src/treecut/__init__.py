@@ -21,7 +21,6 @@ from .demand import (
     DemandError,
     DemandMatrix,
     DemandState,
-    dem_across,
     from_matrix,
     invariant_check,
     leaf_init,
@@ -74,9 +73,9 @@ __all__ = [
     "ClusterView", "capacity", "cut_capacity", "cut_expansion",
     "graph_expansion_exact", "min_ratio_cut",
     "subdivide", "parse_edge_list", "parse_measure",
-    "DemandError", "DemandMatrix", "DemandState", "dem_across",
-    "from_matrix", "invariant_check", "leaf_init", "parse_demands",
-    "respects_exact", "update",
+    "DemandError", "DemandMatrix", "DemandState", "from_matrix",
+    "invariant_check", "leaf_init", "parse_demands", "respects_exact",
+    "update",
     "OracleError", "OracleOutcome", "RefinedOutcome", "check_outcome",
     "check_refined", "cut_or_expander", "refined_cut_or_expander",
     "sparsest_cut",

@@ -211,12 +211,6 @@ def from_matrix(q: DemandMatrix) -> DemandState:
     return DemandState(entries)
 
 
-def dem_across(p: DemandState, side):
-    if not p.is_valid():
-        raise DemandError("dem_across requires a valid demand state")
-    return p.dem_across(side)
-
-
 def update(p: DemandState, q: DemandMatrix) -> DemandState:
     """The demand-state update P^(up Q).
 

@@ -314,17 +314,13 @@ def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap):
 class RouteRecord:
     """A Remark-style routing flow with the constants actually used."""
 
-    def __init__(self, result, congestion_cap, sink_caps, sink_boost,
+    def __init__(self, flow, congestion_cap, sink_caps, sink_boost,
                  within_declared):
-        self.result = result
+        self.flow = flow                  # the FlowSolution that routes
         self.congestion_cap = Fraction(congestion_cap)
         self.sink_caps = dict(sink_caps)
         self.sink_boost = Fraction(sink_boost)
         self.within_declared = bool(within_declared)
-
-    @property
-    def feasible(self):
-        return self.result.feasible
 
 
 def escalate(solve, sink_caps, cfg: Config, boost_limit=64):
@@ -334,18 +330,18 @@ def escalate(solve, sink_caps, cfg: Config, boost_limit=64):
     The cap doubles from oracle_congestion_cap up to oracle_congestion_limit,
     then the sink caps are multiplied by a boost doubling up to boost_limit.
     Returns the RouteRecord of the first feasible level (within_declared
-    only at the first), else that of the last level tried.
+    only at the first), or None when no level routes.
     """
     cap, boost, within = cfg.oracle_congestion_cap, Fraction(1), True
     while True:
         caps = {v: c * boost for v, c in sink_caps.items()}
         res = solve(caps, cap)
         if res.feasible:
-            return RouteRecord(res, cap, caps, boost, within)
+            return RouteRecord(res.flow, cap, caps, boost, within)
         if cap < cfg.oracle_congestion_limit:
             cap = cap * 2
         elif boost < boost_limit:
             boost = boost * 2
         else:
-            return RouteRecord(res, cap, caps, boost, False)
+            return None
         within = False

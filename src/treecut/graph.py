@@ -208,8 +208,10 @@ def cut_expansion(g: Graph, side, mu: Measure):
 class SubdivisionGraph:
     """Every base edge gets a split vertex in the middle.
 
-    The split vertex of the aggregated edge (u, v, c) carries capacity c on
-    both halves, so deg(x_e) = 2 c(e).
+    This holds the split ids only: edge i of base.edges gets id
+    max(vertices) + 1 + i.  The subdivided graphs are built per cluster
+    (ClusterView), where the split vertex of the aggregated edge (u, v, c)
+    carries capacity c on both halves, so deg(x_e) = 2 c(e).
     """
 
     def __init__(self, base: Graph):
@@ -218,17 +220,9 @@ class SubdivisionGraph:
         self.split_of_edge = {}
         self.edge_of_split = {}
         self._views = {}
-        verts = list(base.vertices)
-        edges = []
-        for u, v, c in base.edges:
-            x = nxt
-            nxt += 1
+        for x, (u, v, _) in enumerate(base.edges, nxt):
             self.split_of_edge[(u, v)] = x
             self.edge_of_split[x] = (u, v)
-            verts.append(x)
-            edges.append((u, x, c))
-            edges.append((x, v, c))
-        self.graph = Graph(verts, edges)
 
     def split(self, u, v):
         return self.split_of_edge[edge_key(u, v)]

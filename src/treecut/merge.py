@@ -38,10 +38,9 @@ def solve_attachment_flow(g: Graph, sources, sinks, cfg: Config):
 
     def solve(caps, cap):
         sol, _ = max_flow(FlowNetwork(g, sources, caps, edge_scale=cap))
-        return RouteResult(sol.value == total, flow=sol)
+        return RouteResult(sol.value == total, sol)
 
-    rec = escalate(solve, sinks, cfg, boost_limit=1)
-    return rec if rec.feasible else None
+    return escalate(solve, sinks, cfg, boost_limit=1)
 
 
 class ShrinkResult:

@@ -325,6 +325,10 @@ def check_outcome(outcome: OracleOutcome) -> CheckReport:
             lo = mu_total / (4 * outcome.logn)
             if min(peeled_mu, mu.of(outcome.residual)) < lo:
                 rep.fail("balanced case: a side is below mu(V)/(4 log n)")
+            if not outcome.residual or not outcome.residual < g.vertex_set():
+                rep.fail("balanced case: the residual is not a proper "
+                         "nonempty subset")
+                return rep
             ratio = cut_expansion(g, outcome.residual, mu)
             if ratio is not None and ratio > 3 * outcome.threshold:
                 rep.fail("balanced cut sparsity %s exceeds 3*threshold %s"

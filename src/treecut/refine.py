@@ -65,11 +65,9 @@ class BinaryNode:
     """One node of the refinement cut tree.  The left child is always the
     side that receives the cut-to-boundary flow."""
 
-    def __init__(self, dset, case, f_val, phi=None):
+    def __init__(self, dset, case):
         self.dset = frozenset(dset)
         self.case = case          # oracle case, "2c-inner", "3b-leaf", "1"
-        self.f_val = f_val
-        self.phi = phi
         self.left = None
         self.right = None
         self.cut_keys = ()        # base edges between left and right sets
@@ -79,12 +77,7 @@ class BinaryNode:
         self.sink_splits = frozenset()
         self.left_depth = None
         self.cluster_leaf = False
-        self.notes = []
         self.contraction = {}     # child set -> which decrease case held
-
-    @property
-    def is_binary_leaf(self):
-        return self.left is None and self.right is None
 
     def walk(self):
         """The nodes of this subtree, children before their parent: the
@@ -99,9 +92,7 @@ class BinaryNode:
 class LeafCertificate:
     """Boundary all-to-all respect check for one refinement leaf."""
 
-    def __init__(self, cluster, f_val, target, ratio, verified, ok):
-        self.cluster = frozenset(cluster)
-        self.f_val = f_val
+    def __init__(self, target, ratio, verified, ok):
         self.target = target
         self.ratio = ratio         # exact respect ratio or None
         self.verified = verified   # "exact" | "unverified"
@@ -109,17 +100,13 @@ class LeafCertificate:
 
 
 class RefinementResult:
-    def __init__(self, view, sigma, root, clusters, certificates, outcomes,
-                 notes, cfg):
+    def __init__(self, view, root, clusters, certificates, outcomes):
         self.view = view
-        self.sigma = sigma
         self.root = root
         self.clusters = tuple(sorted((frozenset(c) for c in clusters),
                                      key=min))
         self.certificates = certificates
         self.outcomes = outcomes
-        self.notes = notes
-        self.cfg = cfg
 
     @property
     def inter_cluster_keys(self):
@@ -181,7 +168,7 @@ def _route_cut_to_left(sub_root, left_set, ctx_set, cut_keys, rate,
                  for x in sorted(sinks)}
     rec = escalate(lambda caps, cap: route_from_cut(g, d, caps, cap),
                    base_caps, cfg)
-    return (rec if rec.feasible else None), sinks
+    return rec, sinks
 
 
 def _cut_rows(sub_root, flow, cut_keys, left_set):
@@ -234,24 +221,10 @@ class _Builder:
         self.sigma = sigma
         self.cfg = cfg
         self.outcomes = []
-        self.notes = []
         self.depth_limit = 40 + 10 * max(1, ceil_frac(rlog2(self.n))) ** 2
 
-    def _relocated(self, cut_side, dset, a):
-        """True when a boundary split on the cut side had its inner endpoint
-        on the other side, so relocation moved it across the cut."""
-        for x in cut_side:
-            e = self.sub_root.edge_of_split.get(x)
-            if e is None:
-                continue
-            inner = e[0] if e[0] in dset else e[1]
-            if inner not in a:
-                return True
-        return False
-
     def leaf(self, dset, case):
-        f = f_value(len(dset), self.sigma, self.n, self.cfg)
-        node = BinaryNode(dset, case, f)
+        node = BinaryNode(dset, case)
         node.cluster_leaf = True
         return node
 
@@ -275,18 +248,16 @@ class _Builder:
         if not rep.ok:
             raise RefineError("oracle self-check failed on %r: %s"
                               % (sorted(dset), rep.failures))
-        node = BinaryNode(dset, out.tag, f, phi)
+        node = BinaryNode(dset, out.tag)
         if out.tag == "1":
             node.cluster_leaf = True
             return node
         if out.tag == "2c":
-            return self._split_2c(node, view, out, depth)
+            return self._split_2c(node, out, depth, phi, logt)
         a = frozenset(out.cut_a) & dset
         rest = dset - a
         if not a or not rest:
             raise RefineError("degenerate relocated cut in %r" % sorted(dset))
-        if self._relocated(out.cut_a, dset, a):
-            node.notes.append("relocated stranded boundary splits")
         if out.tag == "3a":
             left_set, right_set = a, rest
         else:
@@ -303,7 +274,7 @@ class _Builder:
         self._attach_route(node, left_set, dset, right_set, phi, logt)
         return node
 
-    def _split_2c(self, node, view, out, depth):
+    def _split_2c(self, node, out, depth, phi, logt):
         dset = node.dset
         a1 = frozenset(out.cut_a1) & dset
         a2 = frozenset(out.cut_a2) & dset
@@ -311,7 +282,6 @@ class _Builder:
         pre = dset - a1
         if not a2 or not mid:
             raise RefineError("degenerate three-way cut in %r" % sorted(dset))
-        logt = _log2n(view.g_tilde.vertex_count)
         for child in (a2, mid) + ((pre,) if pre else ()):
             _check_contraction(self.g, dset, child, node)
         if not pre:
@@ -320,21 +290,21 @@ class _Builder:
                 raise RefineError("left child exceeds 3/4 of its parent")
             node.left = self.build(a2, depth + 1)
             node.right = self.build(mid, depth + 1)
-            self._attach_route(node, a2, dset, mid, node.phi, logt)
+            self._attach_route(node, a2, dset, mid, phi, logt)
             return node
         if 4 * len(pre) > 3 * len(dset):
             raise RefineError("left child exceeds 3/4 of its parent")
-        inner = BinaryNode(a1, "2c-inner", node.f_val, node.phi)
+        inner = BinaryNode(a1, "2c-inner")
         if 4 * len(a2) > 3 * len(a1):
             raise RefineError("left child exceeds 3/4 of its parent")
         inner.left = self.build(a2, depth + 1)
         inner.right = self.build(mid, depth + 1)
         # the inner cut routes with the outer cluster's schedule and targets
         # the outer cluster's boundary (its own cut splits are not sinks)
-        self._attach_route(inner, a2, dset, mid, node.phi, logt)
+        self._attach_route(inner, a2, dset, mid, phi, logt)
         node.left = self.build(pre, depth + 1)
         node.right = inner
-        self._attach_route(node, pre, dset, a1, node.phi, logt)
+        self._attach_route(node, pre, dset, a1, phi, logt)
         return node
 
     def _attach_route(self, node, left_set, ctx_set, right_set, phi, logt):
@@ -347,17 +317,14 @@ class _Builder:
         route, sinks = _route_cut_to_left(self.sub_root, left_set, ctx_set,
                                           cut_keys, rate, self.cfg)
         node.sink_splits = sinks
-        if cut_keys and route is None:
-            if not sinks:
-                node.notes.append("no outer-boundary sinks on the left side; "
-                                  "mass stays on the cut")
-                self.notes.append("sinkless route at %r" % (sorted(left_set),))
-            else:
-                raise RefineError("cut-to-boundary flow infeasible at every "
-                                  "escalation level in %r" % sorted(left_set))
+        # with no outer-boundary sink on the left side the mass stays on the
+        # cut: the route stays None and the envelope check fails
+        if route is None and cut_keys and sinks:
+            raise RefineError("cut-to-boundary flow infeasible at every "
+                              "escalation level in %r" % sorted(left_set))
         node.route = route
         if route is not None:
-            node.rows, node.unit = _cut_rows(self.sub_root, route.result.flow,
+            node.rows, node.unit = _cut_rows(self.sub_root, route.flow,
                                              cut_keys, left_set)
 
 
@@ -372,8 +339,7 @@ def refine(view: ClusterView, sigma: int, cfg: Config = DEFAULT) \
     clusters = [n.dset for n in root.walk() if n.cluster_leaf]
     certs = [_leaf_certificate(view.root, c, sigma, cfg)
              for c in sorted(clusters, key=min)]
-    return RefinementResult(view, sigma, root, clusters, certs, b.outcomes,
-                            b.notes, cfg)
+    return RefinementResult(view, root, clusters, certs, b.outcomes)
 
 
 def _assign_left_depths(root: BinaryNode):
@@ -393,9 +359,9 @@ def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
     view = sub_root.view(cluster)
     target = cfg.kappa / (f * _log2n(n))
     if not view.x_boundary:
-        return LeafCertificate(cluster, f, target, None, "exact", True)
+        return LeafCertificate(target, None, "exact", True)
     if view.sprime.vertex_count > cfg.brute_threshold:
-        return LeafCertificate(cluster, f, target, None, "unverified", None)
+        return LeafCertificate(target, None, "unverified", None)
     base_cap = sub_root.base.cap
     weight = {x: base_cap[sub_root.edge_of_split[x]]
               for x in view.x_boundary}
@@ -404,21 +370,20 @@ def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
     p = from_matrix(DemandMatrix.spread(weight, weight, weight.get))
     ratio, _ = respects_exact(view.sprime, p, cfg.brute_threshold)
     if ratio is None:
-        return LeafCertificate(cluster, f, target, None, "exact", True)
-    return LeafCertificate(cluster, f, target, ratio, "exact", ratio >= target)
+        return LeafCertificate(target, None, "exact", True)
+    return LeafCertificate(target, ratio, "exact", ratio >= target)
 
 
 class RoutingProfile:
     """Outcome of the bottom-up inter-cluster-to-boundary routing."""
 
     def __init__(self, loads, per_unit_max, congestion, envelope_ok,
-                 envelope_checks, notes):
+                 envelope_checks):
         self.loads = loads                  # split node -> final load
         self.per_unit_max = per_unit_max
         self.congestion = congestion        # max accumulated per-edge usage
         self.envelope_ok = envelope_ok
         self.envelope_checks = envelope_checks  # (dset, depth, max, bound)
-        self.notes = notes
 
     def total(self):
         return sum(self.loads.values(), Fraction(0))
@@ -437,15 +402,13 @@ def route_inter_to_boundary(result: RefinementResult) -> RoutingProfile:
         loads[sub.split(u, v)] = Fraction(base_cap[(u, v)])
     usage = {}
     checks = []
-    notes = list(result.notes)
     envelope_ok = True
 
     for node in result.root.walk():
         if not node.cut_keys:
             continue
         if node.route is None:
-            notes.append("unrouted cut at depth %d stays in place"
-                         % node.left_depth)
+            # an unrouted cut's mass stays in place
             envelope_ok = False
             continue
         unit = node.unit
@@ -458,7 +421,7 @@ def route_inter_to_boundary(result: RefinementResult) -> RoutingProfile:
             loads[x] = Fraction(0)
             for sink, amt in row:
                 loads[sink] = loads.get(sink, Fraction(0)) + amt * scale
-        flow = node.route.result.flow
+        flow = node.route.flow
         for (a, b), fval in flow.flow.items():
             cap = flow.graph.edge_capacity(a, b)
             k = edge_key(a, b)
@@ -476,5 +439,4 @@ def route_inter_to_boundary(result: RefinementResult) -> RoutingProfile:
     for x, l in loads.items():
         per_unit = max(per_unit, l / base_cap[sub.edge_of_split[x]])
     congestion = max(usage.values(), default=Fraction(0))
-    return RoutingProfile(loads, per_unit, congestion, envelope_ok, checks,
-                          notes)
+    return RoutingProfile(loads, per_unit, congestion, envelope_ok, checks)

@@ -5,7 +5,8 @@ import itertools
 from fractions import Fraction
 
 from treecut.demand import DemandState
-from treecut.graph import ClusterView, Graph, Measure, subdivide
+from treecut.graph import (ClusterView, Graph, Measure, parse_edge_list,
+                           subdivide)
 from treecut.tree import mincut_in_tree
 
 # denominators of the random masses below
@@ -21,6 +22,17 @@ def random_graph(rng, n, p, max_cap):
     edges = [(i, j, rng.randint(1, max_cap)) for i in range(n)
              for j in range(i + 1, n) if rng.random() < p]
     return Graph(range(n), edges)
+
+
+def k_n(n, cap=1):
+    """The complete graph on 0..n-1, every edge of capacity cap."""
+    return Graph(range(n), [(i, j, cap) for i in range(n)
+                            for j in range(i + 1, n)])
+
+
+def dumbbell():
+    """Two triangles 0-1-2 and 3-4-5 joined by the unit bridge 2-3."""
+    return parse_edge_list("0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n")
 
 
 def ring_of_cliques(k, s):

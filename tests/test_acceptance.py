@@ -256,7 +256,7 @@ def test_criterion_08_refinement_contracts(corpus):
             leaves += 1
         if len(res.clusters) > 1:
             prof = route_inter_to_boundary(res)
-            assert prof.envelope_ok, prof.notes
+            assert prof.envelope_ok, prof.envelope_checks
             routes += 1
 
     for g, tb, ti in items:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecut.graph import Graph, Measure, cut_capacity, parse_edge_list, subdivide
-from treecut.demand import (DemandError, DemandMatrix, DemandState, dem_across,
+from treecut.demand import (DemandError, DemandMatrix, DemandState,
                             from_matrix, leaf_init, parse_demands,
                             respects_exact, update)
 
@@ -81,11 +81,6 @@ class TestStateBasics:
             side = frozenset(rng.sample(range(6), 3))
             rest = frozenset(range(6)) - side
             assert p.dem_across(side) == p.dem_across(rest)
-
-    def test_dem_across_requires_valid(self):
-        p = DemandState({(0, 0): 1})
-        with pytest.raises(DemandError):
-            dem_across(p, {0})
 
 
 class TestMatrixStateBridge:

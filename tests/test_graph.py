@@ -10,12 +10,7 @@ from treecut.graph import (ClusterView, Graph, GraphError, Measure, SizeError,
                            parse_edge_list, format_edge_list, parse_measure,
                            subdivide)
 
-from corpus import random_graph
-
-
-def k_n(n, cap=1):
-    return Graph(range(n), [(i, j, cap) for i in range(n)
-                            for j in range(i + 1, n)])
+from corpus import k_n, random_graph
 
 
 def cycle(n):
@@ -132,8 +127,9 @@ class TestSubdivision:
         g = Graph([0, 1, 2], [(0, 1, 3), (1, 2, 2)])
         sub = subdivide(g)
         x01 = sub.split(0, 1)
-        assert sub.graph.degree(x01) == 6
-        assert sub.graph.degree(1) == 5
+        sub_g = sub.view(g.vertices).sub_in
+        assert sub_g.degree(x01) == 6
+        assert sub_g.degree(1) == 5
         assert sub.edge_of_split[x01] == (0, 1)
 
     def test_lift_cut_capacity_preserved(self):
@@ -148,7 +144,8 @@ class TestSubdivision:
             k = rng.randint(1, len(verts) - 1)
             side = frozenset(rng.sample(verts, k))
             lifted = sub.lift_cut(side)
-            assert cut_capacity(sub.graph, lifted) == cut_capacity(g, side)
+            assert cut_capacity(sub.view(g.vertices).sub_in, lifted) \
+                == cut_capacity(g, side)
 
     def test_expansion_halved_at_most(self):
         """Subdivision expansion is within [phi/2, phi] of the base, for the
@@ -159,7 +156,7 @@ class TestSubdivision:
         base = graph_expansion_exact(g, mu_base)
         mu_split = Measure({x: 2 * g.cap[e]
                             for x, e in sub.edge_of_split.items()})
-        lifted = graph_expansion_exact(sub.graph, mu_split)
+        lifted = graph_expansion_exact(sub.view(g.vertices).sub_in, mu_split)
         assert base / 2 <= lifted <= base
 
 

@@ -6,9 +6,10 @@ A plain AST scan, so it needs no linter: a name bound by `import` or
 `from ... import` (at any depth) must be read somewhere in the module, a
 parameter of any function or method (`self` and `cls` excepted) must be
 read somewhere in that function, nested functions included, and an
-attribute a class stores on `self` must be loaded by name (`.attr`)
-somewhere in the library, its tests or its benchmark.  The package's
-`__init__.py` re-exports names and is skipped.
+attribute a class stores on `self` must be loaded somewhere in the library,
+its tests or its benchmark: as `self.attr` inside a class of the same name,
+or as `.attr` on anything but `self`.  The package's `__init__.py`
+re-exports names and is skipped.
 """
 
 import ast
@@ -52,24 +53,45 @@ def unused_params(source):
     return sorted(out)
 
 
-def loaded_attrs(source):
-    return {n.attr for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+def in_classes(source):
+    """Each AST node of source with the name of the innermost class whose
+    body holds it (None outside every class)."""
+    stack = [(ast.parse(source), None)]
+    while stack:
+        node, cls = stack.pop()
+        yield node, cls
+        inner = node.name if isinstance(node, ast.ClassDef) else cls
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
+def self_attr(node, ctx):
+    """Is node an attribute of `self` in context ctx (ast.Load/Store)?"""
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def loaded_attrs(*sources):
+    """(own, other): own maps a class name to the attributes loaded on
+    `self` in its body; other holds every attribute loaded on anything
+    else, which counts for every class."""
+    own, other = {}, set()
+    for source in sources:
+        for n, cls in in_classes(source):
+            if cls is not None and self_attr(n, ast.Load):
+                own.setdefault(cls, set()).add(n.attr)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                other.add(n.attr)
+    return own, other
 
 
 def unread_fields(source, loaded):
     """(line, class, attribute) for each attribute a class stores on
-    `self` whose name is not in `loaded`."""
-    out = set()
-    for cls in ast.walk(ast.parse(source)):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        out |= {(n.lineno, cls.name, n.attr) for n in ast.walk(cls)
-                if isinstance(n, ast.Attribute)
-                and isinstance(n.ctx, ast.Store)
-                and isinstance(n.value, ast.Name) and n.value.id == "self"
-                and n.attr not in loaded}
-    return sorted(out)
+    `self` that `loaded` (from loaded_attrs) never reads for that class."""
+    own, other = loaded
+    return sorted({(n.lineno, cls, n.attr) for n, cls in in_classes(source)
+                   if cls is not None and self_attr(n, ast.Store)
+                   and n.attr not in other
+                   and n.attr not in own.get(cls, ())})
 
 
 def test_scan_finds_unused_names():
@@ -89,19 +111,24 @@ def test_scan_finds_unused_params():
 
 
 def test_scan_finds_unread_fields():
+    """A `self.g` load reads g for its own class only; P reads its g, Q
+    does not."""
     src = ("class K:\n    def __init__(self, a):\n        self.a = a\n"
            "        self.b, self.c = a\n        self.d = self.a\n"
            "    def m(self, o):\n        self.e += 1\n        o.f = 2\n"
-           "        return self.c\n")
-    loaded = loaded_attrs(src) | loaded_attrs("print(x.b)")
+           "        return self.c\n"
+           "class P:\n    def __init__(self):\n        self.g = 1\n"
+           "    def m(self):\n        return self.g\n"
+           "class Q:\n    def __init__(self):\n        self.g = 2\n")
+    loaded = loaded_attrs(src, "print(x.b)")
     assert unread_fields(src, loaded) == [
-        (5, "K", "d"), (7, "K", "e")]
+        (5, "K", "d"), (7, "K", "e"), (17, "Q", "g")]
 
 
 @pytest.fixture(scope="module")
 def loaded():
-    return set().union(*(loaded_attrs(p.read_text()) for d in READERS
-                         for p in (ROOT / d).rglob("*.py")))
+    return loaded_attrs(*(p.read_text() for d in READERS
+                          for p in (ROOT / d).rglob("*.py")))
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -12,11 +12,7 @@ from treecut.merge import (MergeError, is_balanced_clustering, merge_phase,
 from treecut.tree import build_basic, build_improved
 from treecut.verify import verify_quality
 
-from corpus import random_graph, view_of
-
-
-def dumbbell():
-    return parse_edge_list("0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n")
+from corpus import dumbbell, random_graph, view_of
 
 
 def barbell_k5():
@@ -75,10 +71,10 @@ class TestAttachmentFlow:
         cfg = DEFAULT.replace(oracle_congestion_cap=Fraction(1, 64))
         rec = solve_attachment_flow(g, {0: Fraction(1)}, {2: Fraction(1)},
                                     cfg)
-        assert rec.feasible and not rec.within_declared
+        assert not rec.within_declared
         assert (rec.congestion_cap, rec.sink_boost) == (1, 1)
-        assert rec.result.flow.value == 1
-        sol = rec.result.flow
+        assert rec.flow.value == 1
+        sol = rec.flow
         assert (sol.source_out, sol.sink_in) == ({0: 1}, {2: 1})
         rec = solve_attachment_flow(g, {0: Fraction(1)}, {2: Fraction(1)},
                                     DEFAULT)
@@ -107,7 +103,7 @@ class TestAttachmentFlow:
         for cfg in (DEFAULT, low):
             recs.clear()
             t = build(g, cfg)
-            assert recs and all(r.feasible for r in recs)
+            assert recs and None not in recs
             report = verify_quality(g, t, mode="exhaustive", cfg=cfg)
             assert not report.violations
             assert report.worst == Fraction(31, 6)

@@ -15,16 +15,8 @@ from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
                             _sweep_best, _sweep_orders, _sweep_weights)
 from treecut.tree import build_basic
 
-from corpus import random_graph, random_measure, ring_of_cliques
-
-
-def k_n(n):
-    return Graph(range(n), [(i, j, 1) for i in range(n)
-                            for j in range(i + 1, n)])
-
-
-def dumbbell():
-    return parse_edge_list("0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n")
+from corpus import (dumbbell, k_n, random_graph, random_measure,
+                    ring_of_cliques)
 
 
 def k8_pendant():
@@ -218,7 +210,7 @@ class TestCutOrExpander:
 class TestEscalation:
     def test_sequence(self):
         """The cap doubles up to its limit, then the sink boost doubles; a
-        flow infeasible at every level gets the record of the last one."""
+        flow infeasible at every level gets no record."""
         caps = [Fraction(c) for c in (4, 8, 16, 32, 64)]
         boosts = [Fraction(b) for b in (2, 4, 8, 16, 32, 64)]
         for limit, want in ((64, [(c, 1) for c in caps]
@@ -233,9 +225,21 @@ class TestEscalation:
             rec = escalate(solve, {"x": Fraction(3)}, DEFAULT,
                            boost_limit=limit)
             assert tried == want
-            assert not rec.feasible and not rec.within_declared
-            assert (rec.congestion_cap, rec.sink_boost) == want[-1]
-            assert rec.sink_caps == {"x": 3 * want[-1][1]}
+            assert rec is None
+
+    def test_record_of_an_escalated_level(self):
+        """A flow that first routes at sink boost 4 records the last cap,
+        that boost and the boosted sink caps, outside the declared cap."""
+        routed = object()
+
+        def solve(sink_caps, cap):
+            return RouteResult(sink_caps["x"] == 12, routed)
+
+        rec = escalate(solve, {"x": Fraction(3)}, DEFAULT)
+        assert rec.flow is routed
+        assert rec.congestion_cap == DEFAULT.oracle_congestion_limit == 64
+        assert (rec.sink_boost, rec.sink_caps) == (4, {"x": 12})
+        assert rec.within_declared is False
 
 
 class TestRefined:
@@ -326,11 +330,17 @@ class TestCheckersReject:
         (_balanced_outcome,
          lambda out: setattr(out, "residual", frozenset({5})),
          "a side is below mu(V)/(4 log n)"),
+        (_balanced_outcome,
+         lambda out: setattr(out, "residual", frozenset()),
+         "residual is not a proper nonempty subset"),
+        (_balanced_outcome,
+         lambda out: setattr(out, "residual", frozenset(range(6))),
+         "residual is not a proper nonempty subset"),
         (_refined_2b,
          lambda out: setattr(out, "cut_a", out.cut_a | {2}),
          "not the union of leading peel steps"),
     ], ids=["ratio", "larger-side", "residual", "certificate", "balance",
-            "leading-steps"])
+            "empty-residual", "full-residual", "leading-steps"])
     def test_tampered_outcome_fails(self, make, tamper, message):
         out = make()
         check = check_refined if hasattr(out, "nu") else check_outcome

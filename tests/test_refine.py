@@ -154,7 +154,8 @@ class TestRefineStructure:
         cases = {n.case for n in res.root.walk()}
         assert "3b" in cases and "3b-leaf" in cases
         leaf = next(n for n in res.root.walk() if n.case == "3b-leaf")
-        assert leaf.cluster_leaf and leaf.is_binary_leaf
+        assert leaf.cluster_leaf
+        assert leaf.left is None and leaf.right is None
 
     def test_sigma_precondition(self):
         g = triangle_chain()
@@ -233,7 +234,7 @@ class TestRouting:
                      and not node.route.within_declared]
         assert escalated
         for route in escalated:
-            assert route.result.flow.congestion() <= route.congestion_cap
+            assert route.flow.congestion() <= route.congestion_cap
         prof = route_inter_to_boundary(res)
         assert prof.total() == sum(Fraction(g.cap[k])
                                    for k in res.inter_cluster_keys)
@@ -257,7 +258,7 @@ class TestRandomSweep:
                     assert 4 * len(node.left.dset) <= 3 * len(node.dset)
             assert_rows_cover_cuts(res)
             prof = route_inter_to_boundary(res)
-            assert prof.envelope_ok, prof.notes
+            assert prof.envelope_ok, prof.envelope_checks
             for cert in res.certificates:
                 assert cert.ok is not False
         assert len(case_tags) >= 3
