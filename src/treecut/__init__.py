@@ -58,7 +58,6 @@ from .replay import (
     ReplayError,
     ReplayReport,
     full_replay,
-    replay_improved_cluster,
     replay_merge_cluster,
 )
 from .verify import (
@@ -84,6 +83,6 @@ __all__ = [
     "DecompositionTree", "TreeError", "TreeNode", "build_basic",
     "build_improved", "mincut_in_tree",
     "ChargeLedger", "ReplayError", "ReplayReport", "full_replay",
-    "replay_improved_cluster", "replay_merge_cluster",
+    "replay_merge_cluster",
     "QualityReport", "VerifyError", "verify_quality",
 ]

@@ -257,7 +257,11 @@ class _Builder:
         a = frozenset(out.cut_a) & dset
         rest = dset - a
         if not a or not rest:
-            raise RefineError("degenerate relocated cut in %r" % sorted(dset))
+            # the relocated cut keeps S whole (a threshold above 1, from a
+            # large c_phi, lets the oracle peel a lone split node): S stays
+            # one cluster
+            node.cluster_leaf = True
+            return node
         if out.tag == "3a":
             left_set, right_set = a, rest
         else:

@@ -18,7 +18,7 @@ from .graph import (_ZERO, ClusterView, Graph, cut_capacity, edge_key,
 from .merge import MergePartition
 from .oracle import _log2n
 from .refine import RefinementResult
-from .tree import DecompositionTree, mincut_plan
+from .tree import DecompositionTree, node_mincuts
 from .verify import quality_envelope
 
 
@@ -371,11 +371,10 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
                           "graph: %s" % ", ".join(map(str, outside)))
     if not p.is_valid():
         raise ReplayError("demand state is not valid")
-    mincut = mincut_plan(t)
-    for node in t.nodes():
-        if node.members == verts:
-            continue
-        if p.dem_across(node.members) > mincut(node.members):
+    scale, nodes, mcs = node_mincuts(t)
+    for node, mc in zip(nodes, mcs):
+        d = p.dem_across(node.members)
+        if d.numerator * scale > mc * d.denominator:
             raise ReplayError("demand state is not 1-respected by the tree "
                               "(violated at %r)" % sorted(node.members))
 

@@ -7,9 +7,12 @@ weighted by the capacity the child set cuts out of the whole graph, so the
 tree answers cut queries through `mincut_in_tree`.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .config import DEFAULT, Config
 from .graph import (Graph, capacity, format_edge_list, parse_edge_list,
@@ -17,7 +20,7 @@ from .graph import (Graph, capacity, format_edge_list, parse_edge_list,
 from .merge import merge_phase
 from .oracle import _log2n
 from .refine import refine
-from .util import frac_str, parse_frac
+from .util import frac_str, int_dtype, parse_frac
 
 
 class TreeError(ValueError):
@@ -76,6 +79,12 @@ class DecompositionTree:
         self.root = root
         self.mode = mode
         self.validate()
+        self._mincut = None       # see mincut_plan
+
+    def __getstate__(self):
+        # the kept min-cut plan holds closures, which do not pickle; a
+        # copy plans again
+        return dict(self.__dict__, _mincut=None)
 
     def nodes(self):
         return list(self.root.walk())
@@ -280,64 +289,159 @@ def build_improved(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
     return DecompositionTree(g, root, "improved")
 
 
-def mincut_plan(tree: DecompositionTree):
-    """Plan the tree min-cut dynamic program once and return query(b), the
-    minimum total weight of tree edges separating the leaves of b from the
-    rest, as a Fraction.  query does not check b: it must be a proper
-    nonempty subset of the tree's vertices.
+# cut_sides and a min-cut query work on chunks of rows of about this many
+# rows x vertices entries, which bounds their index arrays and DP state
+# whatever the number of cuts.
+_CELLS = 1 << 15
 
-    Each node is on b's side or not, and a child edge pays its weight when
-    the sides differ.  A leaf's side is fixed by its vertex, so a leaf child
-    adds its weight to exactly one of its parent's two states and needs no
-    state of its own.  The plan lists the internal nodes in post-order, each
-    with its leaf children as (vertex, weight) and its internal children as
-    (plan index, weight).  Weights are scaled by the lcm of their
-    denominators, so the DP runs on ints; the lcm is 1 for every tree that
-    passed validate().  The plan copies the weights: edit the tree, plan
-    again."""
-    scale = math.lcm(*(node.weight.denominator for node in tree.root.walk()))
-    plan = []
+
+def _row_chunks(rows, width):
+    step = max(1, _CELLS // max(1, width))
+    return [(start, start + step) for start in range(0, rows, step)]
+
+
+def cut_sides(vertices, cuts):
+    """Boolean matrix of the cuts: one row per cut, one column per vertex of
+    the sorted sequence `vertices`, True where the vertex is on the cut's
+    side.  Every vertex of every cut must be in `vertices`."""
+    column = {v: i for i, v in enumerate(vertices)}
+    cuts = list(cuts)
+    side = np.zeros((len(cuts), len(column)), bool)
+    for start, stop in _row_chunks(len(cuts), len(column)):
+        chunk = cuts[start:stop]
+        sizes = np.fromiter(map(len, chunk), np.intp, len(chunk))
+        cols = np.fromiter(map(column.__getitem__, itertools.chain(*chunk)),
+                           np.intp, int(sizes.sum()))
+        side[np.repeat(np.arange(start, start + len(chunk)), sizes),
+             cols] = True
+    return side
+
+
+def _unchanged(tree: DecompositionTree, root, graph, seen):
+    """Whether the tree still has this root and graph and every node in
+    seen the weight, members and children it had."""
+    return tree.root is root and tree.graph is graph and all(
+        node.weight is w and node.members is m and node.children == kids
+        for node, w, m, kids in seen)
+
+
+def mincut_plan(tree: DecompositionTree):
+    """Plan the tree min-cut dynamic program and return (scale, query).
+    query(side) takes a cut_sides matrix over the tree's sorted vertices
+    and returns, per row, scale times the minimum total weight of tree
+    edges separating the leaves on the row's side from the rest, as an
+    array of ints.  query does not check its rows: each must be a proper
+    nonempty subset of the vertices.
+
+    Each internal node is on the side or not, and a child edge pays its
+    weight when the sides differ.  A leaf's side is fixed by its vertex, so
+    a leaf child adds its weight to exactly one of its parent's two states
+    and needs no state of its own: one sum per group of leaf siblings gives
+    both states of every internal node, from its leaf children, for every
+    row.  The internal child edges then fold each child's states into its
+    parent's, children before parents, one array operation per edge over
+    all rows.  Weights are scaled by the lcm of their denominators, so the
+    DP runs on ints; the lcm is 1 for every tree that passed validate().
+    The arrays are int64 when the scaled weights sum below 2^62, which
+    bounds every DP value, and Python ints otherwise.
+
+    The plan is kept on the tree and made again once a node's weight,
+    members or children are not the objects it was made from, so an edited
+    tree is never answered from its old weights."""
+    kept = tree._mincut
+    if kept is not None and _unchanged(tree, *kept["made from"]):
+        return kept["plan"]
+    column = {v: i for i, v in enumerate(tree.graph.vertices)}
+    leaves, inner = [], []    # (column, parent, w) and (child, parent, w)
+    # the leaf children of internal node owners[g] are leaves[starts[g]:]
+    # up to the next group
+    starts, owners = [], []
+    seen = []                 # (node, weight, members, children)
+    internal = []
 
     def add(node):
-        leaves, inner = [], []
-        for c in node.children:
-            w = c.weight.numerator * (scale // c.weight.denominator)
-            if c.is_leaf:
-                leaves.append((next(iter(c.members)), w))
+        kids = [(add(c) if c.children else None, c) for c in node.children]
+        j = len(internal)
+        internal.append(node)
+        seen.append((node, node.weight, node.members, list(node.children)))
+        first = len(leaves)
+        for i, c in kids:
+            if i is None:
+                leaves.append((column[next(iter(c.members))], j, c.weight))
+                seen.append((c, c.weight, c.members, []))
             else:
-                inner.append((add(c), w))
-        plan.append((leaves, inner))
-        return len(plan) - 1
+                inner.append((i, j, c.weight))
+        if len(leaves) > first:
+            starts.append(first)
+            owners.append(j)
+        return j
 
     add(tree.root)
+    scale = math.lcm(*(w.denominator for _, _, w in leaves + inner))
 
-    def query(b):
-        cost = []
-        for leaves, inner in plan:
-            cost_in = cost_out = 0
-            for v, w in leaves:
-                if v in b:
-                    cost_out += w
-                else:
-                    cost_in += w
-            for i, w in inner:
-                ci, co = cost[i]
-                cost_in += min(ci, co + w)
-                cost_out += min(co, ci + w)
-            cost.append((cost_in, cost_out))
-        return Fraction(min(cost[-1]), scale)
+    def scaled(edges):
+        return [(a, j, w.numerator * (scale // w.denominator))
+                for a, j, w in edges]
 
-    return query
+    leaves, inner = scaled(leaves), scaled(inner)
+    dtype = int_dtype(sum(w for _, _, w in leaves + inner))
+    cols = np.array([col for col, _, _ in leaves], np.intp)
+    starts, owners = np.array(starts, np.intp), np.array(owners, np.intp)
+    leaf_w = np.array([w for _, _, w in leaves], dtype)[:, None]
+    leaf_total = np.zeros((len(internal), 1), dtype)
+    leaf_total[owners] = np.add.reduceat(leaf_w, starts)
+    edges = [(i, j, w) for (i, j, _), w in
+             zip(inner, np.array([w for _, _, w in inner], dtype))]
+
+    def run(side):
+        # state[j] = (cost with node j on the side, cost with j off it):
+        # the leaf children off the side pay in the first, those on it in
+        # the second
+        state = np.zeros((len(internal), 2, len(side)), dtype)
+        state[owners, 1] = np.add.reduceat(side.T[cols] * leaf_w, starts)
+        state[:, 0] = leaf_total - state[:, 1]
+        for i, j, w in edges:
+            child = state[i]
+            state[j] += np.minimum(child, child[::-1] + w)
+        return np.minimum(state[-1, 0], state[-1, 1])
+
+    def query(side):
+        chunks = _row_chunks(len(side), len(column))
+        if len(chunks) <= 1:
+            return run(side)
+        return np.concatenate([run(side[start:stop])
+                               for start, stop in chunks])
+
+    tree._mincut = {"made from": (tree.root, tree.graph, seen),
+                    "plan": (scale, query)}
+    return scale, query
+
+
+def node_mincuts(tree: DecompositionTree):
+    """(scale, nodes, mcs): every node of the tree but the root, in walk
+    order, and scale times the tree min-cut of its members (see
+    mincut_plan).  Kept with the plan, so repeated calls on an unedited
+    tree cost one check."""
+    scale, query = mincut_plan(tree)
+    kept = tree._mincut
+    if "nodes" not in kept:
+        verts = tree.graph.vertex_set()
+        nodes = [node for node in tree.nodes() if node.members != verts]
+        sides = cut_sides(tree.graph.vertices, (n.members for n in nodes))
+        kept["nodes"] = nodes, query(sides).tolist()
+    return (scale,) + kept["nodes"]
 
 
 def mincut_in_tree(tree: DecompositionTree, b):
     """Minimum total weight of tree edges separating the leaves of b from
     the rest (see mincut_plan).  To answer many queries on one tree, plan
-    once with mincut_plan."""
+    once with mincut_plan and pass every cut in one matrix."""
     b = frozenset(b)
     verts = tree.graph.vertex_set()
     if not b or b >= verts:
         raise TreeError("query side must be a proper nonempty subset")
     if not b <= verts:
         raise TreeError("query side contains unknown vertices")
-    return mincut_plan(tree)(b)
+    scale, query = mincut_plan(tree)
+    side = np.fromiter(map(b.__contains__, tree.graph.vertices), bool)
+    return Fraction(int(query(side[None])[0]), scale)

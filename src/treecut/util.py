@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import numpy as np
+
 # Precision (in bits after the point) for rational surrogates of log2.
 _LOG_BITS = 24
 
@@ -49,3 +51,9 @@ def parse_frac(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (s,)) from None
+
+
+def int_dtype(bound):
+    """numpy dtype for exact integer arrays whose values, sums included,
+    stay within bound: int64 below 2^62, Python ints (object) from there."""
+    return np.int64 if bound < 1 << 62 else object

@@ -10,15 +10,22 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .config import DEFAULT, Config
-from .graph import Graph, cut_capacity
+from .graph import Graph
 from .oracle import _log2n
-from .tree import DecompositionTree, mincut_plan
-from .util import frac_str, rloglog2
+from .tree import DecompositionTree, cut_sides, mincut_plan
+from .util import frac_str, int_dtype, rloglog2
 
 
 class VerifyError(ValueError):
     pass
+
+
+# Exhaustive verification keeps a record of each of its 2^(n-1) - 1 cuts, so
+# above this many vertices it cannot fit in memory.
+EXHAUSTIVE_LIMIT = 20
 
 
 def quality_envelope(n, cfg: Config = DEFAULT):
@@ -76,11 +83,32 @@ def _check_pair(g: Graph, t: DecompositionTree):
 
 
 def _all_cuts(vertices):
-    """Every proper nonempty cut once: the side avoiding the last vertex."""
-    verts = sorted(vertices)
-    n = len(verts)
-    for mask in range(1, 1 << (n - 1)):
-        yield frozenset(verts[i] for i in range(n - 1) if (mask >> i) & 1)
+    """Every proper nonempty cut once: the side avoiding the last vertex, in
+    the order of its bit mask over the sorted vertices."""
+    cuts = [frozenset()]
+    for v in sorted(vertices)[:-1]:
+        one = frozenset((v,))
+        cuts += [c | one for c in cuts]
+    return cuts[1:]
+
+
+def _all_sides(n):
+    """cut_sides matrix of _all_cuts over n sorted vertices, built by the
+    same doubling."""
+    side = np.zeros((1 << (n - 1), n), bool)
+    for i in range(n - 1):
+        side[1 << i:2 << i] = side[:1 << i]
+        side[1 << i:2 << i, i] = True
+    return side[1:]
+
+
+def _capacities(g: Graph, side):
+    """Graph cut capacity of every row of a cut_sides matrix, as ints."""
+    column = {v: i for i, v in enumerate(g.vertices)}
+    cap = np.zeros(len(side), int_dtype(sum(c for _, _, c in g.edges)))
+    for u, v, c in g.edges:
+        cap[side[:, column[u]] != side[:, column[v]]] += c
+    return cap.tolist()
 
 
 def verify_quality(g: Graph, t: DecompositionTree, mode=None,
@@ -88,7 +116,10 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
     """Measure the tree's cut quality.
 
     mode: None picks exhaustive for n <= 12, else sampled; or force
-    "exhaustive" / "sampled" explicitly."""
+    "exhaustive" (up to EXHAUSTIVE_LIMIT vertices) / "sampled" explicitly.
+    Every cut is evaluated at once: capacities and tree min-cuts as integer
+    arrays (see mincut_plan), then one record per cut, cuts with equal
+    values sharing one tuple of Fractions."""
     _check_pair(g, t)
     n = g.vertex_count
     if n < 2:
@@ -97,11 +128,16 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
         mode = "exhaustive" if n <= 12 else "sampled"
     if mode not in ("exhaustive", "sampled"):
         raise VerifyError("unknown verification mode %r" % mode)
+    if mode == "exhaustive" and n > EXHAUSTIVE_LIMIT:
+        raise VerifyError("exhaustive verification checks 2^(n-1) - 1 cuts; "
+                          "n = %d is above its limit of %d vertices"
+                          % (n, EXHAUSTIVE_LIMIT))
 
     verts = sorted(g.vertices)
     samples = 0
     if mode == "exhaustive":
-        cuts = list(_all_cuts(verts))
+        cuts = _all_cuts(verts)
+        side = _all_sides(n)
     else:
         vset = g.vertex_set()
         cuts = []
@@ -128,20 +164,26 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
         for _ in range(samples):
             k = rng.randint(1, n - 1)
             push(rng.sample(verts, k))
+        side = cut_sides(verts, cuts)
 
-    records = []
-    violations = []
-    worst = Fraction(1)
-    mincut = mincut_plan(t)
-    for b in cuts:
-        cap = Fraction(cut_capacity(g, b))
-        mc = mincut(b)
-        if cap > mc:
-            violations.append(b)
-            records.append((b, cap, mc, None))
-            continue
-        ratio = mc / cap if cap > 0 else None
-        if ratio is not None:
-            worst = max(worst, ratio)
-        records.append((b, cap, mc, ratio))
+    scale, mincut = mincut_plan(t)
+    caps, mcs = _capacities(g, side), mincut(side).tolist()
+    # one Fraction per distinct value and one record tail per distinct pair
+    # of capacity c and scaled tree estimate m; the ratios m / (c * scale)
+    # are compared in ints
+    cap_of = {c: Fraction(c) for c in set(caps)}
+    mc_of = {m: Fraction(m, scale) for m in set(mcs)}
+    shared = {}
+    top = (1, 1)              # the worst ratio so far, as (m, c * scale)
+    for c, m in set(zip(caps, mcs)):
+        ratio = None
+        # a zero cut has no ratio, nor has a violation (c above estimate)
+        if 0 < c * scale <= m:
+            ratio = Fraction(m, c * scale)
+            if m * top[1] > top[0] * c * scale:
+                top = (m, c * scale)
+        shared[c, m] = (cap_of[c], mc_of[m], ratio)
+    records = [(b,) + shared[k] for b, k in zip(cuts, zip(caps, mcs))]
+    violations = [b for b, c, m in zip(cuts, caps, mcs) if c * scale > m]
+    worst = Fraction(*top)
     return QualityReport(records, worst, mode, samples, cfg.seed, violations)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 import treecut
 from treecut.cli import main
 from treecut.config import DEFAULT, Config, load_config
-from treecut.graph import format_edge_list
+from treecut.graph import Graph, format_edge_list
+from treecut.tree import DecompositionTree, TreeNode
 
 from corpus import ring_of_cliques
 
@@ -168,6 +170,41 @@ class TestBuildVerify:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    def test_exhaustive_verify_above_limit_exits_two(self, tmp_path):
+        """An exhaustive verify of a 40-vertex path once built its 2^39
+        cuts until memory ran out; it must be refused before any cut is
+        made.  The run is a child process under a memory limit and a
+        timeout, so a regression fails the test rather than the machine."""
+        g = Graph(range(40), [(i, i + 1, 1) for i in range(39)])
+        root = TreeNode(g.vertices, "root", 0)
+        root.children = [TreeNode({v}, "leaf", g.degree(v))
+                         for v in g.vertices]
+        graph, tree = tmp_path / "path.edges", tmp_path / "star.json"
+        graph.write_text(format_edge_list(g))
+        tree.write_text(DecompositionTree(g, root, "basic").to_json())
+        proc = run_cli(["verify", "--graph", str(graph), "--tree",
+                        str(tree), "--exhaustive"], memory=1 << 30,
+                       timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def run_cli(argv, memory=None, timeout=60):
+    """`python -m treecut.cli argv` in a child process, optionally under an
+    address-space limit of `memory` bytes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(treecut.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    return subprocess.run([sys.executable, "-m", "treecut.cli"] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout,
+                          preexec_fn=limit if memory else None)
+
 
 def ring_of_cliques_file(path, k, s):
     path.write_text(format_edge_list(ring_of_cliques(k, s)))
@@ -180,19 +217,26 @@ class TestConfig:
         so the build runs in a subprocess under a timeout."""
         ring = ring_of_cliques_file(tmp_path / "ring.edges", 6, 4)
         cfg = tmp_path / "cap.cfg"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(treecut.__file__)),
-             os.environ.get("PYTHONPATH", "")]))
         for value in ("0", "-1"):
             cfg.write_text("oracle_congestion_cap = %s\n" % value)
-            proc = subprocess.run(
-                [sys.executable, "-m", "treecut.cli", "build", "--input",
-                 ring, "--config", str(cfg), "--out",
-                 str(tmp_path / "t.json")],
-                capture_output=True, text=True, env=env, timeout=60)
+            proc = run_cli(["build", "--input", ring, "--config", str(cfg),
+                            "--out", str(tmp_path / "t.json")])
             assert proc.returncode == 2, proc.stderr
             assert "error:" in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_large_c_phi_builds_a_verified_tree(self, tmp_path, capsys):
+        """With c_phi = 100 the refinement threshold passes 1, and the
+        oracle's relocated cut on the 4x5 ring kept the whole cluster: the
+        build once ended in a RefineError traceback."""
+        ring = ring_of_cliques_file(tmp_path / "ring.edges", 4, 5)
+        cfg, out = tmp_path / "c_phi.cfg", tmp_path / "t.json"
+        cfg.write_text("c_phi = 100\n")
+        assert main(["build", "--input", ring, "--mode", "improved",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--graph", ring, "--tree", str(out),
+                     "--config", str(cfg)]) == 0
+        assert "within: True" in capsys.readouterr().out
 
     def test_zero_tau_basic_exits_two(self, tmp_path, capsys):
         ring = ring_of_cliques_file(tmp_path / "ring.edges", 6, 4)

@@ -1,20 +1,28 @@
 """The integer sweep backend, the integer Dinic solver, the integer
-demand update and spread and the one-pass state sum, checked against plain
-references of the same algorithms."""
+demand update and spread, the one-pass state sum and the batched verify
+kernel, checked against plain references of the same algorithms."""
 
+import importlib.util
 import random
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from treecut.config import DEFAULT, Config
 from treecut.demand import (DemandError, DemandMatrix, DemandState,
                             sum_states, update)
 from treecut.flow import S_NODE, T_NODE, FlowNetwork, max_flow
-from treecut.graph import Graph, Measure
+from treecut.graph import Graph, Measure, cut_capacity
 from treecut.oracle import _sweep_best, _sweep_orders, _sweep_weights
+from treecut.tree import build_basic, build_improved, mincut_in_tree
+from treecut.verify import QualityReport, verify_quality
 
-from corpus import DENOMINATORS, labelled_graph, random_measure
+from corpus import (DENOMINATORS, brute_tree_mincut, labelled_graph,
+                    random_measure, ring_of_cliques)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def reference_sweep(g, mu):
@@ -477,3 +485,183 @@ class TestStateSum:
         assert list(got.entries) == [(1, 0), (2, 0), (0, 0)]
         assert sum_states([a, a.scaled(-1)]).is_zero()
         assert sum_states([]).is_zero()
+
+
+def reference_mincut(tree):
+    """query(b): the tree min-cut of one side b as a Fraction, by the
+    per-cut two-state DP over the internal nodes in post-order."""
+    plan = []
+
+    def add(node):
+        leaves, inner = [], []
+        for c in node.children:
+            if c.is_leaf:
+                leaves.append((next(iter(c.members)), c.weight))
+            else:
+                inner.append((add(c), c.weight))
+        plan.append((leaves, inner))
+        return len(plan) - 1
+
+    add(tree.root)
+
+    def query(b):
+        cost = []
+        for leaves, inner in plan:
+            cost_in = cost_out = Fraction(0)
+            for v, w in leaves:
+                if v in b:
+                    cost_out += w
+                else:
+                    cost_in += w
+            for i, w in inner:
+                ci, co = cost[i]
+                cost_in += min(ci, co + w)
+                cost_out += min(co, ci + w)
+            cost.append((cost_in, cost_out))
+        return min(cost[-1])
+
+    return query
+
+
+def reference_verify(g, t, mode=None, cfg=DEFAULT):
+    """verify_quality one cut at a time: the same cuts in the same order,
+    each with cut_capacity, the reference DP and its own Fractions."""
+    n = g.vertex_count
+    if mode is None:
+        mode = "exhaustive" if n <= 12 else "sampled"
+    verts = sorted(g.vertices)
+    samples = 0
+    if mode == "exhaustive":
+        cuts = [frozenset(verts[i] for i in range(n - 1) if (mask >> i) & 1)
+                for mask in range(1, 1 << (n - 1))]
+    else:
+        vset = g.vertex_set()
+        cuts = []
+        seen = set()
+
+        def push(b):
+            b = frozenset(b)
+            if b and b != vset and b not in seen:
+                key = b if verts[-1] not in b else vset - b
+                if key not in seen:
+                    seen.add(key)
+                    cuts.append(key)
+
+        for v in verts:
+            push({v})
+        for node in t.nodes():
+            push(node.members)
+        rng = random.Random(cfg.seed)
+        samples = cfg.samples
+        for _ in range(samples):
+            k = rng.randint(1, n - 1)
+            push(rng.sample(verts, k))
+
+    records = []
+    violations = []
+    worst = Fraction(1)
+    mincut = reference_mincut(t)
+    for b in cuts:
+        cap = Fraction(cut_capacity(g, b))
+        mc = mincut(b)
+        if cap > mc:
+            violations.append(b)
+            records.append((b, cap, mc, None))
+            continue
+        ratio = mc / cap if cap > 0 else None
+        if ratio is not None:
+            worst = max(worst, ratio)
+        records.append((b, cap, mc, ratio))
+    return QualityReport(records, worst, mode, samples, cfg.seed, violations)
+
+
+def assert_same_report(got, want):
+    assert got.records == want.records
+    assert [tuple(map(type, r)) for r in got.records] \
+        == [tuple(map(type, r)) for r in want.records]
+    assert got.violations == want.violations
+    assert got.worst == want.worst and type(got.worst) is Fraction
+    assert got.to_json() == want.to_json()
+    assert got.table_lines(limit=None) == want.table_lines(limit=None)
+
+
+def small_exact_graphs(seed=1):
+    """The benchmark's small-exact corpus: its random cells and its fixed
+    grids and path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.SmallExact().setup(seed, False, None)["graphs"]
+
+
+def scaled(g, factor, only=None):
+    """g with the capacity of every edge, or of edge number `only`,
+    multiplied by factor."""
+    return Graph(g.vertices, [(u, v, c * factor if only in (None, i) else c)
+                              for i, (u, v, c) in enumerate(g.edges)])
+
+
+def path(n):
+    return Graph(range(n), [(i, i + 1, 1) for i in range(n - 1)])
+
+
+class TestVerify:
+    def test_small_exact_corpus(self):
+        graphs = small_exact_graphs()
+        assert len(graphs) > 100
+        for g in graphs:
+            for build in (build_basic, build_improved):
+                t = build(g)
+                assert_same_report(verify_quality(g, t),
+                                   reference_verify(g, t))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_sampled_rings(self, seed):
+        cfg = Config(samples=500, seed=seed)
+        for k, s in ((3, 4), (4, 5), (6, 4)):
+            g = ring_of_cliques(k, s)
+            for build in (build_basic, build_improved):
+                t = build(g)
+                assert_same_report(verify_quality(g, t, "sampled", cfg),
+                                   reference_verify(g, t, "sampled", cfg))
+
+    @pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(7, 3)])
+    def test_tampered_weights(self, weight):
+        """A leaf weight of 1/2 or an inner weight of 7/3, set on the
+        heaviest such node, gives the DP a fractional scale and puts the
+        tree estimate below some cuts: the violations must match the
+        reference."""
+        cfg = Config(samples=300, seed=2)
+        cases = [(scaled(ring_of_cliques(3, 4), 2), "exhaustive"),
+                 (labelled_graph(random.Random(8), 9), "exhaustive"),
+                 (scaled(ring_of_cliques(4, 5), 2), "sampled")]
+        violated = 0
+        for g, mode in cases:
+            t = build_basic(g)
+            max((n for n in t.nodes()[1:]
+                 if n.is_leaf == (weight.denominator == 2)),
+                key=lambda n: n.weight).weight = weight
+            got = verify_quality(g, t, mode, cfg)
+            violated += bool(got.violations)
+            assert_same_report(got, reference_verify(g, t, mode, cfg))
+        assert violated >= 2
+
+    @pytest.mark.parametrize("big", [2 ** 61, 2 ** 70])
+    def test_capacities_past_int64(self, big):
+        """Sums of 2^62 and more run on Python ints; a single heavy edge
+        below that keeps the int64 arrays."""
+        cfg = Config(samples=200, seed=1)
+        for g in (scaled(path(6), big), scaled(ring_of_cliques(3, 3), big),
+                  scaled(path(7), big, only=2)):
+            for build in (build_basic, build_improved):
+                t = build(g)
+                for mode in ("exhaustive", "sampled"):
+                    assert_same_report(verify_quality(g, t, mode, cfg),
+                                       reference_verify(g, t, mode, cfg))
+                rng = random.Random(4)
+                cuts = [n.members for n in t.nodes()[1:]]
+                cuts += [rng.sample(g.vertices, rng.randint(1, 5))
+                         for _ in range(10)]
+                for b in cuts:
+                    assert mincut_in_tree(t, b) == brute_tree_mincut(t, b)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from treecut.graph import Graph, capacity, cut_capacity, parse_edge_list
 from treecut.tree import (DecompositionTree, TreeError, TreeNode, build_basic,
-                          build_improved, mincut_in_tree)
+                          build_improved, mincut_in_tree, node_mincuts)
 
 from corpus import brute_tree_mincut, random_graph
 
@@ -177,6 +178,36 @@ class TestMincutInTree:
                 assert got == brute_tree_mincut(t, b)
                 values.add(got)
             assert {v.denominator for v in values} >= {2, 3}
+
+    def test_edits_after_a_query_are_seen(self):
+        """The plan kept on the tree, and the min-cuts of the tree's own
+        nodes kept with it, are made again after a weight edit and after
+        the children are rearranged in place."""
+        g = triangle_chain(2)
+        t = build_basic(g)
+        sides = list(proper_sides(g))
+
+        def check():
+            assert [mincut_in_tree(t, b) for b in sides] \
+                == [brute_tree_mincut(t, b) for b in sides]
+            scale, nodes, mcs = node_mincuts(t)
+            assert nodes == t.nodes()[1:]
+            assert [Fraction(mc, scale) for mc in mcs] \
+                == [brute_tree_mincut(t, n.members) for n in nodes]
+
+        check()
+        t.leaves()[0].weight = Fraction(1, 2)
+        check()
+        t.root.children[:] = t.leaves()
+        check()
+
+    def test_queried_tree_pickles(self):
+        g = triangle_chain(2)
+        t = build_improved(g)
+        want = mincut_in_tree(t, {0, 1})
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy.to_json() == t.to_json()
+        assert mincut_in_tree(copy, {0, 1}) == want
 
     def test_lone_leaf_root_costs_nothing(self):
         g = parse_edge_list("0 1\n")

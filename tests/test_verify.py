@@ -8,7 +8,7 @@ import pytest
 from treecut.config import DEFAULT
 from treecut.graph import Graph, parse_edge_list
 from treecut.tree import build_basic, build_improved
-from treecut.verify import VerifyError, verify_quality
+from treecut.verify import EXHAUSTIVE_LIMIT, VerifyError, verify_quality
 
 from corpus import random_graph
 
@@ -65,6 +65,14 @@ class TestQuality:
         h = parse_edge_list("0 1\n1 2\n")
         with pytest.raises(VerifyError):
             verify_quality(h, build_basic(g))
+
+    def test_exhaustive_above_limit_rejected(self):
+        n = EXHAUSTIVE_LIMIT + 1
+        g = Graph(range(n), [(i, i + 1, 1) for i in range(n - 1)])
+        t = build_basic(g)
+        with pytest.raises(VerifyError, match="limit"):
+            verify_quality(g, t, "exhaustive")
+        assert verify_quality(g, t, cfg=DEFAULT.replace(samples=5)).ok
 
     def test_tampered_weight_is_caught(self):
         g = parse_edge_list("0 1\n1 2\n")
