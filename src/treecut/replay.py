@@ -299,43 +299,6 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
     return after, worst
 
 
-def replay_improved_cluster(child_states, part: MergePartition, refinements,
-                            b_lift, original, cfg: Config, ledger, trace):
-    """One combine of the alternating pipeline: uniformize each refinement
-    cluster, route each merge sub-cluster's inter-cluster mass to its
-    boundary, then run the full-weight merge replay.
-
-    child_states maps refinement clusters (or unrefined sub-clusters) to
-    states; refinements maps each merge sub-cluster to its stored
-    refinement result, or None when it was not split further.
-    Returns (new state, new load factor).
-    """
-    sub_states = {}
-    worst_alpha = Fraction(1)
-    view_root = part.view.root
-    for s_i in part.sub_clusters:
-        res = refinements.get(s_i)
-        if res is None or len(res.clusters) == 1:
-            pieces = [s_i]
-        else:
-            pieces = list(res.clusters)
-        total = sum_states(
-            uniformize_refined(child_states[r], view_root.view(r), b_lift,
-                               ledger, trace)
-            for r in pieces)
-        if res is not None and len(res.clusters) > 1:
-            total, a3 = route_refined_state(total, res, b_lift, ledger,
-                                            trace)
-            worst_alpha = max(worst_alpha, a3)
-        sub_states[s_i] = total
-    after, alpha_out = replay_merge_cluster(
-        sub_states, part, b_lift, worst_alpha, original, cfg, ledger, trace)
-    if alpha_out > cfg.alpha_improved_cap:
-        raise ReplayError("combined load factor %s exceeds the configured "
-                          "cap %s" % (alpha_out, cfg.alpha_improved_cap))
-    return after, alpha_out
-
-
 class ReplayReport:
     def __init__(self, ledger, trace, dem_p, cap_cut, initial_dem,
                  max_charge, envelope):
@@ -400,22 +363,10 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
     ledger = ChargeLedger()
     trace = ReplayTrace()
 
-    def sub_cluster_nodes(node, part):
-        pool = {}
-        for c in node.children:
-            pool[c.members] = c
-            for cc in c.children:
-                pool[cc.members] = cc
-        out = {}
-        for s_i in part.sub_clusters:
-            if s_i not in pool:
-                raise ReplayError("tree node for sub-cluster %r is missing"
-                                  % sorted(s_i))
-            out[s_i] = pool[s_i]
-        return out
-
     def state_of(node):
-        """(state, load factor) for a node carrying a merge partition."""
+        """(state, load factor) for a node carrying a merge partition.  An
+        improved node first uniformizes each refinement cluster and routes
+        a split sub-cluster's inter-cluster mass to its boundary."""
         if len(node.members) == 1:
             return leaf_states[next(iter(node.members))], Fraction(1)
         part = node.detail
@@ -423,29 +374,50 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
             raise ReplayError("node %r carries no merge partition (was the "
                               "tree built in-process?)"
                               % sorted(node.members))
-        cluster_nodes = sub_cluster_nodes(node, part)
-        if t.mode == "basic":
-            child_states = {}
-            alpha_in = Fraction(1)
-            for s_i, c in cluster_nodes.items():
-                st, a = state_of(c)
-                child_states[s_i] = st
-                alpha_in = max(alpha_in, a)
-            return replay_merge_cluster(child_states, part, b_lift,
-                                        alpha_in, p, cfg, ledger, trace)
-        child_states = {}
-        refinements = {}
-        for s_i, c in cluster_nodes.items():
+        pool = {}
+        for c in node.children:
+            pool[c.members] = c
+            for cc in c.children:
+                pool[cc.members] = cc
+        # every child state first, in sub-cluster order; the moves below
+        # write the ledger and trace in the order they run
+        states, split, alpha_in = {}, {}, Fraction(1)
+        for s_i in part.sub_clusters:
+            if s_i not in pool:
+                raise ReplayError("tree node for sub-cluster %r is missing"
+                                  % sorted(s_i))
+            c = pool[s_i]
             res = c.refinement
             if res is not None and len(res.clusters) > 1:
-                refinements[s_i] = res
+                split[s_i] = res
                 for r_node in c.children:
-                    child_states[r_node.members] = state_of(r_node)[0]
+                    states[r_node.members] = state_of(r_node)[0]
             else:
-                refinements[s_i] = None
-                child_states[s_i] = state_of(c)[0]
-        return replay_improved_cluster(child_states, part, refinements,
-                                       b_lift, p, cfg, ledger, trace)
+                states[s_i], a = state_of(c)
+                alpha_in = max(alpha_in, a)
+        if t.mode == "basic":
+            return replay_merge_cluster(states, part, b_lift, alpha_in, p,
+                                        cfg, ledger, trace)
+        # an improved merge starts from the load factor its routing leaves
+        sub_states, alpha_in = {}, Fraction(1)
+        for s_i in part.sub_clusters:
+            res = split.get(s_i)
+            total = sum_states(
+                uniformize_refined(states[r], part.view.root.view(r), b_lift,
+                                   ledger, trace)
+                for r in (res.clusters if res is not None else [s_i]))
+            if res is not None:
+                total, a = route_refined_state(total, res, b_lift, ledger,
+                                               trace)
+                alpha_in = max(alpha_in, a)
+            sub_states[s_i] = total
+        after, alpha_out = replay_merge_cluster(
+            sub_states, part, b_lift, alpha_in, p, cfg, ledger, trace)
+        if alpha_out > cfg.alpha_improved_cap:
+            raise ReplayError("combined load factor %s exceeds the "
+                              "configured cap %s"
+                              % (alpha_out, cfg.alpha_improved_cap))
+        return after, alpha_out
 
     if t.root.detail is None and t.root.children \
             and all(c.kind == "component" for c in t.root.children):

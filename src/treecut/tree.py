@@ -1,10 +1,14 @@
 """Hierarchical decomposition trees over a capacitated graph.
 
-Two build modes: `build_basic` recurses on the merge phase alone with a
-small separator weight, while `build_improved` alternates a full-weight
-merge phase with the boundary-expansion refinement.  Tree edges are
-weighted by the capacity the child set cuts out of the whole graph, so the
-tree answers cut queries through `mincut_in_tree`.
+Both build modes grow a tree top-down in one work loop (`_grow`): each
+connected component is a cluster, and a merge phase splits a cluster into
+the sub-clusters that hang below it.  `build_basic` runs merge phases alone
+with a small separator weight.  `build_improved` is the Racke-Shah-Taubig
+construction with one more step: full-weight merge phases, each merge
+sub-cluster refined for boundary expansion before it is merged in turn.
+The replay (`replay.full_replay`) walks the finished tree bottom-up.  Tree
+edges are weighted by the capacity the child set cuts out of the whole
+graph, so the tree answers cut queries through `mincut_in_tree`.
 """
 
 import itertools
@@ -191,102 +195,83 @@ def _node(g: Graph, members, kind, info=None) -> TreeNode:
     return TreeNode(members, kind, w, info)
 
 
-def _attach_components(g: Graph, kind_root: str):
-    """Root node; components become explicit children when g splits."""
-    root = _node(g, g.vertex_set(), kind_root)
+def _grow(g: Graph, cfg: Config, mode: str, tau) -> DecompositionTree:
+    """Grow the tree top-down from one work list of (node, cluster, sigma)
+    items, depth first.  sigma None is a merge step: the merge phase with
+    separator weight tau splits the cluster, and its sub-clusters hang below
+    node, under a merge-side holder for each side of the separator that is
+    not the whole cluster.  An improved build refines each sub-cluster
+    against sigma, the size of the cluster merged, and then merges each of
+    its refinement clusters."""
+    if g.vertex_count == 0:
+        raise TreeError("empty graph")
+    sub = subdivide(g)
+    root = _node(g, g.vertex_set(), "root")
     comps = g.components()
     if len(comps) == 1:
-        return root, [(root, comps[0])]
-    work = []
-    for comp in sorted(comps, key=min):
-        child = _node(g, comp, "component")
-        root.children.append(child)
-        work.append((child, comp))
-    root.sort_children()
-    return root, work
-
-
-def _grow_merge(g: Graph, sub, node: TreeNode, cluster, tau, cfg: Config,
-                grow_child):
-    """Run the merge phase on cluster with separator weight tau and hang its
-    sub-clusters below node: under a merge-side holder for each side of the
-    separator, or directly when a side is the whole cluster.  Then
-    grow_child(child, sub-cluster) continues below every sub-cluster."""
-    if len(cluster) == 1:
-        return
-    part = merge_phase(sub.view(cluster), tau, cfg)
-    node.detail = part
-    node.info["tau"] = tau
-    for side, parts in ((part.l_side, part.l_parts),
-                        (part.r_side, part.r_parts)):
-        if not side:
+        work = [(root, comps[0], None)]
+    else:
+        root.children = [_node(g, comp, "component")
+                         for comp in sorted(comps, key=min)]
+        work = [(c, c.members, None) for c in reversed(root.children)]
+    while work:
+        node, cluster, sigma = work.pop()
+        if len(cluster) == 1:
             continue
-        if side == cluster:
-            holder = node
+        steps = []
+        if sigma is None:
+            part = merge_phase(sub.view(cluster), tau, cfg)
+            node.detail = part
+            node.info["tau"] = tau
+            sigma = len(cluster) if mode == "improved" else None
+            for side, parts in ((part.l_side, part.l_parts),
+                                (part.r_side, part.r_parts)):
+                if not side:
+                    continue
+                if side == cluster:
+                    holder = node
+                else:
+                    holder = _node(g, side, "merge-side")
+                    node.children.append(holder)
+                for p in parts:
+                    child = _node(g, p,
+                                  "leaf" if len(p) == 1 else "merge-cluster")
+                    holder.children.append(child)
+                    steps.append((child, p, sigma))
+                holder.sort_children()
         else:
-            holder = _node(g, side, "merge-side")
-            node.children.append(holder)
-        for p in parts:
-            child = _node(g, p, "leaf" if len(p) == 1 else "merge-cluster")
-            holder.children.append(child)
-            grow_child(child, p)
-        holder.sort_children()
-    node.sort_children()
+            if 2 * sigma < 3 * len(cluster):
+                raise TreeError("merge phase broke its 2/3 size contract "
+                                "(sigma=%d, |S|=%d)" % (sigma, len(cluster)))
+            res = refine(sub.view(cluster), sigma, cfg)
+            node.refinement = res
+            node.info["sigma"] = sigma
+            if res.clusters == (frozenset(cluster),):
+                steps.append((node, cluster, None))
+            else:
+                for r in res.clusters:
+                    child = _node(g, r,
+                                  "leaf" if len(r) == 1 else "refine-cluster")
+                    node.children.append(child)
+                    steps.append((child, r, None))
+        node.sort_children()
+        work.extend(reversed(steps))
+    return DecompositionTree(g, root, mode)
 
 
 def build_basic(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
-    if g.vertex_count == 0:
-        raise TreeError("empty graph")
+    """Merge phases alone, with the small separator weight cfg.tau_basic
+    (1/log2 n when unset)."""
     tau = cfg.tau_basic
     if tau is None:
         tau = Fraction(1) / _log2n(g.vertex_count)
-    tau = Fraction(tau)
-    sub = subdivide(g)
-
-    def grow(node, cluster):
-        _grow_merge(g, sub, node, cluster, tau, cfg, grow)
-
-    root, work = _attach_components(g, "root")
-    for holder, comp in work:
-        grow(holder, comp)
-    return DecompositionTree(g, root, "basic")
+    return _grow(g, cfg, "basic", Fraction(tau))
 
 
 def build_improved(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
-    if g.vertex_count == 0:
-        raise TreeError("empty graph")
-    sub = subdivide(g)
-
-    def grow_merge(node, cluster, sigma):
-        """Merge with full separator weight, then refine each sub-cluster
-        against the enclosing refinement cluster size sigma."""
-        _grow_merge(g, sub, node, cluster, Fraction(1), cfg,
-                    lambda child, p: grow_refine(child, p, sigma))
-
-    def grow_refine(node, cluster, sigma):
-        if len(cluster) == 1:
-            return
-        if 2 * sigma < 3 * len(cluster):
-            raise TreeError("merge phase broke its 2/3 size contract "
-                            "(sigma=%d, |S|=%d)" % (sigma, len(cluster)))
-        res = refine(sub.view(cluster), sigma, cfg)
-        node.refinement = res
-        node.info["sigma"] = sigma
-        if res.clusters == (frozenset(cluster),):
-            grow_merge(node, cluster, len(cluster))
-            return
-        for r in res.clusters:
-            child = _node(g, r, "leaf" if len(r) == 1 else "refine-cluster")
-            node.children.append(child)
-            grow_merge(child, r, len(r))
-        node.sort_children()
-
-    root, work = _attach_components(g, "root")
-    for holder, comp in work:
-        # the whole component plays the part of the first refinement
-        # cluster, so sigma starts at its size
-        grow_merge(holder, comp, len(comp))
-    return DecompositionTree(g, root, "improved")
+    """Full-weight merge phases, each sub-cluster refined before it is
+    merged."""
+    return _grow(g, cfg, "improved", Fraction(1))
 
 
 # cut_sides and a min-cut query work on chunks of rows of about this many

@@ -35,6 +35,28 @@ def dumbbell():
     return parse_edge_list("0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n")
 
 
+def cycle(n):
+    """The n-cycle 0-1-...-(n-1)-0 with unit capacities."""
+    return Graph(range(n), [(i, (i + 1) % n, 1) for i in range(n)])
+
+
+def path(n):
+    """The path 0-1-...-(n-1) with unit capacities."""
+    return Graph(range(n), [(i, i + 1, 1) for i in range(n - 1)])
+
+
+def bridged_triangles(k):
+    """k triangles of capacity 3 joined in a path by edges of capacity 1;
+    both build modes nest their trees k internal levels deep."""
+    edges = []
+    for c in range(k):
+        a, b, d = 3 * c, 3 * c + 1, 3 * c + 2
+        edges += [(a, b, 3), (b, d, 3), (a, d, 3)]
+        if c + 1 < k:
+            edges.append((d, d + 1, 1))
+    return Graph(range(3 * k), edges)
+
+
 def ring_of_cliques(k, s):
     """k cliques of s vertices (capacity 3) joined in a ring by unit edges,
     numbered clique by clique, as in the benchmark's rings workload."""

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from treecut.demand import DemandState, respects_exact
-from treecut.graph import Graph, Measure, SizeError, cut_capacity, min_ratio_cut
+from treecut.graph import Measure, SizeError, cut_capacity, min_ratio_cut
 
-from corpus import DENOMINATORS, labelled_graph, random_measure
+from corpus import DENOMINATORS, cycle, labelled_graph, random_measure
 
 
 def reference_min_ratio(g, den_of):
@@ -81,7 +81,7 @@ class TestMinRatioCut:
     def test_ties_keep_first_side_in_gray_order(self):
         # every cut of the 8-cycle into two arcs of four has ratio 2/4;
         # the walk meets the arc {0, 1, 2, 3} first
-        g = Graph(range(8), [(i, (i + 1) % 8, 1) for i in range(8)])
+        g = cycle(8)
         ratio, side = min_ratio_cut(g, Measure.indicator(range(8)))
         assert ratio == Fraction(1, 2)
         assert side == frozenset({0, 1, 2, 3})
@@ -127,7 +127,7 @@ class TestRespectsExact:
             respects_exact(g, p, threshold=9)
 
     def test_ties_keep_first_side_in_gray_order(self):
-        g = Graph(range(8), [(i, (i + 1) % 8, 1) for i in range(8)])
+        g = cycle(8)
         # one commodity from 0 to 4: every cut separating them has ratio
         # 2/1, and the walk starts at {0}
         assert respects_exact(g, DemandState({(0, 0): 1, (4, 0): -1})) \

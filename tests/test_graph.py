@@ -10,11 +10,7 @@ from treecut.graph import (ClusterView, Graph, GraphError, Measure, SizeError,
                            parse_edge_list, format_edge_list, parse_measure,
                            subdivide)
 
-from corpus import k_n, random_graph
-
-
-def cycle(n):
-    return Graph(range(n), [(i, (i + 1) % n, 1) for i in range(n)])
+from corpus import cycle, k_n, random_graph
 
 
 class TestGraphBasics:

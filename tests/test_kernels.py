@@ -19,8 +19,8 @@ from treecut.oracle import _sweep_best, _sweep_orders, _sweep_weights
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 from treecut.verify import QualityReport, verify_quality
 
-from corpus import (DENOMINATORS, brute_tree_mincut, labelled_graph,
-                    random_measure, ring_of_cliques)
+from corpus import (DENOMINATORS, brute_tree_mincut, cycle, labelled_graph,
+                    path, random_measure, ring_of_cliques)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -184,7 +184,7 @@ class TestSweep:
 
     def test_ties_keep_the_first_cut(self):
         # on a uniform cycle many prefix cuts tie; the first one met wins
-        g = Graph(range(10), [(i, (i + 1) % 10, 1) for i in range(10)])
+        g = cycle(10)
         mu = Measure.indicator(range(10))
         assert _sweep_best(g, mu) == reference_sweep(g, mu)
         assert _sweep_best(g, mu)[0] == Fraction(2, 5)
@@ -600,10 +600,6 @@ def scaled(g, factor, only=None):
     multiplied by factor."""
     return Graph(g.vertices, [(u, v, c * factor if only in (None, i) else c)
                               for i, (u, v, c) in enumerate(g.edges)])
-
-
-def path(n):
-    return Graph(range(n), [(i, i + 1, 1) for i in range(n - 1)])
 
 
 class TestVerify:

@@ -1,15 +1,23 @@
+import gc
+import hashlib
 import itertools
+import os
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from treecut import oracle
 from treecut.graph import Graph, capacity, cut_capacity, parse_edge_list
 from treecut.tree import (DecompositionTree, TreeError, TreeNode, build_basic,
                           build_improved, mincut_in_tree, node_mincuts)
 
-from corpus import brute_tree_mincut, random_graph
+from corpus import (bridged_triangles, brute_tree_mincut, random_graph,
+                    ring_of_cliques)
+
+RING = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                    "ring8.edges")
 
 
 def proper_sides(g):
@@ -18,18 +26,6 @@ def proper_sides(g):
     for r in range(1, len(verts)):
         for b in itertools.combinations(verts, r):
             yield frozenset(b)
-
-
-def triangle_chain(k):
-    """k triangles of capacity 3 joined in a path by edges of capacity 1;
-    both build modes nest their trees k internal levels deep."""
-    edges = []
-    for c in range(k):
-        a, b, d = 3 * c, 3 * c + 1, 3 * c + 2
-        edges += [(a, b, 3), (b, d, 3), (a, d, 3)]
-        if c + 1 < k:
-            edges.append((d, d + 1, 1))
-    return Graph(range(3 * k), edges)
 
 
 class TestBuildShapes:
@@ -150,7 +146,7 @@ class TestMincutInTree:
         graphs = [random_graph(rng, rng.randint(3, 7), 0.55, 4)
                   for _ in range(10)]
         # small random trees are flat; these two have inner nodes
-        graphs += [triangle_chain(2), triangle_chain(3)]
+        graphs += [bridged_triangles(2), bridged_triangles(3)]
         checked = 0
         for g in graphs:
             for t in (build_basic(g), build_improved(g)):
@@ -164,7 +160,7 @@ class TestMincutInTree:
     def test_tampered_fractional_weights_stay_exact(self):
         """Weights edited after the build need not be integers: the DP
         rescales them and returns the exact Fraction."""
-        g = triangle_chain(2)
+        g = bridged_triangles(2)
         for t in (build_basic(g), build_improved(g)):
             leaf = t.leaves()[0]
             inner = next(n for n in t.nodes()
@@ -183,7 +179,7 @@ class TestMincutInTree:
         """The plan kept on the tree, and the min-cuts of the tree's own
         nodes kept with it, are made again after a weight edit and after
         the children are rearranged in place."""
-        g = triangle_chain(2)
+        g = bridged_triangles(2)
         t = build_basic(g)
         sides = list(proper_sides(g))
 
@@ -202,7 +198,7 @@ class TestMincutInTree:
         check()
 
     def test_queried_tree_pickles(self):
-        g = triangle_chain(2)
+        g = bridged_triangles(2)
         t = build_improved(g)
         want = mincut_in_tree(t, {0, 1})
         copy = pickle.loads(pickle.dumps(t))
@@ -244,3 +240,73 @@ class TestLowerBound:
                     k = rng.randint(1, g.vertex_count - 1)
                     b = frozenset(rng.sample(sorted(g.vertices), k))
                     assert cut_capacity(g, b) <= mincut_in_tree(t, b)
+
+
+def pinned_graph(name):
+    if name == "ring8":
+        with open(RING) as fh:
+            return parse_edge_list(fh.read())
+    if name == "bridged-triangles":
+        return bridged_triangles(2)       # two nested merge levels
+    # two components and an isolated vertex under the root
+    return Graph(range(7), [(0, 1, 2), (1, 2, 1), (0, 2, 1), (4, 5, 2),
+                            (5, 6, 1)])
+
+
+TREE_PINS = {
+    ("ring8", "basic"):
+    "67a9a6c1e1b619f365026b38d21fe937c3128b98b279866701f520933163eaab",
+    ("ring8", "improved"):
+    "467e49ba2708f44d80e53efca9230625a221d928b56ec682d5c989da5c6544c0",
+    ("bridged-triangles", "basic"):
+    "8f1da7c5ba7daec7c073fdaef1fa394198d3746c9789112f0469fb1384914f22",
+    ("bridged-triangles", "improved"):
+    "946f585d00266e734dba386da1feea857999006f82410c56a331cf286184ede2",
+    ("components", "basic"):
+    "83027614cd1acd7c71aa6259af6290da5b7c8e17a0723af66ac4f74424e40699",
+    ("components", "improved"):
+    "5ef947608c116c2aa49b3add5d2c24347633fbd6d182590a5ad543ebe46d8bdd",
+}
+
+
+@pytest.mark.parametrize("build", [build_basic, build_improved])
+@pytest.mark.parametrize("name", ["ring8", "bridged-triangles",
+                                  "components"])
+def test_tree_bytes_pinned(name, build, monkeypatch):
+    # the pin holds on every scipy/LAPACK build only while no oracle call
+    # reaches the float sweep backend
+    sweeps = []
+    sweep_best = oracle._sweep_best
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep_best(*args)
+
+    monkeypatch.setattr(oracle, "_sweep_best", counted)
+    t = build(pinned_graph(name))
+    assert not sweeps
+    digest = hashlib.sha256(t.to_json().encode()).hexdigest()
+    assert digest == TREE_PINS[name, t.mode]
+
+
+@pytest.mark.parametrize("build", [build_basic, build_improved])
+def test_build_leaves_no_function_in_a_cycle(build):
+    """A function in a reference cycle after the build (a recursive nested
+    closure) would hold the build's graphs and views until a full
+    collection."""
+    g = ring_of_cliques(4, 5)
+    build(g)                    # warm: imports and first-call caches
+    enabled, flags, start = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        build(g)
+        gc.collect()
+        kinds = {type(o).__name__ for o in gc.garbage[start:]}
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+        if enabled:
+            gc.enable()
+    assert not kinds & {"function", "cell"}

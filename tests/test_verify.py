@@ -10,7 +10,7 @@ from treecut.graph import Graph, parse_edge_list
 from treecut.tree import build_basic, build_improved
 from treecut.verify import EXHAUSTIVE_LIMIT, VerifyError, verify_quality
 
-from corpus import random_graph
+from corpus import cycle, path, random_graph
 
 RING = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                     "ring8.edges")
@@ -68,7 +68,7 @@ class TestQuality:
 
     def test_exhaustive_above_limit_rejected(self):
         n = EXHAUSTIVE_LIMIT + 1
-        g = Graph(range(n), [(i, i + 1, 1) for i in range(n - 1)])
+        g = path(n)
         t = build_basic(g)
         with pytest.raises(VerifyError, match="limit"):
             verify_quality(g, t, "exhaustive")
@@ -98,7 +98,7 @@ def test_ring8_report_bytes_pinned(build, mode):
 
 class TestSampled:
     def test_forced_cuts_present(self):
-        g = Graph(range(14), [(i, (i + 1) % 14, 1) for i in range(14)])
+        g = cycle(14)
         t = build_basic(g)
         cfg = DEFAULT.replace(samples=50)
         r = verify_quality(g, t, cfg=cfg)
