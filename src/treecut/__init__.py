@@ -11,7 +11,6 @@ from .graph import (
     capacity,
     cut_capacity,
     cut_expansion,
-    graph_expansion_exact,
     min_ratio_cut,
     subdivide,
     parse_edge_list,
@@ -70,8 +69,7 @@ __all__ = [
     "Config", "DEFAULT", "load_config",
     "Graph", "GraphError", "SizeError", "Measure", "SubdivisionGraph",
     "ClusterView", "capacity", "cut_capacity", "cut_expansion",
-    "graph_expansion_exact", "min_ratio_cut",
-    "subdivide", "parse_edge_list", "parse_measure",
+    "min_ratio_cut", "subdivide", "parse_edge_list", "parse_measure",
     "DemandError", "DemandMatrix", "DemandState", "from_matrix",
     "invariant_check", "leaf_init", "parse_demands", "respects_exact",
     "update",

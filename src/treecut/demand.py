@@ -18,7 +18,7 @@ per output entry.  The state sums (`loads`, `total_load`,
 from fractions import Fraction
 from math import lcm
 
-from .graph import _ZERO, Graph, SizeError, SubdivisionGraph, _gray_min_ratio
+from .graph import _ZERO, Graph, SizeError, SubdivisionGraph, _min_ratio_side
 from .config import DEFAULT
 from .util import parse_frac
 
@@ -280,7 +280,7 @@ def respects_exact(g: Graph, p: DemandState, threshold=None):
     for (v, k), a in p.entries.items():
         if v in vectors:
             vectors[v][k] = a
-    return _gray_min_ratio(g, vectors=[vectors[v] for v in g.vertices])
+    return _min_ratio_side(g, vectors=[vectors[v] for v in g.vertices])
 
 
 def leaf_init(p: DemandState, sub: SubdivisionGraph):

@@ -7,17 +7,21 @@ Conventions used throughout the package:
   * expansion denominators use exact rationals (fractions.Fraction).
 
 Exact cut enumeration (min_ratio_cut here, respects_exact in demand.py)
-runs on one Gray-code walk, _gray_min_ratio.  Its API stays Fraction: the
-walk scales the masses by the lcm of their denominators so that every
-step is integer arithmetic, and builds one Fraction for the returned ratio.
+runs on one kernel, _min_ratio_side, which scores all 2^(n-1) sides in
+numpy blocks of subset sums.  Its API stays Fraction: the kernel scales the
+masses by the lcm of their denominators so that every side is scored in
+ints (Python ints past 2^62), and builds one Fraction for the returned
+ratio.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+import numpy as np
+
 from .config import DEFAULT
-from .util import parse_frac
+from .util import int_dtype, parse_frac
 
 
 class GraphError(ValueError):
@@ -340,85 +344,123 @@ class ClusterView:
         return Measure(out)
 
 
-def _gray_min_ratio(g: Graph, weights=None, vectors=None):
+# The _LOW_BITS vertices after the first are the low ones and the rest the
+# high ones: each subset of the high vertices starts one block of sides,
+# which adds every subset of the low ones.
+_LOW_BITS = 12
+# Sides whose float ratio is within this factor of a block's least are
+# compared exactly.
+_FLOAT_SLACK = 1 + 1e-9
+
+
+def _gray_rank(mask):
+    """Position of mask in the Gray code: the xor of all its right shifts."""
+    shift = 1
+    while mask >> shift:
+        mask ^= mask >> shift
+        shift += shift
+    return mask
+
+
+def _side_sums(rows, first, verts):
+    """`first` plus the rows of S, for every subset S of the vertex indices
+    verts, in Gray-code order: table row p adds rows[verts[i]] for the set
+    bits i of p ^ (p >> 1).  Column 0 holds cut capacities and column
+    1 + j holds -2 c(., j), so the reflected doubling (rows 2^i..2^(i+1)-1
+    are the first 2^i reversed, plus vertex j = verts[i]) updates
+    cap(S + j) = cap(S) + deg(j) - 2 c(S, j) in place."""
+    t = np.empty((1 << len(verts), len(first)), first.dtype)
+    t[0] = first
+    for i, j in enumerate(verts):
+        h = 1 << i
+        np.add(t[h - 1::-1], rows[j], out=t[h:h + h])
+        t[h:h + h, 0] += t[h - 1::-1, 1 + j]
+    return t
+
+
+def _min_ratio_side(g: Graph, weights=None, vectors=None):
     """Exact minimizer of cap(S, S-bar)/den(S) over the cuts of g.
 
     Exactly one of `weights` and `vectors` is given, as a list aligned with
     g.vertices.  With `weights` (rationals), den(S) = min(w(S), w(S-bar)).
     With `vectors` (dicts commodity -> rational mass),
-    den(S) = sum_k |sum_{v in S} m_k(v)|.  Cuts with den(S) = 0 are skipped.
+    den(S) = sum_k |sum_{v in S} m_k(v)|.  Cuts with den(S) = 0 are skipped,
+    and so is the whole vertex set (its demand need not vanish when the
+    demand state has mass outside g).
 
-    The first vertex stays in S while the others follow a Gray code over
-    2^(n-1) sides, so each step toggles one vertex and updates the cut
-    capacity and the masses incrementally.  Masses are scaled by the lcm
-    of their denominators, so the walk runs on ints and compares ratios by
-    cross-multiplication.  Returns (ratio, side) for the first strict
-    minimizer in Gray order, or (None, None) when every den(S) is 0.
+    The first vertex stays in S, and bit j - 1 of a side's mask stands for
+    vertex j.  Masses are scaled by the lcm of their denominators, and the
+    sides are tabled in ints by _side_sums: first the first vertex plus
+    every subset of the high vertices, then, one block at a time, each of
+    those plus every subset of the low vertices.  Each block is scored in
+    numpy; floats pick the sides within _FLOAT_SLACK of its least ratio,
+    and ints compare those in Gray order (a block of odd index runs
+    through its table backwards).  Returns (ratio, side) for the first
+    strict minimizer in Gray order, or (None, None) when every den(S) is 0.
     """
     n = g.vertex_count
-    if n < 2:
-        return None, None
-    verts = g.vertices
     if vectors is None:
         scale = lcm(*(w.denominator for w in weights))
-        plus = [w.numerator * (scale // w.denominator) for w in weights]
-        minus = [-w for w in plus]
-        total = sum(plus)
+        masses = [[w.numerator * (scale // w.denominator)] for w in weights]
+        total = sum(m for m, in masses)
+        # min(w(S), w(S-bar)) > 0 needs weight on both sides
+        if sum(1 for m, in masses if m) < 2:
+            return None, None
     else:
         scale = lcm(*(a.denominator for vec in vectors for a in vec.values()))
         commodity = {}
-        plus = []
         for vec in vectors:
-            plus.append(tuple((commodity.setdefault(k, len(commodity)),
-                               a.numerator * (scale // a.denominator))
-                              for k, a in vec.items()))
-        minus = [tuple((k, -a) for k, a in vec) for vec in plus]
-        total = None
-        sums = [0] * len(commodity)
+            for k in vec:
+                commodity.setdefault(k, len(commodity))
+        if n < 2 or not commodity:
+            return None, None
+        masses = []
+        for vec in vectors:
+            row = [0] * len(commodity)
+            for k, a in vec.items():
+                row[commodity[k]] = a.numerator * (scale // a.denominator)
+            masses.append(row)
+    verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
-    adjz = [[(idx[u], c) for u, c in g.adj[v]] for v in verts]
-    deg = [g.degree(v) for v in verts]
-    # the walk starts from the empty side; step 0 adds the first vertex
-    in_side = [False] * n
-    cap = s = absum = 0
-    # best_cap/best_den = 1/0 stands for +infinity: a side with den = 0
-    # never beats it, any side with den > 0 does
-    best_cap, best_den, best_gray = 1, 0, 0
-    full = (1 << (n - 1)) - 1
-    for i in range(full + 1):
-        # step i > 0 toggles gray bit j - 1, which is vertex j
-        j = (i & -i).bit_length()
-        inside = 0
-        for k, c in adjz[j]:
-            if in_side[k]:
-                inside += c
-        if in_side[j]:
-            in_side[j] = False
-            cap += inside + inside - deg[j]
-            delta = minus[j]
+    # row j: deg(j), -2 c(j, v) for every vertex v, then j's masses
+    rows = [[g.degree(v)] + [0] * n + m for v, m in zip(verts, masses)]
+    for u, v, c in g.edges:
+        rows[idx[u]][1 + idx[v]] = rows[idx[v]][1 + idx[u]] = -2 * c
+    # every value formed below lies within the sum of the rows' |entries|
+    rows = np.array(rows, int_dtype(sum(sum(map(abs, row)) for row in rows)))
+    cut = min(n, _LOW_BITS + 1)
+    high = _side_sums(rows, rows[0], range(cut, n))
+    # the block and the position of the whole vertex set
+    full = (_gray_rank((1 << (n - cut)) - 1),
+            _gray_rank((1 << (cut - 1)) - 1))
+    # the least float ratio so far; best_cap/best_den = 1/0 stands for
+    # +infinity (any side with den > 0 beats it), at block k, position p
+    least_seen, best_cap, best_den, best_at = np.inf, 1, 0, None
+    for k, first in enumerate(high):
+        t = _side_sums(rows, first, range(1, cut))
+        cap = t[:, 0]
+        if vectors is None:
+            den = np.minimum(t[:, n + 1], total - t[:, n + 1])
         else:
-            in_side[j] = True
-            cap += deg[j] - inside - inside
-            delta = plus[j]
-        if total is None:
-            for k, a in delta:
-                old = sums[k]
-                sums[k] = new = old + a
-                absum += abs(new) - abs(old)
-            den = absum
-        else:
-            s += delta
-            den = s if s + s <= total else total - s
-        if cap * best_den < best_cap * den:
-            gray = i ^ (i >> 1)
-            # the whole vertex set is no cut (its demand need not vanish
-            # when the demand state has mass outside g)
-            if gray != full:
-                best_cap, best_den, best_gray = cap, den, gray
-    if not best_den:
+            den = np.abs(t[:, n + 1:]).sum(axis=1)
+        if k == full[0]:
+            den[full[1]] = 0     # the whole vertex set is no cut
+        ratio = np.where(den > 0, cap / np.maximum(den, 1), np.inf)
+        least = ratio.min()
+        if least == np.inf or least > least_seen * _FLOAT_SLACK:
+            continue
+        least_seen = min(least_seen, least)
+        near = np.flatnonzero(ratio <= least * _FLOAT_SLACK).tolist()
+        for p in reversed(near) if k & 1 else near:
+            c, d = cap.item(p), den.item(p)
+            if c * best_den < best_cap * d:
+                best_cap, best_den, best_at = c, d, (k, p)
+    if best_at is None:
         return None, None
+    k, p = best_at
+    mask = (k ^ (k >> 1)) << (cut - 1) | p ^ (p >> 1)
     side = frozenset(v for j, v in enumerate(verts)
-                     if j == 0 or (best_gray >> (j - 1)) & 1)
+                     if j == 0 or (mask >> (j - 1)) & 1)
     return Fraction(best_cap * scale, best_den), side
 
 
@@ -433,13 +475,7 @@ def min_ratio_cut(g: Graph, mu: Measure, threshold=None):
         threshold = DEFAULT.brute_threshold
     if n > threshold:
         raise SizeError("exact enumeration needs n <= %d, got %d" % (threshold, n))
-    return _gray_min_ratio(g, weights=[mu(v) for v in g.vertices])
-
-
-def graph_expansion_exact(g: Graph, mu: Measure, threshold=None):
-    """Minimum cut expansion over all cuts; None when undefined."""
-    ratio, _ = min_ratio_cut(g, mu, threshold)
-    return ratio
+    return _min_ratio_side(g, weights=[mu(v) for v in g.vertices])
 
 
 def parse_edge_list(text: str) -> Graph:

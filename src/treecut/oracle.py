@@ -13,8 +13,7 @@ from itertools import accumulate
 from math import lcm
 
 from .config import DEFAULT, Config
-from .graph import (Graph, Measure, cut_expansion, graph_expansion_exact,
-                    min_ratio_cut)
+from .graph import Graph, Measure, cut_expansion, min_ratio_cut
 from .util import rlog2
 
 
@@ -79,7 +78,8 @@ def _sweep_best(g: Graph, mu: Measure):
         return None, None
     w, scale, deg = _sweep_weights(g, mu)
     total = sum(w.values())
-    # best_cap/best_den = 1/0 stands for +infinity, as in _gray_min_ratio
+    # best_cap/best_den = 1/0 stands for +infinity: a cut with den = 0
+    # never beats it, any cut with den > 0 does
     best_cap, best_den, best_side = 1, 0, None
     for order in _sweep_orders(g, w, scale, deg):
         side = set()
@@ -343,7 +343,7 @@ def _check_cert(rep, cert, g, mu, phi, cfg, label):
         rep.fail("%s missing" % label)
         return
     if cert.verified == "exact":
-        val = graph_expansion_exact(g, mu, cfg.brute_threshold) \
+        val = min_ratio_cut(g, mu, cfg.brute_threshold)[0] \
             if g.vertex_count <= cfg.brute_threshold else None
         if g.vertex_count > cfg.brute_threshold:
             rep.fail("%s claims exact above the brute threshold" % label)

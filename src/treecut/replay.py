@@ -200,11 +200,12 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
         x_y_tilde = sorted(sub.split(u, v) for u, v in y_tilde)
         q3 = DemandMatrix.spread(p_l.loads(), x_y_tilde, unit_cap)
         p_l, _ = _move(p_l, q3, b_lift, trace, s, "merge-to-sep")
+        loads3 = p_l.loads()
         for y in x_y_tilde:
-            if p_l.load(y) > unit_cap(y):
+            load = loads3.get(y, _ZERO)
+            if load > unit_cap(y):
                 raise ReplayError("separator split %r holds %s, over its "
-                                  "capacity %s"
-                                  % (y, p_l.load(y), unit_cap(y)))
+                                  "capacity %s" % (y, load, unit_cap(y)))
 
     # step 4: everything still on non-boundary separator splits rides the
     # stored separator-to-boundary flow
@@ -262,8 +263,9 @@ def uniformize_refined(state, view: ClusterView, b_lift, ledger, trace):
     if new.total_load() > cap_b:
         raise ReplayError("uniformized load %s exceeds the boundary "
                           "capacity %s" % (new.total_load(), cap_b))
+    loads = new.loads()
     for x in view.x_boundary:
-        if new.load(x) > Fraction(base_cap[sub.edge_of_split[x]]):
+        if loads.get(x, _ZERO) > base_cap[sub.edge_of_split[x]]:
             raise ReplayError("uniformized split %r is over its capacity"
                               % (x,))
     _charge(ledger, view, b_lift, "refine-uniformize", dem_diff)

@@ -1,12 +1,12 @@
 """Shared test graphs, measures and demand states, and the brute-force
-tree min-cut and terminal-augmented min cut."""
+minimum-ratio cut, tree min-cut and terminal-augmented min cut."""
 
 import itertools
 from fractions import Fraction
 
 from treecut.demand import DemandState
-from treecut.graph import (ClusterView, Graph, Measure, parse_edge_list,
-                           subdivide)
+from treecut.graph import (ClusterView, Graph, Measure, cut_capacity,
+                           parse_edge_list, subdivide)
 from treecut.tree import mincut_in_tree
 
 # denominators of the random masses below
@@ -117,6 +117,29 @@ def random_demand(rng, n, pairs=3):
         entries[(u, k)] = entries.get((u, k), Fraction(0)) + a
         entries[(v, k)] = entries.get((v, k), Fraction(0)) - a
     return DemandState(entries)
+
+
+def reference_min_ratio(g, den_of):
+    """First strict minimizer of cap/den_of(side) over the cuts of g with a
+    positive den_of, recomputing every side from scratch in Fraction.  The
+    first vertex stays in the side and bit j - 1 of the Gray code stands
+    for vertex j, so ties resolve as in min_ratio_cut and respects_exact.
+    Returns (ratio, side), or (None, None) when no cut qualifies."""
+    verts = g.vertices
+    n = len(verts)
+    best, best_side = None, None
+    for i in range(1 << (n - 1)):
+        gray = i ^ (i >> 1)
+        side = frozenset([verts[0]] + [verts[j] for j in range(1, n)
+                                       if (gray >> (j - 1)) & 1])
+        if len(side) == n:
+            continue
+        den = den_of(side)
+        if den > 0:
+            ratio = Fraction(cut_capacity(g, side)) / den
+            if best is None or ratio < best:
+                best, best_side = ratio, side
+    return best, best_side
 
 
 def scale_to_respect(t, p):

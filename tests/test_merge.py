@@ -136,14 +136,14 @@ class TestMergePhase1:
         measured expansion of the inter-cluster split nodes meets the
         declared lower bound.  The merge phase itself never enumerates cuts
         to measure it."""
-        exact = graph.graph_expansion_exact
+        exact = graph.min_ratio_cut
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return exact(*args, **kwargs)
 
-        monkeypatch.setattr(graph, "graph_expansion_exact", counted)
+        monkeypatch.setattr(graph, "min_ratio_cut", counted)
         rng = random.Random(31)
         checked = 0
         for _ in range(30):
@@ -153,8 +153,8 @@ class TestMergePhase1:
             if view.sub_in.vertex_count > DEFAULT.brute_threshold \
                     or cl.alpha_declared is None:
                 continue
-            measured = exact(view.sub_in, view.split_measure(cl.f_keys),
-                             DEFAULT.brute_threshold)
+            measured, _ = exact(view.sub_in, view.split_measure(cl.f_keys),
+                                DEFAULT.brute_threshold)
             if measured is None:
                 continue
             exact_tags = all(o.certificate is None or
