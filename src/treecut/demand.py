@@ -8,15 +8,16 @@ proportion to weights) or from a stored flow scaled to the load present.
 lets opposite-signed masses cancel, which is what the charging replay
 exploits.
 
-`update` and `spread` keep the Fraction API but run on ints: they scale the
-masses, amounts and weights by the lcm of their denominators, accumulate
-every output numerator over one common denominator, and build one Fraction
-per output entry.  The state sums (`loads`, `total_load`,
-`commodity_totals`, `dem_across`) add numerators over one lcm the same way.
+Both classes hold their entries as ints over one denominator: `den` is the
+lcm of the entries' reduced denominators, and `nums` maps each key to its
+nonzero numerator over `den`, in insertion order, so gcd(den, *nums) is 1.
+Every kernel below adds and scales those ints over a common denominator
+and reduces its result by one gcd.  `entries` is a view that builds the
+{key: Fraction} dict afresh on every read.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .graph import _ZERO, Graph, SizeError, SubdivisionGraph, _min_ratio_side
 from .config import DEFAULT
@@ -31,46 +32,62 @@ def _frac(a):
     return a if type(a) is Fraction else Fraction(a)
 
 
-def _int_sums(terms):
-    """(d, {key: n}) where n / d is the sum of num / den over the terms
-    (key, num, den) with that key, d is the lcm of the denominators, and
-    the keys are in first-seen order."""
-    terms = list(terms)
-    d = lcm(*(den for _, _, den in terms))
-    sums = {}
-    for key, num, den in terms:
-        sums[key] = sums.get(key, 0) + num * (d // den)
-    return d, sums
+class _IntEntries:
+    """Entries held as nums[key] / den: den is the lcm of the entries'
+    reduced denominators and no numerator is zero."""
+
+    def _set_entries(self, fracs):
+        """Hold the nonzero Fractions of fracs, in their order."""
+        den = lcm(*(a.denominator for a in fracs.values()))
+        self.den = den
+        self.nums = {key: a.numerator * (den // a.denominator)
+                     for key, a in fracs.items() if a}
+
+    @classmethod
+    def _reduced(cls, den, nums):
+        """nums / den, nums holding no zero, reduced by their common gcd."""
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {key: n // g for key, n in nums.items()}
+        out = cls.__new__(cls)
+        out.den, out.nums = den, nums
+        return out
+
+    @property
+    def entries(self):
+        """{key: Fraction}, built afresh on every read."""
+        den = self.den
+        return {key: Fraction(n, den) for key, n in self.nums.items()}
 
 
-class DemandMatrix:
+class DemandMatrix(_IntEntries):
     """Sparse nonnegative (source, target) -> amount with zero diagonal."""
 
     def __init__(self, entries=()):
-        self.entries = {}
+        fracs = {}
         for (u, v), a in dict(entries).items():
             a = _frac(a)
             if a < 0:
                 raise DemandError("negative demand entry")
             if u == v:
                 raise DemandError("diagonal demand entry at %r" % (u,))
-            if a:
-                self.entries[(u, v)] = self.entries.get((u, v), _ZERO) + a
+            fracs[(u, v)] = a
+        self._set_entries(fracs)
 
     def add(self, u, v, a):
         a = _frac(a)
         if a < 0 or u == v:
             raise DemandError("bad demand entry")
         if a:
-            self.entries[(u, v)] = self.entries.get((u, v), _ZERO) + a
+            fracs = self.entries
+            fracs[(u, v)] = fracs.get((u, v), _ZERO) + a
+            self._set_entries(fracs)
 
     def dem_across(self, side):
         side = frozenset(side)
-        tot = _ZERO
-        for (u, v), a in self.entries.items():
-            if (u in side) != (v in side):
-                tot += a
-        return tot
+        return Fraction(sum(a for (u, v), a in self.nums.items()
+                            if (u in side) != (v in side)), self.den)
 
     @classmethod
     def spread(cls, mass, targets, weight_of=None):
@@ -96,94 +113,109 @@ class DemandMatrix:
         total = sum(ws)
         if total == 0:
             raise DemandError("spread needs positive total target weight")
+        if total < 0:
+            # keep the denominator c * W positive
+            ws, total = [-w for w in ws], -total
         c = lcm(*(m.denominator for m in masses))
-        den = c * total
-        q = cls()
-        entries = q.entries
+        nums = {}
         for u, m in zip(sources, masses):
             mu = m.numerator * (c // m.denominator)
             if not mu:
                 continue
             for v, w in zip(vs, ws):
                 if v != u and w:
-                    a = Fraction(mu * w, den)
-                    if a < 0:
+                    if mu * w < 0:
                         raise DemandError("bad demand entry")
-                    entries[(u, v)] = a
-        return q
+                    nums[(u, v)] = mu * w
+        return cls._reduced(c * total, nums)
 
 
-class DemandState:
+class DemandState(_IntEntries):
     """Sparse mapping (vertex, commodity) -> signed rational mass."""
 
     def __init__(self, entries=()):
-        self.entries = {}
-        for (v, k), a in dict(entries).items():
-            a = _frac(a)
-            if a:
-                self.entries[(v, k)] = a
+        self._set_entries({key: _frac(a) for key, a in dict(entries).items()})
 
     def mass(self, v, k):
-        return self.entries.get((v, k), _ZERO)
+        n = self.nums.get((v, k))
+        return Fraction(n, self.den) if n else _ZERO
 
     def vector(self, v):
-        return {k: a for (u, k), a in self.entries.items() if u == v}
+        return {k: Fraction(n, self.den) for (u, k), n in self.nums.items()
+                if u == v}
 
     def load(self, v):
-        return sum((abs(a) for (u, _), a in self.entries.items() if u == v),
-                   _ZERO)
+        return Fraction(sum(abs(n) for (u, _), n in self.nums.items()
+                            if u == v), self.den)
 
-    def _load_sums(self):
-        return _int_sums((v, abs(a.numerator), a.denominator)
-                         for (v, _), a in self.entries.items())
+    def _commodity_nums(self, side=None):
+        """{commodity: sum of its numerators} over the entries at the
+        vertices in side (all when None), in first-seen order."""
+        sums = {}
+        for (v, k), n in self.nums.items():
+            if side is None or v in side:
+                sums[k] = sums.get(k, 0) + n
+        return sums
+
+    def _rows(self):
+        """{vertex: [(commodity, numerator)]}, in insertion order."""
+        rows = {}
+        for (v, k), n in self.nums.items():
+            rows.setdefault(v, []).append((k, n))
+        return rows
 
     def loads(self):
-        d, sums = self._load_sums()
-        return {v: Fraction(n, d) for v, n in sums.items()}
+        sums = {}
+        for (v, _), n in self.nums.items():
+            sums[v] = sums.get(v, 0) + abs(n)
+        den = self.den
+        return {v: Fraction(n, den) for v, n in sums.items()}
 
     def support_vertices(self):
-        return frozenset(v for (v, _), a in self.entries.items() if a)
+        return frozenset(v for v, _ in self.nums)
 
     def commodity_totals(self):
-        d, sums = _int_sums((k, a.numerator, a.denominator)
-                            for (_, k), a in self.entries.items())
-        return {k: Fraction(n, d) for k, n in sums.items() if n}
+        den = self.den
+        return {k: Fraction(n, den)
+                for k, n in self._commodity_nums().items() if n}
 
     def is_valid(self):
-        return not self.commodity_totals()
+        return not any(self._commodity_nums().values())
 
     def is_zero(self):
-        return not self.entries
+        return not self.nums
 
     def __add__(self, other):
         return sum_states((self, other))
 
     def __sub__(self, other):
-        out = dict(self.entries)
-        for key, a in other.entries.items():
-            out[key] = out.get(key, _ZERO) - a
-        return DemandState(out)
+        d = lcm(self.den, other.den)
+        f, g = d // self.den, d // other.den
+        out = {key: n * f for key, n in self.nums.items()}
+        for key, n in other.nums.items():
+            out[key] = out.get(key, 0) - n * g
+        return DemandState._reduced(d, {key: n for key, n in out.items()
+                                        if n})
 
     def scaled(self, factor):
         factor = Fraction(factor)
-        return DemandState({k: a * factor for k, a in self.entries.items()})
+        a = factor.numerator
+        return DemandState._reduced(
+            self.den * factor.denominator,
+            {key: n * a for key, n in self.nums.items()} if a else {})
 
     def restrict_vertices(self, vs):
         vs = frozenset(vs)
-        return DemandState({(v, k): a for (v, k), a in self.entries.items()
-                            if v in vs})
+        return DemandState._reduced(self.den, {
+            (v, k): n for (v, k), n in self.nums.items() if v in vs})
 
     def dem_across(self, side):
         """sum_k |sum_{u in side} P(u, k)| (symmetric for valid states)."""
-        side = frozenset(side)
-        d, sums = _int_sums((k, a.numerator, a.denominator)
-                            for (v, k), a in self.entries.items()
-                            if v in side)
-        return Fraction(sum(abs(n) for n in sums.values()), d)
+        sums = self._commodity_nums(frozenset(side))
+        return Fraction(sum(map(abs, sums.values())), self.den)
 
     def total_load(self):
-        d, sums = self._load_sums()
-        return Fraction(sum(sums.values()), d)
+        return Fraction(sum(map(abs, self.nums.values())), self.den)
 
 
 def sum_states(states) -> DemandState:
@@ -191,24 +223,28 @@ def sum_states(states) -> DemandState:
     in the same insertion order, as chaining `+` from an empty state.  A key
     is popped as soon as its running sum reaches zero, so it re-enters at
     the end if a later state brings it back."""
+    states = list(states)
+    d = lcm(*(st.den for st in states))
     out = {}
     for st in states:
-        for key, a in st.entries.items():
-            s = out.get(key, _ZERO) + a
+        f = d // st.den
+        for key, n in st.nums.items():
+            s = out.get(key, 0) + n * f
             if s:
                 out[key] = s
             else:
                 del out[key]
-    return DemandState(out)
+    return DemandState._reduced(d, out)
 
 
 def from_matrix(q: DemandMatrix) -> DemandState:
     """Demand state equivalent of a demand matrix (commodities = sources)."""
-    entries = {}
-    for (u, v), a in q.entries.items():
-        entries[(u, u)] = entries.get((u, u), _ZERO) + a
-        entries[(v, u)] = entries.get((v, u), _ZERO) - a
-    return DemandState(entries)
+    acc = {}
+    for (u, v), a in q.nums.items():
+        acc[(u, u)] = acc.get((u, u), 0) + a
+        acc[(v, u)] = acc.get((v, u), 0) - a
+    return DemandState._reduced(q.den, {key: n for key, n in acc.items()
+                                        if n})
 
 
 def update(p: DemandState, q: DemandMatrix) -> DemandState:
@@ -217,20 +253,15 @@ def update(p: DemandState, q: DemandMatrix) -> DemandState:
     Each source u sends the fraction sum_v Q(u,v) / ||P(u)||_1 of every one
     of its masses; receivers get the source's mass mix scaled by Q(v,u).
 
-    With P = M/d and Q = A/e over the lcms d and e of their denominators,
-    source u's load is L_u/d, and the mass m of commodity k at u sends
-    M(u,k) * A(u,v) / (L_u * e) to v.  Every changed entry is accumulated
-    as a numerator over d * e * lcm_u(L_u).
+    With P = M/d and Q = A/e, source u's load is L_u/d, and the mass M(u,k)
+    of commodity k at u sends M(u,k) * A(u,v) / (L_u * e) to v.  Every
+    entry is accumulated as a numerator over d * e * lcm_u(L_u).
     """
-    d = lcm(*(m.denominator for m in p.entries.values()))
-    e = lcm(*(a.denominator for a in q.entries.values()))
-    vectors = {}
-    for (v, k), m in p.entries.items():
-        vectors.setdefault(v, []).append(
-            (k, m.numerator * (d // m.denominator)))
+    d, e = p.den, q.den
+    vectors = p._rows()
     sent = {}
-    for (u, _), a in q.entries.items():
-        sent[u] = sent.get(u, 0) + a.numerator * (e // a.denominator)
+    for (u, _), a in q.nums.items():
+        sent[u] = sent.get(u, 0) + a
     loads = {}
     for u in sent:
         load = sum(abs(m) for _, m in vectors.get(u, ()))
@@ -238,29 +269,22 @@ def update(p: DemandState, q: DemandMatrix) -> DemandState:
             raise DemandError("update source %r has zero load" % (u,))
         loads[u] = load
     big = lcm(*loads.values())
-    den = d * e * big
     # source u's masses times d * big / L_u: times A(u,v) they are the
-    # numerators (over den) of what u sends to v
+    # numerators (over d * e * big) of what u sends to v
     rows = {}
     for u, load in loads.items():
         f = d * (big // load)
         rows[u] = [(k, m * f) for k, m in vectors[u]]
-    acc = {}
-    for (u, v), a in q.entries.items():
-        a = a.numerator * (e // a.denominator)
+    scale = e * big
+    out = {key: m * scale for key, m in p.nums.items()}
+    for (u, v), a in q.nums.items():
         for k, m in rows[u]:
-            acc[(v, k)] = acc.get((v, k), 0) + m * a
+            out[(v, k)] = out.get((v, k), 0) + m * a
     for u, total in sent.items():
         for k, m in rows[u]:
-            acc[(u, k)] = acc.get((u, k), 0) - m * total
-    scale = den // d
-    out = dict(p.entries)
-    for key, n in acc.items():
-        m = out.get(key)
-        if m is not None:
-            n += m.numerator * (d // m.denominator) * scale
-        out[key] = Fraction(n, den)
-    return DemandState(out)
+            out[(u, k)] -= m * total
+    return DemandState._reduced(d * scale, {key: n for key, n in out.items()
+                                            if n})
 
 
 def respects_exact(g: Graph, p: DemandState, threshold=None):
@@ -291,22 +315,25 @@ def leaf_init(p: DemandState, sub: SubdivisionGraph):
     ||P(v)||_1 <= deg(v) (enforced).
     """
     g = sub.base
+    den = p.den
+    vectors = p._rows()
     out = {}
     for v in g.vertices:
-        vec = p.vector(v)
-        load = sum((abs(a) for a in vec.values()), _ZERO)
+        vec = vectors.get(v)
+        if not vec:
+            out[v] = DemandState()
+            continue
+        load = sum(abs(m) for _, m in vec)
         deg = g.degree(v)
-        if load > deg:
+        if load > deg * den:
             raise DemandError("leaf_init: load %s exceeds degree %d at vertex %r"
-                              % (load, deg, v))
-        entries = {}
-        if vec:
-            for u, c in g.adj[v]:
-                x = sub.split(v, u)
-                for k, a in vec.items():
-                    entries[(x, k)] = entries.get((x, k), _ZERO) + \
-                        a * Fraction(c, deg)
-        out[v] = DemandState(entries)
+                              % (Fraction(load, den), deg, v))
+        nums = {}
+        for u, c in g.adj[v]:
+            x = sub.split(v, u)
+            for k, m in vec:
+                nums[(x, k)] = m * c
+        out[v] = DemandState._reduced(den * deg, nums)
     return out
 
 

@@ -122,16 +122,19 @@ def _flow_matrix(loads, sources, rows, unit):
     """Scale a stored flow to the load present: rows[x] lists the
     (sink, amount) of the flow that carries unit[x] out of source x, and
     each source x with a load sends amount * load / unit[x] to each sink
-    other than itself."""
-    q = DemandMatrix()
+    other than itself.  The amounts are summed per (source, sink) pair and
+    the matrix is built from them in one call."""
+    entries = {}
     for x in sources:
         load = loads.get(x, _ZERO)
         if load == 0:
             continue
+        scale = load / unit[x]
         for sink, amt in rows[x]:
-            if sink != x:
-                q.add(x, sink, amt * load / unit[x])
-    return q
+            if sink != x and amt:
+                entries[(x, sink)] = entries.get((x, sink), _ZERO) + \
+                    amt * scale
+    return DemandMatrix(entries)
 
 
 def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
@@ -220,13 +223,14 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     q4 = _flow_matrix(loads4, sources4, part.flow_to_b.per_source,
                       part.mu_tau)
     received = {}
-    for (_, v), a in q4.entries.items():
-        received[v] = received.get(v, _ZERO) + a
+    for (_, v), a in q4.nums.items():
+        received[v] = received.get(v, 0) + a
     for xb, got in received.items():
         cap6 = 6 * alpha * part.tau * unit_cap(xb)
-        if got > cap6:
+        if got > cap6 * q4.den:
             raise ReplayError("boundary split %r received %s, over the "
-                              "6*alpha*tau cap %s" % (xb, got, cap6))
+                              "6*alpha*tau cap %s"
+                              % (xb, Fraction(got, q4.den), cap6))
     after, _ = _move(p4, q4, b_lift, trace, s, "merge-to-boundary")
 
     alpha_out = alpha * (1 + cfg.replay_tau_c * part.tau)
@@ -285,7 +289,7 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
         if not node.cut_keys or node.route is None:
             continue
         q = _flow_matrix(after.loads(), node.rows, node.rows, node.unit)
-        if q.entries:
+        if q.nums:
             after, _ = _move(after, q, b_lift, trace, s, "refine-route")
     stray = after.support_vertices() - res.view.x_boundary
     if stray:

@@ -1,10 +1,11 @@
-"""Shared test graphs, measures and demand states, and the brute-force
-minimum-ratio cut, tree min-cut and terminal-augmented min cut."""
+"""Shared test graphs, measures and demand states, the Fraction
+references of the demand kernels, and the brute-force minimum-ratio cut,
+tree min-cut and terminal-augmented min cut."""
 
 import itertools
 from fractions import Fraction
 
-from treecut.demand import DemandState
+from treecut.demand import DemandError, DemandMatrix, DemandState
 from treecut.graph import (ClusterView, Graph, Measure, cut_capacity,
                            parse_edge_list, subdivide)
 from treecut.tree import mincut_in_tree
@@ -117,6 +118,88 @@ def random_demand(rng, n, pairs=3):
         entries[(u, k)] = entries.get((u, k), Fraction(0)) + a
         entries[(v, k)] = entries.get((v, k), Fraction(0)) - a
     return DemandState(entries)
+
+
+def reference_update(p, q):
+    """P^(up Q) entry by entry: every matrix entry rescans P for the
+    source's vector."""
+    loads = p.loads()
+    out = dict(p.entries)
+    row = {}
+    for (u, v), a in q.entries.items():
+        row[u] = row.get(u, Fraction(0)) + a
+    for u, sent in row.items():
+        if sent > 0 and loads.get(u, Fraction(0)) == 0:
+            raise DemandError("update source %r has zero load" % (u,))
+    for (u, v), a in q.entries.items():
+        lu = loads[u]
+        for k, m in p.vector(u).items():
+            share = (m / lu) * a
+            out[(v, k)] = out.get((v, k), Fraction(0)) + share
+    for u, sent in row.items():
+        if sent == 0:
+            continue
+        lu = loads[u]
+        for k, m in p.vector(u).items():
+            out[(u, k)] = out.get((u, k), Fraction(0)) - (m / lu) * sent
+    return DemandState(out)
+
+
+def reference_spread(mass, targets, weight_of=None):
+    """DemandMatrix.spread in Fraction: every entry goes through add."""
+    vs = sorted(targets)
+    if weight_of is None:
+        w = {v: Fraction(1) for v in vs}
+    else:
+        w = {v: Fraction(weight_of(v)) for v in vs}
+    total = sum(w.values(), Fraction(0))
+    if total == 0:
+        raise DemandError("spread needs positive total target weight")
+    q = DemandMatrix()
+    for u in sorted(mass):
+        m = mass[u]
+        for v in vs:
+            if v != u:
+                q.add(u, v, m * w[v] / total)
+    return q
+
+
+def reference_add(p, q):
+    """p + q entry by entry, zero sums dropped when the state is built."""
+    out = dict(p.entries)
+    for key, a in q.entries.items():
+        out[key] = out.get(key, Fraction(0)) + a
+    return DemandState(out)
+
+
+def reference_sum(states):
+    """The states chained by reference_add from an empty state."""
+    total = DemandState()
+    for st in states:
+        total = reference_add(total, st)
+    return total
+
+
+def reference_leaf_init(p, sub):
+    """leaf_init in Fraction: every split node x_e of v gets the share
+    c(e)/deg(v) of P(v)."""
+    g = sub.base
+    out = {}
+    for v in g.vertices:
+        vec = p.vector(v)
+        load = sum((abs(a) for a in vec.values()), Fraction(0))
+        deg = g.degree(v)
+        if load > deg:
+            raise DemandError("leaf_init: load %s exceeds degree %d at "
+                              "vertex %r" % (load, deg, v))
+        entries = {}
+        for u, c in g.adj[v]:
+            x = sub.split(v, u)
+            for k, a in vec.items():
+                entries[(x, k)] = entries.get((x, k), Fraction(0)) \
+                    + a * Fraction(c, deg)
+        out[v] = DemandState(entries)
+    return out
 
 
 def reference_min_ratio(g, den_of):

@@ -256,6 +256,47 @@ def test_parse_demands():
             parse_demands(bad)
 
 
+class TestErrorMessages:
+    """Each error names the exact Fraction values and vertices at fault."""
+
+    def test_leaf_init_over_degree(self):
+        g = Graph([0, 1, 2], [(0, 1, 2), (1, 2, 1)])
+        p = DemandState({(0, 0): Fraction(5, 2), (2, 0): Fraction(-5, 2)})
+        with pytest.raises(DemandError, match=r"^leaf_init: load 5/2 "
+                           r"exceeds degree 2 at vertex 0$"):
+            leaf_init(p, subdivide(g))
+
+    def test_update_zero_load_source(self):
+        p = DemandState({(0, 0): Fraction(1, 3), (1, 0): Fraction(-1, 3)})
+        q = DemandMatrix({(0, 1): Fraction(1, 9), (7, 0): Fraction(2, 5)})
+        with pytest.raises(DemandError,
+                           match=r"^update source 7 has zero load$"):
+            update(p, q)
+
+    def test_spread_zero_total_weight(self):
+        for targets, weight_of in (([1, 2], lambda v: 0), ([], None)):
+            with pytest.raises(DemandError, match=r"^spread needs positive "
+                               r"total target weight$"):
+                DemandMatrix.spread({0: Fraction(1, 3)}, targets, weight_of)
+
+    def test_spread_negative_mass(self):
+        with pytest.raises(DemandError, match=r"^bad demand entry$"):
+            DemandMatrix.spread({0: Fraction(1, 3), 1: Fraction(-1, 3)},
+                                [0, 1, 2])
+
+    def test_matrix_entries_checked(self):
+        with pytest.raises(DemandError, match=r"^negative demand entry$"):
+            DemandMatrix({(0, 1): Fraction(1, 2), (1, 2): Fraction(-1, 7)})
+        with pytest.raises(DemandError,
+                           match=r"^diagonal demand entry at 3$"):
+            DemandMatrix({(0, 1): 1, (3, 3): Fraction(2, 3)})
+        q = DemandMatrix({(0, 1): 1})
+        for u, v, a in ((0, 2, Fraction(-1, 2)), (2, 2, 1)):
+            with pytest.raises(DemandError, match=r"^bad demand entry$"):
+                q.add(u, v, a)
+        assert q.entries == {(0, 1): 1}
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_update_validity_property(seed):

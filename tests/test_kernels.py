@@ -1,26 +1,31 @@
 """The integer sweep backend, the integer Dinic solver, the integer
-demand update and spread, the one-pass state sum and the batched verify
-kernel, checked against plain references of the same algorithms."""
+demand kernels and their one-denominator representation, the one-pass
+state sum and the batched verify kernel, checked against plain references
+of the same algorithms."""
 
 import importlib.util
 import random
 from collections import deque
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecut.config import DEFAULT, Config
 from treecut.demand import (DemandError, DemandMatrix, DemandState,
-                            sum_states, update)
+                            from_matrix, leaf_init, sum_states, update)
 from treecut.flow import S_NODE, T_NODE, FlowNetwork, max_flow
-from treecut.graph import Graph, Measure, cut_capacity
+from treecut.graph import Graph, Measure, cut_capacity, subdivide
 from treecut.oracle import _sweep_best, _sweep_orders, _sweep_weights
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 from treecut.verify import QualityReport, verify_quality
 
 from corpus import (DENOMINATORS, brute_tree_mincut, cycle, labelled_graph,
-                    path, random_measure, ring_of_cliques)
+                    path, random_measure, reference_add, reference_leaf_init,
+                    reference_spread, reference_sum, reference_update,
+                    ring_of_cliques)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -243,50 +248,6 @@ class TestDinic:
         assert got[4] == frozenset({0})
 
 
-def reference_update(p, q):
-    """P^(up Q) entry by entry: every matrix entry rescans P for the
-    source's vector."""
-    loads = p.loads()
-    out = dict(p.entries)
-    row = {}
-    for (u, v), a in q.entries.items():
-        row[u] = row.get(u, Fraction(0)) + a
-    for u, sent in row.items():
-        if sent > 0 and loads.get(u, Fraction(0)) == 0:
-            raise DemandError("update source %r has zero load" % (u,))
-    for (u, v), a in q.entries.items():
-        lu = loads[u]
-        for k, m in p.vector(u).items():
-            share = (m / lu) * a
-            out[(v, k)] = out.get((v, k), Fraction(0)) + share
-    for u, sent in row.items():
-        if sent == 0:
-            continue
-        lu = loads[u]
-        for k, m in p.vector(u).items():
-            out[(u, k)] = out.get((u, k), Fraction(0)) - (m / lu) * sent
-    return DemandState(out)
-
-
-def reference_spread(mass, targets, weight_of=None):
-    """DemandMatrix.spread in Fraction: every entry goes through add."""
-    vs = sorted(targets)
-    if weight_of is None:
-        w = {v: Fraction(1) for v in vs}
-    else:
-        w = {v: Fraction(weight_of(v)) for v in vs}
-    total = sum(w.values(), Fraction(0))
-    if total == 0:
-        raise DemandError("spread needs positive total target weight")
-    q = DemandMatrix()
-    for u in sorted(mass):
-        m = mass[u]
-        for v in vs:
-            if v != u:
-                q.add(u, v, m * w[v] / total)
-    return q
-
-
 # mixed denominators with large lcms, and denominators that share no
 # factor with DENOMINATORS
 WIDE_DENOMINATORS = DENOMINATORS + (384 * 7 * 11, 11 * 13, 2 ** 20, 1009)
@@ -432,14 +393,6 @@ class TestSpread:
                 spread({0: Fraction(-1, 3)}, [1, 2])
 
 
-def reference_add(p, q):
-    """p + q entry by entry, zero sums dropped when the state is built."""
-    out = dict(p.entries)
-    for key, a in q.entries.items():
-        out[key] = out.get(key, Fraction(0)) + a
-    return DemandState(out)
-
-
 def cancelling_states(rng):
     """(states, chained sum, cancelled keys): random states mixed with
     negated parts of the running sum, so that keys cancel to zero and later
@@ -485,6 +438,178 @@ class TestStateSum:
         assert list(got.entries) == [(1, 0), (2, 0), (0, 0)]
         assert sum_states([a, a.scaled(-1)]).is_zero()
         assert sum_states([]).is_zero()
+
+
+# numerators past int64, for the representation checks below
+BIG = 2 ** 70
+numerators = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+masses = st.builds(Fraction, numerators,
+                   st.sampled_from(WIDE_DENOMINATORS + FOREIGN_DENOMINATORS))
+amounts = st.builds(Fraction, st.integers(1, BIG),
+                    st.sampled_from(WIDE_DENOMINATORS + FOREIGN_DENOMINATORS))
+state_entries = st.dictionaries(st.tuples(st.integers(0, 5),
+                                          st.integers(0, 2)), masses,
+                                max_size=12)
+
+
+def assert_reduced(x):
+    """x holds its entries as nonzero int numerators over one positive
+    denominator they share no factor with, and `entries` is nums / den in
+    the same order."""
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.nums.values()) == 1
+    assert all(type(n) is int and n for n in x.nums.values())
+    assert list(x.entries.items()) == [(key, Fraction(n, x.den))
+                                       for key, n in x.nums.items()]
+
+
+def assert_kernel(got, want):
+    """got is reduced and holds the Fractions of the dict want, in want's
+    order."""
+    assert_reduced(got)
+    assert list(got.entries.items()) == list(want.items())
+
+
+def nonzero(fracs):
+    return {key: a for key, a in fracs.items() if a}
+
+
+def fraction_sub(p, q):
+    out = p.entries
+    for key, a in q.entries.items():
+        out[key] = out.get(key, Fraction(0)) - a
+    return nonzero(out)
+
+
+def fraction_from_matrix(q):
+    out = {}
+    for (u, v), a in q.entries.items():
+        out[(u, u)] = out.get((u, u), Fraction(0)) + a
+        out[(v, u)] = out.get((v, u), Fraction(0)) - a
+    return nonzero(out)
+
+
+def fraction_sums(p, group, side=None):
+    """{group(vertex, commodity): sum} over p's entries at side, in
+    first-seen order."""
+    out = {}
+    for (v, k), a in p.entries.items():
+        if side is None or v in side:
+            out[group(v, k)] = out.get(group(v, k), Fraction(0)) + a
+    return out
+
+
+class TestRepresentation:
+    """Every kernel's result is reduced over one denominator and holds the
+    entries of its Fraction reference, in the reference's order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(state_entries, state_entries, masses, st.sets(st.integers(0, 5)))
+    def test_state_kernels(self, a, b, factor, side):
+        p, q = DemandState(a), DemandState(b)
+        assert_kernel(p, nonzero(a))
+        assert_kernel(p - q, fraction_sub(p, q))
+        assert_kernel(p + q, reference_add(p, q).entries)
+        # p's keys cancel, then come back at the end
+        chain = [p, q, p.scaled(-1), p]
+        assert_kernel(sum_states(chain), reference_sum(chain).entries)
+        assert_kernel(p.scaled(factor),
+                      nonzero({k: x * factor for k, x in p.entries.items()}))
+        assert_kernel(p.restrict_vertices(side),
+                      {k: x for k, x in p.entries.items() if k[0] in side})
+        loads = fraction_sums(DemandState({k: abs(x) for k, x in
+                                           p.entries.items()}),
+                              lambda v, _: v)
+        assert list(p.loads().items()) == list(loads.items())
+        assert p.total_load() == sum(loads.values(), Fraction(0))
+        totals = fraction_sums(p, lambda _, k: k)
+        assert p.commodity_totals() == nonzero(totals)
+        assert p.is_valid() == (not any(totals.values()))
+        assert p.support_vertices() == {v for v, _ in p.entries}
+        assert p.dem_across(side) == sum(
+            (abs(x) for x in fraction_sums(p, lambda _, k: k, side).values()),
+            Fraction(0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(state_entries, st.data())
+    def test_matrix_kernels(self, a, data):
+        p = DemandState(a)
+        if p.is_zero():
+            return
+        sources = sorted({v for v, _ in p.nums})
+        pairs = st.tuples(st.sampled_from(sources), st.integers(0, 6)).filter(
+            lambda uv: uv[0] != uv[1])
+        m = data.draw(st.dictionaries(pairs, amounts, min_size=1,
+                                      max_size=6))
+        q = DemandMatrix(m)
+        assert_kernel(q, m)
+        assert_kernel(update(p, q), reference_update(p, q).entries)
+        assert_kernel(from_matrix(q), fraction_from_matrix(q))
+        side = frozenset(sources[::2])
+        assert q.dem_across(side) == sum(
+            (x for (u, v), x in m.items() if (u in side) != (v in side)),
+            Fraction(0))
+        u, v = next(iter(m))
+        q.add(u, v, m[(u, v)])
+        m[(u, v)] *= 2
+        q.add(v, u, Fraction(1, 3))
+        m[(v, u)] = m.get((v, u), Fraction(0)) + Fraction(1, 3)
+        assert_kernel(q, m)
+
+    def test_spread(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            mass, targets, weight_of = random_spread(rng)
+            if rng.random() < 0.5:
+                mass = {u: a * BIG for u, a in mass.items()}
+            assert_kernel(DemandMatrix.spread(mass, targets, weight_of),
+                          reference_spread(mass, targets, weight_of).entries)
+
+    def test_leaf_init(self):
+        rng = random.Random(19)
+        filled = 0
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            g = labelled_graph(rng, n)
+            sub = subdivide(g)
+            p = DemandState({(v, k): Fraction(rng.randint(-BIG, BIG),
+                                              rng.choice(WIDE_DENOMINATORS))
+                             for v in g.vertices for k in range(3)
+                             if rng.random() < 0.5})
+            # shrink every vertex's load to at most its degree
+            worst = max((p.load(v) / g.degree(v) for v in g.vertices
+                         if g.degree(v)), default=Fraction(0))
+            if worst > 1:
+                p = p.scaled(1 / worst)
+            p = p.restrict_vertices(v for v in g.vertices if g.degree(v))
+            got, want = leaf_init(p, sub), reference_leaf_init(p, sub)
+            assert list(got) == list(want)
+            for v in got:
+                assert_kernel(got[v], want[v].entries)
+                filled += not got[v].is_zero()
+        assert filled > 50
+
+    def test_empty_state(self):
+        p = DemandState({(0, 0): Fraction(3, 7), (1, 0): Fraction(-3, 7)})
+        for empty in (DemandState(), DemandState({(0, 0): 0}), p - p,
+                      p.scaled(0), sum_states([]),
+                      sum_states([p, p.scaled(-1)]),
+                      p.restrict_vertices([]), DemandMatrix(),
+                      DemandMatrix.spread({0: 0}, [1, 2]),
+                      from_matrix(DemandMatrix())):
+            assert_reduced(empty)
+            assert empty.den == 1 and empty.nums == {}
+
+    def test_cancelled_key_reenters(self):
+        a = DemandState({(0, 0): Fraction(1, 6), (1, 0): Fraction(-1, 6)})
+        chain = [a, DemandState({(0, 0): Fraction(-1, 6)}),
+                 DemandState({(2, 0): Fraction(1, 4)}),
+                 DemandState({(0, 0): Fraction(5, 4)})]
+        got = sum_states(chain)
+        assert_kernel(got, reference_sum(chain).entries)
+        assert list(got.entries) == [(1, 0), (2, 0), (0, 0)]
+        assert (got.den, got.nums) == (12, {(1, 0): -2, (2, 0): 3,
+                                            (0, 0): 15})
 
 
 def reference_mincut(tree):

@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from treecut import graph, merge
+from treecut import graph, merge, oracle
 from treecut.config import DEFAULT
 from treecut.graph import Graph, parse_edge_list
 from treecut.merge import (MergeError, is_balanced_clustering, merge_phase,
@@ -135,15 +136,29 @@ class TestMergePhase1:
         """When the subdivision is small enough for exact measurement, the
         measured expansion of the inter-cluster split nodes meets the
         declared lower bound.  The merge phase itself never enumerates cuts
-        to measure it."""
+        to measure it: every min_ratio_cut call it makes, at any binding,
+        comes from inside the oracle's sparsest_cut."""
         exact = graph.min_ratio_cut
-        calls = []
+        sparsest = oracle.sparsest_cut
+        depth, calls = [0], []
+
+        def in_sparsest(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return sparsest(*args, **kwargs)
+            finally:
+                depth[0] -= 1
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append(depth[0])
             return exact(*args, **kwargs)
 
-        monkeypatch.setattr(graph, "min_ratio_cut", counted)
+        for mod in [m for name, m in sys.modules.items()
+                    if name.split(".")[0] == "treecut"]:
+            for name, orig, fn in (("min_ratio_cut", exact, counted),
+                                   ("sparsest_cut", sparsest, in_sparsest)):
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, fn)
         rng = random.Random(31)
         checked = 0
         for _ in range(30):
@@ -163,7 +178,7 @@ class TestMergePhase1:
             if exact_tags:
                 assert measured >= cl.alpha_declared
                 checked += 1
-        assert not calls
+        assert calls and all(calls)
         assert checked >= 5
 
     def test_barbell_needs_a_shrink_iteration(self):

@@ -1,22 +1,25 @@
 import hashlib
 import os
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from treecut import oracle
+from treecut import oracle, replay
 from treecut.config import DEFAULT
-from treecut.demand import DemandState, parse_demands
+from treecut.demand import DemandMatrix, DemandState, parse_demands
 from treecut.graph import Graph, parse_edge_list
 from treecut.refine import refine
 from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
                             full_replay, replay_merge_cluster,
-                            route_refined_state)
+                            route_refined_state, uniformize_refined)
 from treecut.tree import build_basic, build_improved
 
-from corpus import (random_demand, random_graph, scale_to_respect,
-                    triangle_chain, view_of)
+from corpus import (random_demand, random_graph, reference_leaf_init,
+                    reference_spread, reference_sum, reference_update,
+                    ring_of_cliques, scale_to_respect, triangle_chain,
+                    view_of)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 # sha256 of the ring8 replay for the cut {0, 1, 2}: ledger report lines,
@@ -110,6 +113,36 @@ class TestPreconditions:
                                  ReplayTrace())
 
 
+class TestUniformizeErrors:
+    """uniformize_refined names the load and the split over capacity."""
+
+    @staticmethod
+    def overloaded():
+        # the cluster {0, 1} of the path 0-1-2 has one boundary split, on
+        # the unit edge 1-2; it holds 7/2 of one commodity
+        view = view_of(parse_edge_list("0 1 3\n1 2 1\n"), {0, 1})
+        (x,) = view.x_boundary
+        state = DemandState({(x, 0): Fraction(7, 2)})
+        return view, x, state
+
+    def test_load_over_boundary_capacity(self):
+        view, _, state = self.overloaded()
+        with pytest.raises(ReplayError, match=r"^uniformized load 7/2 "
+                           r"exceeds the boundary capacity 1$"):
+            uniformize_refined(state, view, frozenset(), ChargeLedger(),
+                               ReplayTrace())
+
+    def test_split_over_capacity(self, monkeypatch):
+        # a boundary capacity that overstates the splits' own capacities
+        # lets the load past the first check
+        view, x, state = self.overloaded()
+        monkeypatch.setattr(view, "boundary_capacity", lambda: 4)
+        with pytest.raises(ReplayError, match=r"^uniformized split %d is "
+                           r"over its capacity$" % x):
+            uniformize_refined(state, view, frozenset(), ChargeLedger(),
+                               ReplayTrace())
+
+
 class TestSingleEdge:
     def test_shared_split_cancels_everything(self):
         # both endpoints drop their mass on the one split node, where the
@@ -200,6 +233,24 @@ class TestRandomSweep:
         assert min(ran.values()) >= 15
 
 
+def triangle_chain_route():
+    """The triangle chain refines into four clusters joined by three routed
+    cuts; one commodity per pair of adjacent inter-cluster splits rides the
+    refine-route step to the boundary.  Returns (refinement, inter-cluster
+    splits, state after, worst load, ledger, trace)."""
+    res = refine(view_of(triangle_chain(), range(12)), 18)
+    sub = res.view.root
+    xs = sorted(sub.split(u, v) for u, v in res.inter_cluster_keys)
+    entries = {}
+    for k in range(len(xs) - 1):
+        entries[(xs[k], k)] = Fraction(1, 2)
+        entries[(xs[k + 1], k)] = Fraction(-1, 2)
+    ledger, trace = ChargeLedger(), ReplayTrace()
+    after, worst = route_refined_state(DemandState(entries), res,
+                                       sub.lift_cut(range(6)), ledger, trace)
+    return res, xs, after, worst, ledger, trace
+
+
 @pytest.mark.parametrize("build", [build_basic, build_improved])
 def test_ring8_replay_bytes_pinned(build, monkeypatch):
     with open(os.path.join(FIXTURES, "ring8.edges")) as fh:
@@ -235,20 +286,100 @@ def test_refine_route_step_pinned():
     of the replay's refine-route step: the triangle chain refines into four
     clusters joined by three routed cuts, and each commodity's inter-cluster
     mass is carried along the stored flows to the cluster boundary."""
-    res = refine(view_of(triangle_chain(), range(12)), 18)
-    sub = res.view.root
-    xs = sorted(sub.split(u, v) for u, v in res.inter_cluster_keys)
+    res, xs, after, worst, ledger, trace = triangle_chain_route()
     assert len(res.clusters) == 4 and xs == [17, 22, 27]
     assert sum(node.route is not None for node in res.root.walk()) == 3
-    entries = {}
-    for k in range(len(xs) - 1):
-        entries[(xs[k], k)] = Fraction(1, 2)
-        entries[(xs[k + 1], k)] = Fraction(-1, 2)
-    ledger, trace = ChargeLedger(), ReplayTrace()
-    after, worst = route_refined_state(DemandState(entries), res,
-                                       sub.lift_cut(range(6)), ledger, trace)
     assert worst == 1
     assert len(trace.steps) == 3
     blob = repr((sorted(after.entries.items()), ledger.report_lines(),
                  sorted(ledger.per_edge.items()), trace.steps))
     assert hashlib.sha256(blob.encode()).hexdigest() == REFINE_ROUTE
+
+
+@contextmanager
+def fraction_kernels(monkeypatch):
+    """Run the replay on the Fraction references of update, sum_states,
+    leaf_init and spread; yields the count of reference calls per name."""
+    calls = {}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(replay, "update", counted("update", reference_update))
+        m.setattr(replay, "sum_states", counted("sum_states", reference_sum))
+        m.setattr(replay, "leaf_init",
+                  counted("leaf_init", reference_leaf_init))
+        m.setattr(DemandMatrix, "spread",
+                  staticmethod(counted("spread", reference_spread)))
+        yield calls
+
+
+class TestFractionKernels:
+    """The replay gives the same ledger, trace and report when the integer
+    demand kernels are swapped for their Fraction references."""
+
+    @staticmethod
+    def replayed(t, p, b):
+        rep = full_replay(t, p, b)
+        return repr((rep.ledger.report_lines(),
+                     sorted(rep.ledger.per_edge.items()),
+                     [(sorted(m), label, q_dem, diff_dem)
+                      for m, label, q_dem, diff_dem in rep.trace.steps],
+                     rep.dem_p, rep.cap_cut, rep.initial_dem,
+                     rep.max_charge, rep.envelope))
+
+    def assert_same_replays(self, monkeypatch, cases):
+        want = [self.replayed(*case) for case in cases]
+        with fraction_kernels(monkeypatch) as calls:
+            got = [self.replayed(*case) for case in cases]
+        assert got == want
+        assert min(calls.get(name, 0) for name in
+                   ("update", "sum_states", "leaf_init", "spread")) > 0
+
+    def test_random_graphs_both_modes(self, monkeypatch):
+        rng = random.Random(41)
+        cases, graphs = [], 0
+        while graphs < 40:
+            n = rng.randint(3, 9)
+            g = random_graph(rng, n, 0.55, 6)
+            p0 = random_demand(rng, n)
+            b = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
+            trees = [build(g) for build in (build_basic, build_improved)]
+            ps = [scale_to_respect(t, p0) for t in trees]
+            if None in ps:
+                continue
+            cases += [(t, p, b) for t, p in zip(trees, ps)]
+            graphs += 1
+        self.assert_same_replays(monkeypatch, cases)
+
+    def test_rings(self, monkeypatch):
+        rng = random.Random(42)
+        cases = []
+        for k, s in ((3, 4), (4, 4)):
+            g = ring_of_cliques(k, s)
+            n = k * s
+            for build in (build_basic, build_improved):
+                t = build(g)
+                for _ in range(3):
+                    p = scale_to_respect(t, random_demand(rng, n, pairs=4))
+                    b = frozenset(rng.sample(range(n), n // 2))
+                    cases.append((t, p, b))
+        self.assert_same_replays(monkeypatch, cases)
+
+    def test_refined_triangle_chain(self, monkeypatch):
+        def routed():
+            _, _, after, _, ledger, trace = triangle_chain_route()
+            return repr((list(after.entries.items()), ledger.report_lines(),
+                         sorted(ledger.per_edge.items()),
+                         [(sorted(m), label, q_dem, diff_dem)
+                          for m, label, q_dem, diff_dem in trace.steps]))
+
+        want = routed()
+        with fraction_kernels(monkeypatch) as calls:
+            got = routed()
+        assert got == want
+        assert calls["update"] == 3
