@@ -40,6 +40,12 @@ class Graph:
     """Undirected capacitated multigraph (parallel edges aggregated)."""
 
     def __init__(self, vertices, edges):
+        vertices = list(vertices)
+        for v in vertices:
+            # negative ids would meet the flow network's source and sink
+            if type(v) is not int or v < 0:
+                raise GraphError("vertex %r is not a nonnegative integer"
+                                 % (v,))
         self.vertices = tuple(sorted(set(vertices)))
         vset = set(self.vertices)
         agg = {}
@@ -86,32 +92,24 @@ class Graph:
         return frozenset(self.vertices)
 
     def induced(self, s):
+        """G[s].  Its edges were checked, merged and sorted here, and each
+        adjacency list is a sorted sublist of this graph's, so they are
+        copied, not checked again."""
         s = frozenset(s)
-        unknown = s - set(self.vertices)
+        unknown = s - self.adj.keys()
         if unknown:
             raise GraphError("unknown vertices %r" % (sorted(unknown),))
-        return Graph(sorted(s),
-                     [(u, v, c) for u, v, c in self.edges if u in s and v in s])
+        sub = Graph.__new__(Graph)
+        sub.vertices = tuple(v for v in self.vertices if v in s)
+        sub.edges = tuple(e for e in self.edges if e[0] in s and e[1] in s)
+        sub.cap = {(u, v): c for u, v, c in sub.edges}
+        sub.adj = {v: [a for a in self.adj[v] if a[0] in s]
+                   for v in sub.vertices}
+        return sub
 
     def components(self):
         """Connected components as a sorted list of frozensets."""
-        seen = set()
-        out = []
-        for root in self.vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            stack = [root]
-            seen.add(root)
-            while stack:
-                v = stack.pop()
-                for u, _ in self.adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        comp.add(u)
-                        stack.append(u)
-            out.append(frozenset(comp))
-        return sorted(out, key=min)
+        return components_without(self, ())
 
     def reachable(self, starts, removed=frozenset()):
         """Vertices reachable from `starts` avoiding the `removed` vertices.
@@ -132,6 +130,27 @@ class Graph:
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.vertex_count, self.edge_count)
+
+
+def components_without(g: Graph, removed):
+    """Connected components of g minus the edges keyed (u, v), u < v, in
+    the set `removed`, as a list of frozensets sorted by least vertex."""
+    seen = set()
+    out = []
+    for root in g.vertices:
+        if root in seen:
+            continue
+        # roots come in increasing order, so each is its component's least
+        comp = [root]
+        seen.add(root)
+        for v in comp:
+            for u, _ in g.adj[v]:
+                if u not in seen and \
+                        ((v, u) if v < u else (u, v)) not in removed:
+                    seen.add(u)
+                    comp.append(u)
+        out.append(frozenset(comp))
+    return out
 
 
 _ZERO = Fraction(0)     # one shared immutable zero for lookup defaults
@@ -157,15 +176,23 @@ class Measure:
         return self.weights.get(v, _ZERO)
 
     def of(self, vertices):
-        return sum((self.weights[v] for v in vertices if v in self.weights),
-                   Fraction(0))
+        """mu(vertices), built as one Fraction: the numerators summed
+        over the lcm of the denominators."""
+        weights = self.weights
+        ws = [weights[v] for v in vertices if v in weights]
+        d = lcm(*(w.denominator for w in ws))
+        return Fraction(sum(w.numerator * (d // w.denominator) for w in ws), d)
 
     def total(self):
         return sum(self.weights.values(), Fraction(0))
 
     def restrict(self, vertices):
+        """mu on `vertices` alone.  Its weights were checked here, so they
+        are copied, not checked again."""
         vs = set(vertices)
-        return Measure({v: w for v, w in self.weights.items() if v in vs})
+        out = Measure.__new__(Measure)
+        out.weights = {v: w for v, w in self.weights.items() if v in vs}
+        return out
 
 
 def capacity(g: Graph, a, b) -> int:

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from .config import DEFAULT, Config
-from .graph import ClusterView, Graph, edge_key
+from .graph import ClusterView, Graph, components_without, edge_key
 from .flow import (FlowNetwork, FlowSolution, RouteResult, escalate,
                    max_flow, path_decomposition)
 from .oracle import cut_or_expander, _log2n
@@ -22,11 +22,8 @@ class MergeError(ValueError):
 
 def is_balanced_clustering(g_s: Graph, f_keys):
     """Do the components of G[S] minus f cover at most 2/3 of S each?"""
-    f_keys = {edge_key(*k) for k in f_keys}
-    g = Graph(g_s.vertices, [(u, v, c) for u, v, c in g_s.edges
-                             if (u, v) not in f_keys])
+    comps = components_without(g_s, {edge_key(*k) for k in f_keys})
     n = g_s.vertex_count
-    comps = g.components()
     return all(3 * len(comp) <= 2 * n for comp in comps), comps
 
 

@@ -6,8 +6,18 @@ loop; outcomes carry peel sequences and expander certificates, and a
 self-checker validates every emitted outcome against its own declared
 constants.  The oracle routes no flow: every flow the build keeps is routed
 by the step that uses it (merge and refine).
+
+Within one tree build the sweep solves each distinct eigenproblem once: the
+shrink loop of a merge phase sweeps the same subdivision graph again with
+new masses, and clusters of one shape repeat one Laplacian.  A solved
+Fiedler vector is kept for the rest of the build under a key of the exact
+matrices eigh receives, so equal keys give the vector eigh would return and
+the trees are the same as without the memo.  Calls outside a build solve
+every time, and nothing is kept from one build to the next.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -34,32 +44,66 @@ def _sweep_weights(g: Graph, mu: Measure):
     return w, scale, {v: g.degree(v) for v in g.vertices}
 
 
+# The Fiedler vectors solved so far in the running build, keyed on the
+# matrices eigh receives; None outside a build (see _fiedler_memo).
+_FIEDLER = ContextVar("treecut_fiedler", default=None)
+
+
+@contextmanager
+def _fiedler_memo():
+    """Solve each distinct eigenproblem once inside the block: the sweep
+    keeps every Fiedler vector it solves until the block ends.  Equal keys
+    mean equal matrices, so a kept vector is the one eigh would return."""
+    token = _FIEDLER.set({})
+    try:
+        yield
+    finally:
+        _FIEDLER.reset(token)
+
+
 def _sweep_orders(g: Graph, w, scale, deg):
     """Candidate vertex orderings for sweep cuts (spectral + fallbacks),
     from the int masses w (mu = w / scale) and degrees deg.
 
     The spectral orderings sort by a Fiedler vector, of the mu-weighted
     generalized problem and of the plain Laplacian; eigh computes only the
-    two smallest eigenpairs.  g needs at least 2 vertices.
+    two smallest eigenpairs.  Inside a build each vector is looked up by
+    what eigh would receive: the vertex and edge counts and the positional
+    edges (i, j) as int64, then the capacities and, for the generalized
+    problem, the mass diagonal as float64.  g needs at least 2 vertices.
     """
     import numpy as np
-    orders = []
-    verts = list(g.vertices)
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    lap = np.zeros((n, n))
-    for u, v, c in g.edges:
-        i, j = idx[u], idx[v]
-        lap[i, j] -= c
-        lap[j, i] -= c
-        lap[i, i] += c
-        lap[j, j] += c
-    # int / int is correctly rounded, so this is float(mu(v))
-    m = np.diag([max(w[v] / scale, 1e-9) for v in verts])
     from scipy.linalg import eigh
-    for b in (m, None):
-        _, vecs = eigh(lap, b, subset_by_index=[0, 1])
-        fiedler = vecs[:, 1].tolist()
+    verts = g.vertices
+    idx = {v: i for i, v in enumerate(verts)}
+    # int / int is correctly rounded, so this is float(mu(v))
+    mass = np.array([max(w[v] / scale, 1e-9) for v in verts])
+    memo = _FIEDLER.get()
+    if memo is None:        # outside a build: solve both, keep neither
+        memo, keys = {}, ("mu", "plain")
+    else:
+        edges = g.edges
+        head = np.array([len(verts), len(edges)]
+                        + [idx[x] for u, v, _ in edges for x in (u, v)],
+                        np.int64).tobytes() \
+            + np.array([c for _, _, c in edges], np.float64).tobytes()
+        keys = (head + mass.tobytes(), head)
+    lap = None
+    orders = []
+    for key, b in zip(keys, (mass, None)):
+        fiedler = memo.get(key)
+        if fiedler is None:
+            if lap is None:
+                lap = np.zeros((len(verts), len(verts)))
+                for u, v, c in g.edges:
+                    i, j = idx[u], idx[v]
+                    lap[i, j] -= c
+                    lap[j, i] -= c
+                    lap[i, i] += c
+                    lap[j, j] += c
+            _, vecs = eigh(lap, None if b is None else np.diag(b),
+                           subset_by_index=[0, 1])
+            fiedler = memo[key] = vecs[:, 1].tolist()
         orders.append([v for _, v in sorted(zip(fiedler, verts))])
     orders.append(sorted(verts, key=lambda v: (deg[v], v)))
     orders.append(sorted(verts, key=lambda v: (-w[v], v)))

@@ -22,7 +22,7 @@ from .config import DEFAULT, Config
 from .graph import (Graph, capacity, format_edge_list, parse_edge_list,
                     subdivide)
 from .merge import merge_phase
-from .oracle import _log2n
+from .oracle import _fiedler_memo, _log2n
 from .refine import refine
 from .util import frac_str, int_dtype, parse_frac
 
@@ -195,6 +195,7 @@ def _node(g: Graph, members, kind, info=None) -> TreeNode:
     return TreeNode(members, kind, w, info)
 
 
+@_fiedler_memo()
 def _grow(g: Graph, cfg: Config, mode: str, tau) -> DecompositionTree:
     """Grow the tree top-down from one work list of (node, cluster, sigma)
     items, depth first.  sigma None is a merge step: the merge phase with
@@ -202,7 +203,10 @@ def _grow(g: Graph, cfg: Config, mode: str, tau) -> DecompositionTree:
     node, under a merge-side holder for each side of the separator that is
     not the whole cluster.  An improved build refines each sub-cluster
     against sigma, the size of the cluster merged, and then merges each of
-    its refinement clusters."""
+    its refinement clusters.
+
+    Each call solves each distinct sweep eigenproblem once (_fiedler_memo)
+    and keeps no solution once it returns."""
     if g.vertex_count == 0:
         raise TreeError("empty graph")
     sub = subdivide(g)

@@ -70,6 +70,19 @@ def ring_of_cliques(k, s):
     return Graph(range(k * s), edges)
 
 
+def grid(rows, cols):
+    """The rows x cols grid with unit capacities, numbered row by row."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1, 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols, 1))
+    return Graph(range(rows * cols), edges)
+
+
 def triangle_chain():
     """Four triangles in a path with unit bridges; every triangle is tied to
     a hub vertex with huge capacity, so the bridges are genuinely sparse
@@ -200,6 +213,30 @@ def reference_leaf_init(p, sub):
                     + a * Fraction(c, deg)
         out[v] = DemandState(entries)
     return out
+
+
+def reference_balanced_clustering(g_s, f_keys):
+    """is_balanced_clustering from a Graph of G[S] minus the edges f_keys:
+    (each component holds at most 2/3 of S, the components sorted by least
+    vertex), the components found by union-find over its edges."""
+    f_keys = {(min(k), max(k)) for k in f_keys}
+    g = Graph(g_s.vertices, [(u, v, c) for u, v, c in g_s.edges
+                             if (u, v) not in f_keys])
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v, _ in g.edges:
+        parent[find(u)] = find(v)
+    comps = {}
+    for v in g.vertices:
+        comps.setdefault(find(v), set()).add(v)
+    comps = sorted((frozenset(c) for c in comps.values()), key=min)
+    n = g_s.vertex_count
+    return all(3 * len(c) <= 2 * n for c in comps), comps
 
 
 def reference_min_ratio(g, den_of):

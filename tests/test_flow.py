@@ -3,7 +3,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from treecut.graph import Graph, parse_edge_list
+import pytest
+
+from treecut.graph import Graph, GraphError, parse_edge_list
 from treecut.flow import (FlowNetwork, max_flow, path_decomposition,
                           route_from_cut)
 
@@ -16,6 +18,17 @@ class TestMaxFlow:
         sol, side = max_flow(FlowNetwork(g, {0: 5}, {2: 5}))
         assert sol.value == 2
         assert sol.check_conservation()
+
+    def test_vertex_ids_cannot_meet_the_sentinels(self):
+        """The flow network's source and sink are the nodes -1 and -2; a
+        graph with those vertex ids once routed 10 units across a 4-cycle
+        whose relabelled copy carries 3."""
+        with pytest.raises(GraphError, match="-2 is not a nonnegative"):
+            Graph([-2, -1, 0, 1],
+                  [(-2, -1, 3), (-1, 0, 1), (0, 1, 3), (1, -2, 2)])
+        g = Graph(range(4), [(0, 1, 3), (1, 2, 1), (2, 3, 3), (3, 0, 2)])
+        sol, _ = max_flow(FlowNetwork(g, {2: 5}, {1: 5}))
+        assert sol.value == 3
 
     def test_value_equals_brute_min_cut(self):
         rng = random.Random(11)

@@ -9,7 +9,8 @@ from treecut.graph import (ClusterView, Graph, GraphError, Measure, SizeError,
                            min_ratio_cut, parse_edge_list, format_edge_list,
                            parse_measure, subdivide)
 
-from corpus import cycle, k_n, random_graph, reference_min_ratio
+from corpus import (DENOMINATORS, cycle, k_n, random_graph,
+                    reference_min_ratio)
 
 
 class TestGraphBasics:
@@ -38,6 +39,30 @@ class TestGraphBasics:
         g = Graph(range(5), [(0, 1, 1), (3, 4, 1)])
         assert g.components() == [frozenset({0, 1}), frozenset({2}),
                                   frozenset({3, 4})]
+
+    def test_vertices_are_nonnegative_ints(self):
+        for bad in (-1, "a", 1.0, True, None):
+            with pytest.raises(GraphError, match="nonnegative integer"):
+                Graph([0, bad], [])
+
+    def test_induced_matches_a_checked_graph(self):
+        """G[s] equals the Graph built and checked from s and the edges
+        inside it, field by field and adjacency order included."""
+        rng = random.Random(73)
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(1, 12),
+                             rng.choice((0.2, 0.5, 0.9)), 4)
+            s = [v for v in g.vertices if rng.random() < 0.6]
+            want = Graph(sorted(s), [(u, v, c) for u, v, c in g.edges
+                                     if u in s and v in s])
+            got = g.induced(s)
+            assert vars(got) == vars(want)
+            assert [type(x) for x in vars(got).values()] == \
+                [type(x) for x in vars(want).values()]
+
+    def test_induced_rejects_unknown_vertices(self):
+        with pytest.raises(GraphError, match=r"unknown vertices \[5, 7\]"):
+            k_n(4).induced({0, 7, 5})
 
     def test_capacity_between_sets(self):
         g = k_n(4)
@@ -181,6 +206,33 @@ class TestClusterView:
         m = v.split_measure([(0, 1), (1, 2)])
         assert m.total() == 2
         assert m(self.sub.split(0, 1)) == 1
+
+
+def test_measure_of_is_the_fraction_sum():
+    """Equal in value and type to summing the Fractions, over the empty
+    set and vertices outside the measure too."""
+    rng = random.Random(79)
+    for _ in range(200):
+        mu = Measure({v: Fraction(rng.randint(0, 9), rng.choice(DENOMINATORS))
+                      for v in range(10)})
+        vs = rng.sample(range(15), rng.randint(0, 15))
+        want = sum((mu(v) for v in vs), Fraction(0))
+        got = mu.of(vs)
+        assert got == want and type(got) is Fraction
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+
+
+def test_measure_restrict_matches_a_checked_measure():
+    rng = random.Random(83)
+    for _ in range(100):
+        mu = Measure({v: Fraction(rng.randint(0, 9), rng.choice(DENOMINATORS))
+                      for v in range(10)})
+        vs = rng.sample(range(15), rng.randint(0, 15))
+        want = Measure({v: w for v, w in mu.weights.items() if v in vs})
+        assert list(mu.restrict(vs).weights.items()) == \
+            list(want.weights.items())
+        assert vars(mu.restrict(vs)).keys() == vars(want).keys()
 
 
 def test_parse_measure():

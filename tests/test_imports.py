@@ -9,7 +9,8 @@ read somewhere in that function, nested functions included, and an
 attribute a class stores on `self` must be loaded somewhere in the library,
 its tests or its benchmark: as `self.attr` inside a class of the same name,
 or as `.attr` on anything but `self`.  The package's `__init__.py`
-re-exports names and is skipped.
+re-exports names and is skipped.  The library calls `eigh` in one place,
+the sweep's `_sweep_orders`, so no eigensolve can go round its memo.
 """
 
 import ast
@@ -53,15 +54,38 @@ def unused_params(source):
     return sorted(out)
 
 
+def in_scopes(source, kinds):
+    """Each AST node of source with the name of the innermost node of the
+    given kinds whose body holds it (None outside every such node)."""
+    stack = [(ast.parse(source), None)]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        inner = node.name if isinstance(node, kinds) else scope
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
 def in_classes(source):
     """Each AST node of source with the name of the innermost class whose
     body holds it (None outside every class)."""
-    stack = [(ast.parse(source), None)]
-    while stack:
-        node, cls = stack.pop()
-        yield node, cls
-        inner = node.name if isinstance(node, ast.ClassDef) else cls
-        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+    return in_scopes(source, ast.ClassDef)
+
+
+def eigh_calls(source):
+    """(line, function) for each call of `eigh`, by name or as an
+    attribute, with the innermost function holding it (None at module
+    level).  An import of eigh under another name counts as a call there."""
+    out = []
+    for n, fn in in_scopes(source, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            if name == "eigh":
+                out.append((n.lineno, fn))
+        elif isinstance(n, ast.ImportFrom):
+            if any(a.name == "eigh" and a.asname not in (None, "eigh")
+                   for a in n.names):
+                out.append((n.lineno, fn))
+    return sorted(out)
 
 
 def self_attr(node, ctx):
@@ -123,6 +147,21 @@ def test_scan_finds_unread_fields():
     loaded = loaded_attrs(src, "print(x.b)")
     assert unread_fields(src, loaded) == [
         (5, "K", "d"), (7, "K", "e"), (17, "Q", "g")]
+
+
+def test_scan_finds_eigh_calls():
+    src = ("import scipy.linalg\nfrom scipy.linalg import eigh, eigh as e\n"
+           "def f(a):\n    return eigh(a)\n"
+           "class K:\n    def m(self, a):\n"
+           "        return scipy.linalg.eigh(a, None), eigvalsh(a)\n"
+           "x = eigh\n")
+    assert eigh_calls(src) == [(2, None), (4, "f"), (7, "m")]
+
+
+def test_one_eigh_call_site():
+    calls = [(module, fn) for module in MODULES
+             for _, fn in eigh_calls((SRC / module).read_text())]
+    assert calls == [("oracle.py", "_sweep_orders")], calls
 
 
 @pytest.fixture(scope="module")

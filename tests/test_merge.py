@@ -13,7 +13,8 @@ from treecut.merge import (MergeError, is_balanced_clustering, merge_phase,
 from treecut.tree import build_basic, build_improved
 from treecut.verify import verify_quality
 
-from corpus import dumbbell, random_graph, view_of
+from corpus import (dumbbell, random_graph, reference_balanced_clustering,
+                    view_of)
 
 
 def barbell_k5():
@@ -41,6 +42,19 @@ class TestBalancedClustering:
         # no cut at all leaves one component of 6, which is too big
         ok2, _ = is_balanced_clustering(g, [])
         assert not ok2
+
+    def test_matches_the_graph_reference(self):
+        """Same (ok, components) as building G[S] minus F as a Graph, with
+        F's keys in either orientation."""
+        rng = random.Random(71)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 12),
+                             rng.choice((0.2, 0.5, 0.9)), 4)
+            f = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v, _ in g.edges if rng.random() < 0.4]
+            got = is_balanced_clustering(g, f)
+            assert got == reference_balanced_clustering(g, f)
+            assert all(type(z) is frozenset for z in got[1])
 
 
 class TestShrink:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from treecut import oracle, tree
 from treecut.config import DEFAULT
 import treecut.flow
 from treecut.flow import RouteResult, escalate
@@ -12,9 +13,9 @@ from treecut.merge import MergePartition
 from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
                             refined_cut_or_expander, sparsest_cut, _log2n,
                             _sweep_best, _sweep_orders, _sweep_weights)
-from treecut.tree import build_basic
+from treecut.tree import build_basic, build_improved
 
-from corpus import (dumbbell, k_n, random_graph, random_measure,
+from corpus import (dumbbell, grid, k_n, random_graph, random_measure,
                     ring_of_cliques)
 
 
@@ -110,6 +111,118 @@ class TestSweep:
             assert len(orders) == 4
             for order in orders:
                 assert sorted(order) == sorted(g.vertices)
+
+
+class NoMemo:
+    """Stands in for oracle._FIEDLER: no build ever holds a memo, so every
+    sweep solves both eigenproblems."""
+
+    def set(self, value):
+        return None
+
+    def reset(self, token):
+        pass
+
+    def get(self):
+        return None
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The number of scipy.linalg.eigh calls so far, in a one-item list."""
+    import scipy.linalg
+    calls = [0]
+    real = scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    return calls
+
+
+class TestFiedlerMemo:
+    """A build solves each distinct sweep eigenproblem once and keeps no
+    solution past its end."""
+
+    @pytest.mark.parametrize("g, build", [
+        (ring_of_cliques(8, 4), build_basic),
+        (ring_of_cliques(32, 4), build_basic),
+        (ring_of_cliques(4, 5), build_improved),
+        (grid(5, 5), build_basic),
+        (grid(5, 5), build_improved)],
+        ids=["8x4-basic", "32x4-basic", "4x5-improved", "grid-basic",
+             "grid-improved"])
+    def test_memo_keeps_tree_bytes(self, g, build, monkeypatch):
+        with_memo = build(g).to_json()
+        monkeypatch.setattr(oracle, "_FIEDLER", NoMemo())
+        assert build(g).to_json() == with_memo
+
+    def test_memo_saves_solves(self, eigh_calls, monkeypatch):
+        g = ring_of_cliques(32, 4)
+        build_basic(g)
+        with_memo = eigh_calls[0]
+        monkeypatch.setattr(oracle, "_FIEDLER", NoMemo())
+        build_basic(g)
+        assert 0 < with_memo < eigh_calls[0] - with_memo
+
+    def test_key_holds_the_vertex_count(self):
+        """An isolated vertex adds nothing to the positional edge list,
+        only to the vertex count."""
+        rng = random.Random(61)
+        mu = Measure.indicator(range(7))
+        for _ in range(10):
+            g = random_graph(rng, 6, 0.6, 4)
+            h = Graph(range(7), g.edges)
+            alone = _sweep_orders(h, *_sweep_weights(h, mu))
+            with oracle._fiedler_memo():
+                _sweep_orders(g, *_sweep_weights(g, mu))
+                assert _sweep_orders(h, *_sweep_weights(h, mu)) == alone
+
+    def test_key_holds_the_masses(self):
+        """One graph under many measures: each generalized problem has its
+        own diagonal."""
+        rng = random.Random(67)
+        g = random_graph(rng, 10, 0.5, 4)
+        measures = [random_measure(rng, g.vertices) for _ in range(20)]
+        alone = [_sweep_orders(g, *_sweep_weights(g, mu)) for mu in measures]
+        with oracle._fiedler_memo():
+            assert [_sweep_orders(g, *_sweep_weights(g, mu))
+                    for mu in measures] == alone
+
+    def test_no_memo_outlives_a_build(self, eigh_calls, monkeypatch):
+        big = bridged_cliques(12)
+        mu = Measure.indicator(big.vertices)
+        sparsest_cut(big, mu)
+        sparsest_cut(big, mu)
+        assert eigh_calls[0] == 4       # outside a build nothing is kept
+        merge_phase = tree.merge_phase
+        inside = []
+
+        def solving(view, tau, cfg):
+            before = eigh_calls[0]
+            sparsest_cut(big, mu)
+            inside.append(eigh_calls[0] - before)
+            return merge_phase(view, tau, cfg)
+
+        monkeypatch.setattr(tree, "merge_phase", solving)
+        build_basic(ring_of_cliques(3, 4))
+        assert inside[0] == 2 and not any(inside[1:])
+        before = eigh_calls[0]
+        sparsest_cut(big, mu)
+        assert eigh_calls[0] - before == 2
+
+        def failing(view, tau, cfg):
+            sparsest_cut(big, mu)
+            raise RuntimeError("merge failed")
+
+        monkeypatch.setattr(tree, "merge_phase", failing)
+        with pytest.raises(RuntimeError):
+            build_basic(ring_of_cliques(3, 4))
+        before = eigh_calls[0]
+        sparsest_cut(big, mu)
+        assert eigh_calls[0] - before == 2
 
 
 class TestCutOrExpander:
