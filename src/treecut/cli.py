@@ -143,7 +143,7 @@ def cmd_verify(args):
         print(line)
     n = g.vertex_count
     print("quality alpha = %s (%s over %d cuts)"
-          % (frac_str(report.worst), report.mode, len(report.records)))
+          % (frac_str(report.worst), report.mode, report.cuts_checked))
     print("declared envelope = %s; within: %s"
           % (frac_str(quality_envelope(n, cfg)),
              report.within_envelope(n, cfg)))

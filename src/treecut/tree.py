@@ -278,15 +278,16 @@ def build_improved(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
     return _grow(g, cfg, "improved", Fraction(1))
 
 
-# cut_sides and a min-cut query work on chunks of rows of about this many
-# rows x vertices entries, which bounds their index arrays and DP state
-# whatever the number of cuts.
+# cut_sides, a min-cut query and verify_quality's scoring work on chunks of
+# rows of about this many rows x vertices entries, which bounds their index
+# arrays and DP state whatever the number of cuts.
 _CELLS = 1 << 15
 
 
 def _row_chunks(rows, width):
     step = max(1, _CELLS // max(1, width))
-    return [(start, start + step) for start in range(0, rows, step)]
+    return [(start, min(start + step, rows))
+            for start in range(0, rows, step)]
 
 
 def cut_sides(vertices, cuts):

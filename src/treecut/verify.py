@@ -9,13 +9,15 @@ with singleton and tree-node cuts always forced into the sample.
 import json
 import random
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
 from .config import DEFAULT, Config
 from .graph import Graph
 from .oracle import _log2n
-from .tree import DecompositionTree, cut_sides, mincut_plan
+from .tree import DecompositionTree, _row_chunks, cut_sides, mincut_plan
 from .util import frac_str, int_dtype, rloglog2
 
 
@@ -23,9 +25,10 @@ class VerifyError(ValueError):
     pass
 
 
-# Exhaustive verification keeps a record of each of its 2^(n-1) - 1 cuts, so
-# above this many vertices it cannot fit in memory.
-EXHAUSTIVE_LIMIT = 20
+# Exhaustive verification keeps two ints for each of its 2^(n-1) - 1 cuts
+# and no frozenset; its time and memory double with each vertex, to about
+# 4 s and 128 MiB at this limit (n = 24, 2 vCPUs).
+EXHAUSTIVE_LIMIT = 24
 
 
 def quality_envelope(n, cfg: Config = DEFAULT):
@@ -35,16 +38,31 @@ def quality_envelope(n, cfg: Config = DEFAULT):
 
 
 class QualityReport:
-    """Per-cut records (cut, cap, tree estimate, ratio), the worst ratio,
-    and the list of lower-bound violations (must stay empty)."""
+    """The cuts checked, the worst ratio of tree estimate to cut capacity,
+    and the list of lower-bound violations (must stay empty).
 
-    def __init__(self, records, worst, mode, samples, seed, violations):
-        self.records = records        # [(frozenset, cap, mincut, ratio|None)]
+    verify_quality gives it a CutTable, which keeps two ints per cut and
+    builds a cut's record only when it is read; a finished list of records
+    is taken as it is."""
+
+    def __init__(self, cuts, worst, mode, samples, seed, violations):
+        self._cuts = cuts
+        if isinstance(cuts, list):
+            self.records = cuts
         self.worst = worst            # max ratio (the measured quality)
         self.mode = mode              # "exhaustive" | "sampled"
         self.samples = samples
         self.seed = seed
         self.violations = violations  # cuts with cap > tree estimate
+
+    @cached_property
+    def records(self):
+        """[(frozenset, cap, mincut, ratio|None)], one per cut checked."""
+        return self._cuts.records()
+
+    @property
+    def cuts_checked(self):
+        return len(self._cuts)
 
     @property
     def ok(self):
@@ -57,7 +75,7 @@ class QualityReport:
         doc = {"format_version": 1,
                "mode": self.mode,
                "worst_ratio": frac_str(self.worst),
-               "cuts_checked": len(self.records),
+               "cuts_checked": self.cuts_checked,
                "violations": [sorted(c) for c in self.violations]}
         if self.mode == "sampled":
             doc["samples"] = self.samples
@@ -65,8 +83,13 @@ class QualityReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def table_lines(self, limit=10):
-        rows = sorted((r for r in self.records if r[3] is not None),
-                      key=lambda r: r[3], reverse=True)[:limit]
+        """The cuts with a ratio, largest ratio first and equal ratios in
+        cut order, at most limit of them (all for None)."""
+        if isinstance(self._cuts, list):
+            rows = sorted((r for r in self.records if r[3] is not None),
+                          key=lambda r: r[3], reverse=True)[:limit]
+        else:
+            rows = self._cuts.top(limit)
         out = ["%-30s %10s %10s %10s" % ("cut", "cap", "tree", "ratio")]
         for cut, cap, mc, ratio in rows:
             names = ",".join(str(v) for v in sorted(cut)[:6])
@@ -77,29 +100,111 @@ class QualityReport:
         return out
 
 
+class CutTable:
+    """The cuts of one verify, row by row: the graph cut capacity c and
+    scale times the tree estimate m as int arrays, and side(i), the
+    frozenset of row i, built on demand.  Row i is a violation when
+    c * scale > m, and has the ratio m / (c * scale) when 0 < c * scale <=
+    m; c * scale <= m is tested as c <= m // scale, which needs no wider
+    ints."""
+
+    def __init__(self, side, caps, mcs, scale):
+        self.side = side
+        self.caps, self.mcs, self.scale = caps, mcs, scale
+
+    def __len__(self):
+        return len(self.caps)
+
+    def _blocks(self):
+        # (first row, c, m) in blocks of _CELLS rows, so that no temporary
+        # spans every row
+        for start, stop in _row_chunks(len(self), 1):
+            yield start, self.caps[start:stop], self.mcs[start:stop]
+
+    def _with_ratio(self, c, m):
+        return (c > 0) & (c <= m // self.scale)
+
+    def violating(self):
+        return [start + i for start, c, m in self._blocks()
+                for i in np.flatnonzero(c > m // self.scale).tolist()]
+
+    def _tail(self, c, m):
+        ratio = Fraction(m, c * self.scale) \
+            if 0 < c * self.scale <= m else None
+        return Fraction(c), Fraction(m, self.scale), ratio
+
+    def records(self):
+        # cuts with equal (c, m) share one tail of Fractions
+        keys = list(zip(self.caps.tolist(), self.mcs.tolist()))
+        tails = {k: self._tail(*k) for k in set(keys)}
+        side = self.side
+        return [(side(i),) + tails[k] for i, k in enumerate(keys)]
+
+    def record(self, i):
+        return (self.side(i),) + self._tail(int(self.caps[i]),
+                                            int(self.mcs[i]))
+
+    def worst(self):
+        """The largest ratio, at least 1, decided in ints over the distinct
+        (c, m) pairs of the rows that can hold it."""
+        near = set()
+        for _, c, m in self._blocks():
+            held = self._with_ratio(c, m)
+            c, m = c[held], m[held]
+            if len(c) and object not in (c.dtype, m.dtype):
+                # int64 values below 2^62 give float ratios within 1 + 1e-15
+                # of exact, so a block's largest ratios are all within
+                # 1 + 1e-9 of its largest float
+                ratio = m / c
+                held = ratio >= ratio.max() * (1 - 1e-9)
+                c, m = c[held], m[held]
+            near.update(zip(c.tolist(), m.tolist()))
+        top = (1, 1)              # as (m, c * scale)
+        for c, m in near:
+            if m * top[1] > top[0] * c * self.scale:
+                top = (m, c * self.scale)
+        return Fraction(*top)
+
+    def _ranked(self, rows, limit):
+        """The first limit of rows (ascending, each with a ratio) by ratio,
+        largest first and equal ratios in row order."""
+        caps, mcs = self.caps[rows], self.mcs[rows]
+        # number the distinct (c, m) pairs in numpy, so that only they are
+        # compared as Fractions, then rank each row by its pair's ratio
+        uc, ic = np.unique(caps, return_inverse=True)
+        um, im = np.unique(mcs, return_inverse=True)
+        up, ip = np.unique(ic.astype(np.int64) * len(um) + im,
+                           return_inverse=True)
+        ratio = [Fraction(int(um[p % len(um)]),
+                          int(uc[p // len(um)]) * self.scale)
+                 for p in up.tolist()]
+        place = {v: k for k, v in enumerate(sorted(set(ratio), reverse=True))}
+        rank = np.array([place[r] for r in ratio], np.intp)[ip]
+        return rows[np.argsort(rank, kind="stable")[:limit]]
+
+    def top(self, limit):
+        """Records of the rows with a ratio, largest ratio first and equal
+        ratios in row order, at most limit of them (all for None).  The
+        first limit rows of each block hold the first limit of all."""
+        best = [self._ranked(start + np.flatnonzero(self._with_ratio(c, m)),
+                             limit) for start, c, m in self._blocks()]
+        rows = self._ranked(np.sort(np.concatenate(best)), limit)
+        return [self.record(i) for i in rows.tolist()]
+
+
 def _check_pair(g: Graph, t: DecompositionTree):
     if t.graph.vertex_set() != g.vertex_set() or t.graph.cap != g.cap:
         raise VerifyError("tree was not built from this graph")
 
 
-def _all_cuts(vertices):
-    """Every proper nonempty cut once: the side avoiding the last vertex, in
-    the order of its bit mask over the sorted vertices."""
-    cuts = [frozenset()]
-    for v in sorted(vertices)[:-1]:
-        one = frozenset((v,))
-        cuts += [c | one for c in cuts]
-    return cuts[1:]
-
-
-def _all_sides(n):
-    """cut_sides matrix of _all_cuts over n sorted vertices, built by the
-    same doubling."""
-    side = np.zeros((1 << (n - 1), n), bool)
-    for i in range(n - 1):
-        side[1 << i:2 << i] = side[:1 << i]
-        side[1 << i:2 << i, i] = True
-    return side[1:]
+def _mask_sides(n, start, stop):
+    """cut_sides rows start to stop - 1 of every proper nonempty cut over n
+    sorted vertices: row i is the side avoiding the last vertex whose bit
+    mask over the others is i + 1."""
+    masks = np.arange(start + 1, stop + 1, dtype=np.int64)
+    side = np.zeros((stop - start, n), bool)
+    side[:, :-1] = masks[:, None] >> np.arange(n - 1) & 1
+    return side
 
 
 def _capacities(g: Graph, side):
@@ -108,7 +213,7 @@ def _capacities(g: Graph, side):
     cap = np.zeros(len(side), int_dtype(sum(c for _, _, c in g.edges)))
     for u, v, c in g.edges:
         cap[side[:, column[u]] != side[:, column[v]]] += c
-    return cap.tolist()
+    return cap
 
 
 def verify_quality(g: Graph, t: DecompositionTree, mode=None,
@@ -117,9 +222,12 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
 
     mode: None picks exhaustive for n <= 12, else sampled; or force
     "exhaustive" (up to EXHAUSTIVE_LIMIT vertices) / "sampled" explicitly.
-    Every cut is evaluated at once: capacities and tree min-cuts as integer
-    arrays (see mincut_plan), then one record per cut, cuts with equal
-    values sharing one tuple of Fractions."""
+    The cuts are scored in row chunks of cut_sides matrices: capacities
+    and tree min-cuts as integer arrays (see mincut_plan).  Exhaustive
+    mode makes each chunk's rows from their bit masks and keeps no list of
+    cuts.  The report keeps the two arrays (a CutTable), builds frozensets
+    only for violations and decides the worst ratio in ints; its records
+    are built when first read."""
     _check_pair(g, t)
     n = g.vertex_count
     if n < 2:
@@ -136,8 +244,13 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
     verts = sorted(g.vertices)
     samples = 0
     if mode == "exhaustive":
-        cuts = _all_cuts(verts)
-        side = _all_sides(n)
+        rows = (1 << (n - 1)) - 1
+
+        def side(i):
+            return frozenset(compress(verts, map(int, bin(i + 1)[:1:-1])))
+
+        def sides(start, stop):
+            return _mask_sides(n, start, stop)
     else:
         vset = g.vertex_set()
         cuts = []
@@ -148,8 +261,7 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
             if b and b != vset and b not in seen:
                 # store each cut by the side avoiding the last vertex, so a
                 # side and its complement are never both checked
-                comp = vset - b
-                key = b if verts[-1] not in b else comp
+                key = b if verts[-1] not in b else vset - b
                 if key in seen:
                     return
                 seen.add(key)
@@ -164,26 +276,20 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
         for _ in range(samples):
             k = rng.randint(1, n - 1)
             push(rng.sample(verts, k))
-        side = cut_sides(verts, cuts)
+        rows, side = len(cuts), cuts.__getitem__
+
+        def sides(start, stop):
+            return cut_sides(verts, cuts[start:stop])
 
     scale, mincut = mincut_plan(t)
-    caps, mcs = _capacities(g, side), mincut(side).tolist()
-    # one Fraction per distinct value and one record tail per distinct pair
-    # of capacity c and scaled tree estimate m; the ratios m / (c * scale)
-    # are compared in ints
-    cap_of = {c: Fraction(c) for c in set(caps)}
-    mc_of = {m: Fraction(m, scale) for m in set(mcs)}
-    shared = {}
-    top = (1, 1)              # the worst ratio so far, as (m, c * scale)
-    for c, m in set(zip(caps, mcs)):
-        ratio = None
-        # a zero cut has no ratio, nor has a violation (c above estimate)
-        if 0 < c * scale <= m:
-            ratio = Fraction(m, c * scale)
-            if m * top[1] > top[0] * c * scale:
-                top = (m, c * scale)
-        shared[c, m] = (cap_of[c], mc_of[m], ratio)
-    records = [(b,) + shared[k] for b, k in zip(cuts, zip(caps, mcs))]
-    violations = [b for b, c, m in zip(cuts, caps, mcs) if c * scale > m]
-    worst = Fraction(*top)
-    return QualityReport(records, worst, mode, samples, cfg.seed, violations)
+    caps = mcs = None
+    for start, stop in _row_chunks(rows, n):
+        chunk = sides(start, stop)
+        c, m = _capacities(g, chunk), mincut(chunk)
+        if caps is None:
+            caps, mcs = np.empty(rows, c.dtype), np.empty(rows, m.dtype)
+        caps[start:stop], mcs[start:stop] = c, m
+    table = CutTable(side, caps, mcs, scale)
+    violations = [side(i) for i in table.violating()]
+    return QualityReport(table, table.worst(), mode, samples, cfg.seed,
+                         violations)

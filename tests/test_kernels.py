@@ -19,7 +19,8 @@ from treecut.demand import (DemandError, DemandMatrix, DemandState,
 from treecut.flow import S_NODE, T_NODE, FlowNetwork, max_flow
 from treecut.graph import Graph, Measure, cut_capacity, subdivide
 from treecut.oracle import _sweep_best, _sweep_orders, _sweep_weights
-from treecut.tree import build_basic, build_improved, mincut_in_tree
+from treecut.tree import (_row_chunks, build_basic, build_improved,
+                          mincut_in_tree)
 from treecut.verify import QualityReport, verify_quality
 
 from corpus import (DENOMINATORS, brute_tree_mincut, cycle, labelled_graph,
@@ -746,6 +747,18 @@ class TestVerify:
                 t = build(g)
                 assert_same_report(verify_quality(g, t, "sampled", cfg),
                                    reference_verify(g, t, "sampled", cfg))
+
+    def test_exhaustive_across_row_chunks(self):
+        """A forced exhaustive verify of a 15-vertex ring scores its
+        2^14 - 1 cuts in several row chunks; the report must not see the
+        seams."""
+        g = ring_of_cliques(3, 5)
+        assert len(_row_chunks(2 ** 14 - 1, g.vertex_count)) > 1
+        for build in (build_basic, build_improved):
+            t = build(g)
+            got = verify_quality(g, t, "exhaustive")
+            assert_same_report(got, reference_verify(g, t, "exhaustive"))
+            assert got.cuts_checked == len(got.records) == 2 ** 14 - 1
 
     @pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(7, 3)])
     def test_tampered_weights(self, weight):

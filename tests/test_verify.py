@@ -1,16 +1,20 @@
 import hashlib
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from treecut.config import DEFAULT
 from treecut.graph import Graph, parse_edge_list
+from treecut import tree
 from treecut.tree import build_basic, build_improved
-from treecut.verify import EXHAUSTIVE_LIMIT, VerifyError, verify_quality
+from treecut.verify import (EXHAUSTIVE_LIMIT, CutTable, VerifyError,
+                            verify_quality)
 
-from corpus import cycle, path, random_graph
+from corpus import cycle, path, random_graph, ring_of_cliques
 
 RING = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                     "ring8.edges")
@@ -73,6 +77,53 @@ class TestQuality:
         with pytest.raises(VerifyError, match="limit"):
             verify_quality(g, t, "exhaustive")
         assert verify_quality(g, t, cfg=DEFAULT.replace(samples=5)).ok
+
+    def test_exhaustive_memory_stays_per_row(self):
+        """A forced exhaustive verify at n = 20 keeps two ints per cut and
+        scores its 2^19 - 1 cuts in bounded chunks: its peak allocation
+        stays far below one frozenset and one tuple per cut (384 MB)."""
+        g = ring_of_cliques(5, 4)
+        t = build_basic(g)
+        tracemalloc.start()
+        try:
+            r = verify_quality(g, t, "exhaustive")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.cuts_checked == 2 ** 19 - 1 and r.ok
+        assert peak < 64 * 2 ** 20
+
+    def test_blocks_do_not_change_the_report(self, monkeypatch):
+        """An exhaustive report at n = 18 spans four blocks of rows; with
+        one block holding every row, the worst ratio, the violations and
+        every table must be the same.  Weight 1/2 on the heaviest node
+        makes violations in every block."""
+        g = ring_of_cliques(6, 3)
+        t = build_basic(g)
+        max(t.nodes()[1:], key=lambda n: n.weight).weight = Fraction(1, 2)
+
+        def seen(r):
+            return ([r.to_json(), r.violations]
+                    + [r.table_lines(k) for k in (1, 10, 200)])
+
+        blocked = seen(verify_quality(g, t, "exhaustive"))
+        assert blocked[1]
+        monkeypatch.setattr(tree, "_CELLS", 1 << 30)
+        assert seen(verify_quality(g, t, "exhaustive")) == blocked
+
+    def test_last_block_counts(self):
+        """The largest ratio, a violation and the first table row all in
+        the last of four blocks of rows."""
+        rows = 3 * 2 ** 15 + 5
+        caps = np.full(rows, 2, np.int64)
+        mcs = np.full(rows, 4, np.int64)
+        caps[-1], mcs[-1] = 1, 9
+        mcs[-2] = 1
+        table = CutTable(lambda i: frozenset({i}), caps, mcs, 1)
+        assert table.worst() == 9
+        assert table.violating() == [rows - 2]
+        assert table.top(2) == [(frozenset({rows - 1}), 1, 9, 9),
+                                (frozenset({0}), 2, 4, 2)]
 
     def test_tampered_weight_is_caught(self):
         g = parse_edge_list("0 1\n1 2\n")
