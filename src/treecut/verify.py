@@ -10,7 +10,7 @@ import json
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class VerifyError(ValueError):
 
 # Exhaustive verification keeps two ints for each of its 2^(n-1) - 1 cuts
 # and no frozenset; its time and memory double with each vertex, to about
-# 4 s and 128 MiB at this limit (n = 24, 2 vCPUs).
+# 2.5 s and 128 MiB at this limit (n = 24, 2 vCPUs).
 EXHAUSTIVE_LIMIT = 24
 
 
@@ -41,9 +41,9 @@ class QualityReport:
     """The cuts checked, the worst ratio of tree estimate to cut capacity,
     and the list of lower-bound violations (must stay empty).
 
-    verify_quality gives it a CutTable, which keeps two ints per cut and
-    builds a cut's record only when it is read; a finished list of records
-    is taken as it is."""
+    verify_quality gives it a CutTable, which keeps two ints per cut (and,
+    in sampled mode, one packed bit row) and builds a cut's record only
+    when it is read; a finished list of records is taken as it is."""
 
     def __init__(self, cuts, worst, mode, samples, seed, violations):
         self._cuts = cuts
@@ -103,7 +103,8 @@ class QualityReport:
 class CutTable:
     """The cuts of one verify, row by row: the graph cut capacity c and
     scale times the tree estimate m as int arrays, and side(i), the
-    frozenset of row i, built on demand.  Row i is a violation when
+    frozenset of row i, built on demand (in sampled mode from
+    _PackedCuts' bit rows).  Row i is a violation when
     c * scale > m, and has the ratio m / (c * scale) when 0 < c * scale <=
     m; c * scale <= m is tested as c <= m // scale, which needs no wider
     ints."""
@@ -185,9 +186,20 @@ class CutTable:
     def top(self, limit):
         """Records of the rows with a ratio, largest ratio first and equal
         ratios in row order, at most limit of them (all for None).  The
-        first limit rows of each block hold the first limit of all."""
-        best = [self._ranked(start + np.flatnonzero(self._with_ratio(c, m)),
-                             limit) for start, c, m in self._blocks()]
+        first limit rows of each block hold the first limit of all.  In an
+        int64 block these rows have float ratios of at least 1 - 1e-9
+        times the block's limit-th largest (see worst()), so only rows at
+        that bound are ranked exactly."""
+        best = []
+        for start, c, m in self._blocks():
+            rows = np.flatnonzero(self._with_ratio(c, m))
+            if limit and len(rows) > limit \
+                    and object not in (c.dtype, m.dtype):
+                ratio = m[rows] / c[rows]
+                kth = len(ratio) - limit
+                bound = np.partition(ratio, kth)[kth] * (1 - 1e-9)
+                rows = rows[ratio >= bound]
+            best.append(self._ranked(start + rows, limit))
         rows = self._ranked(np.sort(np.concatenate(best)), limit)
         return [self.record(i) for i in rows.tolist()]
 
@@ -207,13 +219,83 @@ def _mask_sides(n, start, stop):
     return side
 
 
-def _capacities(g: Graph, side):
-    """Graph cut capacity of every row of a cut_sides matrix, as ints."""
+class _PackedCuts:
+    """Cuts as the rows of a packed bit matrix over the sorted vertices
+    verts (np.packbits of their cut_sides rows); a row is unpacked, and
+    its frozenset built, only when it is read."""
+
+    def __init__(self, verts, packed):
+        self.verts, self.packed = verts, packed
+
+    def __len__(self):
+        return len(self.packed)
+
+    def side(self, i):
+        bits = np.unpackbits(self.packed[i], count=len(self.verts))
+        return frozenset(compress(self.verts, bits.tolist()))
+
+    def sides(self, start, stop):
+        """cut_sides rows start to stop - 1."""
+        return np.unpackbits(self.packed[start:stop], axis=1,
+                             count=len(self.verts)).view(bool)
+
+
+def _pick_rows(picks, n):
+    """Boolean matrix with one row per list of column numbers in picks,
+    True at those columns."""
+    sizes = np.fromiter(map(len, picks), np.intp, len(picks))
+    side = np.zeros((len(picks), n), bool)
+    side[np.repeat(np.arange(len(picks)), sizes),
+         np.fromiter(chain.from_iterable(picks), np.intp,
+                     int(sizes.sum()))] = True
+    return side
+
+
+def _sampled_cuts(t: DecompositionTree, verts, cfg: Config):
+    """The singletons, the tree nodes' members and cfg.samples random cuts,
+    in that order, each stored by its side avoiding the last vertex, with
+    the empty side and repeats dropped (the first of equal rows kept).
+
+    A random cut draws k = rng.randint(1, n - 1), then rng.sample of k of
+    the n columns; sample's picks depend only on the population's length,
+    so column j stands for verts[j]."""
+    n = len(verts)
+    blocks = [np.eye(n, dtype=bool),
+              cut_sides(verts, (node.members for node in t.nodes()))]
+    rng = random.Random(cfg.seed)
+    cols = list(range(n))
+    for start, stop in _row_chunks(cfg.samples, n):
+        blocks.append(_pick_rows([rng.sample(cols, rng.randint(1, n - 1))
+                                  for _ in range(start, stop)], n))
+    packed = []
+    for side in blocks:
+        # a side holding the last vertex turns into its complement, so a
+        # cut and its complement share one row, and the empty and full
+        # sides both become all-False rows, dropped below
+        side ^= side[:, -1:]
+        packed.append(np.packbits(side, axis=1))
+    packed = np.concatenate(packed)
+    packed = packed[packed.any(axis=1)]
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    return _PackedCuts(verts, packed[np.sort(first)])
+
+
+def _edge_arrays(g: Graph):
+    """(a, b, caps): the columns of every edge's two ends among the sorted
+    vertices and the edges' capacities, as ints (see int_dtype)."""
     column = {v: i for i, v in enumerate(g.vertices)}
-    cap = np.zeros(len(side), int_dtype(sum(c for _, _, c in g.edges)))
-    for u, v, c in g.edges:
-        cap[side[:, column[u]] != side[:, column[v]]] += c
-    return cap
+    return (np.array([column[u] for u, _, _ in g.edges], np.intp),
+            np.array([column[v] for _, v, _ in g.edges], np.intp),
+            np.array([c for _, _, c in g.edges],
+                     int_dtype(sum(c for _, _, c in g.edges))))
+
+
+def _capacities(edges, side):
+    """Graph cut capacity of every row of a cut_sides matrix, as ints,
+    from the _edge_arrays of the graph."""
+    a, b, caps = edges
+    return (side[:, a] != side[:, b]).astype(caps.dtype) @ caps
 
 
 def verify_quality(g: Graph, t: DecompositionTree, mode=None,
@@ -223,11 +305,15 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
     mode: None picks exhaustive for n <= 12, else sampled; or force
     "exhaustive" (up to EXHAUSTIVE_LIMIT vertices) / "sampled" explicitly.
     The cuts are scored in row chunks of cut_sides matrices: capacities
-    and tree min-cuts as integer arrays (see mincut_plan).  Exhaustive
-    mode makes each chunk's rows from their bit masks and keeps no list of
-    cuts.  The report keeps the two arrays (a CutTable), builds frozensets
-    only for violations and decides the worst ratio in ints; its records
-    are built when first read."""
+    as one gather and integer dot product per chunk, over edge arrays made
+    once, and tree min-cuts from mincut_plan.  Exhaustive mode makes each
+    chunk's rows from their bit masks and keeps no rows.  Sampled mode
+    draws its cuts with the stdlib Random(cfg.seed), writes them straight
+    into boolean rows, and keeps the forced and sampled rows as one packed
+    bit matrix, deduplicated in numpy (see _sampled_cuts).  The report
+    keeps the two score arrays (a CutTable), builds frozensets only for
+    violations and decides the worst ratio in ints; its records are built
+    when first read."""
     _check_pair(g, t)
     n = g.vertex_count
     if n < 2:
@@ -252,40 +338,16 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
         def sides(start, stop):
             return _mask_sides(n, start, stop)
     else:
-        vset = g.vertex_set()
-        cuts = []
-        seen = set()
-
-        def push(b):
-            b = frozenset(b)
-            if b and b != vset and b not in seen:
-                # store each cut by the side avoiding the last vertex, so a
-                # side and its complement are never both checked
-                key = b if verts[-1] not in b else vset - b
-                if key in seen:
-                    return
-                seen.add(key)
-                cuts.append(key)
-
-        for v in verts:
-            push({v})
-        for node in t.nodes():
-            push(node.members)
-        rng = random.Random(cfg.seed)
+        cuts = _sampled_cuts(t, verts, cfg)
+        rows, side, sides = len(cuts), cuts.side, cuts.sides
         samples = cfg.samples
-        for _ in range(samples):
-            k = rng.randint(1, n - 1)
-            push(rng.sample(verts, k))
-        rows, side = len(cuts), cuts.__getitem__
 
-        def sides(start, stop):
-            return cut_sides(verts, cuts[start:stop])
-
+    edges = _edge_arrays(g)
     scale, mincut = mincut_plan(t)
     caps = mcs = None
     for start, stop in _row_chunks(rows, n):
         chunk = sides(start, stop)
-        c, m = _capacities(g, chunk), mincut(chunk)
+        c, m = _capacities(edges, chunk), mincut(chunk)
         if caps is None:
             caps, mcs = np.empty(rows, c.dtype), np.empty(rows, m.dtype)
         caps[start:stop], mcs[start:stop] = c, m

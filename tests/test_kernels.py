@@ -757,8 +757,12 @@ class TestVerify:
         for build in (build_basic, build_improved):
             t = build(g)
             got = verify_quality(g, t, "exhaustive")
-            assert_same_report(got, reference_verify(g, t, "exhaustive"))
+            want = reference_verify(g, t, "exhaustive")
+            assert_same_report(got, want)
             assert got.cuts_checked == len(got.records) == 2 ** 14 - 1
+            # a limit ranks only the rows near the limit-th float ratio
+            for k in (1, 10, 200):
+                assert got.table_lines(k) == want.table_lines(k)
 
     @pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(7, 3)])
     def test_tampered_weights(self, weight):
@@ -778,7 +782,10 @@ class TestVerify:
                 key=lambda n: n.weight).weight = weight
             got = verify_quality(g, t, mode, cfg)
             violated += bool(got.violations)
-            assert_same_report(got, reference_verify(g, t, mode, cfg))
+            want = reference_verify(g, t, mode, cfg)
+            assert_same_report(got, want)
+            for k in (1, 10, 200):
+                assert got.table_lines(k) == want.table_lines(k)
         assert violated >= 2
 
     @pytest.mark.parametrize("big", [2 ** 61, 2 ** 70])
@@ -799,3 +806,52 @@ class TestVerify:
                          for _ in range(10)]
                 for b in cuts:
                     assert mincut_in_tree(t, b) == brute_tree_mincut(t, b)
+
+    @pytest.mark.parametrize("n", [13, 20, 48])
+    def test_sampled_non_contiguous_labels(self, n):
+        """Vertex ids that are not 0..n-1: column j of the sample matrix
+        must stand for the j-th smallest id, as the stdlib draw over the
+        sorted ids picks it."""
+        rng = random.Random(n)
+        labels = sorted(rng.sample(range(3 * n + 100), n))
+        g = labelled_graph(rng, n, labels)
+        cfg = Config(samples=1000, seed=n)
+        for build in (build_basic, build_improved):
+            t = build(g)
+            assert_same_report(verify_quality(g, t, "sampled", cfg),
+                               reference_verify(g, t, "sampled", cfg))
+
+    def test_sampled_forced_cuts_only(self):
+        """With no samples the report holds the singletons and the tree
+        nodes' members alone, once each."""
+        cfg = Config(samples=0)
+        for g in (ring_of_cliques(4, 4),
+                  labelled_graph(random.Random(6), 14,
+                                 list(range(7, 63, 4)))):
+            for build in (build_basic, build_improved):
+                t = build(g)
+                got = verify_quality(g, t, cfg=cfg)
+                assert got.mode == "sampled" and got.samples == 0
+                assert_same_report(got, reference_verify(g, t, cfg=cfg))
+
+    def test_sampled_mostly_repeats(self):
+        """10,000 draws over 13 vertices, which have 4,095 cuts: most rows
+        repeat an earlier one and only the first of each is kept."""
+        g = labelled_graph(random.Random(13), 13)
+        cfg = Config(samples=10000, seed=4)
+        t = build_basic(g)
+        got = verify_quality(g, t, cfg=cfg)
+        assert got.cuts_checked < 4096
+        assert_same_report(got, reference_verify(g, t, cfg=cfg))
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_no_edges(self, mode):
+        """13 vertices and no edge: every cut has capacity 0 and a tree
+        estimate of 0, so no row has a ratio and none violates."""
+        g = Graph(range(0, 39, 3), [])
+        cfg = Config(samples=500, seed=2)
+        t = build_basic(g)
+        got = verify_quality(g, t, mode, cfg)
+        assert got.ok and got.worst == 1
+        assert len(got.table_lines()) == 1
+        assert_same_report(got, reference_verify(g, t, mode, cfg))

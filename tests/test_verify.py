@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from treecut.config import DEFAULT
-from treecut.graph import Graph, parse_edge_list
+from treecut.graph import Graph, cut_capacity, parse_edge_list
 from treecut import tree
-from treecut.tree import build_basic, build_improved
+from treecut.tree import (DecompositionTree, TreeNode, build_basic,
+                          build_improved)
 from treecut.verify import (EXHAUSTIVE_LIMIT, CutTable, VerifyError,
                             verify_quality)
 
@@ -26,6 +27,37 @@ RING_REPORTS = {
     "sampled":
         "6502b6c7474603d3a2cfb7037a168a826126820ea057277ff432ef503e091c24",
 }
+# sha256 of to_json() plus the first table line of a default sampled verify
+# of the hand-written 4x4 ring tree, taken with the frozenset sampler that
+# drew one stdlib rng.sample over the sorted vertices per random cut
+SAMPLE_STREAM = \
+    "de23e868c8cd0b652e861b5eca271c64a81058286db3274185a4fa27008824db"
+
+
+def ring_tree(k, s):
+    """ring_of_cliques(k, s) under a tree written out by hand: the root,
+    the two halves of the ring, each clique, its vertices, every weight the
+    graph cut of the node's members.  No oracle runs, so the tree is the
+    same on every scipy/LAPACK build."""
+    g = ring_of_cliques(k, s)
+
+    def node(members, kind, children=()):
+        members = frozenset(members)
+        n = TreeNode(members, kind, cut_capacity(g, members)
+                     if len(members) < g.vertex_count else 0)
+        n.children = list(children)
+        return n
+
+    def clique(c):
+        verts = range(c * s, (c + 1) * s)
+        return node(verts, "merge-cluster",
+                    [node({v}, "leaf") for v in verts])
+
+    halves = [node(range(h * s, (h + w) * s), "merge-side",
+                   [clique(c) for c in range(h, h + w)])
+              for h, w in ((0, k // 2), (k // 2, k - k // 2))]
+    return g, DecompositionTree(g, node(g.vertices, "root", halves),
+                                "basic")
 
 
 class TestQuality:
@@ -167,6 +199,45 @@ class TestSampled:
             key = node.members if max(verts) not in node.members \
                 else verts - node.members
             assert key in checked
+
+    def test_sample_stream_pinned(self):
+        """The default verify of a tree that no oracle built: which cuts
+        are drawn, which repeat and in what order they are kept all show in
+        the cut count and the first table line."""
+        g, t = ring_tree(4, 4)
+        assert g.vertex_count == 16
+        r = verify_quality(g, t)
+        assert r.mode == "sampled" and r.samples == DEFAULT.samples
+        blob = r.to_json() + r.table_lines()[1] + "\n"
+        assert hashlib.sha256(blob.encode()).hexdigest() == SAMPLE_STREAM
+
+    def test_report_memory_stays_per_row(self):
+        """A default verify of the 8x6 ring keeps its sampled cuts as packed
+        bit rows and two ints each, with no frozenset until records are
+        read: the report holds far less than one frozenset per cut."""
+        g = ring_of_cliques(8, 6)
+        t = build_basic(g)
+        verify_quality(g, t)      # plans the tree DP, which the tree keeps
+        tracemalloc.start()
+        try:
+            r = verify_quality(g, t)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.mode == "sampled" and r.cuts_checked > 9000
+        assert held <= 2 * 2 ** 20
+        verts = g.vertex_set()
+        worst = Fraction(1)
+        for i, rec in enumerate(r.records):
+            side, cap, mc, ratio = rec
+            assert type(side) is frozenset and side and max(verts) not in side
+            assert type(cap) is Fraction and type(mc) is Fraction
+            assert ratio == mc / cap and type(ratio) is Fraction
+            worst = max(worst, ratio)
+            if i % 97 == 0:
+                assert cap == cut_capacity(g, side)
+        assert len({rec[0] for rec in r.records}) == r.cuts_checked
+        assert worst == r.worst
 
     def test_reports_are_deterministic(self):
         g = Graph(range(13), [(i, (i + 1) % 13, 2) for i in range(13)])
