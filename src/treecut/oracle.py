@@ -1,10 +1,10 @@
 """The balanced-cut-or-expander oracle and its refined five-case variant.
 
-Desk-scale implementation of the oracle contract: an exact (or, above the
-brute-force threshold, spectral-sweep) sparsest-cut backend drives a peeling
-loop; outcomes carry peel sequences and expander certificates, and a
-self-checker validates every emitted outcome against its own declared
-constants.  The oracle routes no flow: every flow the build keeps is routed
+Desk-scale implementation of the oracle contract: an exact sparsest-cut
+backend (above the brute-force threshold, a sweep over the prefixes of two
+Fiedler orderings) drives a peeling loop; outcomes carry peel sequences and
+expander certificates, and a self-checker validates every emitted outcome
+against its own declared constants.  The oracle routes no flow: every flow the build keeps is routed
 by the step that uses it (merge and refine).
 
 Within one tree build the sweep solves each distinct eigenproblem once: the
@@ -36,12 +36,12 @@ def _log2n(n):
 
 
 def _sweep_weights(g: Graph, mu: Measure):
-    """(w, scale, deg): mu scaled by scale, the lcm of its denominators, to
-    int masses w, and the weighted degree of every vertex."""
+    """(w, scale): mu scaled by scale, the lcm of its denominators, to int
+    masses w."""
     mass = {v: mu(v) for v in g.vertices}
     scale = lcm(*(m.denominator for m in mass.values()))
     w = {v: m.numerator * (scale // m.denominator) for v, m in mass.items()}
-    return w, scale, {v: g.degree(v) for v in g.vertices}
+    return w, scale
 
 
 # The Fiedler vectors solved so far in the running build, keyed on the
@@ -61,13 +61,13 @@ def _fiedler_memo():
         _FIEDLER.reset(token)
 
 
-def _sweep_orders(g: Graph, w, scale, deg):
-    """Candidate vertex orderings for sweep cuts (spectral + fallbacks),
-    from the int masses w (mu = w / scale) and degrees deg.
+def _sweep_orders(g: Graph, w, scale):
+    """The two vertex orderings the sweep cuts, from the int masses w
+    (mu = w / scale).
 
-    The spectral orderings sort by a Fiedler vector, of the mu-weighted
-    generalized problem and of the plain Laplacian; eigh computes only the
-    two smallest eigenpairs.  Inside a build each vector is looked up by
+    Each sorts by a Fiedler vector: first of the mu-weighted generalized
+    problem, then of the plain Laplacian; eigh computes only the two
+    smallest eigenpairs.  Inside a build each vector is looked up by
     what eigh would receive: the vertex and edge counts and the positional
     edges (i, j) as int64, then the capacities and, for the generalized
     problem, the mass diagonal as float64.  g needs at least 2 vertices.
@@ -105,27 +105,26 @@ def _sweep_orders(g: Graph, w, scale, deg):
                            subset_by_index=[0, 1])
             fiedler = memo[key] = vecs[:, 1].tolist()
         orders.append([v for _, v in sorted(zip(fiedler, verts))])
-    orders.append(sorted(verts, key=lambda v: (deg[v], v)))
-    orders.append(sorted(verts, key=lambda v: (-w[v], v)))
     return orders
 
 
 def _sweep_best(g: Graph, mu: Measure):
-    """Best prefix cut over the candidate orderings, then the singletons.
+    """Best prefix cut over the two spectral orderings.
 
     mu is scaled by the lcm of its denominators, so prefix capacities and
     prefix masses are ints and ratios compare by cross-multiplication.
     Returns (ratio, side) for the first strict minimizer, or (None, None)
-    when no cut has a positive denominator (always so below 2 vertices).
+    when fewer than two vertices carry mass, so no cut has a positive
+    denominator.
     """
     if g.vertex_count < 2:
         return None, None
-    w, scale, deg = _sweep_weights(g, mu)
+    w, scale = _sweep_weights(g, mu)
     total = sum(w.values())
     # best_cap/best_den = 1/0 stands for +infinity: a cut with den = 0
     # never beats it, any cut with den > 0 does
     best_cap, best_den, best_side = 1, 0, None
-    for order in _sweep_orders(g, w, scale, deg):
+    for order in _sweep_orders(g, w, scale):
         side = set()
         cap = mu_a = 0
         for v in order[:-1]:
@@ -136,11 +135,6 @@ def _sweep_best(g: Graph, mu: Measure):
             den = min(mu_a, total - mu_a)
             if den > 0 and cap * best_den < best_cap * den:
                 best_cap, best_den, best_side = cap, den, frozenset(side)
-    for v in g.vertices:
-        den = min(w[v], total - w[v])
-        cap = deg[v]
-        if den > 0 and cap * best_den < best_cap * den:
-            best_cap, best_den, best_side = cap, den, frozenset([v])
     if not best_den:
         return None, None
     return Fraction(best_cap * scale, best_den), best_side

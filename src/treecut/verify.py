@@ -103,14 +103,14 @@ class QualityReport:
 class CutTable:
     """The cuts of one verify, row by row: the graph cut capacity c and
     scale times the tree estimate m as int arrays, and side(i), the
-    frozenset of row i, built on demand (in sampled mode from
-    _PackedCuts' bit rows).  Row i is a violation when
-    c * scale > m, and has the ratio m / (c * scale) when 0 < c * scale <=
-    m; c * scale <= m is tested as c <= m // scale, which needs no wider
-    ints."""
+    frozenset of row i, built on demand; records() reads the sides of the
+    cut source cuts (_MaskCuts or _PackedCuts) one _row_chunks chunk at a
+    time.  Row i is a violation when c * scale > m, and has the ratio
+    m / (c * scale) when 0 < c * scale <= m; c * scale <= m is tested as
+    c <= m // scale, which needs no wider ints."""
 
-    def __init__(self, side, caps, mcs, scale):
-        self.side = side
+    def __init__(self, side, caps, mcs, scale, cuts=None):
+        self.side, self.cuts = side, cuts
         self.caps, self.mcs, self.scale = caps, mcs, scale
 
     def __len__(self):
@@ -138,12 +138,11 @@ class CutTable:
         # cuts with equal (c, m) share one tail of Fractions
         keys = list(zip(self.caps.tolist(), self.mcs.tolist()))
         tails = {k: self._tail(*k) for k in set(keys)}
-        side = self.side
-        return [(side(i),) + tails[k] for i, k in enumerate(keys)]
-
-    def record(self, i):
-        return (self.side(i),) + self._tail(int(self.caps[i]),
-                                            int(self.mcs[i]))
+        verts = self.cuts.verts
+        sides = (frozenset(compress(verts, row))
+                 for start, stop in _row_chunks(len(self), len(verts))
+                 for row in self.cuts.sides(start, stop).tolist())
+        return [(side,) + tails[k] for side, k in zip(sides, keys)]
 
     def worst(self):
         """The largest ratio, at least 1, decided in ints over the distinct
@@ -201,7 +200,9 @@ class CutTable:
                 rows = rows[ratio >= bound]
             best.append(self._ranked(start + rows, limit))
         rows = self._ranked(np.sort(np.concatenate(best)), limit)
-        return [self.record(i) for i in rows.tolist()]
+        return [(self.side(i),) + self._tail(int(self.caps[i]),
+                                             int(self.mcs[i]))
+                for i in rows.tolist()]
 
 
 def _check_pair(g: Graph, t: DecompositionTree):
@@ -209,14 +210,26 @@ def _check_pair(g: Graph, t: DecompositionTree):
         raise VerifyError("tree was not built from this graph")
 
 
-def _mask_sides(n, start, stop):
-    """cut_sides rows start to stop - 1 of every proper nonempty cut over n
-    sorted vertices: row i is the side avoiding the last vertex whose bit
-    mask over the others is i + 1."""
-    masks = np.arange(start + 1, stop + 1, dtype=np.int64)
-    side = np.zeros((stop - start, n), bool)
-    side[:, :-1] = masks[:, None] >> np.arange(n - 1) & 1
-    return side
+class _MaskCuts:
+    """Every proper nonempty cut over the sorted vertices verts: row i is
+    the side avoiding the last vertex whose bit mask over the others is
+    i + 1."""
+
+    def __init__(self, verts):
+        self.verts = verts
+
+    def __len__(self):
+        return (1 << (len(self.verts) - 1)) - 1
+
+    def side(self, i):
+        return frozenset(compress(self.verts, map(int, bin(i + 1)[:1:-1])))
+
+    def sides(self, start, stop):
+        """cut_sides rows start to stop - 1."""
+        masks = np.arange(start + 1, stop + 1, dtype=np.int64)
+        side = np.zeros((stop - start, len(self.verts)), bool)
+        side[:, :-1] = masks[:, None] >> np.arange(len(self.verts) - 1) & 1
+        return side
 
 
 class _PackedCuts:
@@ -328,30 +341,22 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
                           % (n, EXHAUSTIVE_LIMIT))
 
     verts = sorted(g.vertices)
-    samples = 0
     if mode == "exhaustive":
-        rows = (1 << (n - 1)) - 1
-
-        def side(i):
-            return frozenset(compress(verts, map(int, bin(i + 1)[:1:-1])))
-
-        def sides(start, stop):
-            return _mask_sides(n, start, stop)
+        cuts, samples = _MaskCuts(verts), 0
     else:
-        cuts = _sampled_cuts(t, verts, cfg)
-        rows, side, sides = len(cuts), cuts.side, cuts.sides
-        samples = cfg.samples
+        cuts, samples = _sampled_cuts(t, verts, cfg), cfg.samples
 
     edges = _edge_arrays(g)
     scale, mincut = mincut_plan(t)
+    rows = len(cuts)
     caps = mcs = None
     for start, stop in _row_chunks(rows, n):
-        chunk = sides(start, stop)
+        chunk = cuts.sides(start, stop)
         c, m = _capacities(edges, chunk), mincut(chunk)
         if caps is None:
             caps, mcs = np.empty(rows, c.dtype), np.empty(rows, m.dtype)
         caps[start:stop], mcs[start:stop] = c, m
-    table = CutTable(side, caps, mcs, scale)
-    violations = [side(i) for i in table.violating()]
+    table = CutTable(cuts.side, caps, mcs, scale, cuts)
+    violations = [cuts.side(i) for i in table.violating()]
     return QualityReport(table, table.worst(), mode, samples, cfg.seed,
                          violations)

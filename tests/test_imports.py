@@ -8,9 +8,12 @@ parameter of any function or method (`self` and `cls` excepted) must be
 read somewhere in that function, nested functions included, and an
 attribute a class stores on `self` must be loaded somewhere in the library,
 its tests or its benchmark: as `self.attr` inside a class of the same name,
-or as `.attr` on anything but `self`.  The package's `__init__.py`
-re-exports names and is skipped.  The library calls `eigh` in one place,
-the sweep's `_sweep_orders`, so no eigensolve can go round its memo.
+or as `.attr` on anything but `self`.  Every module-level function and class
+of the package is named somewhere in the library, its tests or its
+benchmark outside its own definition, by a name, an attribute or an import.
+The package's `__init__.py` re-exports names and is skipped by the other
+scans.  The library calls `eigh` in one place, the sweep's `_sweep_orders`,
+so no eigensolve can go round its memo.
 """
 
 import ast
@@ -118,6 +121,43 @@ def unread_fields(source, loaded):
                    and n.attr not in own.get(cls, ())})
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(sources):
+    """{name: scopes}: each name that the sources (a dict of key to text)
+    name by ast.Name, ast.Attribute or an import, with every (key,
+    definition) it is named in, definition the enclosing module-level
+    function or class (None outside all of them)."""
+    refs = {}
+    for key, source in sources.items():
+        for stmt in ast.parse(source).body:
+            scope = (key, stmt.name if isinstance(stmt, DEFINITIONS)
+                     else None)
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name):
+                    names = [n.id]
+                elif isinstance(n, ast.Attribute):
+                    names = [n.attr]
+                elif isinstance(n, (ast.Import, ast.ImportFrom)):
+                    names = [part for a in n.names
+                             for part in a.name.split(".")]
+                else:
+                    continue
+                for name in names:
+                    refs.setdefault(name, set()).add(scope)
+    return refs
+
+
+def unreferenced_definitions(key, source, refs):
+    """(line, name) for each module-level function and class of the
+    source under key that refs (from references) names nowhere but inside
+    its own definition."""
+    return [(n.lineno, n.name) for n in ast.parse(source).body
+            if isinstance(n, DEFINITIONS)
+            and not refs.get(n.name, set()) - {(key, n.name)}]
+
+
 def test_scan_finds_unused_names():
     src = ("import os\nimport numpy as np\nfrom a.b import c, d as e\n"
            "def f():\n    from x import y\n    return np, e\n")
@@ -149,6 +189,21 @@ def test_scan_finds_unread_fields():
         (5, "K", "d"), (7, "K", "e"), (17, "Q", "g")]
 
 
+def test_scan_finds_unreferenced_definitions():
+    """f names only itself and m nothing; g is named at module level, h
+    inside g, K by an import and L as an attribute elsewhere."""
+    src = ("def f():\n    return f()\n"
+           "def g():\n    return h\n"
+           "def h():\n    pass\n"
+           "class K:\n    pass\n"
+           "class L:\n    pass\n"
+           "def m():\n    pass\n"
+           "x = g\n")
+    refs = references({"a.py": src, "b.py": "from a import K\nprint(y.L)\n"})
+    assert unreferenced_definitions("a.py", src, refs) == [(1, "f"),
+                                                           (11, "m")]
+
+
 def test_scan_finds_eigh_calls():
     src = ("import scipy.linalg\nfrom scipy.linalg import eigh, eigh as e\n"
            "def f(a):\n    return eigh(a)\n"
@@ -168,6 +223,20 @@ def test_one_eigh_call_site():
 def loaded():
     return loaded_attrs(*(p.read_text() for d in READERS
                           for p in (ROOT / d).rglob("*.py")))
+
+
+@pytest.fixture(scope="module")
+def named():
+    return references({p: p.read_text() for d in READERS
+                       for p in (ROOT / d).rglob("*.py")})
+
+
+def test_no_unreferenced_definitions(named):
+    dead = ["%s.%s (line %d)" % (p.name, name, line)
+            for p in sorted(SRC.glob("*.py"))
+            for line, name in unreferenced_definitions(p, p.read_text(),
+                                                       named)]
+    assert not dead, "definitions nothing names: %s" % ", ".join(dead)
 
 
 @pytest.mark.parametrize("module", MODULES)

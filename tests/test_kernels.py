@@ -17,7 +17,8 @@ from treecut.config import DEFAULT, Config
 from treecut.demand import (DemandError, DemandMatrix, DemandState,
                             from_matrix, leaf_init, sum_states, update)
 from treecut.flow import S_NODE, T_NODE, FlowNetwork, max_flow
-from treecut.graph import Graph, Measure, cut_capacity, subdivide
+from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
+                           subdivide)
 from treecut.oracle import _sweep_best, _sweep_orders, _sweep_weights
 from treecut.tree import (_row_chunks, build_basic, build_improved,
                           mincut_in_tree)
@@ -32,8 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def reference_sweep(g, mu):
-    """First strict minimizer of cap/den over the prefix cuts of every
-    candidate ordering, then the singletons, all in Fraction."""
+    """First strict minimizer of cap/den over the prefix cuts of both
+    sweep orderings, all in Fraction."""
     mu_total = mu.of(g.vertices)
     best, best_side = None, None
     for order in _sweep_orders(g, *_sweep_weights(g, mu)):
@@ -46,12 +47,6 @@ def reference_sweep(g, mu):
                 ratio = Fraction(cap) / den
                 if best is None or ratio < best:
                     best, best_side = ratio, side
-    for v in g.vertices:
-        den = min(mu(v), mu_total - mu(v))
-        if den > 0:
-            ratio = Fraction(g.degree(v)) / den
-            if best is None or ratio < best:
-                best, best_side = ratio, frozenset([v])
     return best, best_side
 
 
@@ -194,6 +189,24 @@ class TestSweep:
         mu = Measure.indicator(range(10))
         assert _sweep_best(g, mu) == reference_sweep(g, mu)
         assert _sweep_best(g, mu)[0] == Fraction(2, 5)
+
+    def test_no_cut_exactly_below_two_massed_vertices(self):
+        """The prefix ending just before the later of two massed vertices
+        holds the earlier one, so the two orderings alone find a cut
+        whenever two vertices carry mass."""
+        for rng, g in graphs(5):
+            verts = list(g.vertices)
+            for k in (0, 1, 2, len(verts)):
+                massed = rng.sample(verts, k)
+                mu = Measure({v: Fraction(rng.randint(1, 5),
+                                          rng.choice(DENOMINATORS))
+                              for v in massed})
+                ratio, side = _sweep_best(g, mu)
+                if k < 2:
+                    assert (ratio, side) == (None, None)
+                else:
+                    assert type(ratio) is Fraction
+                    assert ratio == cut_expansion(g, side, mu)
 
 
 def random_network(rng, g, edge_scale):

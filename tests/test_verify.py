@@ -9,7 +9,7 @@ import pytest
 
 from treecut.config import DEFAULT
 from treecut.graph import Graph, cut_capacity, parse_edge_list
-from treecut import tree
+from treecut import tree, verify
 from treecut.tree import (DecompositionTree, TreeNode, build_basic,
                           build_improved)
 from treecut.verify import (EXHAUSTIVE_LIMIT, CutTable, VerifyError,
@@ -210,6 +210,25 @@ class TestSampled:
         assert r.mode == "sampled" and r.samples == DEFAULT.samples
         blob = r.to_json() + r.table_lines()[1] + "\n"
         assert hashlib.sha256(blob.encode()).hexdigest() == SAMPLE_STREAM
+
+    def test_records_unpack_rows_in_chunks(self, monkeypatch):
+        """records builds the frozensets of the sampled rows from whole
+        chunks of unpacked rows (three here), not through side(i), and
+        equals the one-cut-at-a-time reference in values and types."""
+        from test_kernels import reference_verify
+        g, t = ring_tree(4, 4)
+        want = reference_verify(g, t)
+
+        def refuse(self, i):
+            raise AssertionError("side(%d) read" % i)
+
+        monkeypatch.setattr(verify._PackedCuts, "side", refuse)
+        r = verify_quality(g, t)
+        assert r.mode == "sampled"
+        assert len(tree._row_chunks(r.cuts_checked, g.vertex_count)) > 1
+        assert r.records == want.records
+        assert [tuple(map(type, rec)) for rec in r.records] \
+            == [tuple(map(type, rec)) for rec in want.records]
 
     def test_report_memory_stays_per_row(self):
         """A default verify of the 8x6 ring keeps its sampled cuts as packed
