@@ -42,7 +42,6 @@ from .refine import (
     RefineError,
     RefinementResult,
     refine,
-    route_inter_to_boundary,
 )
 from .tree import (
     DecompositionTree,
@@ -77,7 +76,7 @@ __all__ = [
     "check_refined", "cut_or_expander", "refined_cut_or_expander",
     "sparsest_cut",
     "MergeError", "MergePartition", "merge_phase",
-    "RefineError", "RefinementResult", "refine", "route_inter_to_boundary",
+    "RefineError", "RefinementResult", "refine",
     "DecompositionTree", "TreeError", "TreeNode", "build_basic",
     "build_improved", "mincut_in_tree",
     "ChargeLedger", "ReplayError", "ReplayReport", "full_replay",

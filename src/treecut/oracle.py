@@ -143,12 +143,19 @@ def _sweep_best(g: Graph, mu: Measure):
 def sparsest_cut(g: Graph, mu: Measure, cfg: Config = DEFAULT):
     """(ratio, side, exact?) - exact enumeration when small, sweep otherwise.
 
-    Returns (None, None, exact?) when no cut has a positive denominator.
+    The spectral orders can miss a cut of capacity 0: when the sweep finds
+    a positive ratio but two components of g carry mass, the first massed
+    component (by least vertex) is returned with ratio 0.  Returns (None,
+    None, exact?) when no cut has a positive denominator.
     """
     if g.vertex_count <= cfg.brute_threshold:
         ratio, side = min_ratio_cut(g, mu, cfg.brute_threshold)
         return ratio, side, True
     ratio, side = _sweep_best(g, mu)
+    if ratio:
+        massed = [c for c in g.components() if mu.of(c) > 0]
+        if len(massed) > 1:
+            return Fraction(0), massed[0], False
     return ratio, side, False
 
 

@@ -5,7 +5,8 @@ inside it.  The recursion consumes the five-case refined oracle on the
 boundary-split graph of each cluster (G[S] plus pendant boundary split
 nodes), and the resulting binary cut tree carries one flow per cut that
 lets inter-cluster mass be routed bottom-up to the boundary of S with a
-per-node load envelope.
+per-node load envelope.  `refine` runs that routing once and records its
+verdict (`check_routing`) on the result.
 """
 
 from fractions import Fraction
@@ -14,7 +15,8 @@ from .config import DEFAULT, Config
 from .demand import DemandMatrix, from_matrix, respects_exact
 from .flow import escalate, path_decomposition, route_from_cut
 from .graph import ClusterView, Graph, Measure, capacity, edge_key
-from .oracle import check_refined, refined_cut_or_expander, _log2n
+from .oracle import (CheckReport, check_refined, refined_cut_or_expander,
+                     _log2n)
 from .util import ceil_frac, rlog2, rloglog2
 
 
@@ -65,7 +67,7 @@ class BinaryNode:
     """One node of the refinement cut tree.  The left child is always the
     side that receives the cut-to-boundary flow."""
 
-    def __init__(self, dset, case):
+    def __init__(self, dset, case, left_depth):
         self.dset = frozenset(dset)
         self.case = case          # oracle case, "2c-inner", "3b-leaf", "1"
         self.left = None
@@ -75,7 +77,7 @@ class BinaryNode:
         self.rows = {}            # cut split x -> [(sink, amount)] of route
         self.unit = {}            # cut split x -> capacity x sources
         self.sink_splits = frozenset()
-        self.left_depth = None
+        self.left_depth = left_depth  # 1 + left edges on the path from root
         self.cluster_leaf = False
         self.contraction = {}     # child set -> which decrease case held
 
@@ -107,6 +109,8 @@ class RefinementResult:
                                      key=min))
         self.certificates = certificates
         self.outcomes = outcomes
+        self.routing = None         # CheckReport of check_routing
+        self.boundary_loads = {}    # split node -> load the routing leaves
 
     @property
     def inter_cluster_keys(self):
@@ -223,12 +227,14 @@ class _Builder:
         self.outcomes = []
         self.depth_limit = 40 + 10 * max(1, ceil_frac(rlog2(self.n))) ** 2
 
-    def leaf(self, dset, case):
-        node = BinaryNode(dset, case)
+    def leaf(self, dset, case, j):
+        node = BinaryNode(dset, case, j)
         node.cluster_leaf = True
         return node
 
-    def build(self, dset, depth):
+    def build(self, dset, depth, j):
+        """The cut tree of dset at recursion depth `depth`; j is its left
+        depth: a left child gets j + 1, a right child j."""
         if depth > self.depth_limit:
             raise RefineError("refinement recursion exceeded its depth guard")
         dset = frozenset(dset)
@@ -237,7 +243,7 @@ class _Builder:
         view = self.sub_root.view(dset)
         mu = view.boundary_measure()
         if mu.total() == 0 or len(dset) == 1:
-            return self.leaf(dset, "1")
+            return self.leaf(dset, "1", j)
         gt = view.g_tilde
         logt = _log2n(gt.vertex_count)
         phi = cfg.c_phi / (logt * f)
@@ -248,12 +254,12 @@ class _Builder:
         if not rep.ok:
             raise RefineError("oracle self-check failed on %r: %s"
                               % (sorted(dset), rep.failures))
-        node = BinaryNode(dset, out.tag)
+        node = BinaryNode(dset, out.tag, j)
         if out.tag == "1":
             node.cluster_leaf = True
             return node
         if out.tag == "2c":
-            return self._split_2c(node, out, depth, phi, logt)
+            return self._split_2c(node, out, depth, j, phi, logt)
         a = frozenset(out.cut_a) & dset
         rest = dset - a
         if not a or not rest:
@@ -270,15 +276,15 @@ class _Builder:
             raise RefineError("left child exceeds 3/4 of its parent")
         _check_contraction(self.g, dset, left_set, node)
         if out.tag == "3b":
-            node.right = self.leaf(right_set, "3b-leaf")
+            node.right = self.leaf(right_set, "3b-leaf", j)
         else:
             _check_contraction(self.g, dset, right_set, node)
-            node.right = self.build(right_set, depth + 1)
-        node.left = self.build(left_set, depth + 1)
+            node.right = self.build(right_set, depth + 1, j)
+        node.left = self.build(left_set, depth + 1, j + 1)
         self._attach_route(node, left_set, dset, right_set, phi, logt)
         return node
 
-    def _split_2c(self, node, out, depth, phi, logt):
+    def _split_2c(self, node, out, depth, j, phi, logt):
         dset = node.dset
         a1 = frozenset(out.cut_a1) & dset
         a2 = frozenset(out.cut_a2) & dset
@@ -292,21 +298,21 @@ class _Builder:
             # the outer cut vanished: this node carries the inner cut only
             if 4 * len(a2) > 3 * len(dset):
                 raise RefineError("left child exceeds 3/4 of its parent")
-            node.left = self.build(a2, depth + 1)
-            node.right = self.build(mid, depth + 1)
+            node.left = self.build(a2, depth + 1, j + 1)
+            node.right = self.build(mid, depth + 1, j)
             self._attach_route(node, a2, dset, mid, phi, logt)
             return node
         if 4 * len(pre) > 3 * len(dset):
             raise RefineError("left child exceeds 3/4 of its parent")
-        inner = BinaryNode(a1, "2c-inner")
+        inner = BinaryNode(a1, "2c-inner", j)
         if 4 * len(a2) > 3 * len(a1):
             raise RefineError("left child exceeds 3/4 of its parent")
-        inner.left = self.build(a2, depth + 1)
-        inner.right = self.build(mid, depth + 1)
+        inner.left = self.build(a2, depth + 1, j + 1)
+        inner.right = self.build(mid, depth + 1, j)
         # the inner cut routes with the outer cluster's schedule and targets
         # the outer cluster's boundary (its own cut splits are not sinks)
         self._attach_route(inner, a2, dset, mid, phi, logt)
-        node.left = self.build(pre, depth + 1)
+        node.left = self.build(pre, depth + 1, j + 1)
         node.right = inner
         self._attach_route(node, pre, dset, a1, phi, logt)
         return node
@@ -322,7 +328,7 @@ class _Builder:
                                           cut_keys, rate, self.cfg)
         node.sink_splits = sinks
         # with no outer-boundary sink on the left side the mass stays on the
-        # cut: the route stays None and the envelope check fails
+        # cut: the route stays None and check_routing fails
         if route is None and cut_keys and sinks:
             raise RefineError("cut-to-boundary flow infeasible at every "
                               "escalation level in %r" % sorted(left_set))
@@ -338,23 +344,13 @@ def refine(view: ClusterView, sigma: int, cfg: Config = DEFAULT) \
     if 2 * sigma < 3 * len(s):
         raise RefineError("refine needs sigma >= (3/2)|S|")
     b = _Builder(view, sigma, cfg)
-    root = b.build(s, 0)
-    _assign_left_depths(root)
+    root = b.build(s, 0, 1)
     clusters = [n.dset for n in root.walk() if n.cluster_leaf]
     certs = [_leaf_certificate(view.root, c, sigma, cfg)
              for c in sorted(clusters, key=min)]
-    return RefinementResult(view, root, clusters, certs, b.outcomes)
-
-
-def _assign_left_depths(root: BinaryNode):
-    stack = [(root, 1)]
-    while stack:
-        node, j = stack.pop()
-        node.left_depth = j
-        if node.left is not None:
-            stack.append((node.left, j + 1))
-        if node.right is not None:
-            stack.append((node.right, j))
+    res = RefinementResult(view, root, clusters, certs, b.outcomes)
+    res.routing = check_routing(res)
+    return res
 
 
 def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
@@ -378,42 +374,32 @@ def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
     return LeafCertificate(target, ratio, "exact", ratio >= target)
 
 
-class RoutingProfile:
-    """Outcome of the bottom-up inter-cluster-to-boundary routing."""
-
-    def __init__(self, loads, per_unit_max, congestion, envelope_ok,
-                 envelope_checks):
-        self.loads = loads                  # split node -> final load
-        self.per_unit_max = per_unit_max
-        self.congestion = congestion        # max accumulated per-edge usage
-        self.envelope_ok = envelope_ok
-        self.envelope_checks = envelope_checks  # (dset, depth, max, bound)
-
-    def total(self):
-        return sum(self.loads.values(), Fraction(0))
-
-
-def route_inter_to_boundary(result: RefinementResult) -> RoutingProfile:
+def check_routing(res: RefinementResult) -> CheckReport:
     """Move one unit of mass per unit of inter-cluster edge capacity to the
-    boundary of the refined cluster, one binary-tree node at a time from the
-    leaves up, scaling each node's stored flow by the load actually present
-    on its cut edges.  Checks the per-depth load envelope after each node."""
-    sub = result.view.root
+    boundary of the refined cluster, one cut-tree node at a time from the
+    leaves up, scaling each node's stored rows by the load present on its
+    cut splits, and check the routing on the way.
+
+    Fails on an unrouted cut, on a node whose sink splits carry more per
+    unit of capacity than product_envelope(left depth, n), on mass that is
+    lost or that ends off the cluster's boundary splits, and on an edge
+    used above congestion 2.  Leaves the final nonzero loads in
+    res.boundary_loads.
+    """
+    rep = CheckReport()
+    sub = res.view.root
     base_cap = sub.base.cap
     n = sub.base.vertex_count
-    loads = {}
-    for u, v in result.inter_cluster_keys:
-        loads[sub.split(u, v)] = Fraction(base_cap[(u, v)])
+    loads = {sub.split(u, v): Fraction(base_cap[(u, v)])
+             for u, v in res.inter_cluster_keys}
+    total = sum(loads.values(), Fraction(0))
     usage = {}
-    checks = []
-    envelope_ok = True
-
-    for node in result.root.walk():
+    for node in res.root.walk():
         if not node.cut_keys:
             continue
         if node.route is None:
             # an unrouted cut's mass stays in place
-            envelope_ok = False
+            rep.fail("cut of %r is not routed" % sorted(node.dset))
             continue
         unit = node.unit
         max_scale = max(loads.get(x, Fraction(0)) / unit[x] for x in unit)
@@ -431,16 +417,22 @@ def route_inter_to_boundary(result: RefinementResult) -> RoutingProfile:
             k = edge_key(a, b)
             usage[k] = usage.get(k, Fraction(0)) + abs(fval) / cap * max_scale
         env = product_envelope(node.left_depth, n)
-        worst = Fraction(0)
-        for x in node.sink_splits:
-            c = base_cap[sub.edge_of_split[x]]
-            worst = max(worst, loads.get(x, Fraction(0)) / c)
-        checks.append((node.dset, node.left_depth, worst, env))
+        worst = max((loads.get(x, Fraction(0))
+                     / base_cap[sub.edge_of_split[x]]
+                     for x in node.sink_splits), default=Fraction(0))
         if worst > env:
-            envelope_ok = False
+            rep.fail("node %r at left depth %d: sink load %s per unit above "
+                     "the envelope %s" % (sorted(node.dset), node.left_depth,
+                                          worst, env))
     loads = {x: l for x, l in loads.items() if l}
-    per_unit = Fraction(0)
-    for x, l in loads.items():
-        per_unit = max(per_unit, l / base_cap[sub.edge_of_split[x]])
+    moved = sum(loads.values(), Fraction(0))
+    if moved != total:
+        rep.fail("routing moved %s of %s units" % (moved, total))
+    stray = sorted(set(loads) - res.view.x_boundary)
+    if stray:
+        rep.fail("routing left mass off the boundary at %r" % stray)
     congestion = max(usage.values(), default=Fraction(0))
-    return RoutingProfile(loads, per_unit, congestion, envelope_ok, checks)
+    if congestion > 2:
+        rep.fail("edge congestion %s above 2" % congestion)
+    res.boundary_loads = loads
+    return rep

@@ -40,7 +40,7 @@ class ChargeLedger:
     def add(self, members, label, cross, dem_diff):
         """cross: [(edge key, capacity)] of the charged subdivision edges."""
         dem_diff = Fraction(dem_diff)
-        cap = sum((c for _, c in cross), Fraction(0))
+        cap = sum(c for _, c in cross)
         if dem_diff == 0:
             self.clusters.append((frozenset(members), label, Fraction(0),
                                   dem_diff, cap))
@@ -87,7 +87,7 @@ class ReplayTrace:
 def crossing_edges(g: Graph, side):
     """[(edge key, capacity)] of g's edges with one endpoint in side."""
     side = frozenset(side)
-    return [(edge_key(u, v), Fraction(c)) for u, v, c in g.edges
+    return [(edge_key(u, v), c) for u, v, c in g.edges
             if (u in side) != (v in side)]
 
 
@@ -158,7 +158,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     x_y = part.x_y
 
     def unit_cap(x):
-        return Fraction(base_cap[sub.edge_of_split[x]])
+        return base_cap[sub.edge_of_split[x]]
 
     p_l = sum_states(child_states[c] for c in part.l_parts)
     p_r = sum_states(child_states[c] for c in part.r_parts)

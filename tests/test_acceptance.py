@@ -14,8 +14,7 @@ from treecut.flow import FlowNetwork, max_flow
 from treecut.graph import Graph, cut_capacity, subdivide
 from treecut.merge import MergePartition
 from treecut.oracle import check_outcome, check_refined
-from treecut.refine import RefinementResult, product_growth_ok, \
-    route_inter_to_boundary
+from treecut.refine import RefinementResult, product_growth_ok
 from treecut.replay import full_replay
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 from treecut.verify import quality_envelope, verify_quality
@@ -254,9 +253,8 @@ def test_criterion_08_refinement_contracts(corpus):
             if cert.verified == "exact" and cert.ratio is not None:
                 assert cert.ratio >= cert.target
             leaves += 1
+        assert res.routing.ok, res.routing.failures
         if len(res.clusters) > 1:
-            prof = route_inter_to_boundary(res)
-            assert prof.envelope_ok, prof.envelope_checks
             routes += 1
 
     for g, tb, ti in items:

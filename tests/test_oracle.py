@@ -51,6 +51,35 @@ class TestSparsestCut:
         assert out.certificate.heuristic_ratio == ratio
 
 
+    def test_massed_components_give_a_zero_cut(self):
+        """Above the threshold the spectral orders alone can miss a cut of
+        capacity 0 between two massed components; sparsest_cut must not."""
+        g = Graph(range(5), [(0, 4, 8), (2, 4, 5)])
+        mu = Measure({0: Fraction(5, 3), 3: Fraction(1, 7)})
+        cfg = DEFAULT.replace(brute_threshold=4)
+        assert sparsest_cut(g, mu, cfg) == (0, frozenset({0, 2, 4}), False)
+        out = cut_or_expander(g, 1, mu, cfg)
+        assert out.tag == "UnbalancedExpander"
+        assert [step.side for step in out.steps] == [frozenset({1, 3})]
+        assert check_outcome(out).ok
+
+    def test_zero_ratio_whenever_enumeration_finds_one(self):
+        rng = random.Random(61)
+        cfg = DEFAULT.replace(brute_threshold=2)
+        zeros = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(3, 9), rng.choice((0.1, 0.3)),
+                             4)
+            mu = random_measure(rng, g.vertices)
+            ratio, side, exact = sparsest_cut(g, mu, cfg)
+            want, _ = min_ratio_cut(g, mu)
+            assert not exact and (ratio == 0) == (want == 0)
+            if ratio is not None:
+                assert ratio == cut_expansion(g, side, mu)
+            zeros += want == 0
+        assert zeros > 50
+
+
 def bridged_cliques(s):
     """Two K_s joined by one unit bridge between s-1 and s."""
     left = [(i, j, 1) for i in range(s) for j in range(i + 1, s)]

@@ -5,9 +5,9 @@ import pytest
 
 from treecut.config import DEFAULT
 from treecut.graph import Graph
-from treecut.refine import (RefineError, f_value, product_envelope,
-                            product_growth_ok, refine,
-                            route_inter_to_boundary, schedule_cf)
+from treecut.refine import (RefineError, check_routing, f_value,
+                            product_envelope, product_growth_ok, refine,
+                            schedule_cf)
 from treecut.util import rlog2, rloglog2
 
 from corpus import triangle_chain, view_of
@@ -192,31 +192,31 @@ class TestRouting:
     def test_mass_conserved_to_boundary(self):
         g = triangle_chain()
         res = refine(view_of(g, range(12)), 18)
-        prof = route_inter_to_boundary(res)
+        assert res.routing.ok, res.routing.failures
         total_cut = sum(Fraction(g.cap[k]) for k in res.inter_cluster_keys)
-        assert prof.total() == total_cut
+        assert sum(res.boundary_loads.values()) == total_cut
         # everything ends on boundary splits of the refined cluster
         sub = res.view.root
-        for x in prof.loads:
+        for x in res.boundary_loads:
             u, v = sub.edge_of_split[x]
             assert (u in res.view.cluster) != (v in res.view.cluster)
 
     def test_envelope_and_congestion(self):
+        # every routed node's sinks stay within the envelope at its left
+        # depth and no edge is used above congestion 2
         g = triangle_chain()
         res = refine(view_of(g, range(12)), 18)
-        prof = route_inter_to_boundary(res)
-        assert prof.envelope_ok
-        for _, j, worst, bound in prof.envelope_checks:
-            assert worst <= bound
-        assert prof.congestion <= 2
+        assert res.routing.ok, res.routing.failures
 
     def test_per_unit_load_matches_hand_value(self):
         # three unit bridges end on boundary edges of capacity 1e5, so the
         # worst per-unit boundary load is at most 3 / 1e5
         g = triangle_chain()
         res = refine(view_of(g, range(12)), 18)
-        prof = route_inter_to_boundary(res)
-        assert prof.per_unit_max <= Fraction(3, 10 ** 5)
+        sub = res.view.root
+        per_unit = max(load / sub.base.cap[sub.edge_of_split[x]]
+                       for x, load in res.boundary_loads.items())
+        assert per_unit <= Fraction(3, 10 ** 5)
 
     def test_rows_cover_each_cut_split(self):
         res = refine(view_of(triangle_chain(), range(12)), 18)
@@ -235,9 +235,49 @@ class TestRouting:
         assert escalated
         for route in escalated:
             assert route.flow.congestion() <= route.congestion_cap
-        prof = route_inter_to_boundary(res)
-        assert prof.total() == sum(Fraction(g.cap[k])
-                                   for k in res.inter_cluster_keys)
+        assert res.routing.ok, res.routing.failures
+        assert sum(res.boundary_loads.values()) == sum(
+            Fraction(g.cap[k]) for k in res.inter_cluster_keys)
+
+
+class TestRoutingTamper:
+    """Each tampered cut tree fails check_routing with its own clause."""
+
+    def routed(self):
+        res = refine(view_of(triangle_chain(), range(12)), 18)
+        assert res.routing.ok
+        return res, [node for node in res.root.walk()
+                     if node.route is not None]
+
+    def test_scaled_row_breaks_the_envelope(self):
+        res, nodes = self.routed()
+        x, row = next(iter(nodes[0].rows.items()))
+        nodes[0].rows[x] = [(sink, amt * 10 ** 6) for sink, amt in row]
+        rep = check_routing(res)
+        assert any("envelope" in f for f in rep.failures), rep.failures
+
+    def test_dropped_route_is_unrouted(self):
+        res, nodes = self.routed()
+        nodes[-1].route = None
+        rep = check_routing(res)
+        assert any("not routed" in f for f in rep.failures), rep.failures
+
+    def test_scaled_flow_breaks_the_congestion(self):
+        res, nodes = self.routed()
+        flow = nodes[0].route.flow
+        flow.flow = {k: f * 10 ** 3 for k, f in flow.flow.items()}
+        rep = check_routing(res)
+        assert any("congestion" in f for f in rep.failures), rep.failures
+
+    def test_removed_row_entry_loses_mass(self):
+        res, nodes = self.routed()
+        x, row = next(iter(nodes[0].rows.items()))
+        nodes[0].rows[x] = row[1:]
+        rep = check_routing(res)
+        assert any("moved" in f for f in rep.failures), rep.failures
+        assert sum(res.boundary_loads.values()) < sum(
+            Fraction(res.view.root.base.cap[k])
+            for k in res.inter_cluster_keys)
 
 
 class TestRandomSweep:
@@ -257,8 +297,7 @@ class TestRandomSweep:
                 if node.left is not None:
                     assert 4 * len(node.left.dset) <= 3 * len(node.dset)
             assert_rows_cover_cuts(res)
-            prof = route_inter_to_boundary(res)
-            assert prof.envelope_ok, prof.envelope_checks
+            assert res.routing.ok, res.routing.failures
             for cert in res.certificates:
                 assert cert.ok is not False
         assert len(case_tags) >= 3
