@@ -104,8 +104,12 @@ def cmd_build(args):
     build = build_basic if args.mode == "basic" else build_improved
     t = build(g, cfg)
     _write(args.out, t.to_json(), "tree")
-    print("built %s tree: %d nodes, %d leaves"
-          % (args.mode, len(t.nodes()), len(t.leaves())), file=sys.stderr)
+    # every refinement records its routing verdict (refine.check_routing)
+    refined = [n.refinement for n in t.nodes() if n.refinement is not None]
+    failed = sum(not res.routing.ok for res in refined)
+    print("built %s tree: %d nodes, %d leaves, %d refinements, %d failed "
+          "routing" % (args.mode, len(t.nodes()), len(t.leaves()),
+                       len(refined), failed), file=sys.stderr)
     return 0
 
 

@@ -12,8 +12,11 @@ Both classes hold their entries as ints over one denominator: `den` is the
 lcm of the entries' reduced denominators, and `nums` maps each key to its
 nonzero numerator over `den`, in insertion order, so gcd(den, *nums) is 1.
 Every kernel below adds and scales those ints over a common denominator
-and reduces its result by one gcd.  `entries` is a view that builds the
-{key: Fraction} dict afresh on every read.
+and reduces its result by one gcd.  Loads, cut demands and the total load
+are read as int numerators over `den` (`load_nums`, `dem_num`,
+`total_num`), which the replay compares by cross-multiplication;
+`entries`, `loads`, `dem_across` and `total_load` are views that build
+Fractions from them afresh on every read.
 """
 
 from fractions import Fraction
@@ -29,7 +32,8 @@ class DemandError(ValueError):
 
 
 def _frac(a):
-    return a if type(a) is Fraction else Fraction(a)
+    """a as an exact rational: Fractions and ints as they are."""
+    return a if type(a) in (Fraction, int) else Fraction(a)
 
 
 class _IntEntries:
@@ -84,20 +88,25 @@ class DemandMatrix(_IntEntries):
             fracs[(u, v)] = fracs.get((u, v), _ZERO) + a
             self._set_entries(fracs)
 
-    def dem_across(self, side):
+    def dem_num(self, side):
+        """dem_across(side) as a numerator over den."""
         side = frozenset(side)
-        return Fraction(sum(a for (u, v), a in self.nums.items()
-                            if (u in side) != (v in side)), self.den)
+        return sum(a for (u, v), a in self.nums.items()
+                   if (u in side) != (v in side))
+
+    def dem_across(self, side):
+        return Fraction(self.dem_num(side), self.den)
 
     @classmethod
-    def spread(cls, mass, targets, weight_of=None):
-        """Q(u, v) = mass[u] * w(v) / W for every u in mass and every target
-        v != u, where W is the total weight of the targets (1 each when
-        weight_of is None).
+    def spread(cls, mass, targets, weight_of=None, den=1):
+        """Q(u, v) = (mass[u] / den) * w(v) / W for every u in mass and
+        every target v != u, where W is the total weight of the targets (1
+        each when weight_of is None).
 
-        With mass = the loads of the sources among the targets, `update`
-        leaves every target holding the share w(v)/W of the summed vector;
-        with unit masses it is the all-to-all demand of the target set.
+        With mass = the load numerators (over den) of the sources among the
+        targets, `update` leaves every target holding the share w(v)/W of
+        the summed vector; with unit masses it is the all-to-all demand of
+        the target set.
         """
         vs = sorted(targets)
         if weight_of is None:
@@ -106,8 +115,8 @@ class DemandMatrix(_IntEntries):
             weights = [_frac(weight_of(v)) for v in vs]
         sources = sorted(mass)
         masses = [_frac(mass[u]) for u in sources]
-        # Q(u, v) = (m_u * c) * (w_v * e) / (c * e * W) with c, e the lcms
-        # of the mass and weight denominators
+        # Q(u, v) = (m_u * c) * (w_v * e) / (den * c * e * W) with c, e the
+        # lcms of the mass and weight denominators
         e = lcm(*(w.denominator for w in weights))
         ws = [w.numerator * (e // w.denominator) for w in weights]
         total = sum(ws)
@@ -127,7 +136,7 @@ class DemandMatrix(_IntEntries):
                     if mu * w < 0:
                         raise DemandError("bad demand entry")
                     nums[(u, v)] = mu * w
-        return cls._reduced(c * total, nums)
+        return cls._reduced(den * c * total, nums)
 
 
 class DemandState(_IntEntries):
@@ -164,12 +173,16 @@ class DemandState(_IntEntries):
             rows.setdefault(v, []).append((k, n))
         return rows
 
-    def loads(self):
+    def load_nums(self):
+        """{vertex: numerator of its load over den}, in first-seen order."""
         sums = {}
         for (v, _), n in self.nums.items():
             sums[v] = sums.get(v, 0) + abs(n)
+        return sums
+
+    def loads(self):
         den = self.den
-        return {v: Fraction(n, den) for v, n in sums.items()}
+        return {v: Fraction(n, den) for v, n in self.load_nums().items()}
 
     def support_vertices(self):
         return frozenset(v for v, _ in self.nums)
@@ -209,13 +222,20 @@ class DemandState(_IntEntries):
         return DemandState._reduced(self.den, {
             (v, k): n for (v, k), n in self.nums.items() if v in vs})
 
+    def dem_num(self, side):
+        """dem_across(side) as a numerator over den."""
+        return sum(map(abs, self._commodity_nums(frozenset(side)).values()))
+
     def dem_across(self, side):
         """sum_k |sum_{u in side} P(u, k)| (symmetric for valid states)."""
-        sums = self._commodity_nums(frozenset(side))
-        return Fraction(sum(map(abs, sums.values())), self.den)
+        return Fraction(self.dem_num(side), self.den)
+
+    def total_num(self):
+        """total_load() as a numerator over den."""
+        return sum(map(abs, self.nums.values()))
 
     def total_load(self):
-        return Fraction(sum(map(abs, self.nums.values())), self.den)
+        return Fraction(self.total_num(), self.den)
 
 
 def sum_states(states) -> DemandState:
@@ -345,21 +365,24 @@ def invariant_check(p: DemandState, view, original: DemandState, alpha):
     at most alpha per unit of the split node's edge capacity.
     Returns (ok, violated clause description or None).
     """
-    alpha = Fraction(alpha)
+    alpha = _frac(alpha)
     if p.support_vertices() - view.x_boundary:
         bad = sorted(p.support_vertices() - view.x_boundary)
         return False, "support outside boundary split nodes: %r" % (bad,)
-    want = original.restrict_vertices(view.cluster).commodity_totals()
-    have = p.commodity_totals()
-    if want != have:
+    # both sides' commodity totals, compared over each other's denominator
+    want = {k: n for k, n in original._commodity_nums(view.cluster).items()
+            if n}
+    have = {k: n for k, n in p._commodity_nums().items() if n}
+    if want.keys() != have.keys() or any(
+            n * p.den != have[k] * original.den for k, n in want.items()):
         return False, "per-commodity conservation violated"
-    loads = p.loads()
-    for x, load in sorted(loads.items()):
+    an, ad, den = alpha.numerator, alpha.denominator, p.den
+    for x, load in sorted(p.load_nums().items()):
         u, v = view.root.edge_of_split[x]
         cap = view.root.base.cap[(u, v)]
-        if load > alpha * cap:
+        if load * ad > an * cap * den:
             return False, "load %s at split node %d exceeds alpha*cap = %s" % (
-                load, x, alpha * cap)
+                Fraction(load, den), x, alpha * cap)
     return True, None
 
 

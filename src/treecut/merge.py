@@ -8,6 +8,7 @@ max-flow separator, and intersects with the Z_i to get sub-clusters.
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .config import DEFAULT, Config
 from .graph import ClusterView, Graph, components_without, edge_key
@@ -202,6 +203,7 @@ class SeparatorFlow:
         self.per_source = per_source      # x_y -> [(target, amount)]
         self.congestion = congestion
         self.sink_in = sink_in            # target -> received amount
+        self.unit_rows = None             # int rows, made by the replay
 
 
 class MergePartition:
@@ -225,6 +227,37 @@ class MergePartition:
     @property
     def sub_clusters(self):
         return tuple(sorted(self.l_parts + self.r_parts, key=min))
+
+    # the replay's per-partition sets: they depend on neither the demand
+    # state nor the cut, so each is made on first read and kept
+
+    @cached_property
+    def sorted_x_y(self):
+        return sorted(self.x_y)
+
+    @cached_property
+    def inner_x_y(self):
+        """The separator splits off the cluster boundary, sorted: the
+        sources of the separator-to-boundary flow."""
+        return sorted(self.x_y - self.view.x_boundary)
+
+    @cached_property
+    def y_tilde(self):
+        """The separator edges, less the boundary edges touching R."""
+        b_r_keys = {edge_key(u, v) for u, v, _ in self.view.boundary_edges
+                    if (u in self.r_side) or (v in self.r_side)}
+        return self.y_keys - b_r_keys
+
+    @cached_property
+    def cap_y_tilde(self):
+        """The int capacity of y_tilde."""
+        base_cap = self.view.root.base.cap
+        return sum(base_cap[k] for k in self.y_tilde)
+
+    @cached_property
+    def x_y_tilde(self):
+        """The split nodes of y_tilde, sorted."""
+        return sorted(self.view.root.split(u, v) for u, v in self.y_tilde)
 
 
 def merge_phase_2(view: ClusterView, clustering: BalancedClustering, tau) \

@@ -76,6 +76,7 @@ class BinaryNode:
         self.route = None         # RouteRecord into the left side
         self.rows = {}            # cut split x -> [(sink, amount)] of route
         self.unit = {}            # cut split x -> capacity x sources
+        self.unit_rows = None     # int rows, made by the replay
         self.sink_splits = frozenset()
         self.left_depth = left_depth  # 1 + left edges on the path from root
         self.cluster_leaf = False

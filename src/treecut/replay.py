@@ -6,9 +6,16 @@ states up the tree exactly as the stored merge/refinement flows prescribe,
 checks every intermediate claim (conservation, per-node load caps, receipt
 caps), and charges the demand moved across the lifted cut to the
 subdivision edges the moves are confined to.
+
+The replay runs on the int numerators of the demand kernels: loads and
+cut demands are read over their state's denominator and every cap is
+checked by cross-multiplication, so a Fraction is built only for an error
+message or a value the trace, the ledger or the report keeps.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .config import DEFAULT, Config
 from .demand import (DemandMatrix, DemandState, invariant_check, leaf_init,
@@ -20,6 +27,9 @@ from .oracle import _log2n
 from .refine import RefinementResult
 from .tree import DecompositionTree, node_mincuts
 from .verify import quality_envelope
+
+
+_ONE = Fraction(1)
 
 
 class ReplayError(ValueError):
@@ -39,12 +49,13 @@ class ChargeLedger:
 
     def add(self, members, label, cross, dem_diff):
         """cross: [(edge key, capacity)] of the charged subdivision edges."""
-        dem_diff = Fraction(dem_diff)
+        if type(dem_diff) is not Fraction:
+            dem_diff = Fraction(dem_diff)
         cap = sum(c for _, c in cross)
         if dem_diff == 0:
-            self.clusters.append((frozenset(members), label, Fraction(0),
+            self.clusters.append((frozenset(members), label, _ZERO,
                                   dem_diff, cap))
-            return Fraction(0)
+            return _ZERO
         if cap == 0:
             raise ReplayError(
                 "cluster %r moved %s demand across the cut but owns no "
@@ -57,10 +68,14 @@ class ChargeLedger:
         return charge
 
     def total_mass(self):
-        return sum((d for _, _, _, d, _ in self.clusters), Fraction(0))
+        """The summed demand moved, added as ints over one denominator."""
+        dems = [d for _, _, _, d, _ in self.clusters]
+        den = lcm(*(d.denominator for d in dems))
+        return Fraction(sum(d.numerator * (den // d.denominator)
+                            for d in dems), den)
 
     def max_per_edge(self):
-        return max(self.per_edge.values(), default=Fraction(0))
+        return max(self.per_edge.values(), default=_ZERO)
 
     def report_lines(self):
         out = []
@@ -108,9 +123,10 @@ def _move(state, q, b_lift, trace, members, label):
     if not diff.is_valid():
         raise ReplayError("%s: update difference is not a valid demand "
                           "state" % label)
-    diff_dem = diff.dem_across(b_lift)
-    q_dem = q.dem_across(b_lift)
-    if diff_dem > q_dem:
+    moved, carried = diff.dem_num(b_lift), q.dem_num(b_lift)
+    diff_dem = Fraction(moved, diff.den)
+    q_dem = Fraction(carried, q.den)
+    if moved * q.den > carried * diff.den:
         raise ReplayError("%s: moved %s across the cut but the applied "
                           "matrix only accounts for %s"
                           % (label, diff_dem, q_dem))
@@ -118,23 +134,40 @@ def _move(state, q, b_lift, trace, members, label):
     return new, diff_dem
 
 
-def _flow_matrix(loads, sources, rows, unit):
+def _unit_rows(rows, unit):
+    """(e, {x: [(sink, numerator)]}): the flow out of each source x per
+    unit of unit[x], summed per sink other than x in first-seen order, as
+    nonzero numerators over one denominator e."""
+    per_unit = {}
+    for x, row in rows.items():
+        acc = {}
+        for sink, amt in row:
+            if sink != x and amt:
+                acc[sink] = acc.get(sink, _ZERO) + Fraction(amt) / unit[x]
+        per_unit[x] = [(sink, a) for sink, a in acc.items() if a]
+    e = lcm(*(a.denominator for row in per_unit.values() for _, a in row))
+    return e, {x: [(sink, a.numerator * (e // a.denominator))
+                   for sink, a in row] for x, row in per_unit.items()}
+
+
+def _flow_matrix(loads, den, sources, rows, unit, flow):
     """Scale a stored flow to the load present: rows[x] lists the
     (sink, amount) of the flow that carries unit[x] out of source x, and
-    each source x with a load sends amount * load / unit[x] to each sink
-    other than itself.  The amounts are summed per (source, sink) pair and
-    the matrix is built from them in one call."""
-    entries = {}
+    each source x with load loads[x] / den sends amount * load / unit[x] to
+    each sink other than itself, summed per (source, sink) pair.  The rows
+    are read in the int form of `_unit_rows`, made on first use and kept
+    on the flow object (a SeparatorFlow or a refinement BinaryNode), so an
+    edit of the stored rows after a replay is not seen by the next."""
+    if flow.unit_rows is None:
+        flow.unit_rows = _unit_rows(rows, unit)
+    e, per_unit = flow.unit_rows
+    nums = {}
     for x in sources:
-        load = loads.get(x, _ZERO)
-        if load == 0:
-            continue
-        scale = load / unit[x]
-        for sink, amt in rows[x]:
-            if sink != x and amt:
-                entries[(x, sink)] = entries.get((x, sink), _ZERO) + \
-                    amt * scale
-    return DemandMatrix(entries)
+        load = loads.get(x)
+        if load:
+            for sink, a in per_unit[x]:
+                nums[(x, sink)] = load * a
+    return DemandMatrix._reduced(den * e, nums)
 
 
 def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
@@ -146,7 +179,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     `original` is the base demand state the invariant conserves against.
     Returns (new state, new load factor).
     """
-    alpha = Fraction(alpha)
+    an, ad = alpha.numerator, alpha.denominator
     view = part.view
     sub = view.root
     base_cap = sub.base.cap
@@ -155,7 +188,6 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
         raise ReplayError("child states do not match the merge partition")
     x_f = part.clustering.x_f
     x_b = view.x_boundary
-    x_y = part.x_y
 
     def unit_cap(x):
         return base_cap[sub.edge_of_split[x]]
@@ -165,75 +197,84 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     before = p_l + p_r
 
     # a boundary split belongs to one sub-cluster; an inner split to two
-    for x, load in before.loads().items():
-        limit = (alpha if x in x_b else 2 * alpha) * unit_cap(x)
-        if load > limit:
+    den = before.den
+    for x, load in before.load_nums().items():
+        limit = (an if x in x_b else 2 * an) * unit_cap(x)
+        if load * ad > limit * den:
             raise ReplayError("input load %s at split %r exceeds %s"
-                              % (load, x, limit))
+                              % (Fraction(load, den), x, Fraction(limit, ad)))
 
     # step 1: move the core side's separator loads onto the inter-cluster
     # splits, scaling each stored per-source flow to the load present
-    q1 = _flow_matrix(p_l.loads(), sorted(x_y), part.flow_to_f.per_source,
-                      part.mu_tau)
+    flow = part.flow_to_f
+    q1 = _flow_matrix(p_l.load_nums(), p_l.den, part.sorted_x_y,
+                      flow.per_source, part.mu_tau, flow)
     p_l, _ = _move(p_l, q1, b_lift, trace, s, "merge-to-core")
 
     # step 2: cancel opposite masses by spreading over the inter-cluster
     # splits, proportionally to capacity
-    if p_l.total_load() > 0:
+    if p_l.nums:
         if not x_f:
             raise ReplayError("core demand left but no inter-cluster splits")
-        q2 = DemandMatrix.spread(p_l.restrict_vertices(x_f).loads(), x_f,
-                                 unit_cap)
+        loads = p_l.load_nums()
+        q2 = DemandMatrix.spread({x: n for x, n in loads.items() if x in x_f},
+                                 x_f, unit_cap, p_l.den)
         p_l, _ = _move(p_l, q2, b_lift, trace, s, "merge-spread")
 
     # the surviving mass must fit the capacity of the separator edges that
     # are not boundary edges touching the far side
-    b_r_keys = {edge_key(u, v) for u, v, _ in view.boundary_edges
-                if (u in part.r_side) or (v in part.r_side)}
-    y_tilde = part.y_keys - b_r_keys
-    cap_y_tilde = sum((Fraction(base_cap[k]) for k in y_tilde), Fraction(0))
-    if p_l.total_load() > cap_y_tilde:
+    if p_l.total_num() > part.cap_y_tilde * p_l.den:
         raise ReplayError("core leftover %s exceeds the separator capacity "
                           "%s it must exit through"
-                          % (p_l.total_load(), cap_y_tilde))
+                          % (p_l.total_load(), part.cap_y_tilde))
 
     # step 3: distribute the leftover onto those separator splits,
     # proportionally to capacity
-    if p_l.total_load() > 0:
-        x_y_tilde = sorted(sub.split(u, v) for u, v in y_tilde)
-        q3 = DemandMatrix.spread(p_l.loads(), x_y_tilde, unit_cap)
+    if p_l.nums:
+        q3 = DemandMatrix.spread(p_l.load_nums(), part.x_y_tilde, unit_cap,
+                                 p_l.den)
         p_l, _ = _move(p_l, q3, b_lift, trace, s, "merge-to-sep")
-        loads3 = p_l.loads()
-        for y in x_y_tilde:
-            load = loads3.get(y, _ZERO)
-            if load > unit_cap(y):
+        loads3, den = p_l.load_nums(), p_l.den
+        for y in part.x_y_tilde:
+            load = loads3.get(y, 0)
+            if load > unit_cap(y) * den:
                 raise ReplayError("separator split %r holds %s, over its "
-                                  "capacity %s" % (y, load, unit_cap(y)))
+                                  "capacity %s"
+                                  % (y, Fraction(load, den), unit_cap(y)))
 
     # step 4: everything still on non-boundary separator splits rides the
     # stored separator-to-boundary flow
     p4 = p_l + p_r
-    loads4 = p4.loads()
-    sources4 = sorted(x_y - x_b)
-    for x in sources4:
-        load = loads4.get(x, _ZERO)
-        if load > 3 * alpha * part.mu_tau[x]:
+    loads4, den = p4.load_nums(), p4.den
+    for x in part.inner_x_y:
+        load = loads4.get(x, 0)
+        mu = part.mu_tau[x]
+        if load * ad * mu.denominator > 3 * an * mu.numerator * den:
             raise ReplayError("separator source %r needs flow scale %s over "
-                              "the 3*alpha cap" % (x, load / part.mu_tau[x]))
-    q4 = _flow_matrix(loads4, sources4, part.flow_to_b.per_source,
-                      part.mu_tau)
+                              "the 3*alpha cap"
+                              % (x, Fraction(load, den) / mu))
+    flow = part.flow_to_b
+    q4 = _flow_matrix(loads4, den, part.inner_x_y, flow.per_source,
+                      part.mu_tau, flow)
     received = {}
     for (_, v), a in q4.nums.items():
         received[v] = received.get(v, 0) + a
+    # the cap 6 * alpha * tau * unit_cap(xb) is c6n * unit_cap(xb) / c6d
+    tau = part.tau
+    c6n, c6d = 6 * an * tau.numerator, ad * tau.denominator
     for xb, got in received.items():
-        cap6 = 6 * alpha * part.tau * unit_cap(xb)
-        if got > cap6 * q4.den:
+        cap6 = c6n * unit_cap(xb)
+        if got * c6d > cap6 * q4.den:
             raise ReplayError("boundary split %r received %s, over the "
                               "6*alpha*tau cap %s"
-                              % (xb, Fraction(got, q4.den), cap6))
+                              % (xb, Fraction(got, q4.den),
+                                 Fraction(cap6, c6d)))
     after, _ = _move(p4, q4, b_lift, trace, s, "merge-to-boundary")
 
-    alpha_out = alpha * (1 + cfg.replay_tau_c * part.tau)
+    # alpha * (1 + replay_tau_c * tau)
+    alpha_out = Fraction(
+        an * (tau.denominator + cfg.replay_tau_c * tau.numerator),
+        ad * tau.denominator)
     ok, why = invariant_check(after, view, original, alpha_out)
     if not ok:
         raise ReplayError("merged state breaks the invariant: %s" % why)
@@ -252,24 +293,26 @@ def uniformize_refined(state, view: ClusterView, b_lift, ledger, trace):
     s = view.cluster
     sub = view.root
     base_cap = sub.base.cap
-    if not view.x_boundary:
-        if state.total_load() > 0:
+    x_b = view.x_boundary
+    if not x_b:
+        if state.nums:
             raise ReplayError("boundaryless cluster %r holds demand"
                               % sorted(s))
         return state
-    if state.total_load() == 0:
+    if not state.nums:
         return state
-    q = DemandMatrix.spread(state.restrict_vertices(view.x_boundary).loads(),
-                            view.x_boundary,
-                            lambda x: base_cap[sub.edge_of_split[x]])
+    loads = state.load_nums()
+    q = DemandMatrix.spread({x: n for x, n in loads.items() if x in x_b},
+                            x_b, lambda x: base_cap[sub.edge_of_split[x]],
+                            state.den)
     new, dem_diff = _move(state, q, b_lift, trace, s, "refine-uniformize")
-    cap_b = Fraction(view.boundary_capacity())
-    if new.total_load() > cap_b:
+    cap_b = view.boundary_capacity()
+    if new.total_num() > cap_b * new.den:
         raise ReplayError("uniformized load %s exceeds the boundary "
-                          "capacity %s" % (new.total_load(), cap_b))
-    loads = new.loads()
-    for x in view.x_boundary:
-        if loads.get(x, _ZERO) > base_cap[sub.edge_of_split[x]]:
+                          "capacity %s" % (new.total_load(), Fraction(cap_b)))
+    loads = new.load_nums()
+    for x in x_b:
+        if loads.get(x, 0) > base_cap[sub.edge_of_split[x]] * new.den:
             raise ReplayError("uniformized split %r is over its capacity"
                               % (x,))
     _charge(ledger, view, b_lift, "refine-uniformize", dem_diff)
@@ -288,7 +331,8 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
     for node in res.root.walk():
         if not node.cut_keys or node.route is None:
             continue
-        q = _flow_matrix(after.loads(), node.rows, node.rows, node.unit)
+        q = _flow_matrix(after.load_nums(), after.den, node.rows, node.rows,
+                         node.unit, node)
         if q.nums:
             after, _ = _move(after, q, b_lift, trace, s, "refine-route")
     stray = after.support_vertices() - res.view.x_boundary
@@ -299,10 +343,23 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
     if not diff.is_valid():
         raise ReplayError("routing difference is not valid")
     _charge(ledger, res.view, b_lift, "refine-route", diff.dem_across(b_lift))
-    worst = Fraction(1)
-    for x, load in after.loads().items():
-        worst = max(worst, load / base_cap[sub.edge_of_split[x]])
-    return after, worst
+    # the largest load per unit of capacity, and at least 1, as wn / wd
+    wn, wd, den = 1, 1, after.den
+    for x, load in after.load_nums().items():
+        cap = base_cap[sub.edge_of_split[x]] * den
+        if load * wd > wn * cap:
+            wn, wd = load, cap
+    return after, Fraction(wn, wd)
+
+
+@lru_cache(maxsize=64)
+def _envelope(mode, n, cfg):
+    """The per-edge charge envelope of an n-vertex tree of the mode:
+    quality_C * (log2 n)^3 for basic trees, the quality envelope for
+    improved ones.  Kept per (mode, n, cfg): it costs four rlog2 calls."""
+    if mode == "basic":
+        return cfg.quality_C * _log2n(n) ** 3
+    return quality_envelope(n, cfg)
 
 
 class ReplayReport:
@@ -342,8 +399,7 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
         raise ReplayError("demand state is not valid")
     scale, nodes, mcs = node_mincuts(t)
     for node, mc in zip(nodes, mcs):
-        d = p.dem_across(node.members)
-        if d.numerator * scale > mc * d.denominator:
+        if p.dem_num(node.members) * scale > mc * p.den:
             raise ReplayError("demand state is not 1-respected by the tree "
                               "(violated at %r)" % sorted(node.members))
 
@@ -374,7 +430,7 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
         improved node first uniformizes each refinement cluster and routes
         a split sub-cluster's inter-cluster mass to its boundary."""
         if len(node.members) == 1:
-            return leaf_states[next(iter(node.members))], Fraction(1)
+            return leaf_states[next(iter(node.members))], _ONE
         part = node.detail
         if not isinstance(part, MergePartition):
             raise ReplayError("node %r carries no merge partition (was the "
@@ -387,7 +443,7 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
                 pool[cc.members] = cc
         # every child state first, in sub-cluster order; the moves below
         # write the ledger and trace in the order they run
-        states, split, alpha_in = {}, {}, Fraction(1)
+        states, split, alpha_in = {}, {}, _ONE
         for s_i in part.sub_clusters:
             if s_i not in pool:
                 raise ReplayError("tree node for sub-cluster %r is missing"
@@ -405,7 +461,7 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
             return replay_merge_cluster(states, part, b_lift, alpha_in, p,
                                         cfg, ledger, trace)
         # an improved merge starts from the load factor its routing leaves
-        sub_states, alpha_in = {}, Fraction(1)
+        sub_states, alpha_in = {}, _ONE
         for s_i in part.sub_clusters:
             res = split.get(s_i)
             total = sum_states(
@@ -443,10 +499,6 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
     if dem_p > total + cap_cut:
         raise ReplayError("final coverage inequality failed")
 
-    n = g.vertex_count
-    if t.mode == "basic":
-        envelope = cfg.quality_C * _log2n(n) ** 3
-    else:
-        envelope = quality_envelope(n, cfg)
     return ReplayReport(ledger, trace, dem_p, cap_cut, initial_dem,
-                        ledger.max_per_edge(), envelope)
+                        ledger.max_per_edge(),
+                        _envelope(t.mode, g.vertex_count, cfg))

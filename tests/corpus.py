@@ -158,8 +158,9 @@ def reference_update(p, q):
     return DemandState(out)
 
 
-def reference_spread(mass, targets, weight_of=None):
-    """DemandMatrix.spread in Fraction: every entry goes through add."""
+def reference_spread(mass, targets, weight_of=None, den=1):
+    """DemandMatrix.spread in Fraction, the masses taken over den: every
+    entry goes through add."""
     vs = sorted(targets)
     if weight_of is None:
         w = {v: Fraction(1) for v in vs}
@@ -170,7 +171,7 @@ def reference_spread(mass, targets, weight_of=None):
         raise DemandError("spread needs positive total target weight")
     q = DemandMatrix()
     for u in sorted(mass):
-        m = mass[u]
+        m = Fraction(mass[u]) / den
         for v in vs:
             if v != u:
                 q.add(u, v, m * w[v] / total)

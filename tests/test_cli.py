@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import resource
@@ -11,7 +12,8 @@ import treecut
 from treecut.cli import main
 from treecut.config import DEFAULT, Config, load_config
 from treecut.graph import Graph, format_edge_list
-from treecut.tree import DecompositionTree, TreeNode
+from treecut.oracle import CheckReport
+from treecut.tree import DecompositionTree, TreeNode, build_improved
 
 from corpus import ring_of_cliques
 
@@ -53,6 +55,35 @@ class TestBuildVerify:
         for p in (a, b):
             assert main(["build", "--input", RING, "--mode", "improved",
                          "--out", str(p)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_build_counts_failed_routing(self, tmp_path, capsys,
+                                         monkeypatch):
+        """The summary names how many refinements the tree holds and how
+        many failed their routing check; the tree bytes do not depend on
+        the verdict."""
+        # the package's `refine` is the function; patch its module's name
+        refine = importlib.import_module("treecut.refine")
+        ring = ring_of_cliques_file(tmp_path / "ring.edges", 3, 4)
+        refined = sum(n.refinement is not None
+                      for n in build_improved(ring_of_cliques(3, 4)).nodes())
+        assert refined > 0
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["build", "--input", ring, "--mode", "improved", "--out"]
+        assert main(argv + [str(a)]) == 0
+        err = capsys.readouterr().err
+        assert err.endswith(", %d refinements, 0 failed routing\n" % refined)
+
+        def failing(res):
+            rep = CheckReport()
+            rep.fail("stub")
+            return rep
+
+        monkeypatch.setattr(refine, "check_routing", failing)
+        assert main(argv + [str(b)]) == 0
+        err = capsys.readouterr().err
+        assert err.endswith(", %d refinements, %d failed routing\n"
+                            % (refined, refined))
         assert a.read_bytes() == b.read_bytes()
 
     def test_tampered_weight_exits_one(self, tree_file, tmp_path, capsys):

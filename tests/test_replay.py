@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from treecut.refine import refine
 from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
                             full_replay, replay_merge_cluster,
                             route_refined_state, uniformize_refined)
-from treecut.tree import build_basic, build_improved
+from treecut.tree import build_basic, build_improved, mincut_in_tree
 
 from corpus import (random_demand, random_graph, reference_leaf_init,
                     reference_spread, reference_sum, reference_update,
@@ -141,6 +142,201 @@ class TestUniformizeErrors:
                            r"over its capacity$" % x):
             uniformize_refined(state, view, frozenset(), ChargeLedger(),
                                ReplayTrace())
+
+
+# the states of the limit tests below sit exactly at a limit or one unit of
+# 1/DEN above it
+DEN = 7
+ABOVE = Fraction(1, DEN)
+# a ring 3x4 cluster whose merge partition has inter-cluster splits, an
+# inner separator split (15, on the unit link 11-0) and two boundary splits
+# (19 and 26); its separator capacity cap_y_tilde is 2
+CLUSTER = frozenset({0, 1, 2, 3, 8, 9, 10, 11})
+
+
+class Reached(Exception):
+    """Raised by a stub in place of the step after a check that passed."""
+
+
+def merge_partition(build):
+    """The merge partition of CLUSTER in the ring 3x4 tree of the build."""
+    t = build(ring_of_cliques(3, 4))
+    return next(n.detail for n in t.nodes() if n.members == CLUSTER)
+
+
+def split_cap(part, x):
+    sub = part.view.root
+    return sub.base.cap[sub.edge_of_split[x]]
+
+
+def run_merge(monkeypatch, part, alpha, p_l=None, moves=None, q4=None):
+    """replay_merge_cluster on part with its moves and flow matrices
+    stubbed: the first core-side child holds p_l and every other child
+    nothing; _move returns moves[label] and raises Reached(label) for any
+    other label; _flow_matrix gives an empty matrix for step 1 and q4 (an
+    empty one when None) for step 4."""
+    moves = moves or {}
+    flows = [DemandMatrix(), q4 or DemandMatrix()]
+
+    def move(state, q, b_lift, trace, members, label):
+        if label not in moves:
+            raise Reached(label)
+        return moves[label], Fraction(0)
+
+    monkeypatch.setattr(replay, "_move", move)
+    monkeypatch.setattr(replay, "_flow_matrix", lambda *args: flows.pop(0))
+    states = {c: DemandState() for c in part.sub_clusters}
+    if p_l is not None:
+        states[part.l_parts[0]] = p_l
+    return replay_merge_cluster(states, part, frozenset(), alpha,
+                                DemandState(), DEFAULT, ChargeLedger(),
+                                ReplayTrace())
+
+
+def raises_exactly(message):
+    return pytest.raises(ReplayError, match="^%s$" % re.escape(message))
+
+
+class TestLimits:
+    """Every cap the replay checks by cross-multiplying int numerators: a
+    state exactly at the limit passes the check and one 1/DEN above it
+    raises ReplayError with the check's message."""
+
+    @pytest.mark.parametrize("boundary", [True, False])
+    def test_input_load(self, monkeypatch, boundary):
+        # alpha per unit of capacity at a boundary split, 2 alpha inside
+        part = merge_partition(build_improved)
+        alpha = Fraction(3, 2)
+        x = 19 if boundary else 15
+        limit = (1 if boundary else 2) * alpha * split_cap(part, x)
+        with pytest.raises(Reached, match="merge-to-core"):
+            run_merge(monkeypatch, part, alpha,
+                      p_l=DemandState({(x, 0): limit}))
+        with raises_exactly("input load %s at split %d exceeds %s"
+                            % (limit + ABOVE, x, limit)):
+            run_merge(monkeypatch, part, alpha,
+                      p_l=DemandState({(x, 0): limit + ABOVE}))
+
+    def test_core_leftover(self, monkeypatch):
+        part = merge_partition(build_improved)
+        assert part.cap_y_tilde == 2
+        for load in (Fraction(2), 2 + ABOVE):
+            left = DemandState({(12, 0): load})
+            moves = {"merge-to-core": left, "merge-spread": left}
+            if load == 2:
+                with pytest.raises(Reached, match="merge-to-sep"):
+                    run_merge(monkeypatch, part, 1, moves=moves)
+                continue
+            with raises_exactly("core leftover %s exceeds the separator "
+                                "capacity 2 it must exit through" % load):
+                run_merge(monkeypatch, part, 1, moves=moves)
+
+    def test_separator_split(self, monkeypatch):
+        part = merge_partition(build_improved)
+        y = part.x_y_tilde[0]
+        cap = split_cap(part, y)
+        left = DemandState({(12, 0): Fraction(1, 2)})
+        for load in (Fraction(cap), cap + ABOVE):
+            moves = {"merge-to-core": left, "merge-spread": left,
+                     "merge-to-sep": DemandState({(y, 0): load})}
+            if load == cap:
+                with pytest.raises(Reached, match="merge-to-boundary"):
+                    run_merge(monkeypatch, part, 1, moves=moves)
+                continue
+            with raises_exactly("separator split %d holds %s, over its "
+                                "capacity %d" % (y, load, cap)):
+                run_merge(monkeypatch, part, 1, moves=moves)
+
+    def test_separator_source(self, monkeypatch):
+        # alpha = 1/4 keeps the 3 alpha cap below the split's capacity, so
+        # the earlier checks pass on both states
+        part = merge_partition(build_improved)
+        alpha = Fraction(1, 4)
+        x = part.inner_x_y[0]
+        mu = part.mu_tau[x]
+        limit = 3 * alpha * mu
+        for load in (limit, limit + ABOVE):
+            p = DemandState({(x, 0): load})
+            moves = {"merge-to-core": p, "merge-spread": p,
+                     "merge-to-sep": p}
+            if load == limit:
+                with pytest.raises(Reached, match="merge-to-boundary"):
+                    run_merge(monkeypatch, part, alpha, moves=moves)
+                continue
+            with raises_exactly("separator source %d needs flow scale %s "
+                                "over the 3*alpha cap" % (x, load / mu)):
+                run_merge(monkeypatch, part, alpha, moves=moves)
+
+    def test_boundary_receipt(self, monkeypatch):
+        # the basic tree's tau is not 1, so the cap has a real denominator
+        part = merge_partition(build_basic)
+        assert part.tau.denominator > 1
+        alpha = Fraction(3, 2)
+        xb = 19
+        cap6 = 6 * alpha * part.tau * split_cap(part, xb)
+        moves = {"merge-to-core": DemandState()}
+        with pytest.raises(Reached, match="merge-to-boundary"):
+            run_merge(monkeypatch, part, alpha, moves=moves,
+                      q4=DemandMatrix({(12, xb): cap6}))
+        with raises_exactly("boundary split %d received %s, over the "
+                            "6*alpha*tau cap %s" % (xb, cap6 + ABOVE, cap6)):
+            run_merge(monkeypatch, part, alpha, moves=moves,
+                      q4=DemandMatrix({(12, xb): cap6 + ABOVE}))
+
+    def test_uniformized_total(self):
+        view, x, _ = TestUniformizeErrors.overloaded()
+        state = DemandState({(x, 0): Fraction(1)})
+        assert uniformize_refined(state, view, frozenset(), ChargeLedger(),
+                                  ReplayTrace()) is not None
+        with raises_exactly("uniformized load 8/7 exceeds the boundary "
+                            "capacity 1"):
+            uniformize_refined(DemandState({(x, 0): 1 + ABOVE}), view,
+                               frozenset(), ChargeLedger(), ReplayTrace())
+
+    def test_uniformized_split(self, monkeypatch):
+        view, x, _ = TestUniformizeErrors.overloaded()
+        monkeypatch.setattr(view, "boundary_capacity", lambda: 4)
+        state = DemandState({(x, 0): Fraction(1)})
+        assert uniformize_refined(state, view, frozenset(), ChargeLedger(),
+                                  ReplayTrace()) is not None
+        with raises_exactly("uniformized split %d is over its capacity" % x):
+            uniformize_refined(DemandState({(x, 0): 1 + ABOVE}), view,
+                               frozenset(), ChargeLedger(), ReplayTrace())
+
+    def test_moved_demand(self, monkeypatch):
+        # the stubbed update moves t across the cut {0}; the matrix carries
+        # 1/2 across it
+        q = DemandMatrix({(0, 1): Fraction(1, 2)})
+        for t in (Fraction(1, 2), Fraction(1, 2) + ABOVE):
+            new = DemandState({(0, 0): -t, (1, 0): t})
+            monkeypatch.setattr(replay, "update", lambda state, q: new)
+            trace = ReplayTrace()
+            if t == Fraction(1, 2):
+                got, moved = replay._move(DemandState(), q, frozenset({0}),
+                                          trace, {0, 1}, "step")
+                assert got is new and moved == t
+                assert trace.steps == [(frozenset({0, 1}), "step", t, t)]
+                continue
+            with raises_exactly("step: moved 9/14 across the cut but the "
+                                "applied matrix only accounts for 1/2"):
+                replay._move(DemandState(), q, frozenset({0}), trace, {0, 1},
+                             "step")
+
+    def test_one_respect(self):
+        t = build_basic(ring_of_cliques(3, 4))
+        unit = DemandState({(0, 0): 1, (4, 0): -1})
+        verts = t.graph.vertex_set()
+        cuts = [(n.members, mincut_in_tree(t, n.members)) for n in t.nodes()
+                if n.members != verts]
+        limit = min(mc for members, mc in cuts
+                    if unit.dem_across(members))
+        assert full_replay(t, unit.scaled(limit), {0}).dem_p == limit
+        above = unit.scaled(limit + ABOVE)
+        first = next(members for members, mc in cuts
+                     if above.dem_across(members) > mc)
+        with raises_exactly("demand state is not 1-respected by the tree "
+                            "(violated at %r)" % sorted(first)):
+            full_replay(t, above, {0})
 
 
 class TestSingleEdge:
@@ -296,10 +492,46 @@ def test_refine_route_step_pinned():
     assert hashlib.sha256(blob.encode()).hexdigest() == REFINE_ROUTE
 
 
+def reference_flow_matrix(loads, den, sources, rows, unit, flow):
+    """replay._flow_matrix in Fraction, from the stored rows themselves
+    (flow, where the kernel keeps their int form, is not read): each source
+    x with load loads[x] / den sends amount * load / unit[x] to each sink
+    other than itself, summed per (source, sink) pair."""
+    entries = {}
+    for x in sources:
+        load = Fraction(loads.get(x, 0), den)
+        if load == 0:
+            continue
+        scale = load / unit[x]
+        for sink, amt in rows[x]:
+            if sink != x and amt:
+                entries[(x, sink)] = entries.get((x, sink), Fraction(0)) + \
+                    amt * scale
+    return DemandMatrix(entries)
+
+
+def ring_cases():
+    """Three 1-respected (tree, state, cut) triples on each of the basic
+    and improved trees of rings 3x4 and 4x4."""
+    rng = random.Random(42)
+    cases = []
+    for k, s in ((3, 4), (4, 4)):
+        g = ring_of_cliques(k, s)
+        n = k * s
+        for build in (build_basic, build_improved):
+            t = build(g)
+            for _ in range(3):
+                p = scale_to_respect(t, random_demand(rng, n, pairs=4))
+                b = frozenset(rng.sample(range(n), n // 2))
+                cases.append((t, p, b))
+    return cases
+
+
 @contextmanager
 def fraction_kernels(monkeypatch):
     """Run the replay on the Fraction references of update, sum_states,
-    leaf_init and spread; yields the count of reference calls per name."""
+    leaf_init, spread and the flow matrix; yields the count of reference
+    calls per name."""
     calls = {}
 
     def counted(name, fn):
@@ -315,7 +547,34 @@ def fraction_kernels(monkeypatch):
                   counted("leaf_init", reference_leaf_init))
         m.setattr(DemandMatrix, "spread",
                   staticmethod(counted("spread", reference_spread)))
+        m.setattr(replay, "_flow_matrix",
+                  counted("flow_matrix", reference_flow_matrix))
         yield calls
+
+
+# Fraction.__new__ calls per replay over ring_cases(): 327.5 (3,930 in 12
+# replays) when every replay step built its loads, cut demands and caps as
+# Fractions; the bound is half of that
+FRACTIONS_PER_REPLAY = 163
+
+
+def test_replay_fraction_budget(monkeypatch):
+    """The replay builds a Fraction only for a message or a value the
+    trace, the ledger or the report keeps, so a step that brings back
+    per-load Fractions shows in this count."""
+    cases = ring_cases()
+    count = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kw):
+        count[0] += 1
+        return new(cls, *args, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", staticmethod(counted))
+        for case in cases:
+            full_replay(*case)
+    assert 0 < count[0] <= FRACTIONS_PER_REPLAY * len(cases)
 
 
 class TestFractionKernels:
@@ -338,7 +597,8 @@ class TestFractionKernels:
             got = [self.replayed(*case) for case in cases]
         assert got == want
         assert min(calls.get(name, 0) for name in
-                   ("update", "sum_states", "leaf_init", "spread")) > 0
+                   ("update", "sum_states", "leaf_init", "spread",
+                    "flow_matrix")) > 0
 
     def test_random_graphs_both_modes(self, monkeypatch):
         rng = random.Random(41)
@@ -357,18 +617,7 @@ class TestFractionKernels:
         self.assert_same_replays(monkeypatch, cases)
 
     def test_rings(self, monkeypatch):
-        rng = random.Random(42)
-        cases = []
-        for k, s in ((3, 4), (4, 4)):
-            g = ring_of_cliques(k, s)
-            n = k * s
-            for build in (build_basic, build_improved):
-                t = build(g)
-                for _ in range(3):
-                    p = scale_to_respect(t, random_demand(rng, n, pairs=4))
-                    b = frozenset(rng.sample(range(n), n // 2))
-                    cases.append((t, p, b))
-        self.assert_same_replays(monkeypatch, cases)
+        self.assert_same_replays(monkeypatch, ring_cases())
 
     def test_refined_triangle_chain(self, monkeypatch):
         def routed():
