@@ -69,17 +69,20 @@ class Config:
         # a zero cap would make the congestion escalation double 0 forever;
         # a zero merge or schedule coefficient makes an oracle phi 0 or
         # divides by 0, a zero kappa makes every leaf-certificate target 0,
-        # and a quality_C <= 0 declares an envelope no tree can meet
+        # an alpha_improved_cap or quality_C <= 0 declares a cap or an
+        # envelope no tree can meet, and a negative replay_tau_c lowers the
+        # load factor a merge grants (to 0 at tau = 1)
         for name in ("oracle_sparsity_c", "oracle_congestion_cap",
                      "oracle_congestion_limit", "merge_phi_coeff",
                      "merge_shrink_coeff", "c_phi", "c0_declared", "kappa",
-                     "quality_C"):
+                     "alpha_improved_cap", "quality_C"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError("%s must be > 0, got %s" % (name, value))
-        if self.merge_loop_slack < 0:
-            raise ValueError("merge_loop_slack must be >= 0, got %s"
-                             % self.merge_loop_slack)
+        for name in ("merge_loop_slack", "replay_tau_c"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError("%s must be >= 0, got %s" % (name, value))
         if self.tau_basic is not None and not 0 < self.tau_basic <= 1:
             raise ValueError("tau_basic must be None or in (0, 1], got %s"
                              % self.tau_basic)

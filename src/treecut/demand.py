@@ -3,7 +3,9 @@
 A demand state holds signed per-vertex, per-commodity masses.  A demand
 matrix says how much mass each source sends to each target; it is built
 either by `DemandMatrix.spread` (mass spread over a target set in
-proportion to weights) or from a stored flow scaled to the load present.
+proportion to weights) or by `_flow_matrix`, which scales a stored flow to
+the load present.  A stored flow holds its rows in the int form of
+`_unit_rows`, made once where the build records the flow.
 `update` is the one kernel that applies a matrix to a state; moving mass
 lets opposite-signed masses cancel, which is what the charging replay
 exploits.
@@ -187,11 +189,6 @@ class DemandState(_IntEntries):
     def support_vertices(self):
         return frozenset(v for v, _ in self.nums)
 
-    def commodity_totals(self):
-        den = self.den
-        return {k: Fraction(n, den)
-                for k, n in self._commodity_nums().items() if n}
-
     def is_valid(self):
         return not any(self._commodity_nums().values())
 
@@ -217,11 +214,6 @@ class DemandState(_IntEntries):
             self.den * factor.denominator,
             {key: n * a for key, n in self.nums.items()} if a else {})
 
-    def restrict_vertices(self, vs):
-        vs = frozenset(vs)
-        return DemandState._reduced(self.den, {
-            (v, k): n for (v, k), n in self.nums.items() if v in vs})
-
     def dem_num(self, side):
         """dem_across(side) as a numerator over den."""
         return sum(map(abs, self._commodity_nums(frozenset(side)).values()))
@@ -236,6 +228,38 @@ class DemandState(_IntEntries):
 
     def total_load(self):
         return Fraction(self.total_num(), self.den)
+
+
+def _unit_rows(rows, unit):
+    """(e, {x: [(sink, numerator)]}): the flow out of each source x per
+    unit of unit[x], summed per sink other than x in first-seen order, as
+    nonzero numerators over one denominator e.  rows[x] lists the
+    (sink, amount) of the flow that carries unit[x] out of x."""
+    per_unit = {}
+    for x, row in rows.items():
+        acc = {}
+        for sink, amt in row:
+            if sink != x and amt:
+                acc[sink] = acc.get(sink, _ZERO) + Fraction(amt) / unit[x]
+        per_unit[x] = [(sink, a) for sink, a in acc.items() if a]
+    e = lcm(*(a.denominator for row in per_unit.values() for _, a in row))
+    return e, {x: [(sink, a.numerator * (e // a.denominator))
+                   for sink, a in row] for x, row in per_unit.items()}
+
+
+def _flow_matrix(loads, den, sources, flow):
+    """Scale a stored flow (a SeparatorFlow or a refinement BinaryNode) to
+    the load present: each source x with load loads[x] / den sends its
+    load times the per-unit share of flow.unit_rows to each sink, summed
+    per (source, sink) pair."""
+    e, per_unit = flow.unit_rows
+    nums = {}
+    for x in sources:
+        load = loads.get(x)
+        if load:
+            for sink, a in per_unit[x]:
+                nums[(x, sink)] = load * a
+    return DemandMatrix._reduced(den * e, nums)
 
 
 def sum_states(states) -> DemandState:

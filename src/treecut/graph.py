@@ -82,9 +82,6 @@ class Graph:
     def degree(self, v):
         return sum(c for _, c in self.adj[v])
 
-    def has_edge(self, u, v):
-        return edge_key(u, v) in self.cap
-
     def edge_capacity(self, u, v):
         return self.cap.get(edge_key(u, v), 0)
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .config import DEFAULT, Config
+from .demand import _unit_rows
 from .graph import ClusterView, Graph, components_without, edge_key
 from .flow import (FlowNetwork, FlowSolution, RouteResult, escalate,
                    max_flow, path_decomposition)
@@ -199,11 +200,11 @@ def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT) \
 class SeparatorFlow:
     """Per-separator-node transfers derived from the exact max flow."""
 
-    def __init__(self, per_source, congestion, sink_in):
+    def __init__(self, per_source, congestion, sink_in, unit_rows):
         self.per_source = per_source      # x_y -> [(target, amount)]
         self.congestion = congestion
         self.sink_in = sink_in            # target -> received amount
-        self.unit_rows = None             # int rows, made by the replay
+        self.unit_rows = unit_rows        # int per-unit rows, made at build
 
 
 class MergePartition:
@@ -363,7 +364,8 @@ def _separator_flows(view, sol: FlowSolution, side, x_y, mu_tau):
             per_source[x] = rows
         congestion = max((a / gsp.edge_capacity(*k)
                           for k, a in edge_flow.items()), default=Fraction(0))
-        return SeparatorFlow(per_source, congestion, sink_in)
+        return SeparatorFlow(per_source, congestion, sink_in,
+                             _unit_rows(per_source, mu_tau))
 
     to_b = build(lambda pre, suf: suf, reverse=False)
     to_f = build(lambda pre, suf: pre, reverse=True)

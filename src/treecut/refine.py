@@ -10,9 +10,11 @@ verdict (`check_routing`) on the result.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .config import DEFAULT, Config
-from .demand import DemandMatrix, from_matrix, respects_exact
+from .demand import (DemandMatrix, _flow_matrix, _unit_rows, from_matrix,
+                     respects_exact)
 from .flow import escalate, path_decomposition, route_from_cut
 from .graph import ClusterView, Graph, Measure, capacity, edge_key
 from .oracle import (CheckReport, check_refined, refined_cut_or_expander,
@@ -50,19 +52,6 @@ def product_envelope(j: int, n: int) -> Fraction:
     return out
 
 
-def product_growth_ok(k: int, c) -> bool:
-    """prod_{l=1}^{k} (1 + c/l) <= k^(2c), checked exactly when 4c is an
-    integer (square both sides to clear the half-integral exponent)."""
-    c = Fraction(c)
-    e = 4 * c
-    if e.denominator != 1:
-        raise RefineError("needs 4c integral")
-    prod = Fraction(1)
-    for l in range(1, k + 1):
-        prod *= 1 + c / l
-    return prod ** 2 <= Fraction(k) ** int(e)
-
-
 class BinaryNode:
     """One node of the refinement cut tree.  The left child is always the
     side that receives the cut-to-boundary flow."""
@@ -76,7 +65,7 @@ class BinaryNode:
         self.route = None         # RouteRecord into the left side
         self.rows = {}            # cut split x -> [(sink, amount)] of route
         self.unit = {}            # cut split x -> capacity x sources
-        self.unit_rows = None     # int rows, made by the replay
+        self.unit_rows = None     # int per-unit rows, made with rows
         self.sink_splits = frozenset()
         self.left_depth = left_depth  # 1 + left edges on the path from root
         self.cluster_leaf = False
@@ -337,6 +326,7 @@ class _Builder:
         if route is not None:
             node.rows, node.unit = _cut_rows(self.sub_root, route.flow,
                                              cut_keys, left_set)
+            node.unit_rows = _unit_rows(node.rows, node.unit)
 
 
 def refine(view: ClusterView, sigma: int, cfg: Config = DEFAULT) \
@@ -378,8 +368,9 @@ def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
 def check_routing(res: RefinementResult) -> CheckReport:
     """Move one unit of mass per unit of inter-cluster edge capacity to the
     boundary of the refined cluster, one cut-tree node at a time from the
-    leaves up, scaling each node's stored rows by the load present on its
-    cut splits, and check the routing on the way.
+    leaves up, scaling each node's stored unit rows by the load present on
+    its cut splits, and check the routing on the way, on int load
+    numerators over one denominator.
 
     Fails on an unrouted cut, on a node whose sink splits carry more per
     unit of capacity than product_envelope(left depth, n), on mass that is
@@ -391,9 +382,10 @@ def check_routing(res: RefinementResult) -> CheckReport:
     sub = res.view.root
     base_cap = sub.base.cap
     n = sub.base.vertex_count
-    loads = {sub.split(u, v): Fraction(base_cap[(u, v)])
+    loads = {sub.split(u, v): base_cap[(u, v)]
              for u, v in res.inter_cluster_keys}
-    total = sum(loads.values(), Fraction(0))
+    den = 1
+    total = sum(loads.values())
     usage = {}
     for node in res.root.walk():
         if not node.cut_keys:
@@ -403,32 +395,38 @@ def check_routing(res: RefinementResult) -> CheckReport:
             rep.fail("cut of %r is not routed" % sorted(node.dset))
             continue
         unit = node.unit
-        max_scale = max(loads.get(x, Fraction(0)) / unit[x] for x in unit)
-        for x, row in node.rows.items():
-            load = loads.get(x, Fraction(0))
-            if load == 0:
-                continue
-            scale = load / unit[x]
-            loads[x] = Fraction(0)
-            for sink, amt in row:
-                loads[sink] = loads.get(sink, Fraction(0)) + amt * scale
+        max_scale = max(Fraction(loads.get(x, 0), c * den)
+                        for x, c in unit.items())
+        # each loaded cut split gives up its whole load, and each sink
+        # receives the load times its per-unit share
+        q = _flow_matrix(loads, den, unit, node)
+        d = lcm(den, q.den)
+        loads = {x: 0 if x in unit else a * (d // den)
+                 for x, a in loads.items()}
+        for (_, sink), a in q.nums.items():
+            loads[sink] = loads.get(sink, 0) + a * (d // q.den)
+        den = d
         flow = node.route.flow
         for (a, b), fval in flow.flow.items():
             cap = flow.graph.edge_capacity(a, b)
             k = edge_key(a, b)
             usage[k] = usage.get(k, Fraction(0)) + abs(fval) / cap * max_scale
         env = product_envelope(node.left_depth, n)
-        worst = max((loads.get(x, Fraction(0))
-                     / base_cap[sub.edge_of_split[x]]
-                     for x in node.sink_splits), default=Fraction(0))
-        if worst > env:
+        # the largest sink load per unit of capacity, as wn / wd
+        wn, wd = 0, 1
+        for x in node.sink_splits:
+            load, c = loads.get(x, 0), base_cap[sub.edge_of_split[x]]
+            if load * wd > wn * c:
+                wn, wd = load, c
+        if wn * env.denominator > env.numerator * wd * den:
             rep.fail("node %r at left depth %d: sink load %s per unit above "
                      "the envelope %s" % (sorted(node.dset), node.left_depth,
-                                          worst, env))
-    loads = {x: l for x, l in loads.items() if l}
-    moved = sum(loads.values(), Fraction(0))
-    if moved != total:
-        rep.fail("routing moved %s of %s units" % (moved, total))
+                                          Fraction(wn, wd * den), env))
+    moved = sum(loads.values())
+    if moved != total * den:
+        rep.fail("routing moved %s of %s units" % (Fraction(moved, den),
+                                                   total))
+    loads = {x: Fraction(a, den) for x, a in loads.items() if a}
     stray = sorted(set(loads) - res.view.x_boundary)
     if stray:
         rep.fail("routing left mass off the boundary at %r" % stray)

@@ -18,8 +18,8 @@ from functools import lru_cache
 from math import lcm
 
 from .config import DEFAULT, Config
-from .demand import (DemandMatrix, DemandState, invariant_check, leaf_init,
-                     sum_states, update)
+from .demand import (DemandMatrix, DemandState, _flow_matrix,
+                     invariant_check, leaf_init, sum_states, update)
 from .graph import (_ZERO, ClusterView, Graph, cut_capacity, edge_key,
                     subdivide)
 from .merge import MergePartition
@@ -134,42 +134,6 @@ def _move(state, q, b_lift, trace, members, label):
     return new, diff_dem
 
 
-def _unit_rows(rows, unit):
-    """(e, {x: [(sink, numerator)]}): the flow out of each source x per
-    unit of unit[x], summed per sink other than x in first-seen order, as
-    nonzero numerators over one denominator e."""
-    per_unit = {}
-    for x, row in rows.items():
-        acc = {}
-        for sink, amt in row:
-            if sink != x and amt:
-                acc[sink] = acc.get(sink, _ZERO) + Fraction(amt) / unit[x]
-        per_unit[x] = [(sink, a) for sink, a in acc.items() if a]
-    e = lcm(*(a.denominator for row in per_unit.values() for _, a in row))
-    return e, {x: [(sink, a.numerator * (e // a.denominator))
-                   for sink, a in row] for x, row in per_unit.items()}
-
-
-def _flow_matrix(loads, den, sources, rows, unit, flow):
-    """Scale a stored flow to the load present: rows[x] lists the
-    (sink, amount) of the flow that carries unit[x] out of source x, and
-    each source x with load loads[x] / den sends amount * load / unit[x] to
-    each sink other than itself, summed per (source, sink) pair.  The rows
-    are read in the int form of `_unit_rows`, made on first use and kept
-    on the flow object (a SeparatorFlow or a refinement BinaryNode), so an
-    edit of the stored rows after a replay is not seen by the next."""
-    if flow.unit_rows is None:
-        flow.unit_rows = _unit_rows(rows, unit)
-    e, per_unit = flow.unit_rows
-    nums = {}
-    for x in sources:
-        load = loads.get(x)
-        if load:
-            for sink, a in per_unit[x]:
-                nums[(x, sink)] = load * a
-    return DemandMatrix._reduced(den * e, nums)
-
-
 def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
                          original, cfg: Config, ledger, trace):
     """Merge the sub-cluster demand states of one cluster into a state on
@@ -206,9 +170,8 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
 
     # step 1: move the core side's separator loads onto the inter-cluster
     # splits, scaling each stored per-source flow to the load present
-    flow = part.flow_to_f
     q1 = _flow_matrix(p_l.load_nums(), p_l.den, part.sorted_x_y,
-                      flow.per_source, part.mu_tau, flow)
+                      part.flow_to_f)
     p_l, _ = _move(p_l, q1, b_lift, trace, s, "merge-to-core")
 
     # step 2: cancel opposite masses by spreading over the inter-cluster
@@ -253,9 +216,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
             raise ReplayError("separator source %r needs flow scale %s over "
                               "the 3*alpha cap"
                               % (x, Fraction(load, den) / mu))
-    flow = part.flow_to_b
-    q4 = _flow_matrix(loads4, den, part.inner_x_y, flow.per_source,
-                      part.mu_tau, flow)
+    q4 = _flow_matrix(loads4, den, part.inner_x_y, part.flow_to_b)
     received = {}
     for (_, v), a in q4.nums.items():
         received[v] = received.get(v, 0) + a
@@ -331,8 +292,7 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
     for node in res.root.walk():
         if not node.cut_keys or node.route is None:
             continue
-        q = _flow_matrix(after.load_nums(), after.den, node.rows, node.rows,
-                         node.unit, node)
+        q = _flow_matrix(after.load_nums(), after.den, node.unit, node)
         if q.nums:
             after, _ = _move(after, q, b_lift, trace, s, "refine-route")
     stray = after.support_vertices() - res.view.x_boundary

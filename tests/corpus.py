@@ -133,6 +133,41 @@ def random_demand(rng, n, pairs=3):
     return DemandState(entries)
 
 
+def restrict(p, vs):
+    """The entries of the demand state p at the vertices vs."""
+    vs = frozenset(vs)
+    return DemandState({(v, k): a for (v, k), a in p.entries.items()
+                        if v in vs})
+
+
+def product_growth_ok(k: int, c) -> bool:
+    """prod_{l=1}^{k} (1 + c/l) <= k^(2c), checked exactly when 4c is an
+    integer (square both sides to clear the half-integral exponent)."""
+    c = Fraction(c)
+    e = 4 * c
+    if e.denominator != 1:
+        raise ValueError("needs 4c integral")
+    prod = Fraction(1)
+    for l in range(1, k + 1):
+        prod *= 1 + c / l
+    return prod ** 2 <= Fraction(k) ** int(e)
+
+
+def reference_unit_rows(rows):
+    """{x: [(sink, share)]}: the recorded Fraction rows of a stored flow
+    per unit of each source's row total, summed per sink other than the
+    source in first-seen order, zeros dropped."""
+    out = {}
+    for x, row in rows.items():
+        unit = sum((a for _, a in row), Fraction(0))
+        acc = {}
+        for sink, amt in row:
+            if sink != x:
+                acc[sink] = acc.get(sink, Fraction(0)) + amt / unit
+        out[x] = [(sink, a) for sink, a in acc.items() if a]
+    return out
+
+
 def reference_update(p, q):
     """P^(up Q) entry by entry: every matrix entry rescans P for the
     source's vector."""

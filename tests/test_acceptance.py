@@ -14,13 +14,14 @@ from treecut.flow import FlowNetwork, max_flow
 from treecut.graph import Graph, cut_capacity, subdivide
 from treecut.merge import MergePartition
 from treecut.oracle import check_outcome, check_refined
-from treecut.refine import RefinementResult, product_growth_ok
+from treecut.refine import RefinementResult
 from treecut.replay import full_replay
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 from treecut.verify import quality_envelope, verify_quality
 
-from corpus import (brute_min_cut, brute_tree_mincut, random_demand,
-                    random_graph, scale_to_respect, triangle_chain)
+from corpus import (brute_min_cut, brute_tree_mincut, product_growth_ok,
+                    random_demand, random_graph, scale_to_respect,
+                    triangle_chain)
 
 CORPUS_SIZE = 200
 
@@ -130,7 +131,7 @@ def test_criterion_04_demand_state_facts():
                           for k in range(3)})
         p2 = p2 - DemandState(
             {(rng.choice(verts), k): a
-             for k, a in p2.commodity_totals().items()})
+             for (_, k), a in p2.entries.items()})
         assert p2.is_valid()
         pv = diff
         side = frozenset(rng.sample(verts, rng.randint(1, 7)))

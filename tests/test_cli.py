@@ -280,7 +280,9 @@ class TestConfig:
 
     def test_out_of_range_constants_exit_two(self, tmp_path, capsys):
         """Each of these once ended in a traceback (or, for kappa, in a
-        build whose leaf-certificate targets were all 0)."""
+        build whose leaf-certificate targets were all 0, and for the
+        replay's two constants in a failing verdict on a valid replay of
+        the improved 3x4 ring)."""
         cfg = tmp_path / "bad.cfg"
         for line in ("merge_phi_coeff = 0", "merge_shrink_coeff = 0",
                      "merge_loop_slack = -100", "c_phi = -1",
@@ -289,6 +291,19 @@ class TestConfig:
             assert_usage_error(["build", "--input", RING, "--config",
                                 str(cfg), "--out", str(tmp_path / "t.json")],
                                capsys)
+        ring = ring_of_cliques_file(tmp_path / "ring.edges", 3, 4)
+        tree = tmp_path / "ring.json"
+        assert main(["build", "--input", ring, "--mode", "improved",
+                     "--out", str(tree)]) == 0
+        demands = tmp_path / "ring.demands"
+        demands.write_text("0 0 1 1\n5 0 -1 1\n")
+        replay = ["replay", "--graph", ring, "--tree", str(tree), "--demands",
+                  str(demands), "--cut", "0,1,2,3"]
+        assert main(replay) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+        for line in ("alpha_improved_cap = 0", "replay_tau_c = -1"):
+            cfg.write_text(line + "\n")
+            assert_usage_error(replay + ["--config", str(cfg)], capsys)
 
     def test_load_config_types(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -308,13 +323,16 @@ class TestConfig:
         for name in ("oracle_sparsity_c", "quality_C",
                      "oracle_congestion_cap", "oracle_congestion_limit",
                      "merge_phi_coeff", "merge_shrink_coeff", "c_phi",
-                     "c0_declared", "kappa"):
+                     "c0_declared", "kappa", "alpha_improved_cap"):
             for value in (Fraction(0), Fraction(-1, 2)):
                 with pytest.raises(ValueError, match=name):
                     Config(**{name: value})
         with pytest.raises(ValueError, match="merge_loop_slack"):
             Config(merge_loop_slack=-1)
         assert Config(merge_loop_slack=0).merge_loop_slack == 0
+        with pytest.raises(ValueError, match="replay_tau_c"):
+            Config(replay_tau_c=-1)
+        assert Config(replay_tau_c=0).replay_tau_c == 0
         for value in (Fraction(0), Fraction(-1), Fraction(3, 2)):
             with pytest.raises(ValueError, match="tau_basic"):
                 Config(tau_basic=value)

@@ -9,6 +9,8 @@ from treecut.demand import (DemandError, DemandMatrix, DemandState,
                             from_matrix, leaf_init, parse_demands,
                             respects_exact, update)
 
+from corpus import restrict
+
 
 def rand_valid_state(rng, vertices, commodities=2):
     """A random valid demand state: each commodity's masses sum to zero."""
@@ -50,7 +52,7 @@ class TestStateBasics:
                     q.add(u, (u + 1) % 5, l / 2)
             out = update(p, q)
             assert out.is_valid()
-            assert out.commodity_totals() == p.commodity_totals()
+            assert (out - p).is_valid()
 
     def test_update_zero_load_source_rejected(self):
         p = DemandState({(0, 0): 1, (1, 0): -1})
@@ -116,7 +118,7 @@ class TestMatrixStateBridge:
 
 def spread_all(p, vertices, weight_of=None):
     """Move every vertex's whole load over `vertices` by weight."""
-    q = DemandMatrix.spread(p.restrict_vertices(vertices).loads(), vertices,
+    q = DemandMatrix.spread(restrict(p, vertices).loads(), vertices,
                             weight_of)
     return update(p, q), q
 
@@ -162,7 +164,7 @@ class TestSpread:
         assert out.mass(0, 0) == out.mass(0, 1) == out.mass(1, 0) == 0
         assert out.mass(2, 0) == Fraction(-25, 7) + Fraction(8, 5) \
             - Fraction(6, 35)
-        assert out.commodity_totals() == p.commodity_totals()
+        assert (out - p).is_valid()
 
     def test_zero_target_weight_rejected(self):
         with pytest.raises(DemandError):
@@ -306,4 +308,4 @@ def test_update_validity_property(seed):
         return
     out, _ = spread_all(p, list(range(5)))
     assert out.is_valid()
-    assert out.commodity_totals() == p.commodity_totals() == {}
+    assert (out - p).is_valid() and p.is_valid()

@@ -110,7 +110,7 @@ class TestDecomposition:
                 assert a > 0
                 assert vs[0] in sources and vs[-1] in sinks
                 for i in range(len(vs) - 1):
-                    assert g.has_edge(vs[i], vs[i + 1])
+                    assert g.edge_capacity(vs[i], vs[i + 1])
 
     def test_decomposition_is_deterministic(self):
         g = parse_edge_list("0 1 2\n0 2 2\n1 3 2\n2 3 2\n")

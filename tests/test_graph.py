@@ -190,9 +190,9 @@ class TestClusterView:
 
     def test_g_tilde_keeps_inner_edges_whole(self):
         v = self.view
-        assert v.g_tilde.has_edge(0, 1)
+        assert v.g_tilde.edge_capacity(0, 1)
         x = self.sub.split(2, 3)
-        assert v.g_tilde.has_edge(2, x)
+        assert v.g_tilde.edge_capacity(2, x)
 
     def test_boundary_measure_weighting(self):
         # each boundary split weighs its edge's capacity

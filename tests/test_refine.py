@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from treecut.config import DEFAULT
-from treecut.graph import Graph
+from treecut.graph import Graph, edge_key
+from treecut.merge import MergePartition
+from treecut.oracle import CheckReport
 from treecut.refine import (RefineError, check_routing, f_value,
-                            product_envelope, product_growth_ok, refine,
-                            schedule_cf)
+                            product_envelope, refine, schedule_cf)
+from treecut.tree import build_basic, build_improved
 from treecut.util import rlog2, rloglog2
 
-from corpus import triangle_chain, view_of
+from corpus import (product_growth_ok, reference_unit_rows, ring_of_cliques,
+                    triangle_chain, view_of)
 
 
 def assert_rows_cover_cuts(res):
@@ -107,7 +110,7 @@ class TestGrowthBound:
         assert prod > k ** c
 
     def test_rejects_non_quarter_constants(self):
-        with pytest.raises(RefineError):
+        with pytest.raises(ValueError):
             product_growth_ok(4, Fraction(1, 3))
 
 
@@ -251,8 +254,9 @@ class TestRoutingTamper:
 
     def test_scaled_row_breaks_the_envelope(self):
         res, nodes = self.routed()
-        x, row = next(iter(nodes[0].rows.items()))
-        nodes[0].rows[x] = [(sink, amt * 10 ** 6) for sink, amt in row]
+        rows = nodes[0].unit_rows[1]
+        x, row = next(iter(rows.items()))
+        rows[x] = [(sink, a * 10 ** 6) for sink, a in row]
         rep = check_routing(res)
         assert any("envelope" in f for f in rep.failures), rep.failures
 
@@ -271,8 +275,9 @@ class TestRoutingTamper:
 
     def test_removed_row_entry_loses_mass(self):
         res, nodes = self.routed()
-        x, row = next(iter(nodes[0].rows.items()))
-        nodes[0].rows[x] = row[1:]
+        rows = nodes[0].unit_rows[1]
+        x, row = next(iter(rows.items()))
+        rows[x] = row[1:]
         rep = check_routing(res)
         assert any("moved" in f for f in rep.failures), rep.failures
         assert sum(res.boundary_loads.values()) < sum(
@@ -301,3 +306,122 @@ class TestRandomSweep:
             for cert in res.certificates:
                 assert cert.ok is not False
         assert len(case_tags) >= 3
+
+
+def reference_check_routing(res):
+    """check_routing in Fraction, from the recorded rows: each loaded cut
+    split gives up its whole load, and each sink receives amount * load /
+    unit of the split's row."""
+    rep = CheckReport()
+    sub = res.view.root
+    base_cap = sub.base.cap
+    n = sub.base.vertex_count
+    loads = {sub.split(u, v): Fraction(base_cap[(u, v)])
+             for u, v in res.inter_cluster_keys}
+    total = sum(loads.values(), Fraction(0))
+    usage = {}
+    for node in res.root.walk():
+        if not node.cut_keys:
+            continue
+        if node.route is None:
+            rep.fail("cut of %r is not routed" % sorted(node.dset))
+            continue
+        unit = node.unit
+        max_scale = max(loads.get(x, Fraction(0)) / unit[x] for x in unit)
+        for x, row in node.rows.items():
+            load = loads.get(x, Fraction(0))
+            if load == 0:
+                continue
+            scale = load / unit[x]
+            loads[x] = Fraction(0)
+            for sink, amt in row:
+                loads[sink] = loads.get(sink, Fraction(0)) + amt * scale
+        flow = node.route.flow
+        for (a, b), fval in flow.flow.items():
+            cap = flow.graph.edge_capacity(a, b)
+            k = edge_key(a, b)
+            usage[k] = usage.get(k, Fraction(0)) + abs(fval) / cap * max_scale
+        env = product_envelope(node.left_depth, n)
+        worst = max((loads.get(x, Fraction(0))
+                     / base_cap[sub.edge_of_split[x]]
+                     for x in node.sink_splits), default=Fraction(0))
+        if worst > env:
+            rep.fail("node %r at left depth %d: sink load %s per unit above "
+                     "the envelope %s" % (sorted(node.dset), node.left_depth,
+                                          worst, env))
+    loads = {x: l for x, l in loads.items() if l}
+    moved = sum(loads.values(), Fraction(0))
+    if moved != total:
+        rep.fail("routing moved %s of %s units" % (moved, total))
+    stray = sorted(set(loads) - res.view.x_boundary)
+    if stray:
+        rep.fail("routing left mass off the boundary at %r" % stray)
+    congestion = max(usage.values(), default=Fraction(0))
+    if congestion > 2:
+        rep.fail("edge congestion %s above 2" % congestion)
+    return rep, loads
+
+
+def random_refinements(seeds, per_seed):
+    """refine() on random_graph draws, per seed per_seed clusters with
+    sigma drawn as in TestRandomSweep, each at the default c_phi and at
+    c_phi = 100; a draw that raises RefineError is left out."""
+    cfgs = (DEFAULT, DEFAULT.replace(c_phi=Fraction(100)))
+    for seed in seeds:
+        rng = random.Random(seed)
+        for _ in range(per_seed):
+            n = rng.randint(3, 10)
+            g = random_graph(rng, n)
+            k = rng.randint(1, n - 1)
+            cluster = rng.sample(range(n), k)
+            sigma = rng.randint((3 * k + 1) // 2, 3 * k)
+            for cfg in cfgs:
+                try:
+                    yield refine(view_of(g, cluster), sigma, cfg)
+                except RefineError:
+                    pass
+
+
+def test_check_routing_matches_fraction_reference():
+    """The int check gives the Fraction check's verdict, failure texts and
+    boundary loads, failing verdicts included (95 split clusters and 13
+    failing verdicts among these 239 refinements)."""
+    splits = failing = 0
+    for res in random_refinements(range(4), 30):
+        want, loads = reference_check_routing(res)
+        rep = check_routing(res)
+        assert (rep.ok, rep.failures) == (want.ok, want.failures)
+        assert res.boundary_loads == loads
+        splits += len(res.clusters) > 1
+        failing += not rep.ok
+    assert splits > 50 and failing > 5
+
+
+def assert_unit_rows_recorded(flow, rows):
+    """flow.unit_rows holds the Fraction per-unit shares of its rows."""
+    e, nums = flow.unit_rows
+    got = [(x, [(sink, Fraction(a, e)) for sink, a in row])
+           for x, row in nums.items()]
+    assert got == list(reference_unit_rows(rows).items())
+
+
+def test_every_stored_flow_holds_its_unit_rows():
+    routed = 0
+    for g in (ring_of_cliques(3, 4), ring_of_cliques(4, 4)):
+        for build in (build_basic, build_improved):
+            for node in build(g).nodes():
+                if isinstance(node.detail, MergePartition):
+                    for flow in (node.detail.flow_to_b, node.detail.flow_to_f):
+                        assert_unit_rows_recorded(flow, flow.per_source)
+                        routed += 1
+                if node.refinement is not None:
+                    for b in node.refinement.root.walk():
+                        if b.route is not None:
+                            assert_unit_rows_recorded(b, b.rows)
+                            routed += 1
+    res = refine(view_of(triangle_chain(), range(12)), 18)
+    for b in res.root.walk():
+        if b.route is not None:
+            assert_unit_rows_recorded(b, b.rows)
+            routed += 1
+    assert routed > 3

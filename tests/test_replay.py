@@ -11,6 +11,7 @@ from treecut import oracle, replay
 from treecut.config import DEFAULT
 from treecut.demand import DemandMatrix, DemandState, parse_demands
 from treecut.graph import Graph, parse_edge_list
+from treecut.merge import SeparatorFlow
 from treecut.refine import refine
 from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
                             full_replay, replay_merge_cluster,
@@ -18,9 +19,9 @@ from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
 from treecut.tree import build_basic, build_improved, mincut_in_tree
 
 from corpus import (random_demand, random_graph, reference_leaf_init,
-                    reference_spread, reference_sum, reference_update,
-                    ring_of_cliques, scale_to_respect, triangle_chain,
-                    view_of)
+                    reference_spread, reference_sum, reference_unit_rows,
+                    reference_update, ring_of_cliques, scale_to_respect,
+                    triangle_chain, view_of)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 # sha256 of the ring8 replay for the cut {0, 1, 2}: ledger report lines,
@@ -492,22 +493,34 @@ def test_refine_route_step_pinned():
     assert hashlib.sha256(blob.encode()).hexdigest() == REFINE_ROUTE
 
 
-def reference_flow_matrix(loads, den, sources, rows, unit, flow):
-    """replay._flow_matrix in Fraction, from the stored rows themselves
-    (flow, where the kernel keeps their int form, is not read): each source
-    x with load loads[x] / den sends amount * load / unit[x] to each sink
-    other than itself, summed per (source, sink) pair."""
+def reference_flow_matrix(loads, den, sources, flow):
+    """replay._flow_matrix in Fraction, from the flow's recorded rows
+    (per_source of a SeparatorFlow, rows of a refinement BinaryNode) and
+    not their int form: each source x with load loads[x] / den sends its
+    load times its per-unit share to each sink other than itself, a row's
+    unit being its total."""
+    rows = flow.per_source if isinstance(flow, SeparatorFlow) else flow.rows
+    shares = reference_unit_rows(rows)
     entries = {}
     for x in sources:
         load = Fraction(loads.get(x, 0), den)
-        if load == 0:
-            continue
-        scale = load / unit[x]
-        for sink, amt in rows[x]:
-            if sink != x and amt:
-                entries[(x, sink)] = entries.get((x, sink), Fraction(0)) + \
-                    amt * scale
+        if load:
+            for sink, a in shares[x]:
+                entries[(x, sink)] = load * a
     return DemandMatrix(entries)
+
+
+def random_ring(rng):
+    """A ring of 2-4 triangles with capacities 1..9 inside each triangle
+    and 1..3 on the edges joining them."""
+    k = rng.randint(2, 4)
+    edges = []
+    for c in range(k):
+        a = 3 * c
+        edges += [(a, a + 1, rng.randint(1, 9)), (a, a + 2, rng.randint(1, 9)),
+                  (a + 1, a + 2, rng.randint(1, 9)),
+                  (a + 2, 3 * ((c + 1) % k), rng.randint(1, 3))]
+    return Graph(range(3 * k), edges)
 
 
 def ring_cases():
@@ -531,7 +544,8 @@ def ring_cases():
 def fraction_kernels(monkeypatch):
     """Run the replay on the Fraction references of update, sum_states,
     leaf_init, spread and the flow matrix; yields the count of reference
-    calls per name."""
+    calls per name, and of nonempty flow matrices as "flow_matrix
+    nonempty"."""
     calls = {}
 
     def counted(name, fn):
@@ -539,6 +553,13 @@ def fraction_kernels(monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return fn(*args)
         return run
+
+    def flow_matrix(*args):
+        out = reference_flow_matrix(*args)
+        if out.nums:
+            calls["flow_matrix nonempty"] = \
+                calls.get("flow_matrix nonempty", 0) + 1
+        return out
 
     with monkeypatch.context() as m:
         m.setattr(replay, "update", counted("update", reference_update))
@@ -548,7 +569,7 @@ def fraction_kernels(monkeypatch):
         m.setattr(DemandMatrix, "spread",
                   staticmethod(counted("spread", reference_spread)))
         m.setattr(replay, "_flow_matrix",
-                  counted("flow_matrix", reference_flow_matrix))
+                  counted("flow_matrix", flow_matrix))
         yield calls
 
 
@@ -598,14 +619,17 @@ class TestFractionKernels:
         assert got == want
         assert min(calls.get(name, 0) for name in
                    ("update", "sum_states", "leaf_init", "spread",
-                    "flow_matrix")) > 0
+                    "flow_matrix", "flow_matrix nonempty")) > 0
 
-    def test_random_graphs_both_modes(self, monkeypatch):
-        rng = random.Random(41)
-        cases, graphs = [], 0
-        while graphs < 40:
-            n = rng.randint(3, 9)
-            g = random_graph(rng, n, 0.55, 6)
+    @staticmethod
+    def random_cases(rng, graphs, draw):
+        """Cases on both modes' trees of `graphs` graphs from draw(rng),
+        each with a random demand state scaled until both trees 1-respect
+        it and a random cut; a graph a tree cannot respect is redrawn."""
+        cases = []
+        while graphs:
+            g = draw(rng)
+            n = g.vertex_count
             p0 = random_demand(rng, n)
             b = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
             trees = [build(g) for build in (build_basic, build_improved)]
@@ -613,7 +637,17 @@ class TestFractionKernels:
             if None in ps:
                 continue
             cases += [(t, p, b) for t, p in zip(trees, ps)]
-            graphs += 1
+            graphs -= 1
+        return cases
+
+    def test_random_graphs_both_modes(self, monkeypatch):
+        """Random graphs, whose stored flows the replay never loads, and
+        rings of 2-4 triangles with random capacities, whose flows it
+        does."""
+        cases = self.random_cases(
+            random.Random(41), 40,
+            lambda rng: random_graph(rng, rng.randint(3, 9), 0.55, 6))
+        cases += self.random_cases(random.Random(43), 24, random_ring)
         self.assert_same_replays(monkeypatch, cases)
 
     def test_rings(self, monkeypatch):
