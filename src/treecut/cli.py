@@ -15,7 +15,7 @@ from .oracle import (check_outcome, check_refined, cut_or_expander,
                      refined_cut_or_expander)
 from .replay import ReplayError, full_replay
 from .tree import DecompositionTree, TreeError, build_basic, build_improved
-from .util import frac_str, parse_frac
+from .util import data_lines, frac_str, parse_frac
 from .verify import VerifyError, quality_envelope, verify_quality
 
 
@@ -71,8 +71,8 @@ def _line_vertices(text):
     """The vertex that opens each data line of a measure or demands file
     that parsed; the parsed objects drop zero entries, so only the lines
     show every vertex the file names."""
-    lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
-    return [int(parts[0]) for parts in lines if parts]
+    return [int(line.split()[0])
+            for _, line in data_lines(text.splitlines())]
 
 
 def _parse_cut(text, g):
@@ -107,9 +107,13 @@ def cmd_build(args):
     # every refinement records its routing verdict (refine.check_routing)
     refined = [n.refinement for n in t.nodes() if n.refinement is not None]
     failed = sum(not res.routing.ok for res in refined)
-    print("built %s tree: %d nodes, %d leaves, %d refinements, %d failed "
-          "routing" % (args.mode, len(t.nodes()), len(t.leaves()),
-                       len(refined), failed), file=sys.stderr)
+    summary = ("built %s tree: %d nodes, %d leaves, %d refinements, %d "
+               "failed routing" % (args.mode, len(t.nodes()), len(t.leaves()),
+                                   len(refined), failed))
+    # the paper's refinement schedule holds at the default c_phi only
+    if cfg.c_phi != DEFAULT.c_phi:
+        summary += "; off-schedule c_phi = %s" % frac_str(cfg.c_phi)
+    print(summary, file=sys.stderr)
     return 0
 
 

@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from .graph import _ZERO, Graph, SizeError, SubdivisionGraph, _min_ratio_side
 from .config import DEFAULT
-from .util import parse_frac
+from .util import data_lines, parse_frac
 
 
 class DemandError(ValueError):
@@ -100,10 +100,10 @@ class DemandMatrix(_IntEntries):
         return Fraction(self.dem_num(side), self.den)
 
     @classmethod
-    def spread(cls, mass, targets, weight_of=None, den=1):
+    def spread(cls, mass, targets, weight_of, den=1):
         """Q(u, v) = (mass[u] / den) * w(v) / W for every u in mass and
-        every target v != u, where W is the total weight of the targets (1
-        each when weight_of is None).
+        every target v != u, where w = weight_of and W is the total weight
+        of the targets.
 
         With mass = the load numerators (over den) of the sources among the
         targets, `update` leaves every target holding the share w(v)/W of
@@ -111,10 +111,7 @@ class DemandMatrix(_IntEntries):
         the target set.
         """
         vs = sorted(targets)
-        if weight_of is None:
-            weights = [1] * len(vs)
-        else:
-            weights = [_frac(weight_of(v)) for v in vs]
+        weights = [_frac(weight_of(v)) for v in vs]
         sources = sorted(mass)
         masses = [_frac(mass[u]) for u in sources]
         # Q(u, v) = (m_u * c) * (w_v * e) / (den * c * e * W) with c, e the
@@ -146,18 +143,6 @@ class DemandState(_IntEntries):
 
     def __init__(self, entries=()):
         self._set_entries({key: _frac(a) for key, a in dict(entries).items()})
-
-    def mass(self, v, k):
-        n = self.nums.get((v, k))
-        return Fraction(n, self.den) if n else _ZERO
-
-    def vector(self, v):
-        return {k: Fraction(n, self.den) for (u, k), n in self.nums.items()
-                if u == v}
-
-    def load(self, v):
-        return Fraction(sum(abs(n) for (u, _), n in self.nums.items()
-                            if u == v), self.den)
 
     def _commodity_nums(self, side=None):
         """{commodity: sum of its numerators} over the entries at the
@@ -413,10 +398,7 @@ def invariant_check(p: DemandState, view, original: DemandState, alpha):
 def parse_demands(text: str) -> DemandState:
     """Quadruple lines: `vertex commodity numerator denominator`."""
     entries = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text.splitlines()):
         parts = line.split()
         if len(parts) != 4:
             raise DemandError("line %d: expected `v k num den`" % lineno)

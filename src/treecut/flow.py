@@ -52,9 +52,6 @@ class FlowSolution:
         self.sink_in = {k: v for k, v in sink_in.items() if v}
         self.value = value
 
-    def net(self, u, v):
-        return self.flow.get((u, v), Fraction(0)) - self.flow.get((v, u), Fraction(0))
-
     def congestion(self):
         """max over base edges of |flow| / capacity (original capacities)."""
         worst = Fraction(0)
@@ -311,6 +308,11 @@ def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap):
     return RouteResult(sol.value == total, sol)
 
 
+# escalate doubles the congestion cap from Config.oracle_congestion_cap up
+# to this limit, and only then boosts the sink caps.
+ORACLE_CONGESTION_LIMIT = Fraction(64)
+
+
 class RouteRecord:
     """A Remark-style routing flow with the constants actually used."""
 
@@ -327,8 +329,9 @@ def escalate(solve, sink_caps, cfg: Config, boost_limit=64):
     """The one congestion-escalation loop: solve(caps, cap) routes once with
     sink caps `caps` at congestion cap `cap` and returns a RouteResult.
 
-    The cap doubles from oracle_congestion_cap up to oracle_congestion_limit,
-    then the sink caps are multiplied by a boost doubling up to boost_limit.
+    The cap doubles from cfg.oracle_congestion_cap up to
+    ORACLE_CONGESTION_LIMIT, then the sink caps are multiplied by a boost
+    doubling up to boost_limit.
     Returns the RouteRecord of the first feasible level (within_declared
     only at the first), or None when no level routes.
     """
@@ -338,7 +341,7 @@ def escalate(solve, sink_caps, cfg: Config, boost_limit=64):
         res = solve(caps, cap)
         if res.feasible:
             return RouteRecord(res.flow, cap, caps, boost, within)
-        if cap < cfg.oracle_congestion_limit:
+        if cap < ORACLE_CONGESTION_LIMIT:
             cap = cap * 2
         elif boost < boost_limit:
             boost = boost * 2

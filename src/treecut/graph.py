@@ -21,7 +21,7 @@ from math import lcm
 import numpy as np
 
 from .config import DEFAULT
-from .util import int_dtype, parse_frac
+from .util import data_lines, int_dtype, parse_frac
 
 
 class GraphError(ValueError):
@@ -509,10 +509,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     edges = []
     max_v = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text.splitlines()):
         parts = line.split()
         if len(parts) not in (2, 3):
             raise GraphError("line %d: expected `u v [cap]`" % lineno)
@@ -537,10 +534,7 @@ def format_edge_list(g: Graph) -> str:
 def parse_measure(text: str) -> Measure:
     """One line per vertex: `v weight`; weights are rationals."""
     weights = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text.splitlines()):
         parts = line.split()
         if len(parts) != 2:
             raise GraphError("line %d: expected `v weight`" % lineno)

@@ -6,7 +6,6 @@ core L (separated from the cluster boundary) and a remainder R by an exact
 max-flow separator, and intersects with the Z_i to get sub-clusters.
 """
 
-import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -16,6 +15,14 @@ from .graph import ClusterView, Graph, components_without, edge_key
 from .flow import (FlowNetwork, FlowSolution, RouteResult, escalate,
                    max_flow, path_decomposition)
 from .oracle import cut_or_expander, _log2n
+
+
+# Balanced clustering: the oracle is called at phi = MERGE_PHI_COEFF /
+# log2(n); with the peeling balance guarantees this makes every accepted
+# separator at most 1/2-sparse, so each shrink multiplies the inter-cluster
+# edge capacity by at most (1 - MERGE_SHRINK_COEFF / log2(n)).
+MERGE_PHI_COEFF = Fraction(1, 6)
+MERGE_SHRINK_COEFF = Fraction(1, 8)
 
 
 class MergeError(ValueError):
@@ -84,10 +91,10 @@ def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT):
         raise MergeError("shrink_step requires F to induce a balanced clustering")
     gsub = view.sub_in
     logn = _log2n(gsub.vertex_count)
-    phi = cfg.merge_phi_coeff / logn
+    phi = MERGE_PHI_COEFF / logn
     mu = view.split_measure(f_keys)
     outcome = cut_or_expander(gsub, phi, mu, cfg)
-    threshold = cfg.oracle_sparsity_c * phi * logn   # = merge_phi_coeff
+    threshold = outcome.threshold   # = MERGE_PHI_COEFF
     if outcome.tag == "Expander":
         return ShrinkResult(2, a_edges=f_keys, c_edges=frozenset(),
                             outcome=outcome, alpha=threshold)
@@ -158,29 +165,24 @@ def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT) \
         comps = view.graph_in.components()
         return BalancedClustering(view, comps, frozenset(), frozenset(),
                                   None, outcomes, 0)
-    logn = float(_log2n(view.sub_in.vertex_count))
-    shrink = float(cfg.merge_shrink_coeff) / logn
-    cap_f = _cap_of(view, f)
-    bound = math.ceil(math.log(max(2, cap_f)) / -math.log(1 - shrink)) \
-        + cfg.merge_loop_slack
+    # The loop needs no iteration bound.  c(F) is an int, at least 1 while
+    # F is not empty (capacities are ints >= 1), and the contraction check
+    # makes each shrink step multiply it by at most shrink < 1, so F would
+    # be empty after log_{1/shrink} c(F) + 1 steps.  A step on an empty F
+    # fails the balance precondition or meets a zero measure, which the
+    # oracle answers Expander: either way the loop ends.
+    shrink = 1 - MERGE_SHRINK_COEFF / _log2n(view.sub_in.vertex_count)
     iters = 0
-    result = None
     while True:
         iters += 1
-        if iters > bound:
-            raise MergeError("shrink loop exceeded its bound of %d" % bound)
         res = shrink_step(view, f, cfg)
         outcomes.append(res.outcome)
         if res.case == 2:
-            result = res
             break
-        new_cap = _cap_of(view, res.f_new)
-        old_cap = _cap_of(view, f)
-        if Fraction(new_cap) > Fraction(old_cap) * \
-                (1 - cfg.merge_shrink_coeff / _log2n(view.sub_in.vertex_count)):
+        if _cap_of(view, res.f_new) > _cap_of(view, f) * shrink:
             raise MergeError("shrink step failed its contraction bound")
         f = res.f_new
-    f_tilde = frozenset(result.a_edges | result.c_edges)
+    f_tilde = frozenset(res.a_edges | res.c_edges)
     ok, comps = is_balanced_clustering(view.graph_in, f_tilde)
     if not ok:
         raise MergeError("terminal F does not induce a balanced clustering")
@@ -193,7 +195,7 @@ def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT) \
                         if comp_of[u] != comp_of[v])
     if not f_final <= f_tilde:
         raise MergeError("re-tightened F escaped the terminal F")
-    return BalancedClustering(view, comps, f_final, f_tilde, result.alpha,
+    return BalancedClustering(view, comps, f_final, f_tilde, res.alpha,
                               outcomes, iters)
 
 

@@ -27,6 +27,11 @@ from .graph import Graph, Measure, cut_expansion, min_ratio_cut
 from .util import rlog2
 
 
+# The oracle peels while the sparsest-cut ratio is below
+# ORACLE_SPARSITY_C * phi * log2(n).
+ORACLE_SPARSITY_C = Fraction(1)
+
+
 class OracleError(ValueError):
     pass
 
@@ -189,7 +194,7 @@ class OracleOutcome:
         self.certificate = certificate          # for Expander cases
         self.degenerate = degenerate
         self.logn = _log2n(g.vertex_count)
-        self.threshold = cfg.oracle_sparsity_c * self.phi * self.logn
+        self.threshold = ORACLE_SPARSITY_C * self.phi * self.logn
 
     @property
     def peeled(self):
@@ -211,7 +216,7 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
     if phi <= 0:
         raise OracleError("phi must be positive")
     logn = _log2n(g.vertex_count)
-    threshold = cfg.oracle_sparsity_c * phi * logn
+    threshold = ORACLE_SPARSITY_C * phi * logn
     mu_total = mu.of(g.vertices)
     residual = set(g.vertices)
     cum = Fraction(0)

@@ -26,19 +26,22 @@ class RefineError(ValueError):
     pass
 
 
-def schedule_cf(cfg: Config) -> Fraction:
-    """The schedule coefficient 4*c0/log2(4/3)."""
-    return 4 * cfg.c0_declared / rlog2(Fraction(4, 3))
+# Declared routing constant c0; the verifier asserts measured <= declared.
+C0_DECLARED = Fraction(1)
+# The schedule coefficient c_f = 4*c0/log2(4/3).
+SCHEDULE_CF = 4 * C0_DECLARED / rlog2(Fraction(4, 3))
+# Boundary all-to-all respect rate for refinement leaves: kappa/(f*log n).
+KAPPA = Fraction(1, 384)
 
 
-def f_value(cluster_size: int, sigma: int, n: int, cfg: Config = DEFAULT):
+def f_value(cluster_size: int, sigma: int, n: int):
     """Schedule value c_f * log2(sigma/|S|) * max(1, log2 log2 n)."""
     if cluster_size < 1 or sigma < 1:
         raise RefineError("sizes must be positive")
     if 2 * sigma < 3 * cluster_size:
         raise RefineError("schedule needs sigma >= (3/2)|S|; got sigma=%d "
                           "for |S|=%d" % (sigma, cluster_size))
-    return schedule_cf(cfg) * rlog2(Fraction(sigma, cluster_size)) \
+    return SCHEDULE_CF * rlog2(Fraction(sigma, cluster_size)) \
         * rloglog2(max(2, n))
 
 
@@ -229,7 +232,7 @@ class _Builder:
             raise RefineError("refinement recursion exceeded its depth guard")
         dset = frozenset(dset)
         cfg = self.cfg
-        f = f_value(len(dset), self.sigma, self.n, cfg)
+        f = f_value(len(dset), self.sigma, self.n)
         view = self.sub_root.view(dset)
         mu = view.boundary_measure()
         if mu.total() == 0 or len(dset) == 1:
@@ -284,27 +287,20 @@ class _Builder:
             raise RefineError("degenerate three-way cut in %r" % sorted(dset))
         for child in (a2, mid) + ((pre,) if pre else ()):
             _check_contraction(self.g, dset, child, node)
-        if not pre:
-            # the outer cut vanished: this node carries the inner cut only
-            if 4 * len(a2) > 3 * len(dset):
-                raise RefineError("left child exceeds 3/4 of its parent")
-            node.left = self.build(a2, depth + 1, j + 1)
-            node.right = self.build(mid, depth + 1, j)
-            self._attach_route(node, a2, dset, mid, phi, logt)
-            return node
-        if 4 * len(pre) > 3 * len(dset):
+        if 4 * len(pre) > 3 * len(dset) or 4 * len(a2) > 3 * len(a1):
             raise RefineError("left child exceeds 3/4 of its parent")
-        inner = BinaryNode(a1, "2c-inner", j)
-        if 4 * len(a2) > 3 * len(a1):
-            raise RefineError("left child exceeds 3/4 of its parent")
+        # when the outer cut vanished (a1 = dset) this node carries the
+        # inner cut only
+        inner = BinaryNode(a1, "2c-inner", j) if pre else node
         inner.left = self.build(a2, depth + 1, j + 1)
         inner.right = self.build(mid, depth + 1, j)
         # the inner cut routes with the outer cluster's schedule and targets
         # the outer cluster's boundary (its own cut splits are not sinks)
         self._attach_route(inner, a2, dset, mid, phi, logt)
-        node.left = self.build(pre, depth + 1, j + 1)
-        node.right = inner
-        self._attach_route(node, pre, dset, a1, phi, logt)
+        if pre:
+            node.left = self.build(pre, depth + 1, j + 1)
+            node.right = inner
+            self._attach_route(node, pre, dset, a1, phi, logt)
         return node
 
     def _attach_route(self, node, left_set, ctx_set, right_set, phi, logt):
@@ -313,7 +309,7 @@ class _Builder:
             if (u in left_set and v in right_set)
             or (v in left_set and u in right_set)))
         node.cut_keys = cut_keys
-        rate = self.cfg.c0_declared * phi * logt
+        rate = C0_DECLARED * phi * logt
         route, sinks = _route_cut_to_left(self.sub_root, left_set, ctx_set,
                                           cut_keys, rate, self.cfg)
         node.sink_splits = sinks
@@ -346,9 +342,9 @@ def refine(view: ClusterView, sigma: int, cfg: Config = DEFAULT) \
 
 def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
     n = sub_root.base.vertex_count
-    f = f_value(len(cluster), sigma, n, cfg)
+    f = f_value(len(cluster), sigma, n)
     view = sub_root.view(cluster)
-    target = cfg.kappa / (f * _log2n(n))
+    target = KAPPA / (f * _log2n(n))
     if not view.x_boundary:
         return LeafCertificate(target, None, "exact", True)
     if view.sprime.vertex_count > cfg.brute_threshold:

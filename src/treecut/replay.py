@@ -30,6 +30,11 @@ from .verify import quality_envelope
 
 
 _ONE = Fraction(1)
+# Load growth per merge replay: alpha' = alpha * (1 + REPLAY_TAU_C * tau).
+REPLAY_TAU_C = 6
+# Per-cluster load cap asserted after the improved-mode uniformization and
+# boundary routing reset.
+ALPHA_IMPROVED_CAP = Fraction(8)
 
 
 class ReplayError(ValueError):
@@ -90,13 +95,22 @@ class ChargeLedger:
 
 class ReplayTrace:
     """Per-step record: which cluster, which move, how much demand the
-    applied matrix carries across the cut, and how much actually moved."""
+    applied matrix carries across the cut, and how much actually moved.
+    A step keeps both amounts as int numerators and denominators, and
+    `steps` makes their Fractions when it is read."""
 
     def __init__(self):
-        self.steps = []
+        self._steps = []
 
-    def record(self, members, label, q_dem, diff_dem):
-        self.steps.append((frozenset(members), label, q_dem, diff_dem))
+    def record(self, members, label, q_num, q_den, diff_num, diff_den):
+        self._steps.append((frozenset(members), label, q_num, q_den,
+                            diff_num, diff_den))
+
+    @property
+    def steps(self):
+        """[(members, label, carried demand, moved demand)]."""
+        return [(m, label, Fraction(qn, qd), Fraction(dn, dd))
+                for m, label, qn, qd, dn, dd in self._steps]
 
 
 def crossing_edges(g: Graph, side):
@@ -117,25 +131,24 @@ def _move(state, q, b_lift, trace, members, label):
     """Apply the matrix q to state and check the move: the difference must
     be a valid demand state, and the demand it moves across the lifted cut
     is bounded by the matrix's own cut demand.  Returns (new state, moved
-    demand)."""
+    demand numerator, its denominator)."""
     new = update(state, q)
     diff = state - new
     if not diff.is_valid():
         raise ReplayError("%s: update difference is not a valid demand "
                           "state" % label)
     moved, carried = diff.dem_num(b_lift), q.dem_num(b_lift)
-    diff_dem = Fraction(moved, diff.den)
-    q_dem = Fraction(carried, q.den)
     if moved * q.den > carried * diff.den:
         raise ReplayError("%s: moved %s across the cut but the applied "
                           "matrix only accounts for %s"
-                          % (label, diff_dem, q_dem))
-    trace.record(members, label, q_dem, diff_dem)
-    return new, diff_dem
+                          % (label, Fraction(moved, diff.den),
+                             Fraction(carried, q.den)))
+    trace.record(members, label, carried, q.den, moved, diff.den)
+    return new, moved, diff.den
 
 
 def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
-                         original, cfg: Config, ledger, trace):
+                         original, ledger, trace):
     """Merge the sub-cluster demand states of one cluster into a state on
     the cluster boundary, step by step along the stored separator flows.
 
@@ -172,7 +185,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     # splits, scaling each stored per-source flow to the load present
     q1 = _flow_matrix(p_l.load_nums(), p_l.den, part.sorted_x_y,
                       part.flow_to_f)
-    p_l, _ = _move(p_l, q1, b_lift, trace, s, "merge-to-core")
+    p_l, _, _ = _move(p_l, q1, b_lift, trace, s, "merge-to-core")
 
     # step 2: cancel opposite masses by spreading over the inter-cluster
     # splits, proportionally to capacity
@@ -182,7 +195,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
         loads = p_l.load_nums()
         q2 = DemandMatrix.spread({x: n for x, n in loads.items() if x in x_f},
                                  x_f, unit_cap, p_l.den)
-        p_l, _ = _move(p_l, q2, b_lift, trace, s, "merge-spread")
+        p_l, _, _ = _move(p_l, q2, b_lift, trace, s, "merge-spread")
 
     # the surviving mass must fit the capacity of the separator edges that
     # are not boundary edges touching the far side
@@ -196,7 +209,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     if p_l.nums:
         q3 = DemandMatrix.spread(p_l.load_nums(), part.x_y_tilde, unit_cap,
                                  p_l.den)
-        p_l, _ = _move(p_l, q3, b_lift, trace, s, "merge-to-sep")
+        p_l, _, _ = _move(p_l, q3, b_lift, trace, s, "merge-to-sep")
         loads3, den = p_l.load_nums(), p_l.den
         for y in part.x_y_tilde:
             load = loads3.get(y, 0)
@@ -230,11 +243,11 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
                               "6*alpha*tau cap %s"
                               % (xb, Fraction(got, q4.den),
                                  Fraction(cap6, c6d)))
-    after, _ = _move(p4, q4, b_lift, trace, s, "merge-to-boundary")
+    after, _, _ = _move(p4, q4, b_lift, trace, s, "merge-to-boundary")
 
-    # alpha * (1 + replay_tau_c * tau)
+    # alpha * (1 + REPLAY_TAU_C * tau)
     alpha_out = Fraction(
-        an * (tau.denominator + cfg.replay_tau_c * tau.numerator),
+        an * (tau.denominator + REPLAY_TAU_C * tau.numerator),
         ad * tau.denominator)
     ok, why = invariant_check(after, view, original, alpha_out)
     if not ok:
@@ -266,7 +279,7 @@ def uniformize_refined(state, view: ClusterView, b_lift, ledger, trace):
     q = DemandMatrix.spread({x: n for x, n in loads.items() if x in x_b},
                             x_b, lambda x: base_cap[sub.edge_of_split[x]],
                             state.den)
-    new, dem_diff = _move(state, q, b_lift, trace, s, "refine-uniformize")
+    new, moved, den = _move(state, q, b_lift, trace, s, "refine-uniformize")
     cap_b = view.boundary_capacity()
     if new.total_num() > cap_b * new.den:
         raise ReplayError("uniformized load %s exceeds the boundary "
@@ -276,7 +289,7 @@ def uniformize_refined(state, view: ClusterView, b_lift, ledger, trace):
         if loads.get(x, 0) > base_cap[sub.edge_of_split[x]] * new.den:
             raise ReplayError("uniformized split %r is over its capacity"
                               % (x,))
-    _charge(ledger, view, b_lift, "refine-uniformize", dem_diff)
+    _charge(ledger, view, b_lift, "refine-uniformize", Fraction(moved, den))
     return new
 
 
@@ -294,7 +307,7 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
             continue
         q = _flow_matrix(after.load_nums(), after.den, node.unit, node)
         if q.nums:
-            after, _ = _move(after, q, b_lift, trace, s, "refine-route")
+            after, _, _ = _move(after, q, b_lift, trace, s, "refine-route")
     stray = after.support_vertices() - res.view.x_boundary
     if stray:
         raise ReplayError("refinement routing left demand off the cluster "
@@ -419,7 +432,7 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
                 alpha_in = max(alpha_in, a)
         if t.mode == "basic":
             return replay_merge_cluster(states, part, b_lift, alpha_in, p,
-                                        cfg, ledger, trace)
+                                        ledger, trace)
         # an improved merge starts from the load factor its routing leaves
         sub_states, alpha_in = {}, _ONE
         for s_i in part.sub_clusters:
@@ -434,11 +447,11 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
                 alpha_in = max(alpha_in, a)
             sub_states[s_i] = total
         after, alpha_out = replay_merge_cluster(
-            sub_states, part, b_lift, alpha_in, p, cfg, ledger, trace)
-        if alpha_out > cfg.alpha_improved_cap:
+            sub_states, part, b_lift, alpha_in, p, ledger, trace)
+        if alpha_out > ALPHA_IMPROVED_CAP:
             raise ReplayError("combined load factor %s exceeds the "
-                              "configured cap %s"
-                              % (alpha_out, cfg.alpha_improved_cap))
+                              "declared cap %s"
+                              % (alpha_out, ALPHA_IMPROVED_CAP))
         return after, alpha_out
 
     if t.root.detail is None and t.root.children \

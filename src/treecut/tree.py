@@ -264,12 +264,8 @@ def _grow(g: Graph, cfg: Config, mode: str, tau) -> DecompositionTree:
 
 
 def build_basic(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
-    """Merge phases alone, with the small separator weight cfg.tau_basic
-    (1/log2 n when unset)."""
-    tau = cfg.tau_basic
-    if tau is None:
-        tau = Fraction(1) / _log2n(g.vertex_count)
-    return _grow(g, cfg, "basic", Fraction(tau))
+    """Merge phases alone, with the small separator weight 1/log2 n."""
+    return _grow(g, cfg, "basic", Fraction(1) / _log2n(g.vertex_count))
 
 
 def build_improved(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:

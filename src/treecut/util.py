@@ -1,4 +1,5 @@
-"""Small shared helpers: rational logs, ceilings, deterministic formatting."""
+"""Small shared helpers: rational logs, ceilings, deterministic formatting,
+'#'-commented data lines."""
 
 import math
 from fractions import Fraction
@@ -51,6 +52,15 @@ def parse_frac(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (s,)) from None
+
+
+def data_lines(lines):
+    """(line number from 1, text) of each line that holds anything besides
+    a '#' comment and blanks, with the comment and the outer blanks cut."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def int_dtype(bound):

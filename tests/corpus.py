@@ -168,6 +168,11 @@ def reference_unit_rows(rows):
     return out
 
 
+def vector(p, v):
+    """{commodity: mass} of the demand state p at vertex v."""
+    return {k: a for (u, k), a in p.entries.items() if u == v}
+
+
 def reference_update(p, q):
     """P^(up Q) entry by entry: every matrix entry rescans P for the
     source's vector."""
@@ -181,26 +186,23 @@ def reference_update(p, q):
             raise DemandError("update source %r has zero load" % (u,))
     for (u, v), a in q.entries.items():
         lu = loads[u]
-        for k, m in p.vector(u).items():
+        for k, m in vector(p, u).items():
             share = (m / lu) * a
             out[(v, k)] = out.get((v, k), Fraction(0)) + share
     for u, sent in row.items():
         if sent == 0:
             continue
         lu = loads[u]
-        for k, m in p.vector(u).items():
+        for k, m in vector(p, u).items():
             out[(u, k)] = out.get((u, k), Fraction(0)) - (m / lu) * sent
     return DemandState(out)
 
 
-def reference_spread(mass, targets, weight_of=None, den=1):
+def reference_spread(mass, targets, weight_of, den=1):
     """DemandMatrix.spread in Fraction, the masses taken over den: every
     entry goes through add."""
     vs = sorted(targets)
-    if weight_of is None:
-        w = {v: Fraction(1) for v in vs}
-    else:
-        w = {v: Fraction(weight_of(v)) for v in vs}
+    w = {v: Fraction(weight_of(v)) for v in vs}
     total = sum(w.values(), Fraction(0))
     if total == 0:
         raise DemandError("spread needs positive total target weight")
@@ -235,7 +237,7 @@ def reference_leaf_init(p, sub):
     g = sub.base
     out = {}
     for v in g.vertices:
-        vec = p.vector(v)
+        vec = vector(p, v)
         load = sum((abs(a) for a in vec.values()), Fraction(0))
         deg = g.degree(v)
         if load > deg:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -269,75 +270,85 @@ class TestConfig:
                      "--config", str(cfg)]) == 0
         assert "within: True" in capsys.readouterr().out
 
-    def test_zero_tau_basic_exits_two(self, tmp_path, capsys):
-        ring = ring_of_cliques_file(tmp_path / "ring.edges", 6, 4)
-        cfg = tmp_path / "tau.cfg"
-        for value in ("0", "-1/2", "3/2"):
-            cfg.write_text("tau_basic = %s\n" % value)
-            assert_usage_error(["build", "--input", ring, "--config",
-                                str(cfg), "--out", str(tmp_path / "t.json")],
-                               capsys)
+    def test_off_schedule_c_phi_is_labelled(self, tmp_path, capsys):
+        """The build summary names a c_phi off the paper's schedule and
+        says nothing of c_phi at the default, written out or not."""
+        ring = ring_of_cliques_file(tmp_path / "ring.edges", 3, 4)
+        cfg, out = tmp_path / "c_phi.cfg", tmp_path / "t.json"
+        argv = ["build", "--input", ring, "--mode", "improved", "--out",
+                str(out)]
+        assert main(argv) == 0
+        plain = capsys.readouterr().err
+        assert plain.endswith(" failed routing\n") and "c_phi" not in plain
+        cfg.write_text("c_phi = 1/48\n")
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == plain
+        cfg.write_text("c_phi = 1/24\n")
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == \
+            plain[:-1] + "; off-schedule c_phi = 1/24\n"
 
     def test_out_of_range_constants_exit_two(self, tmp_path, capsys):
-        """Each of these once ended in a traceback (or, for kappa, in a
-        build whose leaf-certificate targets were all 0, and for the
-        replay's two constants in a failing verdict on a valid replay of
-        the improved 3x4 ring)."""
+        """A c_phi <= 0 makes every refinement phi 0 or negative, and a
+        zero quality_C declares an envelope no replay can meet."""
         cfg = tmp_path / "bad.cfg"
-        for line in ("merge_phi_coeff = 0", "merge_shrink_coeff = 0",
-                     "merge_loop_slack = -100", "c_phi = -1",
-                     "c0_declared = 0", "kappa = 0"):
+        for line in ("c_phi = 0", "c_phi = -1"):
             cfg.write_text(line + "\n")
             assert_usage_error(["build", "--input", RING, "--config",
                                 str(cfg), "--out", str(tmp_path / "t.json")],
                                capsys)
-        ring = ring_of_cliques_file(tmp_path / "ring.edges", 3, 4)
         tree = tmp_path / "ring.json"
-        assert main(["build", "--input", ring, "--mode", "improved",
-                     "--out", str(tree)]) == 0
-        demands = tmp_path / "ring.demands"
-        demands.write_text("0 0 1 1\n5 0 -1 1\n")
-        replay = ["replay", "--graph", ring, "--tree", str(tree), "--demands",
-                  str(demands), "--cut", "0,1,2,3"]
+        assert main(["build", "--input", RING, "--out", str(tree)]) == 0
+        replay = ["replay", "--graph", RING, "--tree", str(tree), "--demands",
+                  DEMANDS, "--cut", "0,1,2"]
         assert main(replay) == 0
         assert "verdict: pass" in capsys.readouterr().out
-        for line in ("alpha_improved_cap = 0", "replay_tau_c = -1"):
-            cfg.write_text(line + "\n")
-            assert_usage_error(replay + ["--config", str(cfg)], capsys)
+        cfg.write_text("quality_C = 0\n")
+        assert_usage_error(replay + ["--config", str(cfg)], capsys)
+
+    def test_removed_keys_exit_two(self, tmp_path, capsys):
+        """The constants the paper fixes are no Config keys: a file that
+        sets one, even to its old default, is refused by name."""
+        cfg = tmp_path / "old.cfg"
+        for line in ("oracle_sparsity_c = 1", "oracle_congestion_limit = 64",
+                     "merge_phi_coeff = 1/6", "merge_shrink_coeff = 1/8",
+                     "merge_loop_slack = 16", "tau_basic = none",
+                     "c0_declared = 1", "kappa = 1/384",
+                     "alpha_improved_cap = 8", "replay_tau_c = 6"):
+            key = line.split()[0]
+            cfg.write_text("# an older config\n" + line + "\n")
+            argv = ["build", "--input", RING, "--config", str(cfg), "--out",
+                    str(tmp_path / "t.json")]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert ":2: unknown key %r" % key in err, err
 
     def test_load_config_types(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# tuned\nbrute_threshold = 12\nsamples = 500\n"
-                       "seed = 7  # fixed\nkappa = 1/96\ntau_basic = none\n")
+                       "seed = 7  # fixed\nc_phi = 1/96\nquality_C = 8\n")
         c = load_config(str(cfg))
         for name, value in (("brute_threshold", 12), ("samples", 500),
                             ("seed", 7)):
             assert type(getattr(c, name)) is int
             assert getattr(c, name) == value
-        assert type(c.kappa) is Fraction and c.kappa == Fraction(1, 96)
-        assert c.tau_basic is None
+        for name, value in (("c_phi", Fraction(1, 96)), ("quality_C", 8)):
+            assert type(getattr(c, name)) is Fraction
+            assert getattr(c, name) == value
         with pytest.raises(ValueError, match="oracle_congestion_cap"):
             DEFAULT.replace(oracle_congestion_cap=0)
 
+    def test_six_fields(self):
+        assert [f.name for f in dataclasses.fields(Config)] == [
+            "brute_threshold", "oracle_congestion_cap", "c_phi", "quality_C",
+            "samples", "seed"]
+
     def test_api_refuses_bad_values(self):
-        for name in ("oracle_sparsity_c", "quality_C",
-                     "oracle_congestion_cap", "oracle_congestion_limit",
-                     "merge_phi_coeff", "merge_shrink_coeff", "c_phi",
-                     "c0_declared", "kappa", "alpha_improved_cap"):
+        for name in ("quality_C", "oracle_congestion_cap", "c_phi"):
             for value in (Fraction(0), Fraction(-1, 2)):
                 with pytest.raises(ValueError, match=name):
                     Config(**{name: value})
-        with pytest.raises(ValueError, match="merge_loop_slack"):
-            Config(merge_loop_slack=-1)
-        assert Config(merge_loop_slack=0).merge_loop_slack == 0
-        with pytest.raises(ValueError, match="replay_tau_c"):
-            Config(replay_tau_c=-1)
-        assert Config(replay_tau_c=0).replay_tau_c == 0
-        for value in (Fraction(0), Fraction(-1), Fraction(3, 2)):
-            with pytest.raises(ValueError, match="tau_basic"):
-                Config(tau_basic=value)
-        assert Config(tau_basic=Fraction(1)).tau_basic == 1
-        assert Config(tau_basic=None).tau_basic is None
         with pytest.raises(ValueError, match="samples"):
             DEFAULT.replace(samples=-5)
         assert Config(samples=0).samples == 0

@@ -223,6 +223,46 @@ def test_one_eigh_call_site():
     assert calls == [("oracle.py", "_sweep_orders")], calls
 
 
+# The constants the paper fixes.  Each is bound once, where it is defined:
+# a rebinding anywhere else would be a Config field in hiding.
+FIXED = ("ORACLE_SPARSITY_C", "ORACLE_CONGESTION_LIMIT", "MERGE_PHI_COEFF",
+         "MERGE_SHRINK_COEFF", "C0_DECLARED", "SCHEDULE_CF", "KAPPA",
+         "REPLAY_TAU_C", "ALPHA_IMPROVED_CAP")
+
+
+def bindings(source, names):
+    """(line, name) for each store of one of names: as a plain name, as an
+    attribute, or as the string argument of a setattr-like call."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            name = n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            name = n.attr
+        elif isinstance(n, ast.Call) and "setattr" in (
+                getattr(n.func, "id", None), getattr(n.func, "attr", None)):
+            name = next((a.value for a in n.args
+                         if isinstance(a, ast.Constant)
+                         and a.value in names), None)
+        else:
+            continue
+        if name in names:
+            out.append((n.lineno, name))
+    return sorted(out)
+
+
+def test_scan_finds_bindings():
+    src = ("K = 1\nm.K += 1\nsetattr(m, 'K', 2)\nmp.setattr(m, 'K', 3)\n"
+           "J = K\nsetattr(m, 'J', 4)\n")
+    assert bindings(src, ("K",)) == [(1, "K"), (2, "K"), (3, "K"), (4, "K")]
+
+
+def test_fixed_constants_bound_once():
+    bound = sorted(name for d in READERS for p in (ROOT / d).rglob("*.py")
+                   for _, name in bindings(p.read_text(), FIXED))
+    assert bound == sorted(FIXED)
+
+
 @pytest.fixture(scope="module")
 def loaded():
     return loaded_attrs(*(p.read_text() for d in READERS

@@ -356,14 +356,14 @@ class TestUpdate:
 def random_spread(rng):
     """(mass, targets, weight_of): masses on sources in and out of the
     targets, some of them zero, and target weights some of which are 0
-    (weight_of None for unit weights)."""
+    (or unit weights)."""
     verts = sorted(rng.sample(range(30), rng.randint(2, 9)))
     targets = rng.sample(verts, rng.randint(1, len(verts)))
     mass = {u: Fraction(rng.choice((0, 1, 2, 5, 9)),
                         rng.choice(WIDE_DENOMINATORS))
             for u in rng.sample(verts, rng.randint(1, len(verts)))}
     if rng.random() < 0.2:
-        return mass, targets, None
+        return mass, targets, lambda v: 1
     w = {v: Fraction(rng.choice((0, 1, 3, 8)), rng.choice(WIDE_DENOMINATORS))
          for v in targets}
     if not any(w.values()):
@@ -404,7 +404,7 @@ class TestSpread:
     def test_negative_mass_rejected(self):
         for spread in (DemandMatrix.spread, reference_spread):
             with pytest.raises(DemandError):
-                spread({0: Fraction(-1, 3)}, [1, 2])
+                spread({0: Fraction(-1, 3)}, [1, 2], lambda v: 1)
 
 
 def cancelling_states(rng):
@@ -588,7 +588,8 @@ class TestRepresentation:
                              for v in g.vertices for k in range(3)
                              if rng.random() < 0.5})
             # shrink every vertex's load to at most its degree
-            worst = max((p.load(v) / g.degree(v) for v in g.vertices
+            loads = p.loads()
+            worst = max((loads.get(v, 0) / g.degree(v) for v in g.vertices
                          if g.degree(v)), default=Fraction(0))
             if worst > 1:
                 p = p.scaled(1 / worst)
@@ -606,7 +607,7 @@ class TestRepresentation:
                       p.scaled(0), sum_states([]),
                       sum_states([p, p.scaled(-1)]),
                       restrict(p, []), DemandMatrix(),
-                      DemandMatrix.spread({0: 0}, [1, 2]),
+                      DemandMatrix.spread({0: 0}, [1, 2], lambda v: 1),
                       from_matrix(DemandMatrix())):
             assert_reduced(empty)
             assert empty.den == 1 and empty.nums == {}

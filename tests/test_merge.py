@@ -6,6 +6,7 @@ import pytest
 
 from treecut import graph, merge, oracle
 from treecut.config import DEFAULT
+from treecut.flow import ORACLE_CONGESTION_LIMIT
 from treecut.graph import Graph, parse_edge_list
 from treecut.merge import (MergeError, is_balanced_clustering, merge_phase,
                            merge_phase_1, merge_phase_2, shrink_step,
@@ -94,7 +95,7 @@ class TestAttachmentFlow:
         rec = solve_attachment_flow(g, {0: Fraction(1)}, {2: Fraction(1)},
                                     DEFAULT)
         assert rec.within_declared and rec.congestion_cap == 4
-        big = Fraction(DEFAULT.oracle_congestion_limit + 1)
+        big = Fraction(ORACLE_CONGESTION_LIMIT + 1)
         assert solve_attachment_flow(g, {0: big}, {2: big}, DEFAULT) is None
 
     @pytest.mark.parametrize("build", [build_basic, build_improved])

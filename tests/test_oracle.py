@@ -6,7 +6,7 @@ import pytest
 from treecut import oracle, tree
 from treecut.config import DEFAULT
 import treecut.flow
-from treecut.flow import RouteResult, escalate
+from treecut.flow import ORACLE_CONGESTION_LIMIT, RouteResult, escalate
 from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
                            min_ratio_cut, parse_edge_list)
 from treecut.merge import MergePartition
@@ -378,7 +378,7 @@ class TestEscalation:
 
         rec = escalate(solve, {"x": Fraction(3)}, DEFAULT)
         assert rec.flow is routed
-        assert rec.congestion_cap == DEFAULT.oracle_congestion_limit == 64
+        assert rec.congestion_cap == ORACLE_CONGESTION_LIMIT == 64
         assert (rec.sink_boost, rec.sink_caps) == (4, {"x": 12})
         assert rec.within_declared is False
 

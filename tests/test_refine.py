@@ -7,8 +7,8 @@ from treecut.config import DEFAULT
 from treecut.graph import Graph, edge_key
 from treecut.merge import MergePartition
 from treecut.oracle import CheckReport
-from treecut.refine import (RefineError, check_routing, f_value,
-                            product_envelope, refine, schedule_cf)
+from treecut.refine import (C0_DECLARED, SCHEDULE_CF, RefineError,
+                            check_routing, f_value, product_envelope, refine)
 from treecut.tree import build_basic, build_improved
 from treecut.util import rlog2, rloglog2
 
@@ -51,8 +51,8 @@ def random_graph(rng, n, p=0.55):
 class TestSchedule:
     def test_coefficient_matches_float_oracle(self):
         import math
-        want = 4 * float(DEFAULT.c0_declared) / math.log2(4 / 3)
-        assert abs(float(schedule_cf(DEFAULT)) - want) < 1e-6
+        want = 4 * float(C0_DECLARED) / math.log2(4 / 3)
+        assert abs(float(SCHEDULE_CF) - want) < 1e-6
 
     def test_f_grows_as_clusters_shrink(self):
         vals = [f_value(s, 64, 1000) for s in (40, 20, 10, 5)]
