@@ -19,6 +19,13 @@ from fractions import Fraction
 
 from .util import data_lines, parse_frac
 
+# Exhaustive verification keeps two ints for each of its 2^(n-1) - 1 cuts
+# and no frozenset; its time and memory double with each vertex, to about
+# 2.5 s and 128 MiB at this limit (n = 24, 2 vCPUs).  Exact cut enumeration
+# up to brute_threshold vertices first tables 2^(n - 13) sides of n + 2
+# ints each (graph._min_ratio_side), so the same limit bounds it.
+EXHAUSTIVE_LIMIT = 24
+
 
 @dataclass(frozen=True)
 class Config:
@@ -55,6 +62,9 @@ class Config:
                 raise ValueError("%s must be > 0, got %s" % (name, value))
         if self.samples < 0:
             raise ValueError("samples must be >= 0, got %s" % self.samples)
+        if not 0 <= self.brute_threshold <= EXHAUSTIVE_LIMIT:
+            raise ValueError("brute_threshold must be in [0, %d], got %s"
+                             % (EXHAUSTIVE_LIMIT, self.brute_threshold))
 
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

@@ -387,8 +387,7 @@ def invariant_check(p: DemandState, view, original: DemandState, alpha):
         return False, "per-commodity conservation violated"
     an, ad, den = alpha.numerator, alpha.denominator, p.den
     for x, load in sorted(p.load_nums().items()):
-        u, v = view.root.edge_of_split[x]
-        cap = view.root.base.cap[(u, v)]
+        cap = view.root.split_cap[x]
         if load * ad > an * cap * den:
             return False, "load %s at split node %d exceeds alpha*cap = %s" % (
                 Fraction(load, den), x, alpha * cap)

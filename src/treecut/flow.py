@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .config import Config
-from .graph import Graph
+from .graph import Graph, crossing
 
 S_NODE = -1
 T_NODE = -2
@@ -295,10 +295,9 @@ def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap):
     """
     d = frozenset(d)
     sources = {}
-    for u, v, c in g_s.edges:
-        if (u in d) != (v in d):
-            inside = u if u in d else v
-            sources[inside] = sources.get(inside, 0) + c
+    for u, v, c in crossing(g_s, d):
+        inside = u if u in d else v
+        sources[inside] = sources.get(inside, 0) + c
     gd = g_s.induced(d)
     caps = {v: Fraction(c) for v, c in sink_caps.items()
             if v in d and Fraction(c) > 0}

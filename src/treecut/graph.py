@@ -206,13 +206,13 @@ def capacity(g: Graph, a, b) -> int:
     return tot
 
 
+def crossing(g: Graph, side):
+    """g's edges (u, v, c) with one end in the set side, in g.edges order."""
+    return [e for e in g.edges if (e[0] in side) != (e[1] in side)]
+
+
 def cut_capacity(g: Graph, side) -> int:
-    side = frozenset(side)
-    tot = 0
-    for u, v, c in g.edges:
-        if (u in side) != (v in side):
-            tot += c
-    return tot
+    return sum(c for _, _, c in crossing(g, frozenset(side)))
 
 
 def check_cut(g: Graph, side):
@@ -236,10 +236,11 @@ def cut_expansion(g: Graph, side, mu: Measure):
 class SubdivisionGraph:
     """Every base edge gets a split vertex in the middle.
 
-    This holds the split ids only: edge i of base.edges gets id
-    max(vertices) + 1 + i.  The subdivided graphs are built per cluster
-    (ClusterView), where the split vertex of the aggregated edge (u, v, c)
-    carries capacity c on both halves, so deg(x_e) = 2 c(e).
+    This holds the split ids and their capacities only: edge i of
+    base.edges gets id max(vertices) + 1 + i, and split_cap[x] is the
+    capacity c(e) of x's edge e.  The subdivided graphs are built per
+    cluster (ClusterView), where the split vertex of the aggregated edge
+    (u, v, c) carries capacity c on both halves, so deg(x_e) = 2 c(e).
     """
 
     def __init__(self, base: Graph):
@@ -247,10 +248,12 @@ class SubdivisionGraph:
         nxt = (max(base.vertices) + 1) if base.vertices else 0
         self.split_of_edge = {}
         self.edge_of_split = {}
+        self.split_cap = {}
         self._views = {}
-        for x, (u, v, _) in enumerate(base.edges, nxt):
+        for x, (u, v, c) in enumerate(base.edges, nxt):
             self.split_of_edge[(u, v)] = x
             self.edge_of_split[x] = (u, v)
+            self.split_cap[x] = c
 
     def split(self, u, v):
         return self.split_of_edge[edge_key(u, v)]
@@ -300,8 +303,7 @@ class ClusterView:
         self.cluster = s
         self.inner_edges = tuple((u, v, c) for u, v, c in base.edges
                                  if u in s and v in s)
-        self.boundary_edges = tuple((u, v, c) for u, v, c in base.edges
-                                    if (u in s) != (v in s))
+        self.boundary_edges = tuple(crossing(base, s))
         self.inner_keys = tuple((u, v) for u, v, _ in self.inner_edges)
         self.boundary_keys = tuple((u, v) for u, v, _ in self.boundary_edges)
         self.x_inner = frozenset(sub.split(u, v) for u, v in self.inner_keys)

@@ -11,7 +11,8 @@ from functools import cached_property
 
 from .config import DEFAULT, Config
 from .demand import _unit_rows
-from .graph import ClusterView, Graph, components_without, edge_key
+from .graph import (ClusterView, Graph, components_without, crossing,
+                    edge_key)
 from .flow import (FlowNetwork, FlowSolution, RouteResult, escalate,
                    max_flow, path_decomposition)
 from .oracle import cut_or_expander, _log2n
@@ -72,10 +73,9 @@ def _edge_preimages(view: ClusterView, gsub: Graph, side):
         x = view.root.split(u, v)
         if x in side:
             a_edges.add((u, v))
-    for u, v, _ in gsub.edges:
-        if (u in side) != (v in side):
-            x = u if view.root.is_split(u) else v
-            c_edges.add(view.root.edge_of_split[x])
+    for u, v, _ in crossing(gsub, side):
+        x = u if view.root.is_split(u) else v
+        c_edges.add(view.root.edge_of_split[x])
     return frozenset(a_edges), frozenset(c_edges)
 
 
@@ -284,10 +284,8 @@ def merge_phase_2(view: ClusterView, clustering: BalancedClustering, tau) \
     net = FlowNetwork(gsp, sources, sinks)
     sol, side = max_flow(net)
 
-    x_y = set()
-    for u, v, _ in gsp.edges:
-        if (u in side) != (v in side):
-            x_y.add(u if view.root.is_split(u) else v)
+    x_y = {u if view.root.is_split(u) else v
+           for u, v, _ in crossing(gsp, side)}
     for x in x_f:
         if x not in side:
             x_y.add(x)

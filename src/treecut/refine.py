@@ -16,7 +16,8 @@ from .config import DEFAULT, Config
 from .demand import (DemandMatrix, _flow_matrix, _unit_rows, from_matrix,
                      respects_exact)
 from .flow import escalate, path_decomposition, route_from_cut
-from .graph import ClusterView, Graph, Measure, capacity, edge_key
+from .graph import (ClusterView, Graph, Measure, capacity, crossing,
+                    edge_key)
 from .oracle import (CheckReport, check_refined, refined_cut_or_expander,
                      _log2n)
 from .util import ceil_frac, rlog2, rloglog2
@@ -160,8 +161,7 @@ def _route_cut_to_left(sub_root, left_set, ctx_set, cut_keys, rate,
     if not cut_splits or not sinks:
         return None, sinks
     d = frozenset(g.vertices) - cut_splits
-    base_cap = sub_root.base.cap
-    base_caps = {x: Fraction(rate) * base_cap[sub_root.edge_of_split[x]]
+    base_caps = {x: Fraction(rate) * sub_root.split_cap[x]
                  for x in sorted(sinks)}
     rec = escalate(lambda caps, cap: route_from_cut(g, d, caps, cap),
                    base_caps, cfg)
@@ -190,7 +190,7 @@ def _cut_rows(sub_root, flow, cut_keys, left_set):
     for u, v in cut_keys:
         x = sub_root.split(u, v)
         inner[x] = u if u in left_set else v
-        unit[x] = sub_root.base.cap[(u, v)]
+        unit[x] = sub_root.split_cap[x]
     rows = {}
     for x in sorted(unit, key=lambda x: edge_key(x, inner[x])):
         want = Fraction(unit[x])
@@ -304,10 +304,8 @@ class _Builder:
         return node
 
     def _attach_route(self, node, left_set, ctx_set, right_set, phi, logt):
-        cut_keys = tuple(sorted(
-            edge_key(u, v) for u, v, _ in self.g.edges
-            if (u in left_set and v in right_set)
-            or (v in left_set and u in right_set)))
+        cut_keys = tuple((u, v) for u, v, _ in crossing(
+            self.g.induced(left_set | right_set), left_set))
         node.cut_keys = cut_keys
         rate = C0_DECLARED * phi * logt
         route, sinks = _route_cut_to_left(self.sub_root, left_set, ctx_set,
@@ -349,9 +347,7 @@ def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
         return LeafCertificate(target, None, "exact", True)
     if view.sprime.vertex_count > cfg.brute_threshold:
         return LeafCertificate(target, None, "unverified", None)
-    base_cap = sub_root.base.cap
-    weight = {x: base_cap[sub_root.edge_of_split[x]]
-              for x in view.x_boundary}
+    weight = {x: sub_root.split_cap[x] for x in view.x_boundary}
     # each boundary split sources its full capacity, spread over the others
     # in proportion to their capacities
     p = from_matrix(DemandMatrix.spread(weight, weight, weight.get))
@@ -376,9 +372,8 @@ def check_routing(res: RefinementResult) -> CheckReport:
     """
     rep = CheckReport()
     sub = res.view.root
-    base_cap = sub.base.cap
     n = sub.base.vertex_count
-    loads = {sub.split(u, v): base_cap[(u, v)]
+    loads = {sub.split(u, v): sub.base.cap[(u, v)]
              for u, v in res.inter_cluster_keys}
     den = 1
     total = sum(loads.values())
@@ -411,7 +406,7 @@ def check_routing(res: RefinementResult) -> CheckReport:
         # the largest sink load per unit of capacity, as wn / wd
         wn, wd = 0, 1
         for x in node.sink_splits:
-            load, c = loads.get(x, 0), base_cap[sub.edge_of_split[x]]
+            load, c = loads.get(x, 0), sub.split_cap[x]
             if load * wd > wn * c:
                 wn, wd = load, c
         if wn * env.denominator > env.numerator * wd * den:

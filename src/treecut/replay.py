@@ -20,8 +20,7 @@ from math import lcm
 from .config import DEFAULT, Config
 from .demand import (DemandMatrix, DemandState, _flow_matrix,
                      invariant_check, leaf_init, sum_states, update)
-from .graph import (_ZERO, ClusterView, Graph, cut_capacity, edge_key,
-                    subdivide)
+from .graph import _ZERO, ClusterView, crossing, cut_capacity, subdivide
 from .merge import MergePartition
 from .oracle import _log2n
 from .refine import RefinementResult
@@ -113,17 +112,10 @@ class ReplayTrace:
                 for m, label, qn, qd, dn, dd in self._steps]
 
 
-def crossing_edges(g: Graph, side):
-    """[(edge key, capacity)] of g's edges with one endpoint in side."""
-    side = frozenset(side)
-    return [(edge_key(u, v), c) for u, v, c in g.edges
-            if (u in side) != (v in side)]
-
-
 def _charge(ledger, view, b_lift, label, dem_diff):
     """Charge the demand a cluster moved across the lifted cut to the
     subdivision edges of its S' that cross the cut."""
-    cross = crossing_edges(view.sprime, b_lift & view.sprime.vertex_set())
+    cross = [((u, v), c) for u, v, c in crossing(view.sprime, b_lift)]
     ledger.add(view.cluster, label, cross, dem_diff)
 
 
@@ -158,16 +150,12 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     """
     an, ad = alpha.numerator, alpha.denominator
     view = part.view
-    sub = view.root
-    base_cap = sub.base.cap
+    split_cap = view.root.split_cap
     s = view.cluster
     if set(child_states) != set(part.sub_clusters):
         raise ReplayError("child states do not match the merge partition")
     x_f = part.clustering.x_f
     x_b = view.x_boundary
-
-    def unit_cap(x):
-        return base_cap[sub.edge_of_split[x]]
 
     p_l = sum_states(child_states[c] for c in part.l_parts)
     p_r = sum_states(child_states[c] for c in part.r_parts)
@@ -176,7 +164,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     # a boundary split belongs to one sub-cluster; an inner split to two
     den = before.den
     for x, load in before.load_nums().items():
-        limit = (an if x in x_b else 2 * an) * unit_cap(x)
+        limit = (an if x in x_b else 2 * an) * split_cap[x]
         if load * ad > limit * den:
             raise ReplayError("input load %s at split %r exceeds %s"
                               % (Fraction(load, den), x, Fraction(limit, ad)))
@@ -194,7 +182,7 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
             raise ReplayError("core demand left but no inter-cluster splits")
         loads = p_l.load_nums()
         q2 = DemandMatrix.spread({x: n for x, n in loads.items() if x in x_f},
-                                 x_f, unit_cap, p_l.den)
+                                 x_f, split_cap.__getitem__, p_l.den)
         p_l, _, _ = _move(p_l, q2, b_lift, trace, s, "merge-spread")
 
     # the surviving mass must fit the capacity of the separator edges that
@@ -207,16 +195,16 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     # step 3: distribute the leftover onto those separator splits,
     # proportionally to capacity
     if p_l.nums:
-        q3 = DemandMatrix.spread(p_l.load_nums(), part.x_y_tilde, unit_cap,
-                                 p_l.den)
+        q3 = DemandMatrix.spread(p_l.load_nums(), part.x_y_tilde,
+                                 split_cap.__getitem__, p_l.den)
         p_l, _, _ = _move(p_l, q3, b_lift, trace, s, "merge-to-sep")
         loads3, den = p_l.load_nums(), p_l.den
         for y in part.x_y_tilde:
             load = loads3.get(y, 0)
-            if load > unit_cap(y) * den:
+            if load > split_cap[y] * den:
                 raise ReplayError("separator split %r holds %s, over its "
                                   "capacity %s"
-                                  % (y, Fraction(load, den), unit_cap(y)))
+                                  % (y, Fraction(load, den), split_cap[y]))
 
     # step 4: everything still on non-boundary separator splits rides the
     # stored separator-to-boundary flow
@@ -233,11 +221,11 @@ def replay_merge_cluster(child_states, part: MergePartition, b_lift, alpha,
     received = {}
     for (_, v), a in q4.nums.items():
         received[v] = received.get(v, 0) + a
-    # the cap 6 * alpha * tau * unit_cap(xb) is c6n * unit_cap(xb) / c6d
+    # the cap 6 * alpha * tau * split_cap[xb] is c6n * split_cap[xb] / c6d
     tau = part.tau
     c6n, c6d = 6 * an * tau.numerator, ad * tau.denominator
     for xb, got in received.items():
-        cap6 = c6n * unit_cap(xb)
+        cap6 = c6n * split_cap[xb]
         if got * c6d > cap6 * q4.den:
             raise ReplayError("boundary split %r received %s, over the "
                               "6*alpha*tau cap %s"
@@ -265,8 +253,7 @@ def uniformize_refined(state, view: ClusterView, b_lift, ledger, trace):
     boundary capacity, so every split carries at most one unit per unit of
     capacity.  Returns the new state."""
     s = view.cluster
-    sub = view.root
-    base_cap = sub.base.cap
+    split_cap = view.root.split_cap
     x_b = view.x_boundary
     if not x_b:
         if state.nums:
@@ -277,8 +264,7 @@ def uniformize_refined(state, view: ClusterView, b_lift, ledger, trace):
         return state
     loads = state.load_nums()
     q = DemandMatrix.spread({x: n for x, n in loads.items() if x in x_b},
-                            x_b, lambda x: base_cap[sub.edge_of_split[x]],
-                            state.den)
+                            x_b, split_cap.__getitem__, state.den)
     new, moved, den = _move(state, q, b_lift, trace, s, "refine-uniformize")
     cap_b = view.boundary_capacity()
     if new.total_num() > cap_b * new.den:
@@ -286,7 +272,7 @@ def uniformize_refined(state, view: ClusterView, b_lift, ledger, trace):
                           "capacity %s" % (new.total_load(), Fraction(cap_b)))
     loads = new.load_nums()
     for x in x_b:
-        if loads.get(x, 0) > base_cap[sub.edge_of_split[x]] * new.den:
+        if loads.get(x, 0) > split_cap[x] * new.den:
             raise ReplayError("uniformized split %r is over its capacity"
                               % (x,))
     _charge(ledger, view, b_lift, "refine-uniformize", Fraction(moved, den))
@@ -298,8 +284,7 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
     to its boundary, one binary-tree cut at a time along the stored flows.
 
     Returns (new state, measured per-unit load on the boundary)."""
-    sub = res.view.root
-    base_cap = sub.base.cap
+    split_cap = res.view.root.split_cap
     s = res.view.cluster
     after = state
     for node in res.root.walk():
@@ -319,7 +304,7 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
     # the largest load per unit of capacity, and at least 1, as wn / wd
     wn, wd, den = 1, 1, after.den
     for x, load in after.load_nums().items():
-        cap = base_cap[sub.edge_of_split[x]] * den
+        cap = split_cap[x] * den
         if load * wd > wn * cap:
             wn, wd = load, cap
     return after, Fraction(wn, wd)
@@ -376,15 +361,8 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
             raise ReplayError("demand state is not 1-respected by the tree "
                               "(violated at %r)" % sorted(node.members))
 
-    # every stored phase object shares one subdivision graph; reuse it
-    sub = None
-    for node in t.nodes():
-        obj = node.detail or node.refinement
-        if isinstance(obj, (MergePartition, RefinementResult)):
-            sub = obj.view.root
-            break
-    if sub is None:
-        sub = subdivide(g)
+    # the stored phase objects share the build's subdivision graph
+    sub = t.sub or subdivide(g)
     b_lift = sub.lift_cut(b)
 
     leaf_states = leaf_init(p, sub)
@@ -438,8 +416,8 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
         for s_i in part.sub_clusters:
             res = split.get(s_i)
             total = sum_states(
-                uniformize_refined(states[r], part.view.root.view(r), b_lift,
-                                   ledger, trace)
+                uniformize_refined(states[r], sub.view(r), b_lift, ledger,
+                                   trace)
                 for r in (res.clusters if res is not None else [s_i]))
             if res is not None:
                 total, a = route_refined_state(total, res, b_lift, ledger,

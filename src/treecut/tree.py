@@ -84,6 +84,9 @@ class DecompositionTree:
         self.mode = mode
         self.validate()
         self._mincut = None       # see mincut_plan
+        # the SubdivisionGraph the build used (set by _grow); the replay
+        # reads it.  A tree read from JSON holds None.
+        self.sub = None
 
     def __getstate__(self):
         # the kept min-cut plan holds closures, which do not pickle; a
@@ -260,7 +263,9 @@ def _grow(g: Graph, cfg: Config, mode: str, tau) -> DecompositionTree:
                     steps.append((child, r, None))
         node.sort_children()
         work.extend(reversed(steps))
-    return DecompositionTree(g, root, mode)
+    tree = DecompositionTree(g, root, mode)
+    tree.sub = sub
+    return tree
 
 
 def build_basic(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:

@@ -14,7 +14,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .config import DEFAULT, Config
+from .config import DEFAULT, EXHAUSTIVE_LIMIT, Config
 from .graph import Graph
 from .oracle import _log2n
 from .tree import DecompositionTree, _row_chunks, cut_sides, mincut_plan
@@ -23,12 +23,6 @@ from .util import frac_str, int_dtype, rloglog2
 
 class VerifyError(ValueError):
     pass
-
-
-# Exhaustive verification keeps two ints for each of its 2^(n-1) - 1 cuts
-# and no frozenset; its time and memory double with each vertex, to about
-# 2.5 s and 128 MiB at this limit (n = 24, 2 vCPUs).
-EXHAUSTIVE_LIMIT = 24
 
 
 def quality_envelope(n, cfg: Config = DEFAULT):

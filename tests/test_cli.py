@@ -11,7 +11,7 @@ import pytest
 
 import treecut
 from treecut.cli import main
-from treecut.config import DEFAULT, Config, load_config
+from treecut.config import DEFAULT, EXHAUSTIVE_LIMIT, Config, load_config
 from treecut.graph import Graph, format_edge_list
 from treecut.oracle import CheckReport
 from treecut.tree import DecompositionTree, TreeNode, build_improved
@@ -352,6 +352,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="samples"):
             DEFAULT.replace(samples=-5)
         assert Config(samples=0).samples == 0
+        # enumeration tables grow as 2^n: the threshold stops where an
+        # exhaustive verify does
+        for value in (-1, EXHAUSTIVE_LIMIT + 1, 40):
+            with pytest.raises(ValueError, match="brute_threshold"):
+                Config(brute_threshold=value)
+        for value in (0, EXHAUSTIVE_LIMIT):
+            assert Config(brute_threshold=value).brute_threshold == value
 
     def test_negative_samples_exit_two(self, tree_file, tmp_path, capsys):
         assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
@@ -433,6 +440,21 @@ class TestOracle:
         for phi in ("x", "1/0", "-1", "0"):
             assert_usage_error(["oracle", "--graph", RING, "--phi", phi,
                                 "--mu", str(mu)], capsys)
+
+    def test_out_of_range_brute_threshold_exits_two(self, tmp_path, capsys):
+        """On a 40-vertex graph, brute_threshold = 40 would table 2^27 sides
+        of 42 ints.  The config is refused by name; the graph here is the
+        8-vertex ring, so a build that accepted it would only run."""
+        mu = tmp_path / "mu.txt"
+        mu.write_text("".join("%d 1\n" % v for v in range(8)))
+        cfg = tmp_path / "big.cfg"
+        for value in ("40", "25", "-1"):
+            cfg.write_text("brute_threshold = %s\n" % value)
+            rc = main(["oracle", "--graph", RING, "--phi", "1/24",
+                       "--mu", str(mu), "--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert rc == 2 and err.startswith("error: "), err
+            assert "brute_threshold" in err and "Traceback" not in err
 
 
 class TestExport:

@@ -15,7 +15,9 @@ name, an attribute or an import; a name only tests read counts as unused,
 so a test-only helper lives in the tests.
 The package's `__init__.py` re-exports names and is skipped by the other
 scans.  The library calls `eigh` in one place, the sweep's `_sweep_orders`,
-so no eigensolve can go round its memo.
+so no eigensolve can go round its memo.  Split-node facts have one owner,
+`graph.py`: no other module reads a split node's capacity through
+`edge_of_split` or hand-writes the crossing test over an edge list.
 """
 
 import ast
@@ -221,6 +223,70 @@ def test_one_eigh_call_site():
     calls = [(module, fn) for module in MODULES
              for _, fn in eigh_calls((SRC / module).read_text())]
     assert calls == [("oracle.py", "_sweep_orders")], calls
+
+
+def _named(node, suffix):
+    """Is node a name or an attribute whose name ends with suffix?"""
+    return getattr(node, "id", getattr(node, "attr", "")).endswith(suffix)
+
+
+def _crossing_test(n):
+    """Is n the comparison `(a in S) != (b in S)`?"""
+    return (isinstance(n, ast.Compare) and len(n.ops) == 1
+            and isinstance(n.ops[0], ast.NotEq)
+            and all(isinstance(c, ast.Compare)
+                    and [type(op) for op in c.ops] == [ast.In]
+                    for c in (n.left, n.comparators[0])))
+
+
+def split_fact_sites(source):
+    """(line, kind) for each split-node fact the source derives by hand:
+    "split capacity" where a capacity map (a name ending in `cap`) is
+    indexed by an `edge_of_split[...]` lookup, and "crossing loop" where
+    the crossing test `(u in S) != (v in S)` sits in a loop or
+    comprehension over an edge list (an iterable named `...edges`)."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Subscript) and _named(n.value, "cap") \
+                and isinstance(n.slice, ast.Subscript) \
+                and _named(n.slice.value, "edge_of_split"):
+            out.add((n.lineno, "split capacity"))
+        iters = [n.iter] if isinstance(n, ast.For) else \
+            [gen.iter for gen in getattr(n, "generators", ())]
+        if any(_named(it, "edges") for it in iters):
+            out.update((c.lineno, "crossing loop") for c in ast.walk(n)
+                       if _crossing_test(c))
+    return sorted(out)
+
+
+def test_scan_finds_split_facts():
+    """Demand pairs (line 10), equal tests (line 12) and an edge_of_split
+    lookup that reads no capacity (line 4) are no sites."""
+    src = ("def f(g, sub, s, x, view, nums, base_cap):\n"
+           "    c = sub.base.cap[sub.edge_of_split[x]]\n"
+           "    d = base_cap[sub.edge_of_split[x]]\n"
+           "    k = sub.edge_of_split[x]\n"
+           "    for u, v, w in g.edges:\n"
+           "        if (u in s) != (v in s):\n"
+           "            c += w\n"
+           "    e = [w for u, v, w in view.boundary_edges\n"
+           "         if (u in s) != (v in s)]\n"
+           "    n = sum(a for (u, v), a in nums.items()\n"
+           "            if (u in s) != (v in s))\n"
+           "    return [e for e in g.edges if (e[0] in s) == (e[1] in s)]\n")
+    assert split_fact_sites(src) == [
+        (2, "split capacity"), (3, "split capacity"), (6, "crossing loop"),
+        (9, "crossing loop")]
+
+
+def test_split_facts_have_one_owner():
+    """Only graph.py derives a split node's capacity or the edges crossing
+    a side: every other module reads SubdivisionGraph.split_cap and calls
+    graph.crossing."""
+    sites = [(module, line, kind) for module in MODULES
+             if module != "graph.py"
+             for line, kind in split_fact_sites((SRC / module).read_text())]
+    assert not sites, sites
 
 
 # The constants the paper fixes.  Each is bound once, where it is defined:

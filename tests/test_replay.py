@@ -15,7 +15,8 @@ from treecut.refine import refine
 from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
                             full_replay, replay_merge_cluster,
                             route_refined_state, uniformize_refined)
-from treecut.tree import build_basic, build_improved, mincut_in_tree
+from treecut.tree import (DecompositionTree, build_basic, build_improved,
+                          mincut_in_tree)
 
 from corpus import (random_demand, random_graph, reference_leaf_init,
                     reference_spread, reference_sum, reference_unit_rows,
@@ -446,6 +447,33 @@ def triangle_chain_route():
     return res, xs, after, worst, ledger, trace
 
 
+def refuse_subdivide(monkeypatch):
+    """Make replay.subdivide raise: a replay of an in-process tree reads
+    the subdivision graph its build kept."""
+    def refuse(g):
+        raise AssertionError("the replay subdivided %r again" % (g,))
+
+    monkeypatch.setattr(replay, "subdivide", refuse)
+
+
+@pytest.mark.parametrize("build", [build_basic, build_improved])
+def test_replay_reuses_build_subdivision(build, monkeypatch):
+    """The tree keeps the SubdivisionGraph every stored phase object
+    holds, and a tree read back from JSON keeps none."""
+    g = ring_of_cliques(3, 4)
+    t = build(g)
+    for node in t.nodes():
+        for obj in (node.detail, node.refinement):
+            assert obj is None or obj.view.root is t.sub
+    assert DecompositionTree.from_json(t.to_json()).sub is None
+    refuse_subdivide(monkeypatch)
+    rng = random.Random(3)
+    for _ in range(3):
+        p = scale_to_respect(t, random_demand(rng, 12, pairs=4))
+        rep = full_replay(t, p, rng.sample(range(12), 6))
+        assert rep.ledger.total_mass() >= rep.initial_dem
+
+
 @pytest.mark.parametrize("build", [build_basic, build_improved])
 def test_ring8_replay_bytes_pinned(build, monkeypatch):
     with open(os.path.join(FIXTURES, "ring8.edges")) as fh:
@@ -464,6 +492,7 @@ def test_ring8_replay_bytes_pinned(build, monkeypatch):
     monkeypatch.setattr(oracle, "_sweep_best", counted)
     t = build(g)
     assert not sweeps
+    refuse_subdivide(monkeypatch)
     rep = full_replay(t, p, {0, 1, 2})
     lines = rep.ledger.report_lines()
     lines += ["%s %s" % kv for kv in sorted(rep.ledger.per_edge.items())]

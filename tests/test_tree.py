@@ -10,8 +10,9 @@ import pytest
 
 from treecut import oracle
 from treecut.graph import Graph, capacity, cut_capacity, parse_edge_list
-from treecut.tree import (DecompositionTree, TreeError, TreeNode, build_basic,
-                          build_improved, mincut_in_tree, node_mincuts)
+from treecut.tree import (DecompositionTree, TreeError, TreeNode, _row_chunks,
+                          build_basic, build_improved, cut_sides,
+                          mincut_in_tree, mincut_plan, node_mincuts)
 
 from corpus import (bridged_triangles, brute_tree_mincut, random_graph,
                     ring_of_cliques)
@@ -196,6 +197,23 @@ class TestMincutInTree:
         check()
         t.root.children[:] = t.leaves()
         check()
+
+    def test_query_over_several_chunks(self):
+        """More rows than one chunk holds (_CELLS // 48 = 682 on the 48
+        vertices of ring 8x6) are answered chunk by chunk, each row as it
+        is alone and as the brute force gives it."""
+        g = ring_of_cliques(8, 6)
+        t = build_basic(g)
+        rng = random.Random(17)
+        cuts = [frozenset(rng.sample(g.vertices, rng.randint(1, 47)))
+                for _ in range(1500)]
+        assert len(_row_chunks(len(cuts), g.vertex_count)) == 3
+        side = cut_sides(g.vertices, cuts)
+        scale, query = mincut_plan(t)
+        got = query(side).tolist()
+        assert got == [query(side[i:i + 1]).item() for i in range(len(cuts))]
+        for i in range(0, len(cuts), 25):
+            assert Fraction(got[i], scale) == brute_tree_mincut(t, cuts[i])
 
     def test_queried_tree_pickles(self):
         g = bridged_triangles(2)
