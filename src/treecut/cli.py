@@ -133,13 +133,13 @@ def _load_tree(path):
 def cmd_verify(args):
     g = _load_graph(args.graph)
     cfg = _load_config(args.config)
-    if args.samples is not None:
-        try:
+    try:
+        if args.samples is not None:
             cfg = cfg.replace(samples=args.samples)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
+        if args.seed is not None:
+            cfg = cfg.replace(seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     t, _ = _load_tree(args.tree)
     mode = "exhaustive" if args.exhaustive else None
     try:

@@ -60,8 +60,12 @@ class Config:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError("%s must be > 0, got %s" % (name, value))
-        if self.samples < 0:
-            raise ValueError("samples must be >= 0, got %s" % self.samples)
+        # Random seeds from |seed|, so a negative seed would check the
+        # cuts of its positive twin under its own name
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError("%s must be >= 0, got %s" % (name, value))
         if not 0 <= self.brute_threshold <= EXHAUSTIVE_LIMIT:
             raise ValueError("brute_threshold must be in [0, %d], got %s"
                              % (EXHAUSTIVE_LIMIT, self.brute_threshold))

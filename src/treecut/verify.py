@@ -10,7 +10,8 @@ import json
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
+from math import ceil, log
 
 import numpy as np
 
@@ -247,15 +248,51 @@ class _PackedCuts:
                              count=len(self.verts)).view(bool)
 
 
-def _pick_rows(picks, n):
-    """Boolean matrix with one row per list of column numbers in picks,
-    True at those columns."""
-    sizes = np.fromiter(map(len, picks), np.intp, len(picks))
-    side = np.zeros((len(picks), n), bool)
-    side[np.repeat(np.arange(len(picks)), sizes),
-         np.fromiter(chain.from_iterable(picks), np.intp,
-                     int(sizes.sum()))] = True
-    return side
+def _draw_rows(rng, n, rows):
+    """Boolean matrix of rows random cuts over n columns, drawn as CPython
+    3.11's rng.randint(1, n - 1) then rng.sample(range(n), k) draw them:
+    the same words of rng.getrandbits in the same order, so row i is True
+    at the columns of the i-th sample, and no other Random method is
+    called.  Both draws reject words at or above their bound; sample keeps
+    a pool of n columns when that is smaller than a set of its k picks
+    (its setsize rule) and otherwise rejects columns already picked.  The
+    pool branch swaps each pick to the end instead of moving the last
+    column into its place, which leaves the same unpicked prefix, so the
+    k picks are the pool's last k columns."""
+    getrandbits = rng.getrandbits
+    kbits = (n - 1).bit_length()
+    nbits = n.bit_length()
+    pooled = [n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+              for k in range(n)]
+    steps = [(m, m.bit_length(), m - 1) for m in range(n, 1, -1)]
+    columns = list(range(n))
+    picks, sizes = [], []
+    for _ in range(rows):
+        k = getrandbits(kbits)
+        while k >= n - 1:
+            k = getrandbits(kbits)
+        k += 1
+        if pooled[k]:
+            pool = columns[:]
+            for m, bits, last in steps[:k]:
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                pool[j], pool[last] = pool[last], pool[j]
+            picks += pool[n - k:]
+        else:
+            picked = set()
+            for _ in range(k):
+                j = getrandbits(nbits)
+                while j >= n or j in picked:
+                    j = getrandbits(nbits)
+                picked.add(j)
+            picks += picked
+        sizes.append(k)
+    side = np.zeros(rows * n, bool)
+    side[np.repeat(np.arange(0, rows * n, n), sizes)
+         + np.array(picks, np.intp)] = True
+    return side.reshape(rows, n)
 
 
 def _sampled_cuts(t: DecompositionTree, verts, cfg: Config):
@@ -263,17 +300,16 @@ def _sampled_cuts(t: DecompositionTree, verts, cfg: Config):
     in that order, each stored by its side avoiding the last vertex, with
     the empty side and repeats dropped (the first of equal rows kept).
 
-    A random cut draws k = rng.randint(1, n - 1), then rng.sample of k of
-    the n columns; sample's picks depend only on the population's length,
-    so column j stands for verts[j]."""
+    The random cuts are the rows of _draw_rows(Random(cfg.seed), ...), one
+    row chunk at a time: a cut holds k = randint(1, n - 1) of the n
+    columns, drawn as sample(range(n), k) draws them, and column j stands
+    for verts[j]."""
     n = len(verts)
     blocks = [np.eye(n, dtype=bool),
               cut_sides(verts, (node.members for node in t.nodes()))]
     rng = random.Random(cfg.seed)
-    cols = list(range(n))
     for start, stop in _row_chunks(cfg.samples, n):
-        blocks.append(_pick_rows([rng.sample(cols, rng.randint(1, n - 1))
-                                  for _ in range(start, stop)], n))
+        blocks.append(_draw_rows(rng, n, stop - start))
     packed = []
     for side in blocks:
         # a side holding the last vertex turns into its complement, so a
@@ -315,12 +351,13 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
     as one gather and integer dot product per chunk, over edge arrays made
     once, and tree min-cuts from mincut_plan.  Exhaustive mode makes each
     chunk's rows from their bit masks and keeps no rows.  Sampled mode
-    draws its cuts with the stdlib Random(cfg.seed), writes them straight
-    into boolean rows, and keeps the forced and sampled rows as one packed
-    bit matrix, deduplicated in numpy (see _sampled_cuts).  The report
-    keeps the two score arrays (a CutTable), builds frozensets only for
-    violations and decides the worst ratio in ints; its records are built
-    when first read."""
+    draws its cuts from the words of Random(cfg.seed).getrandbits as the
+    stdlib's randint and sample would, writes them straight into boolean
+    rows, and keeps the forced and sampled rows as one packed bit matrix,
+    deduplicated in numpy (see _sampled_cuts).  The report keeps the two
+    score arrays (a CutTable), builds frozensets only for violations and
+    decides the worst ratio in ints; its records are built when first
+    read."""
     _check_pair(g, t)
     n = g.vertex_count
     if n < 2:

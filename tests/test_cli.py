@@ -349,9 +349,10 @@ class TestConfig:
             for value in (Fraction(0), Fraction(-1, 2)):
                 with pytest.raises(ValueError, match=name):
                     Config(**{name: value})
-        with pytest.raises(ValueError, match="samples"):
-            DEFAULT.replace(samples=-5)
-        assert Config(samples=0).samples == 0
+        for name in ("samples", "seed"):
+            with pytest.raises(ValueError, match=name):
+                DEFAULT.replace(**{name: -5})
+            assert getattr(Config(**{name: 0}), name) == 0
         # enumeration tables grow as 2^n: the threshold stops where an
         # exhaustive verify does
         for value in (-1, EXHAUSTIVE_LIMIT + 1, 40):
@@ -365,6 +366,16 @@ class TestConfig:
                             "--samples", "-5"], capsys)
         cfg = tmp_path / "samples.cfg"
         cfg.write_text("samples = -1\n")
+        assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
+                            "--config", str(cfg)], capsys)
+
+    def test_negative_seed_exit_two(self, tree_file, tmp_path, capsys):
+        """Random seeds from |seed|: a negative seed would check the cuts
+        of its positive twin while the report names the negative one."""
+        assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
+                            "--seed", "-3"], capsys)
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n")
         assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
                             "--config", str(cfg)], capsys)
 

@@ -759,6 +759,17 @@ class TestVerify:
                 assert_same_report(verify_quality(g, t, "sampled", cfg),
                                    reference_verify(g, t, "sampled", cfg))
 
+    def test_sampled_large_ring_trees(self):
+        """Sampled verifies above n = 24, of the hand-written 8x6 and 32x4
+        ring trees (no oracle runs): n = 128 draws some cuts from the
+        stdlib's set branch for k <= 21 and some from its pool."""
+        from test_verify import ring_tree
+        cfg = Config(samples=300, seed=4)
+        for k, s in ((8, 6), (32, 4)):
+            g, t = ring_tree(k, s)
+            assert_same_report(verify_quality(g, t, "sampled", cfg),
+                               reference_verify(g, t, "sampled", cfg))
+
     def test_exhaustive_across_row_chunks(self):
         """A forced exhaustive verify of a 15-vertex ring scores its
         2^14 - 1 cuts in several row chunks; the report must not see the

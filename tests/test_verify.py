@@ -211,6 +211,20 @@ class TestSampled:
         blob = r.to_json() + r.table_lines()[1] + "\n"
         assert hashlib.sha256(blob.encode()).hexdigest() == SAMPLE_STREAM
 
+    def test_stdlib_draw_is_not_called(self, monkeypatch):
+        """Sampled verify reads only getrandbits: with the stdlib's
+        randint and sample refusing, the 4x4 ring tree's default verify
+        still gives the pinned report."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("stdlib draw called")
+
+        for name in ("randint", "randrange", "sample", "_randbelow"):
+            monkeypatch.setattr(random.Random, name, refuse)
+        g, t = ring_tree(4, 4)
+        r = verify_quality(g, t)
+        blob = r.to_json() + r.table_lines()[1] + "\n"
+        assert hashlib.sha256(blob.encode()).hexdigest() == SAMPLE_STREAM
+
     def test_records_unpack_rows_in_chunks(self, monkeypatch):
         """records builds the frozensets of the sampled rows from whole
         chunks of unpacked rows (three here), not through side(i), and
@@ -264,6 +278,37 @@ class TestSampled:
         cfg = DEFAULT.replace(samples=40)
         assert verify_quality(g, t, cfg=cfg).to_json() \
             == verify_quality(g, t, cfg=cfg).to_json()
+
+
+def stdlib_rows(seed, n, rows):
+    """The boolean rows of rows cuts drawn by Random(seed) as
+    sample(range(n), randint(1, n - 1)), and the Random's state after."""
+    rng = random.Random(seed)
+    side = np.zeros((rows, n), bool)
+    for row in side:
+        row[rng.sample(range(n), rng.randint(1, n - 1))] = True
+    return side, rng.getstate()
+
+
+# random.sample keeps a pool of its n columns, or else a set of its k picks
+# with repeats rejected, whichever is smaller: the set from n = 22 for
+# k <= 5 and from n = 86 for 6 <= k <= 21.  n = 128 is the rings
+# workload's 32x4 ring.
+@pytest.mark.parametrize("ns", [range(2, 22), range(22, 86), range(86, 131)],
+                         ids=["pool-n2-21", "set-k5-n22-85",
+                              "set-k21-n86-130-with-128"])
+def test_draw_rows_is_the_stdlib_draw(ns):
+    """_draw_rows gives the cuts of randint(1, n - 1) then sample(range(n),
+    k), in order, and leaves its Random in the same state, so it read the
+    same words.  CPython documents only random() as stable across
+    versions: if a later sample draws otherwise, this test says so."""
+    for n in ns:
+        for seed in range(5):
+            want, state = stdlib_rows(seed, n, 200)
+            rng = random.Random(seed)
+            assert np.array_equal(verify._draw_rows(rng, n, 200), want), \
+                (n, seed)
+            assert rng.getstate() == state, (n, seed)
 
 
 class TestEnvelope:
