@@ -4,14 +4,14 @@ Desk-scale implementation of the oracle contract: an exact sparsest-cut
 backend (above the brute-force threshold, a sweep over the prefixes of two
 Fiedler orderings) drives a peeling loop; outcomes carry peel sequences and
 expander certificates, and a self-checker validates every emitted outcome
-against its own declared constants.  The oracle routes no flow: every flow the build keeps is routed
-by the step that uses it (merge and refine).
+against its own declared constants.  The oracle routes no flow: every flow
+the build keeps is routed by the step that uses it (merge and refine).
 
 Within one tree build the sweep solves each distinct eigenproblem once: the
 shrink loop of a merge phase sweeps the same subdivision graph again with
-new masses, and clusters of one shape repeat one Laplacian.  A solved
-Fiedler vector is kept for the rest of the build under a key of the exact
-matrices eigh receives, so equal keys give the vector eigh would return and
+new masses, and clusters of one shape repeat one Laplacian.  A solved order
+is kept for the rest of the build under a key of the positional problem it
+was solved from, so equal keys give the order a new solve would give and
 the trees are the same as without the memo.  Calls outside a build solve
 every time, and nothing is kept from one build to the next.
 """
@@ -49,16 +49,16 @@ def _sweep_weights(g: Graph, mu: Measure):
     return w, scale
 
 
-# The Fiedler vectors solved so far in the running build, keyed on the
-# matrices eigh receives; None outside a build (see _fiedler_memo).
+# The sweep orders solved so far in the running build, keyed on their
+# positional problems; None outside a build (see _fiedler_memo).
 _FIEDLER = ContextVar("treecut_fiedler", default=None)
 
 
 @contextmanager
 def _fiedler_memo():
     """Solve each distinct eigenproblem once inside the block: the sweep
-    keeps every Fiedler vector it solves until the block ends.  Equal keys
-    mean equal matrices, so a kept vector is the one eigh would return."""
+    keeps every order it solves until the block ends.  Equal keys mean
+    equal problems, so a kept order is the one a new solve would give."""
     token = _FIEDLER.set({})
     try:
         yield
@@ -66,50 +66,127 @@ def _fiedler_memo():
         _FIEDLER.reset(token)
 
 
-def _sweep_orders(g: Graph, w, scale):
-    """The two vertex orderings the sweep cuts, from the int masses w
-    (mu = w / scale).
+# The sweep's orders are basis-free: each sorts by the projection of the
+# centred vertex positions onto the whole eigenspace of lambda_2, so no
+# order rests on which basis of a repeated eigenvalue eigh returns.  The
+# eigenvalues within EIG_RTOL of lambda_2 (relative to lambda_2, but at
+# least EIG_FLOOR times a bound on the largest eigenvalue, which keeps
+# numerical zeros together) count as lambda_2; the projected values are
+# scaled by their largest magnitude and rounded to ORDER_DIGITS digits, so
+# values that differ only by rounding error tie, and ties go by vertex.
+EIG_RTOL = 1e-6
+EIG_FLOOR = 1e-10
+ORDER_DIGITS = 9
 
-    Each sorts by a Fiedler vector: first of the mu-weighted generalized
-    problem, then of the plain Laplacian; eigh computes only the two
-    smallest eigenpairs.  Inside a build each vector is looked up by
-    what eigh would receive: the vertex and edge counts and the positional
-    edges (i, j) as int64, then the capacities and, for the generalized
-    problem, the mass diagonal as float64.  g needs at least 2 vertices.
+
+def _sweep_orders(g: Graph, w):
+    """The two vertex orderings the sweep cuts, from the int masses w.
+
+    The first is the mu-weighted order (mu proportional to w), the second
+    the plain one.  The mu order solves on the massed vertices alone: the
+    massless vertices of massed components are eliminated by a Schur
+    complement (Kron reduction) of the Laplacian, the reduced Laplacian S
+    gives the standard problem D^-1/2 S D^-1/2 with D the masses, and the
+    eliminated vertices take the harmonic extension of the massed values.
+    The vertices of massless components follow every massed component, in
+    vertex order; no prefix that separates mass moves.  The plain order
+    solves the n x n Laplacian.  eigh starts with the four smallest
+    eigenpairs and widens while lambda_2's group reaches the last one.
+
+    Inside a build each order is looked up by the positional problem: the
+    vertex and edge counts and the positional edges (i, j) as int64, then
+    the capacities as float64 and, for the mu order, the exact int masses.
+    w needs at least 2 massed vertices.
     """
     import numpy as np
-    from scipy.linalg import eigh
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
-    # int / int is correctly rounded, so this is float(mu(v))
-    mass = np.array([max(w[v] / scale, 1e-9) for v in verts])
+    ws = [w[v] for v in verts]
+    n = len(verts)
+    ends = np.array([idx[x] for u, v, _ in g.edges for x in (u, v)],
+                    np.int64)
+    caps = np.array([c for _, _, c in g.edges], np.float64)
     memo = _FIEDLER.get()
     if memo is None:        # outside a build: solve both, keep neither
         memo, keys = {}, ("mu", "plain")
     else:
-        edges = g.edges
-        head = np.array([len(verts), len(edges)]
-                        + [idx[x] for u, v, _ in edges for x in (u, v)],
-                        np.int64).tobytes() \
-            + np.array([c for _, _, c in edges], np.float64).tobytes()
-        keys = (head + mass.tobytes(), head)
-    lap = None
+        head = np.array([n, len(caps)], np.int64).tobytes() \
+            + ends.tobytes() + caps.tobytes()
+        keys = ((head, tuple(ws)), head)
     orders = []
-    for key, b in zip(keys, (mass, None)):
-        fiedler = memo.get(key)
-        if fiedler is None:
-            if lap is None:
-                lap = np.zeros((len(verts), len(verts)))
-                for u, v, c in g.edges:
-                    i, j = idx[u], idx[v]
-                    lap[i, j] -= c
-                    lap[j, i] -= c
-                    lap[i, i] += c
-                    lap[j, j] += c
-            _, vecs = eigh(lap, None if b is None else np.diag(b),
-                           subset_by_index=[0, 1])
-            fiedler = memo[key] = vecs[:, 1].tolist()
-        orders.append([v for _, v in sorted(zip(fiedler, verts))])
+    for key, weighted in zip(keys, (True, False)):
+        order = memo.get(key)
+        if order is None:
+            if weighted:
+                solved = [i for i, x in enumerate(ws) if x]
+                mass = np.array([ws[i] for i in solved], np.float64)
+                reach = g.reachable([verts[i] for i in solved])
+                zero = [i for i, v in enumerate(verts)
+                        if v in reach and not ws[i]]
+                # massless components go last, in vertex order
+                tail = [i for i, v in enumerate(verts) if v not in reach]
+            else:
+                solved, zero, tail = list(range(n)), [], []
+                mass = np.ones(n)
+            root = np.sqrt(mass)
+            # the Laplacian on the positions `at` (for the mu order the
+            # massed components, massed vertices first): no edge leaves
+            # them, and each is stored once, so no entry is set twice
+            at = np.array(solved + zero)
+            place = np.full(n, -1)
+            place[at] = np.arange(len(at))
+            i, j = place[ends[0::2]], place[ends[1::2]]
+            inside = i >= 0
+            i, j, c = i[inside], j[inside], caps[inside]
+            lap = np.zeros((len(at), len(at)))
+            lap[i, j] = lap[j, i] = -c
+            lap.flat[::len(at) + 1] = np.bincount(i, c, len(at)) \
+                + np.bincount(j, c, len(at))
+            size = len(solved)
+            a = lap[:size, :size]
+            if zero:
+                # L_ZZ is positive definite: every massless vertex here
+                # reaches a massed one
+                extend = cho_solve(
+                    cho_factor(lap[size:, size:], check_finite=False),
+                    lap[size:, :size], check_finite=False)
+                a -= lap[size:, :size].T @ extend
+            if weighted:
+                a /= np.outer(root, root)
+            # Gershgorin on D^-1 S, which has the eigenvalues of a: none
+            # exceeds twice the largest diagonal entry S_ii / d_i of a
+            bound = 2 * a.diagonal().max()
+            k = min(4, size)
+            while True:
+                try:
+                    lam, vecs = eigh(a, check_finite=False,
+                                     subset_by_index=None if k == size
+                                     else [0, k - 1])
+                except LinAlgError:
+                    # LAPACK's subset routines can fail on an eigenvalue
+                    # repeated exactly (a graph with isolated vertices);
+                    # the full solve does not
+                    if k == size:
+                        raise
+                    k = size
+                    continue
+                tol = max(EIG_RTOL * abs(lam[1]), EIG_FLOOR * bound)
+                if k == size or lam[-1] - lam[1] > tol:
+                    break
+                k = min(2 * k, size)
+            group = vecs[:, abs(lam - lam[1]) <= tol]
+            # the centred positions, projected in the D inner product
+            pos = np.array(solved, np.float64)
+            pos -= mass @ pos / mass.sum()
+            x = group @ (group.T @ (root * pos)) / root
+            if zero:
+                x = np.concatenate((x, -extend @ x))
+            top = abs(x).max()
+            if top > 0:
+                x = np.round(x / top, ORDER_DIGITS)
+            order = memo[key] = at[np.lexsort((at, x))].tolist() + tail
+        orders.append([verts[i] for i in order])
     return orders
 
 
@@ -120,16 +197,16 @@ def _sweep_best(g: Graph, mu: Measure):
     prefix masses are ints and ratios compare by cross-multiplication.
     Returns (ratio, side) for the first strict minimizer, or (None, None)
     when fewer than two vertices carry mass, so no cut has a positive
-    denominator.
+    denominator; then nothing is solved.
     """
-    if g.vertex_count < 2:
-        return None, None
     w, scale = _sweep_weights(g, mu)
+    if sum(1 for m in w.values() if m) < 2:
+        return None, None
     total = sum(w.values())
     # best_cap/best_den = 1/0 stands for +infinity: a cut with den = 0
     # never beats it, any cut with den > 0 does
     best_cap, best_den, best_side = 1, 0, None
-    for order in _sweep_orders(g, w, scale):
+    for order in _sweep_orders(g, w):
         side = set()
         cap = mu_a = 0
         for v in order[:-1]:

@@ -34,10 +34,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def reference_sweep(g, mu):
     """First strict minimizer of cap/den over the prefix cuts of both
-    sweep orderings, all in Fraction."""
+    sweep orderings, all in Fraction; no cut has a positive denominator
+    when fewer than two vertices carry mass."""
     mu_total = mu.of(g.vertices)
     best, best_side = None, None
-    for order in _sweep_orders(g, *_sweep_weights(g, mu)):
+    if sum(1 for v in g.vertices if mu(v)) < 2:
+        return best, best_side
+    for order in _sweep_orders(g, _sweep_weights(g, mu)[0]):
         for k in range(1, len(order)):
             side = frozenset(order[:k])
             den = min(mu.of(side), mu_total - mu.of(side))

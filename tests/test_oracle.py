@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from treecut.config import DEFAULT
 import treecut.flow
 from treecut.flow import ORACLE_CONGESTION_LIMIT, RouteResult, escalate
 from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
-                           min_ratio_cut, parse_edge_list)
+                           min_ratio_cut, parse_edge_list, subdivide)
 from treecut.merge import MergePartition
 from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
                             refined_cut_or_expander, sparsest_cut, _log2n,
@@ -102,6 +103,16 @@ class TestSweep:
             assert _sweep_best(g, Measure.indicator(g.vertices)) == \
                 (None, None)
 
+    def test_no_solve_below_two_massed_vertices(self, eigh_calls):
+        """No cut scores then, so nothing is solved; edgeless graphs and
+        graphs of many components included."""
+        for g in (bridged_cliques(12), Graph(range(30), []),
+                  Graph(range(30), [(i, i + 1, 1) for i in range(0, 30, 2)])):
+            for mu in (Measure({}), Measure({0: 1}), Measure({29: 7})):
+                assert _sweep_best(g, mu) == (None, None)
+                assert sparsest_cut(g, mu) == (None, None, False)
+        assert eigh_calls[0] == 0
+
     def test_two_vertices(self):
         mu = Measure.indicator([0, 1])
         ratio, side = _sweep_best(Graph([0, 1], [(0, 1, 3)]), mu)
@@ -132,14 +143,20 @@ class TestSweep:
                 assert ratio == cut_expansion(g, side, mu)
 
     def test_orders_are_permutations(self):
+        # the sweep solves only when at least two vertices carry mass
         rng = random.Random(59)
+        solved = 0
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 12), 0.4, 3)
-            orders = _sweep_orders(
-                g, *_sweep_weights(g, random_measure(rng, g.vertices)))
+            w, _ = _sweep_weights(g, random_measure(rng, g.vertices))
+            if sum(1 for m in w.values() if m) < 2:
+                continue
+            solved += 1
+            orders = _sweep_orders(g, w)
             assert len(orders) == 2
             for order in orders:
                 assert sorted(order) == sorted(g.vertices)
+        assert solved > 20
 
 
 class NoMemo:
@@ -204,20 +221,21 @@ class TestFiedlerMemo:
         for _ in range(10):
             g = random_graph(rng, 6, 0.6, 4)
             h = Graph(range(7), g.edges)
-            alone = _sweep_orders(h, *_sweep_weights(h, mu))
+            alone = _sweep_orders(h, _sweep_weights(h, mu)[0])
             with oracle._fiedler_memo():
-                _sweep_orders(g, *_sweep_weights(g, mu))
-                assert _sweep_orders(h, *_sweep_weights(h, mu)) == alone
+                _sweep_orders(g, _sweep_weights(g, mu)[0])
+                assert _sweep_orders(h, _sweep_weights(h, mu)[0]) == alone
 
     def test_key_holds_the_masses(self):
-        """One graph under many measures: each generalized problem has its
-        own diagonal."""
+        """One graph under many measures: each mu problem has its own
+        masses."""
         rng = random.Random(67)
         g = random_graph(rng, 10, 0.5, 4)
         measures = [random_measure(rng, g.vertices) for _ in range(20)]
-        alone = [_sweep_orders(g, *_sweep_weights(g, mu)) for mu in measures]
+        alone = [_sweep_orders(g, _sweep_weights(g, mu)[0])
+                 for mu in measures]
         with oracle._fiedler_memo():
-            assert [_sweep_orders(g, *_sweep_weights(g, mu))
+            assert [_sweep_orders(g, _sweep_weights(g, mu)[0])
                     for mu in measures] == alone
 
     def test_no_memo_outlives_a_build(self, eigh_calls, monkeypatch):
@@ -252,6 +270,166 @@ class TestFiedlerMemo:
         before = eigh_calls[0]
         sparsest_cut(big, mu)
         assert eigh_calls[0] - before == 2
+
+
+def dense_laplacian(g):
+    import numpy as np
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    lap = np.zeros((g.vertex_count, g.vertex_count))
+    for u, v, c in g.edges:
+        i, j = idx[u], idx[v]
+        lap[i, j] = lap[j, i] = -c
+        lap[i, i] += c
+        lap[j, j] += c
+    return lap
+
+
+def project(at, a, mass, lam, vecs, zero=(), extend=None):
+    """The sweep's rule on the solved positions `at`: project the centred
+    positions onto lambda_2's group in the mass inner product, extend to
+    the positions `zero` by `extend`, scale, round, and sort by (value,
+    position)."""
+    import numpy as np
+    tol = max(oracle.EIG_RTOL * abs(lam[1]),
+              oracle.EIG_FLOOR * 2 * a.diagonal().max())
+    group = vecs[:, abs(lam - lam[1]) <= tol]
+    root = np.sqrt(mass)
+    pos = np.array(at, np.float64)
+    pos -= mass @ pos / mass.sum()
+    x = group @ (group.T @ (root * pos)) / root
+    if zero:
+        x = np.concatenate((x, -extend @ x))
+    x = np.round(x / abs(x).max(), oracle.ORDER_DIGITS)
+    return [i for _, i in sorted(zip(x.tolist(), list(at) + list(zero)))]
+
+
+def full_eigh_orders(g, w):
+    """Both sweep orders of a connected g from a full dense eigh (no
+    subset) of the same two problems, the mu one Kron-reduced by a plain
+    linear solve, each taken through the sweep's projection."""
+    import numpy as np
+    from scipy.linalg import eigh
+    lap = dense_laplacian(g)
+    verts = g.vertices
+    massed = [i for i, v in enumerate(verts) if w[v]]
+    zero = [i for i, v in enumerate(verts) if not w[v]]
+    extend = np.linalg.solve(lap[np.ix_(zero, zero)],
+                             lap[np.ix_(zero, massed)])
+    s = lap[np.ix_(massed, massed)] - lap[np.ix_(massed, zero)] @ extend
+    mass = np.array([w[verts[i]] for i in massed], np.float64)
+    a = s / np.sqrt(np.outer(mass, mass))
+    mu_order = project(massed, a, mass, *eigh(a), zero, extend)
+    plain = range(len(verts))
+    plain_order = project(plain, lap, np.ones(len(verts)), *eigh(lap))
+    return [[verts[i] for i in order] for order in (mu_order, plain_order)]
+
+
+def reference_mu_order(g, w, scale):
+    """The mu order as the sweep made it before the Kron reduction: the
+    generalized problem on every vertex, each mass floored at 1e-9, sorted
+    by its Fiedler vector.  Returns (values by vertex, scaled to the
+    largest magnitude, lambda_2, lambda_3)."""
+    import numpy as np
+    from scipy.linalg import eigh
+    mass = np.array([max(w[v] / scale, 1e-9) for v in g.vertices])
+    lam, vecs = eigh(dense_laplacian(g), np.diag(mass),
+                     subset_by_index=[0, 2])
+    x = vecs[:, 1] / abs(vecs[:, 1]).max()
+    return dict(zip(g.vertices, x.tolist())), lam[1], lam[2]
+
+
+def rotated_eigh(monkeypatch, seed):
+    """Make scipy.linalg.eigh return another orthonormal basis of every
+    eigenspace it returns: each group of eigenvalues equal to within 1e-9
+    of the largest is mixed by a random orthogonal matrix, and then every
+    vector's sign is flipped at random.  Returns the number of groups of
+    two or more vectors mixed so far, in a one-item list."""
+    import numpy as np
+    import scipy.linalg
+    real = scipy.linalg.eigh
+    rng = np.random.default_rng(seed)
+    mixed = [0]
+
+    def rotated(*args, **kwargs):
+        lam, vecs = real(*args, **kwargs)
+        vecs = vecs.copy()
+        tol = 1e-9 * max(1.0, abs(lam).max())
+        start = 0
+        while start < len(lam):
+            end = start + 1
+            while end < len(lam) and lam[end] - lam[start] <= tol:
+                end += 1
+            if end - start > 1:
+                q, _ = np.linalg.qr(rng.standard_normal((end - start,) * 2))
+                vecs[:, start:end] = vecs[:, start:end] @ q
+                mixed[0] += 1
+            start = end
+        return lam, vecs * rng.choice((-1.0, 1.0), len(lam))
+
+    monkeypatch.setattr(scipy.linalg, "eigh", rotated)
+    return mixed
+
+
+def ring32_subdivision():
+    """The subdivision graph of ring 32x4 and the counting measure on its
+    base vertices as int masses: the root problem of a 32x4 build, whose
+    lambda_2 is double."""
+    base = ring_of_cliques(32, 4)
+    g = subdivide(base).view(base.vertices).sub_in
+    return g, {v: int(v in base.adj) for v in g.vertices}
+
+
+# sha256 of repr() of both sweep orders of ring32_subdivision()
+RING32_ORDERS = \
+    "27cbf46a0db4b4e44a5adb448c36b048bb3bc590806b873807b0edef045e8f10"
+
+
+class TestSpectralOrders:
+    """The sweep's orders rest on the problem alone, not on the basis eigh
+    picks for a repeated eigenvalue, nor on a subset or a full solve."""
+
+    def test_ring32_orders_pinned(self):
+        g, w = ring32_subdivision()
+        orders = _sweep_orders(g, w)
+        assert orders == full_eigh_orders(g, w)
+        assert hashlib.sha256(repr(orders).encode()).hexdigest() \
+            == RING32_ORDERS
+
+    def test_orders_ignore_the_basis(self, monkeypatch):
+        g, w = ring32_subdivision()
+        orders = _sweep_orders(g, w)
+        tree_bytes = build_basic(ring_of_cliques(8, 6)).to_json()
+        mixed = rotated_eigh(monkeypatch, 5)
+        assert _sweep_orders(g, w) == orders
+        assert mixed[0] >= 2        # both problems have a double lambda_2
+        assert build_basic(ring_of_cliques(8, 6)).to_json() == tree_bytes
+
+    def test_kron_reduction_is_the_floor_limit(self):
+        """On connected graphs with a simple lambda_2, the mu order sorts
+        the floored Fiedler vector, oriented as the sweep orients its own,
+        up to values within 1e-9."""
+        import numpy as np
+        rng = random.Random(71)
+        compared = 0
+        while compared < 40:
+            g = random_graph(rng, rng.randint(4, 24), 0.35, 5)
+            w, scale = _sweep_weights(g, random_measure(rng, g.vertices))
+            if len(g.components()) > 1 \
+                    or sum(1 for m in w.values() if m) < 2:
+                continue
+            ref, lam2, lam3 = reference_mu_order(g, w, scale)
+            if lam3 - lam2 <= 1e-3 * lam2:
+                continue
+            # the sweep takes the sign that correlates with the positions
+            pos = np.arange(g.vertex_count, dtype=np.float64)
+            mass = np.array([w[v] for v in g.vertices], np.float64)
+            x = np.array([ref[v] for v in g.vertices])
+            if x @ (mass * (pos - mass @ pos / mass.sum())) < 0:
+                ref = {v: -x for v, x in ref.items()}
+            order = _sweep_orders(g, w)[0]
+            assert all(ref[a] <= ref[b] + 1e-9
+                       for a, b in zip(order, order[1:]))
+            compared += 1
 
 
 class TestCutOrExpander:

@@ -10,7 +10,7 @@ import pytest
 from treecut import oracle, replay
 from treecut.demand import DemandMatrix, DemandState, parse_demands
 from treecut.graph import Graph, parse_edge_list
-from treecut.merge import SeparatorFlow
+from treecut.merge import MergePartition, SeparatorFlow
 from treecut.refine import refine
 from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
                             full_replay, replay_merge_cluster,
@@ -148,20 +148,27 @@ class TestUniformizeErrors:
 # 1/DEN above it
 DEN = 7
 ABOVE = Fraction(1, DEN)
-# a ring 3x4 cluster whose merge partition has inter-cluster splits, an
-# inner separator split (15, on the unit link 11-0) and two boundary splits
-# (19 and 26); its separator capacity cap_y_tilde is 2
-CLUSTER = frozenset({0, 1, 2, 3, 8, 9, 10, 11})
 
 
 class Reached(Exception):
     """Raised by a stub in place of the step after a check that passed."""
 
 
-def merge_partition(build):
-    """The merge partition of CLUSTER in the ring 3x4 tree of the build."""
+def merge_partition(build, inner=True):
+    """The first merge partition in the ring 3x4 tree of the build whose
+    cluster has inter-cluster splits, two boundary splits and, if inner,
+    an inner separator split.  The tests read every split id from it, so
+    they hold whichever way the sweep cuts the ring."""
     t = build(ring_of_cliques(3, 4))
-    return next(n.detail for n in t.nodes() if n.members == CLUSTER)
+    return next(p for p in (n.detail for n in t.nodes())
+                if isinstance(p, MergePartition) and p.clustering.x_f
+                and len(p.view.x_boundary) == 2
+                and (p.inner_x_y or not inner))
+
+
+def core_split(part):
+    """An inter-cluster split off the separator: where core demand sits."""
+    return min(part.clustering.x_f - part.x_y)
 
 
 def split_cap(part, x):
@@ -206,7 +213,7 @@ class TestLimits:
         # alpha per unit of capacity at a boundary split, 2 alpha inside
         part = merge_partition(build_improved)
         alpha = Fraction(3, 2)
-        x = 19 if boundary else 15
+        x = min(part.view.x_boundary) if boundary else part.inner_x_y[0]
         limit = (1 if boundary else 2) * alpha * split_cap(part, x)
         with pytest.raises(Reached, match="merge-to-core"):
             run_merge(monkeypatch, part, alpha,
@@ -218,23 +225,25 @@ class TestLimits:
 
     def test_core_leftover(self, monkeypatch):
         part = merge_partition(build_improved)
-        assert part.cap_y_tilde == 2
-        for load in (Fraction(2), 2 + ABOVE):
-            left = DemandState({(12, 0): load})
+        cap = part.cap_y_tilde
+        assert cap > 0
+        for load in (Fraction(cap), cap + ABOVE):
+            left = DemandState({(core_split(part), 0): load})
             moves = {"merge-to-core": left, "merge-spread": left}
-            if load == 2:
+            if load == cap:
                 with pytest.raises(Reached, match="merge-to-sep"):
                     run_merge(monkeypatch, part, 1, moves=moves)
                 continue
             with raises_exactly("core leftover %s exceeds the separator "
-                                "capacity 2 it must exit through" % load):
+                                "capacity %d it must exit through"
+                                % (load, cap)):
                 run_merge(monkeypatch, part, 1, moves=moves)
 
     def test_separator_split(self, monkeypatch):
         part = merge_partition(build_improved)
         y = part.x_y_tilde[0]
         cap = split_cap(part, y)
-        left = DemandState({(12, 0): Fraction(1, 2)})
+        left = DemandState({(core_split(part), 0): Fraction(1, 2)})
         for load in (Fraction(cap), cap + ABOVE):
             moves = {"merge-to-core": left, "merge-spread": left,
                      "merge-to-sep": DemandState({(y, 0): load})}
@@ -268,19 +277,20 @@ class TestLimits:
 
     def test_boundary_receipt(self, monkeypatch):
         # the basic tree's tau is not 1, so the cap has a real denominator
-        part = merge_partition(build_basic)
+        part = merge_partition(build_basic, inner=False)
         assert part.tau.denominator > 1
         alpha = Fraction(3, 2)
-        xb = 19
+        xb = min(part.view.x_boundary)
+        x = core_split(part)
         cap6 = 6 * alpha * part.tau * split_cap(part, xb)
         moves = {"merge-to-core": DemandState()}
         with pytest.raises(Reached, match="merge-to-boundary"):
             run_merge(monkeypatch, part, alpha, moves=moves,
-                      q4=DemandMatrix({(12, xb): cap6}))
+                      q4=DemandMatrix({(x, xb): cap6}))
         with raises_exactly("boundary split %d received %s, over the "
                             "6*alpha*tau cap %s" % (xb, cap6 + ABOVE, cap6)):
             run_merge(monkeypatch, part, alpha, moves=moves,
-                      q4=DemandMatrix({(12, xb): cap6 + ABOVE}))
+                      q4=DemandMatrix({(x, xb): cap6 + ABOVE}))
 
     def test_uniformized_total(self):
         view, x, _ = TestUniformizeErrors.overloaded()
