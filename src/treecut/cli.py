@@ -91,11 +91,11 @@ def _parse_cut(text, g):
 def _load_measure(path, g):
     text = _read(path, "measure")
     try:
-        mu = parse_measure(text)
+        mu, scale = parse_measure(text)
     except ValueError as exc:
         raise _UsageError("measure file %r: %s" % (path, exc))
     _known(g, _line_vertices(text), "measure file %r" % path)
-    return mu
+    return mu, scale
 
 
 def cmd_build(args):
@@ -210,9 +210,12 @@ def cmd_oracle(args):
         raise _UsageError("phi must be a rational, got %r" % args.phi)
     if phi <= 0:
         raise _UsageError("phi must be positive, got %r" % args.phi)
-    mu = _load_measure(args.mu, g)
+    # mu holds the file's weights times scale, so every ratio is the file's
+    # over scale: phi goes in so, and each ratio prints times scale
+    mu, scale = _load_measure(args.mu, g)
+    phi /= scale
     if args.nu:
-        nu = _load_measure(args.nu, g)
+        nu, _ = _load_measure(args.nu, g)
         outcome = refined_cut_or_expander(g, phi, mu, nu, cfg)
         base = outcome.base
         print("refined case: %s (base %s)" % (outcome.tag, base.tag))
@@ -223,17 +226,17 @@ def cmd_oracle(args):
         print("case: %s" % outcome.tag)
         rep = check_outcome(outcome)
     print("phi = %s, sparsity threshold = %s"
-          % (frac_str(base.phi), frac_str(base.threshold)))
+          % (frac_str(base.phi * scale), frac_str(base.threshold * scale)))
     print("peel steps: %d, residual size: %d"
           % (len(base.steps), len(base.residual)))
     for i, step in enumerate(base.steps):
         print("  step %d: side=%r ratio=%s"
-              % (i, sorted(step.side), frac_str(step.ratio)))
+              % (i, sorted(step.side), frac_str(step.ratio * scale)))
     if base.certificate is not None:
         cert = base.certificate
         print("expander certificate: %s (value %s)"
-              % (cert.verified,
-                 "none" if cert.value is None else frac_str(cert.value)))
+              % (cert.verified, "none" if cert.value is None
+                 else frac_str(cert.value * scale)))
     for note in rep.notes:
         print("note: %s" % note)
     if not rep.ok:

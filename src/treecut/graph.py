@@ -4,14 +4,15 @@ Conventions used throughout the package:
   * vertices are nonnegative integers; edges are stored once as (u, v, cap)
     with u < v and parallel edges aggregated into the capacity;
   * a "cut" is represented by one side as a frozenset;
-  * expansion denominators use exact rationals (fractions.Fraction).
+  * a measure holds nonnegative int weights, so its masses are ints;
+    expansions are exact rationals (fractions.Fraction).
 
 Exact cut enumeration (min_ratio_cut here, respects_exact in demand.py)
 runs on one kernel, _min_ratio_side, which scores all 2^(n-1) sides in
-numpy blocks of subset sums.  Its API stays Fraction: the kernel scales the
-masses by the lcm of their denominators so that every side is scored in
-ints (Python ints past 2^62), and builds one Fraction for the returned
-ratio.
+numpy blocks of subset sums.  Every side is scored in ints (Python ints
+past 2^62): a measure's weights are ints already, and the kernel scales
+the rational demand vectors of respects_exact by the lcm of their
+denominators.  It builds one Fraction for the returned ratio.
 """
 
 from fractions import Fraction
@@ -154,14 +155,13 @@ _ZERO = Fraction(0)     # one shared immutable zero for lookup defaults
 
 
 class Measure:
-    """Nonnegative vertex weighting."""
+    """Nonnegative int vertex weighting."""
 
     def __init__(self, weights):
         self.weights = {}
         for v, w in dict(weights).items():
-            w = Fraction(w)
-            if w < 0:
-                raise GraphError("negative weight at %r" % (v,))
+            if type(w) is not int or w < 0:
+                raise GraphError("weight %r at %r: not an int >= 0" % (w, v))
             if w:
                 self.weights[v] = w
 
@@ -170,18 +170,14 @@ class Measure:
         return cls({v: 1 for v in vertices})
 
     def __call__(self, v):
-        return self.weights.get(v, _ZERO)
+        return self.weights.get(v, 0)
 
     def of(self, vertices):
-        """mu(vertices), built as one Fraction: the numerators summed
-        over the lcm of the denominators."""
         weights = self.weights
-        ws = [weights[v] for v in vertices if v in weights]
-        d = lcm(*(w.denominator for w in ws))
-        return Fraction(sum(w.numerator * (d // w.denominator) for w in ws), d)
+        return sum(weights[v] for v in vertices if v in weights)
 
     def total(self):
-        return sum(self.weights.values(), Fraction(0))
+        return sum(self.weights.values())
 
     def restrict(self, vertices):
         """mu on `vertices` alone.  Its weights were checked here, so they
@@ -230,7 +226,7 @@ def cut_expansion(g: Graph, side, mu: Measure):
     m = min(mu.of(side), mu.of(g.vertex_set() - side))
     if m == 0:
         return None
-    return Fraction(cut_capacity(g, side), 1) / m
+    return Fraction(cut_capacity(g, side), m)
 
 
 class SubdivisionGraph:
@@ -408,17 +404,17 @@ def _min_ratio_side(g: Graph, weights=None, vectors=None):
     """Exact minimizer of cap(S, S-bar)/den(S) over the cuts of g.
 
     Exactly one of `weights` and `vectors` is given, as a list aligned with
-    g.vertices.  With `weights` (rationals), den(S) = min(w(S), w(S-bar)).
+    g.vertices.  With `weights` (ints), den(S) = min(w(S), w(S-bar)).
     With `vectors` (dicts commodity -> rational mass),
     den(S) = sum_k |sum_{v in S} m_k(v)|.  Cuts with den(S) = 0 are skipped,
     and so is the whole vertex set (its demand need not vanish when the
     demand state has mass outside g).
 
     The first vertex stays in S, and bit j - 1 of a side's mask stands for
-    vertex j.  Masses are scaled by the lcm of their denominators, and the
-    sides are tabled in ints by _side_sums: first the first vertex plus
-    every subset of the high vertices, then, one block at a time, each of
-    those plus every subset of the low vertices.  Each block is scored in
+    vertex j.  Vector masses are scaled by the lcm of their denominators,
+    and the sides are tabled in ints by _side_sums: first the first vertex
+    plus every subset of the high vertices, then, one block at a time, each
+    of those plus every subset of the low vertices.  Each block is scored in
     numpy; floats pick the sides within _FLOAT_SLACK of its least ratio,
     and ints compare those in Gray order (a block of odd index runs
     through its table backwards).  Returns (ratio, side) for the first
@@ -426,11 +422,10 @@ def _min_ratio_side(g: Graph, weights=None, vectors=None):
     """
     n = g.vertex_count
     if vectors is None:
-        scale = lcm(*(w.denominator for w in weights))
-        masses = [[w.numerator * (scale // w.denominator)] for w in weights]
-        total = sum(m for m, in masses)
+        scale, total = 1, sum(weights)
+        masses = [[w] for w in weights]
         # min(w(S), w(S-bar)) > 0 needs weight on both sides
-        if sum(1 for m, in masses if m) < 2:
+        if sum(1 for w in weights if w) < 2:
             return None, None
     else:
         scale = lcm(*(a.denominator for vec in vectors for a in vec.values()))
@@ -533,15 +528,24 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join("%d %d %d" % (u, v, c) for u, v, c in g.edges) + "\n"
 
 
-def parse_measure(text: str) -> Measure:
-    """One line per vertex: `v weight`; weights are rationals."""
+def parse_measure(text: str):
+    """One line per vertex: `v weight`; weights are nonnegative rationals,
+    and no vertex has two lines.  Returns (mu, scale): mu holds the
+    weights times scale, the lcm of their denominators, as ints."""
     weights = {}
     for lineno, line in data_lines(text.splitlines()):
         parts = line.split()
         if len(parts) != 2:
             raise GraphError("line %d: expected `v weight`" % lineno)
         try:
-            weights[int(parts[0])] = parse_frac(parts[1])
+            v, w = int(parts[0]), parse_frac(parts[1])
         except ValueError as exc:
             raise GraphError("line %d: %s" % (lineno, exc)) from exc
-    return Measure(weights)
+        if v in weights:
+            raise GraphError("line %d: vertex %d has a weight already"
+                             % (lineno, v))
+        if w < 0:
+            raise GraphError("line %d: negative weight" % lineno)
+        weights[v] = w
+    scale = lcm(*(w.denominator for w in weights.values()))
+    return Measure({v: int(w * scale) for v, w in weights.items()}), scale

@@ -6,6 +6,8 @@ Fiedler orderings) drives a peeling loop; outcomes carry peel sequences and
 expander certificates, and a self-checker validates every emitted outcome
 against its own declared constants.  The oracle routes no flow: every flow
 the build keeps is routed by the step that uses it (merge and refine).
+Measures hold int weights: every mass comparison is an int one (2 * cum >
+mu_total, never mu_total / 2), and each ratio is one exact Fraction.
 
 Within one tree build the sweep solves each distinct eigenproblem once: the
 shrink loop of a merge phase sweeps the same subdivision graph again with
@@ -20,7 +22,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 
 from .config import DEFAULT, Config
 from .graph import Graph, Measure, cut_expansion, min_ratio_cut
@@ -38,15 +39,6 @@ class OracleError(ValueError):
 
 def _log2n(n):
     return max(Fraction(1), rlog2(max(2, n)))
-
-
-def _sweep_weights(g: Graph, mu: Measure):
-    """(w, scale): mu scaled by scale, the lcm of its denominators, to int
-    masses w."""
-    mass = {v: mu(v) for v in g.vertices}
-    scale = lcm(*(m.denominator for m in mass.values()))
-    w = {v: m.numerator * (scale // m.denominator) for v, m in mass.items()}
-    return w, scale
 
 
 # The sweep orders solved so far in the running build, keyed on their
@@ -79,30 +71,30 @@ EIG_FLOOR = 1e-10
 ORDER_DIGITS = 9
 
 
-def _sweep_orders(g: Graph, w):
-    """The two vertex orderings the sweep cuts, from the int masses w.
+def _sweep_orders(g: Graph, mu: Measure):
+    """The two vertex orderings the sweep cuts, from mu's int masses.
 
-    The first is the mu-weighted order (mu proportional to w), the second
-    the plain one.  The mu order solves on the massed vertices alone: the
-    massless vertices of massed components are eliminated by a Schur
-    complement (Kron reduction) of the Laplacian, the reduced Laplacian S
-    gives the standard problem D^-1/2 S D^-1/2 with D the masses, and the
-    eliminated vertices take the harmonic extension of the massed values.
-    The vertices of massless components follow every massed component, in
-    vertex order; no prefix that separates mass moves.  The plain order
-    solves the n x n Laplacian.  eigh starts with the four smallest
-    eigenpairs and widens while lambda_2's group reaches the last one.
+    The first is the mu-weighted order, the second the plain one.  The mu
+    order solves on the massed vertices alone: the massless vertices of
+    massed components are eliminated by a Schur complement (Kron reduction)
+    of the Laplacian, the reduced Laplacian S gives the standard problem
+    D^-1/2 S D^-1/2 with D the masses, and the eliminated vertices take the
+    harmonic extension of the massed values.  The vertices of massless
+    components follow every massed component, in vertex order; no prefix
+    that separates mass moves.  The plain order solves the n x n Laplacian.
+    eigh starts with the four smallest eigenpairs and widens while
+    lambda_2's group reaches the last one.
 
     Inside a build each order is looked up by the positional problem: the
     vertex and edge counts and the positional edges (i, j) as int64, then
     the capacities as float64 and, for the mu order, the exact int masses.
-    w needs at least 2 massed vertices.
+    mu needs at least 2 massed vertices in g.
     """
     import numpy as np
     from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
-    ws = [w[v] for v in verts]
+    ws = [mu(v) for v in verts]
     n = len(verts)
     ends = np.array([idx[x] for u, v, _ in g.edges for x in (u, v)],
                     np.int64)
@@ -193,33 +185,31 @@ def _sweep_orders(g: Graph, w):
 def _sweep_best(g: Graph, mu: Measure):
     """Best prefix cut over the two spectral orderings.
 
-    mu is scaled by the lcm of its denominators, so prefix capacities and
-    prefix masses are ints and ratios compare by cross-multiplication.
-    Returns (ratio, side) for the first strict minimizer, or (None, None)
-    when fewer than two vertices carry mass, so no cut has a positive
-    denominator; then nothing is solved.
+    Prefix capacities and prefix masses are ints, so ratios compare by
+    cross-multiplication.  Returns (ratio, side) for the first strict
+    minimizer, or (None, None) when fewer than two vertices carry mass, so
+    no cut has a positive denominator; then nothing is solved.
     """
-    w, scale = _sweep_weights(g, mu)
-    if sum(1 for m in w.values() if m) < 2:
+    if sum(1 for v in g.vertices if mu(v)) < 2:
         return None, None
-    total = sum(w.values())
+    total = mu.of(g.vertices)
     # best_cap/best_den = 1/0 stands for +infinity: a cut with den = 0
     # never beats it, any cut with den > 0 does
     best_cap, best_den, best_side = 1, 0, None
-    for order in _sweep_orders(g, w):
+    for order in _sweep_orders(g, mu):
         side = set()
         cap = mu_a = 0
         for v in order[:-1]:
             for u, c in g.adj[v]:
                 cap += c if u not in side else -c
             side.add(v)
-            mu_a += w[v]
+            mu_a += mu(v)
             den = min(mu_a, total - mu_a)
             if den > 0 and cap * best_den < best_cap * den:
                 best_cap, best_den, best_side = cap, den, frozenset(side)
     if not best_den:
         return None, None
-    return Fraction(best_cap * scale, best_den), best_side
+    return Fraction(best_cap, best_den), best_side
 
 
 def sparsest_cut(g: Graph, mu: Measure, cfg: Config = DEFAULT):
@@ -296,11 +286,11 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
     threshold = ORACLE_SPARSITY_C * phi * logn
     mu_total = mu.of(g.vertices)
     residual = set(g.vertices)
-    cum = Fraction(0)
+    cum = 0
     steps = []
     ended_no_cut = True
     while True:
-        if cum > mu_total / 2:
+        if 2 * cum > mu_total:
             ended_no_cut = False
             break
         g_a = g.induced(residual)
@@ -356,22 +346,22 @@ def refined_cut_or_expander(g: Graph, phi, mu: Measure, nu: Measure,
         return RefinedOutcome("1", base, nu)
     if base.tag == "UnbalancedExpander":
         a = base.residual
-        tag = "3a" if nu.of(verts - a) >= nu_total / 2 else "3b"
+        tag = "3a" if 2 * nu.of(verts - a) >= nu_total else "3b"
         return RefinedOutcome(tag, base, nu, cut_a=a)
     # BalancedCut
     abar = base.peeled
-    if nu.of(abar) <= nu_total / 4:
+    if 4 * nu.of(abar) <= nu_total:
         return RefinedOutcome("2a", base, nu, cut_a=base.residual)
-    cum = Fraction(0)
+    cum = 0
     t0 = None
     for i, step in enumerate(base.steps):
         cum += nu.of(step.side)
-        if cum > nu_total / 4:
+        if 4 * cum > nu_total:
             t0 = i
             break
     if t0 is None:
         raise OracleError("internal: truncation index not found")
-    if cum <= nu_total / 2:
+    if 2 * cum <= nu_total:
         peeled = frozenset().union(*(s.side for s in base.steps[:t0 + 1]))
         return RefinedOutcome("2b", base, nu, cut_a=verts - peeled)
     a1 = verts - (frozenset().union(*(s.side for s in base.steps[:t0]))
@@ -426,7 +416,7 @@ def check_outcome(outcome: OracleOutcome) -> CheckReport:
             if ratio >= outcome.threshold:
                 rep.fail("step %d: sparsity %s not below threshold %s"
                          % (i, ratio, outcome.threshold))
-        if mu.of(step.side) > mu.of(residual) / 2:
+        if 2 * mu.of(step.side) > mu.of(residual):
             rep.fail("step %d: peeled the larger-mu side" % i)
         residual = residual - step.side
     if residual != outcome.residual:
@@ -499,9 +489,9 @@ def check_refined(outcome: RefinedOutcome) -> CheckReport:
     elif tag in ("2a", "2b"):
         a = outcome.cut_a
         nbar = nu.of(verts - a)
-        if tag == "2a" and nbar > nu_total / 4:
+        if tag == "2a" and 4 * nbar > nu_total:
             rep.fail("2a: nu of the peeled side exceeds nu(V)/4")
-        if tag == "2b" and not (nu_total / 4 < nbar <= nu_total / 2):
+        if tag == "2b" and not (nu_total < 4 * nbar <= 2 * nu_total):
             rep.fail("2b: nu of the peeled side outside (1/4, 1/2]")
         # V \ A is what a leading run of the (checked) peel steps removed
         leading = accumulate((s.side for s in outcome.base.steps),
@@ -511,18 +501,18 @@ def check_refined(outcome: RefinedOutcome) -> CheckReport:
     elif tag == "2c":
         a1, a2 = outcome.cut_a1, outcome.cut_a2
         mu = outcome.base.mu
-        if mu.of(a2) < mu.of(verts) / 4:
+        if 4 * mu.of(a2) < mu.of(verts):
             rep.fail("2c: mu(A2) below mu(V)/4")
-        if nu.of(a1 - a2) < nu_total / 4:
+        if 4 * nu.of(a1 - a2) < nu_total:
             rep.fail("2c: nu(A1\\A2) below nu(V)/4")
-        if nu.of(verts - a1) > nu_total / 4:
+        if 4 * nu.of(verts - a1) > nu_total:
             rep.fail("2c: nu(V\\A1) above nu(V)/4")
     elif tag in ("3a", "3b"):
         a = outcome.cut_a
         nbar = nu.of(verts - a)
-        if tag == "3a" and nbar < nu_total / 2:
+        if tag == "3a" and 2 * nbar < nu_total:
             rep.fail("3a: nu(V\\A) below nu(V)/2")
-        if tag == "3b" and nbar > nu_total / 2:
+        if tag == "3b" and 2 * nbar > nu_total:
             rep.fail("3b: nu(V\\A) above nu(V)/2")
     else:
         rep.fail("unknown refined tag %r" % (tag,))

@@ -4,6 +4,7 @@ tree min-cut and terminal-augmented min cut."""
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from treecut.demand import DemandError, DemandMatrix, DemandState
 from treecut.graph import (ClusterView, Graph, Measure, cut_capacity,
@@ -98,6 +99,18 @@ def triangle_chain():
     return Graph(range(13), edges)
 
 
+def refining_pairs():
+    """The heavy pairs {0, 1} and {2, 3} joined by the unit edge 1-2, each
+    tied to the heavy pair {4, 5} by an edge of capacity 1000, with 6
+    hanging off 5 by a third.  The improved build's merge phase keeps
+    {0, 1, 2, 3} as one cluster, and its refinement splits it into the two
+    pairs at the default Config: against the boundary measure the unit
+    edge is 1/1000-sparse."""
+    h = 10 ** 5
+    return Graph(range(7), [(0, 1, h), (1, 2, 1), (2, 3, h), (3, 4, 1000),
+                            (4, 5, h), (1, 5, 1000), (5, 6, 1000)])
+
+
 def view_of(g, cluster):
     """The cluster's view in the subdivision of g."""
     return ClusterView(subdivide(g), cluster)
@@ -115,9 +128,11 @@ def labelled_graph(rng, n, labels=None):
 
 
 def random_measure(rng, vertices):
-    """Mixed denominators and zero-weight vertices."""
-    return Measure({v: Fraction(rng.choice((0, 0, 1, 2, 5)),
-                                rng.choice(DENOMINATORS))
+    """Zero-weight vertices, and weights drawn as fractions over mixed
+    DENOMINATORS, each times their lcm: int weights in the same ratios."""
+    scale = lcm(*DENOMINATORS)
+    return Measure({v: rng.choice((0, 0, 1, 2, 5))
+                    * (scale // rng.choice(DENOMINATORS))
                     for v in vertices})
 
 

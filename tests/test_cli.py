@@ -22,6 +22,21 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 RING = os.path.join(FIXTURES, "ring8.edges")
 DEMANDS = os.path.join(FIXTURES, "ring8.demands")
 
+# `treecut oracle` on RING with mu = {0: 5/3, 3: 1/7, 5: 2}, after its
+# first line: phi 1/24 leaves an exact expander, phi 1 peels one side
+RATIONAL_EXPANDER = """\
+phi = 1/24, sparsity threshold = 1/8
+peel steps: 0, residual size: 8
+expander certificate: exact (value 42/19)
+all postconditions pass
+"""
+RATIONAL_PEEL = """\
+phi = 1, sparsity threshold = 3
+peel steps: 1, residual size: 2
+  step 0: side=[0, 1, 2, 3, 6, 7] ratio=42/19
+all postconditions pass
+"""
+
 
 def assert_usage_error(argv, capsys):
     """Exit code 2 with an `error:` line on stderr, not a traceback."""
@@ -444,6 +459,41 @@ class TestOracle:
                    "--mu", str(mu), "--nu", str(nu)])
         assert rc == 0
         assert "refined case" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("phi, refined, out", [
+        ("1/24", False, "case: Expander\n" + RATIONAL_EXPANDER),
+        ("1/24", True, "refined case: 1 (base Expander)\n"
+         + RATIONAL_EXPANDER),
+        ("1", False, "case: BalancedCut\n" + RATIONAL_PEEL),
+        ("1", True, "refined case: 2c (base BalancedCut)\n"
+         + RATIONAL_PEEL)],
+        ids=["expander", "expander-nu", "peel", "peel-nu"])
+    def test_rational_measure_output(self, phi, refined, out, tmp_path,
+                                     capsys):
+        """A measure file of rationals: phi, the threshold, each step ratio
+        and the certificate value print as the file's own scale gives
+        them."""
+        mu = tmp_path / "mu.txt"
+        mu.write_text("0 5/3\n3 1/7\n5 2\n")
+        argv = ["oracle", "--graph", RING, "--phi", phi, "--mu", str(mu)]
+        if refined:
+            nu = tmp_path / "nu.txt"
+            nu.write_text("1 1/2\n4 3/5\n6 1\n")
+            argv += ["--nu", str(nu)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+    def test_repeated_measure_vertex_exits_two(self, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        good.write_text("0 1\n4 1\n")
+        twice = tmp_path / "twice.txt"
+        twice.write_text("0 1\n# again\n0 2\n")
+        for mu, nu in ((twice, None), (good, twice)):
+            argv = ["oracle", "--graph", RING, "--phi", "1/24",
+                    "--mu", str(mu)] + (["--nu", str(nu)] if nu else [])
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "line 3" in err, err
 
     def test_bad_phi_exits_two(self, tmp_path, capsys):
         mu = tmp_path / "mu.txt"

@@ -257,19 +257,21 @@ class TestAgainstGrayWalk:
         # weight on two far vertices only: most sides have den 0
         for n in (5, 13, 14, 15):
             g = ring_of_cliques(n // 3 + 1, 3).induced(range(n))
-            mu = Measure({0: 1, n - 1: Fraction(2, 3)})
+            mu = Measure({0: 3, n - 1: 2})     # 1 and 2/3, times 3
             assert min_ratio_cut(g, mu) == walk_min_ratio(g, mu)
 
     @pytest.mark.parametrize("big", [2 ** 61, 2 ** 70])
     def test_past_int64(self, big):
-        """Capacities near or past int64, and denominators whose lcm is
-        past 2^62: the kernel runs on Python ints."""
+        """Capacities near or past int64, and weights drawn over
+        denominators whose lcm is past 2^62, times that lcm: the kernel
+        runs on Python ints."""
         rng = random.Random(big % 1000)
         dens = (2 ** 31 - 1, 2 ** 31 + 11, 3, 1)
         for n in (3, 9, 14):
             g = labelled_graph(rng, n)
             g = Graph(g.vertices, [(u, v, c * big) for u, v, c in g.edges])
-            mu = Measure({v: Fraction(rng.randint(0, 4), rng.choice(dens))
+            mu = Measure({v: rng.randint(0, 4) * (lcm(*dens)
+                                                  // rng.choice(dens))
                           for v in g.vertices})
             assert min_ratio_cut(g, mu) == walk_min_ratio(g, mu)
             p = random_state(rng, list(g.vertices), 3, dens)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,26 +209,37 @@ class TestClusterView:
         assert m(self.sub.split(0, 1)) == 1
 
 
-def test_measure_of_is_the_fraction_sum():
-    """Equal in value and type to summing the Fractions, over the empty
-    set and vertices outside the measure too."""
+def scaled_weights(rng):
+    """Weights drawn as fractions over mixed DENOMINATORS on 0..9, each
+    times their lcm."""
+    scale = lcm(*DENOMINATORS)
+    return {v: rng.randint(0, 9) * (scale // rng.choice(DENOMINATORS))
+            for v in range(10)}
+
+
+def test_measure_of_is_the_int_sum():
+    """Equal in value and type to summing the weights one by one, over the
+    empty set and vertices outside the measure too."""
     rng = random.Random(79)
     for _ in range(200):
-        mu = Measure({v: Fraction(rng.randint(0, 9), rng.choice(DENOMINATORS))
-                      for v in range(10)})
+        mu = Measure(scaled_weights(rng))
         vs = rng.sample(range(15), rng.randint(0, 15))
-        want = sum((mu(v) for v in vs), Fraction(0))
         got = mu.of(vs)
-        assert got == want and type(got) is Fraction
-        assert (got.numerator, got.denominator) == \
-            (want.numerator, want.denominator)
+        assert got == sum(mu(v) for v in vs) and type(got) is int
+    assert type(mu.total()) is int and type(mu(99)) is int
+
+
+@pytest.mark.parametrize("w", [Fraction(1, 2), Fraction(2), -1, 1.5, 2.0,
+                               True, "1"])
+def test_measure_refuses_other_weights(w):
+    with pytest.raises(GraphError):
+        Measure({0: 1, 3: w})
 
 
 def test_measure_restrict_matches_a_checked_measure():
     rng = random.Random(83)
     for _ in range(100):
-        mu = Measure({v: Fraction(rng.randint(0, 9), rng.choice(DENOMINATORS))
-                      for v in range(10)})
+        mu = Measure(scaled_weights(rng))
         vs = rng.sample(range(15), rng.randint(0, 15))
         want = Measure({v: w for v, w in mu.weights.items() if v in vs})
         assert list(mu.restrict(vs).weights.items()) == \
@@ -236,7 +248,19 @@ def test_measure_restrict_matches_a_checked_measure():
 
 
 def test_parse_measure():
-    m = parse_measure("0 1/2\n3 2\n")
-    assert m(0) == Fraction(1, 2)
-    assert m(3) == 2
+    """Rational weights come back times the lcm of their denominators."""
+    m, scale = parse_measure("0 1/2\n3 2\n5 0\n6 1/3\n")
+    assert scale == 6
+    assert m.weights == {0: 3, 3: 12, 6: 2}
     assert m(1) == 0
+    m, scale = parse_measure("# no weights\n")
+    assert scale == 1 and m.weights == {}
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("0 1\n0 2\n", 2), ("0 1\n\n# note\n2 1/2\n0 0\n", 5),
+    ("0 1\n1 -1/2\n", 2), ("0 1\n1 x\n", 2), ("0 1 2\n", 1)])
+def test_parse_measure_refuses_a_line(text, lineno):
+    """A second line for one vertex is refused, not read over the first."""
+    with pytest.raises(GraphError, match="^line %d: " % lineno):
+        parse_measure(text)

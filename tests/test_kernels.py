@@ -7,7 +7,7 @@ import importlib.util
 import random
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,7 @@ from treecut.demand import (DemandError, DemandMatrix, DemandState,
 from treecut.flow import S_NODE, T_NODE, FlowNetwork, max_flow
 from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
                            subdivide)
-from treecut.oracle import _sweep_best, _sweep_orders, _sweep_weights
+from treecut.oracle import _sweep_best, _sweep_orders
 from treecut.tree import (_row_chunks, build_basic, build_improved,
                           mincut_in_tree)
 from treecut.verify import QualityReport, verify_quality
@@ -40,7 +40,7 @@ def reference_sweep(g, mu):
     best, best_side = None, None
     if sum(1 for v in g.vertices if mu(v)) < 2:
         return best, best_side
-    for order in _sweep_orders(g, _sweep_weights(g, mu)[0]):
+    for order in _sweep_orders(g, mu):
         for k in range(1, len(order)):
             side = frozenset(order[:k])
             den = min(mu.of(side), mu_total - mu.of(side))
@@ -166,9 +166,11 @@ class TestSweep:
             assert got[0] is None or type(got[0]) is Fraction
 
     def test_each_denominator(self):
+        """Weights over one denominator each time, times the lcm of all."""
+        scale = lcm(*DENOMINATORS)
         for den in DENOMINATORS:
             for rng, g in graphs(2 + den, count=20):
-                mu = Measure({v: Fraction(rng.randint(0, 5), den)
+                mu = Measure({v: rng.randint(0, 5) * (scale // den)
                               for v in g.vertices})
                 assert _sweep_best(g, mu) == reference_sweep(g, mu)
 
@@ -201,8 +203,9 @@ class TestSweep:
             verts = list(g.vertices)
             for k in (0, 1, 2, len(verts)):
                 massed = rng.sample(verts, k)
-                mu = Measure({v: Fraction(rng.randint(1, 5),
-                                          rng.choice(DENOMINATORS))
+                mu = Measure({v: rng.randint(1, 5)
+                              * (lcm(*DENOMINATORS)
+                                 // rng.choice(DENOMINATORS))
                               for v in massed})
                 ratio, side = _sweep_best(g, mu)
                 if k < 2:

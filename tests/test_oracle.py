@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,11 +14,11 @@ from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
 from treecut.merge import MergePartition
 from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
                             refined_cut_or_expander, sparsest_cut, _log2n,
-                            _sweep_best, _sweep_orders, _sweep_weights)
+                            _sweep_best, _sweep_orders)
 from treecut.tree import build_basic, build_improved
 
-from corpus import (dumbbell, grid, k_n, random_graph, random_measure,
-                    ring_of_cliques)
+from corpus import (DENOMINATORS, dumbbell, grid, k_n, random_graph,
+                    random_measure, ring_of_cliques)
 
 
 def k8_pendant():
@@ -56,10 +57,10 @@ class TestSparsestCut:
         """Above the threshold the spectral orders alone can miss a cut of
         capacity 0 between two massed components; sparsest_cut must not."""
         g = Graph(range(5), [(0, 4, 8), (2, 4, 5)])
-        mu = Measure({0: Fraction(5, 3), 3: Fraction(1, 7)})
+        mu = Measure({0: 35, 3: 3})      # 5/3 and 1/7 times their lcm 21
         cfg = DEFAULT.replace(brute_threshold=4)
         assert sparsest_cut(g, mu, cfg) == (0, frozenset({0, 2, 4}), False)
-        out = cut_or_expander(g, 1, mu, cfg)
+        out = cut_or_expander(g, Fraction(1, 21), mu, cfg)
         assert out.tag == "UnbalancedExpander"
         assert [step.side for step in out.steps] == [frozenset({1, 3})]
         assert check_outcome(out).ok
@@ -148,11 +149,11 @@ class TestSweep:
         solved = 0
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 12), 0.4, 3)
-            w, _ = _sweep_weights(g, random_measure(rng, g.vertices))
-            if sum(1 for m in w.values() if m) < 2:
+            mu = random_measure(rng, g.vertices)
+            if len(mu.weights) < 2:
                 continue
             solved += 1
-            orders = _sweep_orders(g, w)
+            orders = _sweep_orders(g, mu)
             assert len(orders) == 2
             for order in orders:
                 assert sorted(order) == sorted(g.vertices)
@@ -221,10 +222,10 @@ class TestFiedlerMemo:
         for _ in range(10):
             g = random_graph(rng, 6, 0.6, 4)
             h = Graph(range(7), g.edges)
-            alone = _sweep_orders(h, _sweep_weights(h, mu)[0])
+            alone = _sweep_orders(h, mu)
             with oracle._fiedler_memo():
-                _sweep_orders(g, _sweep_weights(g, mu)[0])
-                assert _sweep_orders(h, _sweep_weights(h, mu)[0]) == alone
+                _sweep_orders(g, mu)
+                assert _sweep_orders(h, mu) == alone
 
     def test_key_holds_the_masses(self):
         """One graph under many measures: each mu problem has its own
@@ -232,11 +233,9 @@ class TestFiedlerMemo:
         rng = random.Random(67)
         g = random_graph(rng, 10, 0.5, 4)
         measures = [random_measure(rng, g.vertices) for _ in range(20)]
-        alone = [_sweep_orders(g, _sweep_weights(g, mu)[0])
-                 for mu in measures]
+        alone = [_sweep_orders(g, mu) for mu in measures]
         with oracle._fiedler_memo():
-            assert [_sweep_orders(g, _sweep_weights(g, mu)[0])
-                    for mu in measures] == alone
+            assert [_sweep_orders(g, mu) for mu in measures] == alone
 
     def test_no_memo_outlives_a_build(self, eigh_calls, monkeypatch):
         big = bridged_cliques(12)
@@ -303,7 +302,7 @@ def project(at, a, mass, lam, vecs, zero=(), extend=None):
     return [i for _, i in sorted(zip(x.tolist(), list(at) + list(zero)))]
 
 
-def full_eigh_orders(g, w):
+def full_eigh_orders(g, mu):
     """Both sweep orders of a connected g from a full dense eigh (no
     subset) of the same two problems, the mu one Kron-reduced by a plain
     linear solve, each taken through the sweep's projection."""
@@ -311,12 +310,12 @@ def full_eigh_orders(g, w):
     from scipy.linalg import eigh
     lap = dense_laplacian(g)
     verts = g.vertices
-    massed = [i for i, v in enumerate(verts) if w[v]]
-    zero = [i for i, v in enumerate(verts) if not w[v]]
+    massed = [i for i, v in enumerate(verts) if mu(v)]
+    zero = [i for i, v in enumerate(verts) if not mu(v)]
     extend = np.linalg.solve(lap[np.ix_(zero, zero)],
                              lap[np.ix_(zero, massed)])
     s = lap[np.ix_(massed, massed)] - lap[np.ix_(massed, zero)] @ extend
-    mass = np.array([w[verts[i]] for i in massed], np.float64)
+    mass = np.array([mu(verts[i]) for i in massed], np.float64)
     a = s / np.sqrt(np.outer(mass, mass))
     mu_order = project(massed, a, mass, *eigh(a), zero, extend)
     plain = range(len(verts))
@@ -324,14 +323,14 @@ def full_eigh_orders(g, w):
     return [[verts[i] for i in order] for order in (mu_order, plain_order)]
 
 
-def reference_mu_order(g, w, scale):
+def reference_mu_order(g, mu, scale):
     """The mu order as the sweep made it before the Kron reduction: the
-    generalized problem on every vertex, each mass floored at 1e-9, sorted
-    by its Fiedler vector.  Returns (values by vertex, scaled to the
+    generalized problem on every vertex, each mass mu / scale floored at
+    1e-9, sorted by its Fiedler vector.  Returns (values by vertex, scaled to the
     largest magnitude, lambda_2, lambda_3)."""
     import numpy as np
     from scipy.linalg import eigh
-    mass = np.array([max(w[v] / scale, 1e-9) for v in g.vertices])
+    mass = np.array([max(mu(v) / scale, 1e-9) for v in g.vertices])
     lam, vecs = eigh(dense_laplacian(g), np.diag(mass),
                      subset_by_index=[0, 2])
     x = vecs[:, 1] / abs(vecs[:, 1]).max()
@@ -372,11 +371,11 @@ def rotated_eigh(monkeypatch, seed):
 
 def ring32_subdivision():
     """The subdivision graph of ring 32x4 and the counting measure on its
-    base vertices as int masses: the root problem of a 32x4 build, whose
-    lambda_2 is double."""
+    base vertices: the root problem of a 32x4 build, whose lambda_2 is
+    double."""
     base = ring_of_cliques(32, 4)
     g = subdivide(base).view(base.vertices).sub_in
-    return g, {v: int(v in base.adj) for v in g.vertices}
+    return g, Measure.indicator(base.vertices)
 
 
 # sha256 of repr() of both sweep orders of ring32_subdivision()
@@ -389,18 +388,18 @@ class TestSpectralOrders:
     picks for a repeated eigenvalue, nor on a subset or a full solve."""
 
     def test_ring32_orders_pinned(self):
-        g, w = ring32_subdivision()
-        orders = _sweep_orders(g, w)
-        assert orders == full_eigh_orders(g, w)
+        g, mu = ring32_subdivision()
+        orders = _sweep_orders(g, mu)
+        assert orders == full_eigh_orders(g, mu)
         assert hashlib.sha256(repr(orders).encode()).hexdigest() \
             == RING32_ORDERS
 
     def test_orders_ignore_the_basis(self, monkeypatch):
-        g, w = ring32_subdivision()
-        orders = _sweep_orders(g, w)
+        g, mu = ring32_subdivision()
+        orders = _sweep_orders(g, mu)
         tree_bytes = build_basic(ring_of_cliques(8, 6)).to_json()
         mixed = rotated_eigh(monkeypatch, 5)
-        assert _sweep_orders(g, w) == orders
+        assert _sweep_orders(g, mu) == orders
         assert mixed[0] >= 2        # both problems have a double lambda_2
         assert build_basic(ring_of_cliques(8, 6)).to_json() == tree_bytes
 
@@ -413,20 +412,19 @@ class TestSpectralOrders:
         compared = 0
         while compared < 40:
             g = random_graph(rng, rng.randint(4, 24), 0.35, 5)
-            w, scale = _sweep_weights(g, random_measure(rng, g.vertices))
-            if len(g.components()) > 1 \
-                    or sum(1 for m in w.values() if m) < 2:
+            mu = random_measure(rng, g.vertices)
+            if len(g.components()) > 1 or len(mu.weights) < 2:
                 continue
-            ref, lam2, lam3 = reference_mu_order(g, w, scale)
+            ref, lam2, lam3 = reference_mu_order(g, mu, lcm(*DENOMINATORS))
             if lam3 - lam2 <= 1e-3 * lam2:
                 continue
             # the sweep takes the sign that correlates with the positions
             pos = np.arange(g.vertex_count, dtype=np.float64)
-            mass = np.array([w[v] for v in g.vertices], np.float64)
+            mass = np.array([mu(v) for v in g.vertices], np.float64)
             x = np.array([ref[v] for v in g.vertices])
             if x @ (mass * (pos - mass @ pos / mass.sum())) < 0:
                 ref = {v: -x for v, x in ref.items()}
-            order = _sweep_orders(g, w)[0]
+            order = _sweep_orders(g, mu)[0]
             assert all(ref[a] <= ref[b] + 1e-9
                        for a, b in zip(order, order[1:]))
             compared += 1

@@ -11,17 +11,19 @@ from treecut import oracle, replay
 from treecut.demand import DemandMatrix, DemandState, parse_demands
 from treecut.graph import Graph, parse_edge_list
 from treecut.merge import MergePartition, SeparatorFlow
+from treecut.oracle import check_refined
 from treecut.refine import refine
 from treecut.replay import (ChargeLedger, ReplayError, ReplayTrace,
                             full_replay, replay_merge_cluster,
                             route_refined_state, uniformize_refined)
 from treecut.tree import (DecompositionTree, build_basic, build_improved,
                           mincut_in_tree)
+from treecut.verify import verify_quality
 
 from corpus import (random_demand, random_graph, reference_leaf_init,
                     reference_spread, reference_sum, reference_unit_rows,
-                    reference_update, ring_of_cliques, scale_to_respect,
-                    triangle_chain, view_of)
+                    reference_update, refining_pairs, ring_of_cliques,
+                    scale_to_respect, triangle_chain, view_of)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 # sha256 of the ring8 replay for the cut {0, 1, 2}: ledger report lines,
@@ -528,6 +530,50 @@ def test_refine_route_step_pinned():
     blob = repr((sorted(after.entries.items()), ledger.report_lines(),
                  sorted(ledger.per_edge.items()), trace.steps))
     assert hashlib.sha256(blob.encode()).hexdigest() == REFINE_ROUTE
+
+
+def test_refinement_splits_inside_a_build(monkeypatch):
+    """A refinement that splits its cluster inside a real improved build,
+    at the default Config: the tree hangs both refinement clusters, the
+    routing check passes, an exhaustive verify finds no violation, and
+    every replay carries the split's inter-cluster mass through the
+    refine-route step, each move within the demand its matrix carries."""
+    g = refining_pairs()
+    t = build_improved(g)
+    node = next(n for n in t.nodes() if n.refinement is not None
+                and len(n.refinement.clusters) > 1)
+    res = node.refinement
+    pairs = (frozenset({0, 1}), frozenset({2, 3}))
+    assert node.members == frozenset(range(4)) and res.clusters == pairs
+    assert [(c.kind, c.members) for c in node.children] == \
+        [("refine-cluster", pair) for pair in pairs]
+    assert res.inter_cluster_keys == {(1, 2)}
+    assert all(check_refined(out).ok for _, out in res.outcomes)
+    assert res.routing.ok, res.routing.failures
+    assert res.boundary_loads
+    report = verify_quality(g, t)
+    assert report.mode == "exhaustive" and report.ok
+    routed = []
+    real_route = replay.route_refined_state
+
+    def counted(state, res, *args):
+        routed.append(res)
+        return real_route(state, res, *args)
+
+    monkeypatch.setattr(replay, "route_refined_state", counted)
+    rng = random.Random(5)
+    moved = 0
+    for _ in range(6):
+        p = scale_to_respect(t, random_demand(rng, 7, pairs=3))
+        rep = full_replay(t, p, rng.sample(range(7), 3))
+        assert rep.within_envelope
+        assert rep.ledger.total_mass() >= rep.initial_dem
+        steps = [s for s in rep.trace.steps if s[1] == "refine-route"]
+        for _, _, q_dem, diff_dem in steps:
+            assert diff_dem <= q_dem
+        moved += sum(q_dem > 0 for _, _, q_dem, _ in steps)
+    assert len(routed) == 6 and all(r is res for r in routed)
+    assert moved > 0
 
 
 def reference_flow_matrix(loads, den, sources, flow):

@@ -15,7 +15,7 @@ from treecut.tree import (DecompositionTree, TreeNode, build_basic,
 from treecut.verify import (EXHAUSTIVE_LIMIT, CutTable, VerifyError,
                             verify_quality)
 
-from corpus import cycle, path, random_graph, ring_of_cliques
+from corpus import cycle, grid, path, random_graph, ring_of_cliques
 
 RING = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                     "ring8.edges")
@@ -177,6 +177,33 @@ def test_ring8_report_bytes_pinned(build, mode):
     r = verify_quality(g, build(g), mode, DEFAULT.replace(samples=200, seed=0))
     blob = r.to_json() + "\n".join(r.table_lines(limit=None)) + "\n"
     assert hashlib.sha256(blob.encode()).hexdigest() == RING_REPORTS[mode]
+
+
+# Exhaustive alpha of both build modes (basic, improved) on rings of
+# cliques (k cliques of s vertices) and grids: each entry is an upper
+# bound, the value when the table was made.  A change that raises one
+# fails here and must say so; one that lowers one updates the entry.
+EXACT_ALPHA = {
+    "ring 3x4": (2, Fraction(21, 13)),
+    "ring 4x4": (3, 3),
+    "ring 5x4": (3, 3),
+    "ring 3x5": (2, Fraction(14, 9)),
+    "ring 4x5": (3, 3),
+    "ring 3x6": (2, Fraction(12, 7)),
+    "grid 4x4": (6, 6),
+    "grid 3x6": (9, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ALPHA))
+def test_exact_alpha_table(name):
+    family, shape = name.split()
+    a, b = map(int, shape.split("x"))
+    g = (ring_of_cliques if family == "ring" else grid)(a, b)
+    for build, bound in zip((build_basic, build_improved), EXACT_ALPHA[name]):
+        r = verify_quality(g, build(g), mode="exhaustive")
+        assert r.ok and r.mode == "exhaustive"
+        assert r.worst <= bound, (name, build.__name__, r.worst)
 
 
 class TestSampled:
