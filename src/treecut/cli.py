@@ -193,7 +193,7 @@ def cmd_replay(args):
         print(line)
     print("demand across cut = %s; charge mass = %s; cut capacity = %s"
           % (frac_str(rep.dem_p), frac_str(rep.ledger.total_mass()),
-             frac_str(rep.cap_cut)))
+             rep.cap_cut))
     print("max per-edge charge = %s (declared envelope %s); within: %s"
           % (frac_str(rep.max_charge), frac_str(rep.envelope),
              rep.within_envelope))

@@ -81,15 +81,6 @@ class DemandMatrix(_IntEntries):
             fracs[(u, v)] = a
         self._set_entries(fracs)
 
-    def add(self, u, v, a):
-        a = _frac(a)
-        if a < 0 or u == v:
-            raise DemandError("bad demand entry")
-        if a:
-            fracs = self.entries
-            fracs[(u, v)] = fracs.get((u, v), _ZERO) + a
-            self._set_entries(fracs)
-
     def dem_num(self, side):
         """dem_across(side) as a numerator over den."""
         side = frozenset(side)

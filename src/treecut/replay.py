@@ -52,9 +52,8 @@ class ChargeLedger:
         self.clusters = []      # (members, label, charge, dem moved, cap)
 
     def add(self, members, label, cross, dem_diff):
-        """cross: [(edge key, capacity)] of the charged subdivision edges."""
-        if type(dem_diff) is not Fraction:
-            dem_diff = Fraction(dem_diff)
+        """cross: [(edge key, capacity)] of the charged subdivision edges;
+        dem_diff: the Fraction of demand moved."""
         cap = sum(c for _, c in cross)
         if dem_diff == 0:
             self.clusters.append((frozenset(members), label, _ZERO,
@@ -326,7 +325,7 @@ class ReplayReport:
         self.ledger = ledger
         self.trace = trace
         self.dem_p = dem_p              # demand across the base cut
-        self.cap_cut = cap_cut          # capacity of the base cut
+        self.cap_cut = cap_cut          # capacity of the base cut (int)
         self.initial_dem = initial_dem  # lifted demand after leaf splitting
         self.max_charge = max_charge    # worst per-unit edge charge
         self.envelope = envelope        # declared per-edge envelope
@@ -355,9 +354,9 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
                           "graph: %s" % ", ".join(map(str, outside)))
     if not p.is_valid():
         raise ReplayError("demand state is not valid")
-    scale, nodes, mcs = node_mincuts(t)
+    nodes, mcs = node_mincuts(t)
     for node, mc in zip(nodes, mcs):
-        if p.dem_num(node.members) * scale > mc * p.den:
+        if p.dem_num(node.members) > mc * p.den:
             raise ReplayError("demand state is not 1-respected by the tree "
                               "(violated at %r)" % sorted(node.members))
 
@@ -368,7 +367,7 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
     leaf_states = leaf_init(p, sub)
     initial = sum_states(leaf_states.values())
     dem_p = p.dem_across(b)
-    cap_cut = Fraction(cut_capacity(g, b))
+    cap_cut = cut_capacity(g, b)
     initial_dem = initial.dem_across(b_lift)
     if dem_p > initial_dem + cap_cut:
         raise ReplayError("leaf splitting lost demand across the cut")

@@ -13,7 +13,6 @@ graph, so the tree answers cut queries through `mincut_in_tree`.
 
 import itertools
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +23,7 @@ from .graph import (Graph, capacity, format_edge_list, parse_edge_list,
 from .merge import merge_phase
 from .oracle import _fiedler_memo, _log2n
 from .refine import refine
-from .util import frac_str, int_dtype, parse_frac
+from .util import frac_str, int_dtype
 
 
 class TreeError(ValueError):
@@ -46,6 +45,16 @@ def _field(rec, key, kind, default=None):
     return value
 
 
+def _weight(rec):
+    """rec's weight, an int written as str writes it: "6", not "6.0",
+    "12/2" or " 6"."""
+    text = _field(rec, "weight", str)
+    if not text.removeprefix("-").isdecimal() or str(int(text)) != text:
+        raise ValueError("tree document: 'weight' must be an integer, "
+                         "not %r" % text)
+    return int(text)
+
+
 def _vertices(rec, key):
     value = _field(rec, key, list)
     if not all(type(v) is int for v in value):
@@ -58,7 +67,7 @@ class TreeNode:
         self.members = frozenset(members)
         self.kind = kind          # root|component|merge-side|merge-cluster|
         #                           refine-cluster|leaf
-        self.weight = Fraction(weight)
+        self.weight = weight      # int: the graph cut of the members
         self.info = dict(info or {})   # JSON-stable provenance fields
         self.children = []
         self.detail = None        # in-memory merge partition (not serialized)
@@ -120,8 +129,7 @@ class DecompositionTree:
             else:
                 if len(node.members) != 1:
                     raise TreeError("leaves must be singletons")
-            want = Fraction(capacity(g, node.members,
-                                     g.vertex_set() - node.members))
+            want = capacity(g, node.members, g.vertex_set() - node.members)
             if node.weight != want:
                 raise TreeError("edge weight does not match the graph cut")
 
@@ -131,7 +139,7 @@ class DecompositionTree:
         def enc(node):
             rec = {"members": sorted(node.members),
                    "kind": node.kind,
-                   "weight": frac_str(node.weight)}
+                   "weight": str(node.weight)}
             if node.info:
                 rec["info"] = {k: (frac_str(v) if isinstance(v, Fraction)
                                    else v)
@@ -168,7 +176,7 @@ class DecompositionTree:
         def dec(rec):
             node = TreeNode(_vertices(rec, "members"),
                             _field(rec, "kind", str),
-                            parse_frac(_field(rec, "weight", str)),
+                            _weight(rec),
                             _field(rec, "info", dict, {}))
             for c in _field(rec, "children", list, []):
                 node.children.append(dec(c))
@@ -188,13 +196,13 @@ class DecompositionTree:
             for c in node.children:
                 lines.append('  n%d -- n%d [label="%s"];'
                              % (ids[id(node)], ids[id(c)],
-                                frac_str(c.weight)))
+                                c.weight))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
 def _node(g: Graph, members, kind, info=None) -> TreeNode:
-    w = Fraction(capacity(g, members, g.vertex_set() - frozenset(members)))
+    w = capacity(g, members, g.vertex_set() - frozenset(members))
     return TreeNode(members, kind, w, info)
 
 
@@ -317,12 +325,12 @@ def _unchanged(tree: DecompositionTree, root, graph, seen):
 
 
 def mincut_plan(tree: DecompositionTree):
-    """Plan the tree min-cut dynamic program and return (scale, query).
+    """Plan the tree min-cut dynamic program and return its query.
     query(side) takes a cut_sides matrix over the tree's sorted vertices
-    and returns, per row, scale times the minimum total weight of tree
-    edges separating the leaves on the row's side from the rest, as an
-    array of ints.  query does not check its rows: each must be a proper
-    nonempty subset of the vertices.
+    and returns, per row, the minimum total weight of tree edges
+    separating the leaves on the row's side from the rest, as an array of
+    ints.  query does not check its rows: each must be a proper nonempty
+    subset of the vertices.
 
     Each internal node is on the side or not, and a child edge pays its
     weight when the sides differ.  A leaf's side is fixed by its vertex, so
@@ -331,10 +339,10 @@ def mincut_plan(tree: DecompositionTree):
     both states of every internal node, from its leaf children, for every
     row.  The internal child edges then fold each child's states into its
     parent's, children before parents, one array operation per edge over
-    all rows.  Weights are scaled by the lcm of their denominators, so the
-    DP runs on ints; the lcm is 1 for every tree that passed validate().
-    The arrays are int64 when the scaled weights sum below 2^62, which
-    bounds every DP value, and Python ints otherwise.
+    all rows.  Every weight must be an int (a weight of another type, set
+    after the build, raises TreeError: numpy would floor a Fraction in an
+    int64 array).  The arrays are int64 when the weights sum below 2^62,
+    which bounds every DP value, and Python ints otherwise.
 
     The plan is kept on the tree and made again once a node's weight,
     members or children are not the objects it was made from, so an edited
@@ -357,6 +365,9 @@ def mincut_plan(tree: DecompositionTree):
         seen.append((node, node.weight, node.members, list(node.children)))
         first = len(leaves)
         for i, c in kids:
+            if type(c.weight) is not int:
+                raise TreeError("edge weight %r of %r is not an int"
+                                % (c.weight, sorted(c.members)))
             if i is None:
                 leaves.append((column[next(iter(c.members))], j, c.weight))
                 seen.append((c, c.weight, c.members, []))
@@ -368,13 +379,6 @@ def mincut_plan(tree: DecompositionTree):
         return j
 
     add(tree.root)
-    scale = math.lcm(*(w.denominator for _, _, w in leaves + inner))
-
-    def scaled(edges):
-        return [(a, j, w.numerator * (scale // w.denominator))
-                for a, j, w in edges]
-
-    leaves, inner = scaled(leaves), scaled(inner)
     dtype = int_dtype(sum(w for _, _, w in leaves + inner))
     cols = np.array([col for col, _, _ in leaves], np.intp)
     starts, owners = np.array(starts, np.intp), np.array(owners, np.intp)
@@ -404,23 +408,22 @@ def mincut_plan(tree: DecompositionTree):
                                for start, stop in chunks])
 
     tree._mincut = {"made from": (tree.root, tree.graph, seen),
-                    "plan": (scale, query)}
-    return scale, query
+                    "plan": query}
+    return query
 
 
 def node_mincuts(tree: DecompositionTree):
-    """(scale, nodes, mcs): every node of the tree but the root, in walk
-    order, and scale times the tree min-cut of its members (see
-    mincut_plan).  Kept with the plan, so repeated calls on an unedited
-    tree cost one check."""
-    scale, query = mincut_plan(tree)
+    """(nodes, mcs): every node of the tree but the root, in walk order,
+    and the tree min-cut of its members (see mincut_plan).  Kept with the
+    plan, so repeated calls on an unedited tree cost one check."""
+    query = mincut_plan(tree)
     kept = tree._mincut
     if "nodes" not in kept:
         verts = tree.graph.vertex_set()
         nodes = [node for node in tree.nodes() if node.members != verts]
         sides = cut_sides(tree.graph.vertices, (n.members for n in nodes))
         kept["nodes"] = nodes, query(sides).tolist()
-    return (scale,) + kept["nodes"]
+    return kept["nodes"]
 
 
 def mincut_in_tree(tree: DecompositionTree, b):
@@ -433,6 +436,6 @@ def mincut_in_tree(tree: DecompositionTree, b):
         raise TreeError("query side must be a proper nonempty subset")
     if not b <= verts:
         raise TreeError("query side contains unknown vertices")
-    scale, query = mincut_plan(tree)
+    query = mincut_plan(tree)
     side = np.fromiter(map(b.__contains__, tree.graph.vertices), bool)
-    return Fraction(int(query(side[None])[0]), scale)
+    return int(query(side[None])[0])

@@ -36,14 +36,12 @@ class QualityReport:
     """The cuts checked, the worst ratio of tree estimate to cut capacity,
     and the list of lower-bound violations (must stay empty).
 
-    verify_quality gives it a CutTable, which keeps two ints per cut (and,
-    in sampled mode, one packed bit row) and builds a cut's record only
-    when it is read; a finished list of records is taken as it is."""
+    Its cuts are a CutTable, which keeps two ints per cut (and, in sampled
+    mode, one packed bit row) and builds a cut's record only when it is
+    read."""
 
     def __init__(self, cuts, worst, mode, samples, seed, violations):
         self._cuts = cuts
-        if isinstance(cuts, list):
-            self.records = cuts
         self.worst = worst            # max ratio (the measured quality)
         self.mode = mode              # "exhaustive" | "sampled"
         self.samples = samples
@@ -52,7 +50,8 @@ class QualityReport:
 
     @cached_property
     def records(self):
-        """[(frozenset, cap, mincut, ratio|None)], one per cut checked."""
+        """[(frozenset, int cap, int tree estimate, Fraction ratio|None)],
+        one per cut checked."""
         return self._cuts.records()
 
     @property
@@ -80,11 +79,7 @@ class QualityReport:
     def table_lines(self, limit=10):
         """The cuts with a ratio, largest ratio first and equal ratios in
         cut order, at most limit of them (all for None)."""
-        if isinstance(self._cuts, list):
-            rows = sorted((r for r in self.records if r[3] is not None),
-                          key=lambda r: r[3], reverse=True)[:limit]
-        else:
-            rows = self._cuts.top(limit)
+        rows = self._cuts.top(limit)
         out = ["%-30s %10s %10s %10s" % ("cut", "cap", "tree", "ratio")]
         for cut, cap, mc, ratio in rows:
             names = ",".join(str(v) for v in sorted(cut)[:6])
@@ -96,17 +91,15 @@ class QualityReport:
 
 
 class CutTable:
-    """The cuts of one verify, row by row: the graph cut capacity c and
-    scale times the tree estimate m as int arrays, and side(i), the
-    frozenset of row i, built on demand; records() reads the sides of the
-    cut source cuts (_MaskCuts or _PackedCuts) one _row_chunks chunk at a
-    time.  Row i is a violation when c * scale > m, and has the ratio
-    m / (c * scale) when 0 < c * scale <= m; c * scale <= m is tested as
-    c <= m // scale, which needs no wider ints."""
+    """The cuts of one verify, row by row: the graph cut capacity c and the
+    tree estimate m as int arrays, and side(i), the frozenset of row i,
+    built on demand; records() reads the sides of the cut source cuts
+    (_MaskCuts or _PackedCuts) one _row_chunks chunk at a time.  Row i is
+    a violation when c > m, and has the ratio m / c when 0 < c <= m."""
 
-    def __init__(self, side, caps, mcs, scale, cuts=None):
+    def __init__(self, side, caps, mcs, cuts=None):
         self.side, self.cuts = side, cuts
-        self.caps, self.mcs, self.scale = caps, mcs, scale
+        self.caps, self.mcs = caps, mcs
 
     def __len__(self):
         return len(self.caps)
@@ -118,19 +111,18 @@ class CutTable:
             yield start, self.caps[start:stop], self.mcs[start:stop]
 
     def _with_ratio(self, c, m):
-        return (c > 0) & (c <= m // self.scale)
+        return (c > 0) & (c <= m)
 
     def violating(self):
         return [start + i for start, c, m in self._blocks()
-                for i in np.flatnonzero(c > m // self.scale).tolist()]
+                for i in np.flatnonzero(c > m).tolist()]
 
-    def _tail(self, c, m):
-        ratio = Fraction(m, c * self.scale) \
-            if 0 < c * self.scale <= m else None
-        return Fraction(c), Fraction(m, self.scale), ratio
+    @staticmethod
+    def _tail(c, m):
+        return c, m, Fraction(m, c) if 0 < c <= m else None
 
     def records(self):
-        # cuts with equal (c, m) share one tail of Fractions
+        # cuts with equal (c, m) share one tail
         keys = list(zip(self.caps.tolist(), self.mcs.tolist()))
         tails = {k: self._tail(*k) for k in set(keys)}
         verts = self.cuts.verts
@@ -154,10 +146,10 @@ class CutTable:
                 held = ratio >= ratio.max() * (1 - 1e-9)
                 c, m = c[held], m[held]
             near.update(zip(c.tolist(), m.tolist()))
-        top = (1, 1)              # as (m, c * scale)
+        top = (1, 1)              # as (m, c)
         for c, m in near:
-            if m * top[1] > top[0] * c * self.scale:
-                top = (m, c * self.scale)
+            if m * top[1] > top[0] * c:
+                top = (m, c)
         return Fraction(*top)
 
     def _ranked(self, rows, limit):
@@ -170,8 +162,7 @@ class CutTable:
         um, im = np.unique(mcs, return_inverse=True)
         up, ip = np.unique(ic.astype(np.int64) * len(um) + im,
                            return_inverse=True)
-        ratio = [Fraction(int(um[p % len(um)]),
-                          int(uc[p // len(um)]) * self.scale)
+        ratio = [Fraction(int(um[p % len(um)]), int(uc[p // len(um)]))
                  for p in up.tolist()]
         place = {v: k for k, v in enumerate(sorted(set(ratio), reverse=True))}
         rank = np.array([place[r] for r in ratio], np.intp)[ip]
@@ -378,7 +369,7 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
         cuts, samples = _sampled_cuts(t, verts, cfg), cfg.samples
 
     edges = _edge_arrays(g)
-    scale, mincut = mincut_plan(t)
+    mincut = mincut_plan(t)
     rows = len(cuts)
     caps = mcs = None
     for start, stop in _row_chunks(rows, n):
@@ -387,7 +378,7 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
         if caps is None:
             caps, mcs = np.empty(rows, c.dtype), np.empty(rows, m.dtype)
         caps[start:stop], mcs[start:stop] = c, m
-    table = CutTable(cuts.side, caps, mcs, scale, cuts)
+    table = CutTable(cuts.side, caps, mcs, cuts)
     violations = [cuts.side(i) for i in table.violating()]
     return QualityReport(table, table.worst(), mode, samples, cfg.seed,
                          violations)

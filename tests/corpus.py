@@ -214,20 +214,19 @@ def reference_update(p, q):
 
 
 def reference_spread(mass, targets, weight_of, den=1):
-    """DemandMatrix.spread in Fraction, the masses taken over den: every
-    entry goes through add."""
+    """DemandMatrix.spread in Fraction, the masses taken over den."""
     vs = sorted(targets)
     w = {v: Fraction(weight_of(v)) for v in vs}
     total = sum(w.values(), Fraction(0))
     if total == 0:
         raise DemandError("spread needs positive total target weight")
-    q = DemandMatrix()
+    entries = {}
     for u in sorted(mass):
         m = Fraction(mass[u]) / den
         for v in vs:
             if v != u:
-                q.add(u, v, m * w[v] / total)
-    return q
+                entries[(u, v)] = m * w[v] / total
+    return DemandMatrix(entries)
 
 
 def reference_add(p, q):
@@ -342,7 +341,7 @@ def brute_tree_mincut(tree, b):
         for n in nodes:
             if n.is_leaf:
                 side[id(n)] = next(iter(n.members)) in b
-        cost = Fraction(0)
+        cost = 0
         for n in nodes:
             for c in n.children:
                 if side[id(c)] != side[id(n)]:

@@ -109,15 +109,16 @@ def test_criterion_04_demand_state_facts():
                    for _ in range(rng.randint(1, 8))}
         p = DemandState(entries)
         loads = p.loads()
-        q = DemandMatrix()
+        m = {}
         for _ in range(rng.randint(0, 5)):
             srcs = [v for v in verts if loads.get(v, 0) > 0]
             if not srcs:
                 break
             u = rng.choice(srcs)
             v = rng.choice([w for w in verts if w != u])
-            q.add(u, v, Fraction(rng.randint(1, 5), rng.randint(1, 3))
-                  * loads[u] / 10)
+            m[(u, v)] = m.get((u, v), 0) + Fraction(
+                rng.randint(1, 5), rng.randint(1, 3)) * loads[u] / 10
+        q = DemandMatrix(m)
         new = update(p, q)
         diff = p - new
         assert diff.is_valid()                      # difference is valid

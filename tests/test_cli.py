@@ -143,6 +143,22 @@ class TestBuildVerify:
             assert "tree verification failed" in captured.out
             assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("text", ["12/2", "6.0", " 6", "+6", "06"])
+    def test_non_canonical_weight_exits_two(self, text, tree_file, tmp_path,
+                                            capsys):
+        """A weight of the right value that is not written as str writes
+        the int is a malformed document in every command that reads it."""
+        blob = open(tree_file).read()
+        assert '"weight":"6"' in blob
+        bad = tmp_path / "bad.json"
+        bad.write_text(blob.replace('"weight":"6"',
+                                    '"weight":%s' % json.dumps(text), 1))
+        for argv in (["verify", "--graph", RING],
+                     ["replay", "--graph", RING, "--demands", DEMANDS,
+                      "--cut", "0"],
+                     ["export"]):
+            assert_usage_error(argv + ["--tree", str(bad)], capsys)
+
     def test_malformed_graph_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 not-a-vertex\n")

@@ -4,11 +4,13 @@ state sum and the batched verify kernel, checked against plain references
 of the same algorithms."""
 
 import importlib.util
+import json
 import random
 from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,8 @@ from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
 from treecut.oracle import _sweep_best, _sweep_orders
 from treecut.tree import (_row_chunks, build_basic, build_improved,
                           mincut_in_tree)
-from treecut.verify import QualityReport, verify_quality
+from treecut.util import frac_str
+from treecut.verify import verify_quality
 
 from corpus import (DENOMINATORS, brute_tree_mincut, cycle, labelled_graph,
                     path, random_measure, reference_add, reference_leaf_init,
@@ -280,13 +283,19 @@ def random_state(rng, verts, dens=DENOMINATORS):
                         if rng.random() < 0.5})
 
 
-def random_matrix(rng, verts, sources, dens=DENOMINATORS):
-    q = DemandMatrix()
+def random_entries(rng, verts, sources, dens=DENOMINATORS):
+    """Matrix entries from one to ten random draws, summed per pair."""
+    m = {}
     for _ in range(rng.randint(1, 10)):
         u = rng.choice(sources)
         v = rng.choice([w for w in verts if w != u])
-        q.add(u, v, Fraction(rng.randint(1, 9), rng.choice(dens)))
-    return q
+        m[(u, v)] = m.get((u, v), 0) + Fraction(rng.randint(1, 9),
+                                                rng.choice(dens))
+    return m
+
+
+def random_matrix(rng, verts, sources, dens=DENOMINATORS):
+    return DemandMatrix(random_entries(rng, verts, sources, dens))
 
 
 def assert_same_entries(got, want):
@@ -352,8 +361,9 @@ class TestUpdate:
         for _ in range(40):
             verts = list(range(6))
             p = random_state(rng, verts[:3])
-            q = random_matrix(rng, verts, verts)
-            q.add(4, 5, Fraction(1, 7))
+            m = random_entries(rng, verts, verts)
+            m[(4, 5)] = m.get((4, 5), 0) + Fraction(1, 7)
+            q = DemandMatrix(m)
             for apply in (update, reference_update):
                 with pytest.raises(DemandError):
                     apply(p, q)
@@ -566,12 +576,6 @@ class TestRepresentation:
         assert q.dem_across(side) == sum(
             (x for (u, v), x in m.items() if (u in side) != (v in side)),
             Fraction(0))
-        u, v = next(iter(m))
-        q.add(u, v, m[(u, v)])
-        m[(u, v)] *= 2
-        q.add(v, u, Fraction(1, 3))
-        m[(v, u)] = m.get((v, u), Fraction(0)) + Fraction(1, 3)
-        assert_kernel(q, m)
 
     def test_spread(self):
         rng = random.Random(18)
@@ -631,8 +635,8 @@ class TestRepresentation:
 
 
 def reference_mincut(tree):
-    """query(b): the tree min-cut of one side b as a Fraction, by the
-    per-cut two-state DP over the internal nodes in post-order."""
+    """query(b): the tree min-cut of one side b, by the per-cut two-state
+    DP over the internal nodes in post-order."""
     plan = []
 
     def add(node):
@@ -650,7 +654,7 @@ def reference_mincut(tree):
     def query(b):
         cost = []
         for leaves, inner in plan:
-            cost_in = cost_out = Fraction(0)
+            cost_in = cost_out = 0
             for v, w in leaves:
                 if v in b:
                     cost_out += w
@@ -668,7 +672,8 @@ def reference_mincut(tree):
 
 def reference_verify(g, t, mode=None, cfg=DEFAULT):
     """verify_quality one cut at a time: the same cuts in the same order,
-    each with cut_capacity, the reference DP and its own Fractions."""
+    each with cut_capacity, the reference DP and its own ratio.  Returns
+    the mode, samples, seed, records, worst ratio and violations."""
     n = g.vertex_count
     if mode is None:
         mode = "exhaustive" if n <= 12 else "sampled"
@@ -705,27 +710,51 @@ def reference_verify(g, t, mode=None, cfg=DEFAULT):
     worst = Fraction(1)
     mincut = reference_mincut(t)
     for b in cuts:
-        cap = Fraction(cut_capacity(g, b))
+        cap = cut_capacity(g, b)
         mc = mincut(b)
         if cap > mc:
             violations.append(b)
             records.append((b, cap, mc, None))
             continue
-        ratio = mc / cap if cap > 0 else None
+        ratio = Fraction(mc, cap) if cap > 0 else None
         if ratio is not None:
             worst = max(worst, ratio)
         records.append((b, cap, mc, ratio))
-    return QualityReport(records, worst, mode, samples, cfg.seed, violations)
+    return SimpleNamespace(mode=mode, samples=samples, seed=cfg.seed,
+                           records=records, worst=worst,
+                           violations=violations)
 
 
-def assert_same_report(got, want):
+def ranked(records, limit):
+    """The records with a ratio, largest ratio first and equal ratios in
+    cut order, at most limit of them (all for None)."""
+    return sorted((r for r in records if r[3] is not None),
+                  key=lambda r: r[3], reverse=True)[:limit]
+
+
+def types(records):
+    return [tuple(map(type, r)) for r in records]
+
+
+def assert_same_report(got, want, limits=()):
+    """The report equals reference_verify's: its records, worst ratio,
+    violations and JSON fields, and its table's rows ranked from the
+    reference records, in full and at each of limits."""
     assert got.records == want.records
-    assert [tuple(map(type, r)) for r in got.records] \
-        == [tuple(map(type, r)) for r in want.records]
+    assert types(got.records) == types(want.records)
     assert got.violations == want.violations
     assert got.worst == want.worst and type(got.worst) is Fraction
-    assert got.to_json() == want.to_json()
-    assert got.table_lines(limit=None) == want.table_lines(limit=None)
+    doc = {"format_version": 1, "mode": want.mode,
+           "worst_ratio": frac_str(want.worst),
+           "cuts_checked": len(want.records),
+           "violations": [sorted(c) for c in want.violations]}
+    if want.mode == "sampled":
+        doc.update(samples=want.samples, seed=want.seed)
+    assert json.loads(got.to_json()) == doc
+    for limit in (None,) + tuple(limits):
+        rows = got._cuts.top(limit)
+        assert rows == ranked(want.records, limit)
+        assert types(rows) == types(ranked(want.records, limit))
 
 
 def small_exact_graphs(seed=1):
@@ -786,18 +815,16 @@ class TestVerify:
             t = build(g)
             got = verify_quality(g, t, "exhaustive")
             want = reference_verify(g, t, "exhaustive")
-            assert_same_report(got, want)
-            assert got.cuts_checked == len(got.records) == 2 ** 14 - 1
             # a limit ranks only the rows near the limit-th float ratio
-            for k in (1, 10, 200):
-                assert got.table_lines(k) == want.table_lines(k)
+            assert_same_report(got, want, limits=(1, 10, 200))
+            assert got.cuts_checked == len(got.records) == 2 ** 14 - 1
 
-    @pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(7, 3)])
+    @pytest.mark.parametrize("weight", [("leaf", 0), ("inner", 1)])
     def test_tampered_weights(self, weight):
-        """A leaf weight of 1/2 or an inner weight of 7/3, set on the
-        heaviest such node, gives the DP a fractional scale and puts the
-        tree estimate below some cuts: the violations must match the
-        reference."""
+        """A leaf weight of 0 or an inner weight of 1, set on the heaviest
+        such node, puts the tree estimate below some cuts: the violations
+        must match the reference."""
+        kind, value = weight
         cfg = Config(samples=300, seed=2)
         cases = [(scaled(ring_of_cliques(3, 4), 2), "exhaustive"),
                  (labelled_graph(random.Random(8), 9), "exhaustive"),
@@ -805,15 +832,12 @@ class TestVerify:
         violated = 0
         for g, mode in cases:
             t = build_basic(g)
-            max((n for n in t.nodes()[1:]
-                 if n.is_leaf == (weight.denominator == 2)),
-                key=lambda n: n.weight).weight = weight
+            max((n for n in t.nodes()[1:] if n.is_leaf == (kind == "leaf")),
+                key=lambda n: n.weight).weight = value
             got = verify_quality(g, t, mode, cfg)
             violated += bool(got.violations)
             want = reference_verify(g, t, mode, cfg)
-            assert_same_report(got, want)
-            for k in (1, 10, 200):
-                assert got.table_lines(k) == want.table_lines(k)
+            assert_same_report(got, want, limits=(1, 10, 200))
         assert violated >= 2
 
     @pytest.mark.parametrize("big", [2 ** 61, 2 ** 70])

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import json
 import os
 import pickle
 import random
@@ -9,10 +10,13 @@ from fractions import Fraction
 import pytest
 
 from treecut import oracle
+from treecut.demand import DemandState
 from treecut.graph import Graph, capacity, cut_capacity, parse_edge_list
 from treecut.tree import (DecompositionTree, TreeError, TreeNode, _row_chunks,
                           build_basic, build_improved, cut_sides,
                           mincut_in_tree, mincut_plan, node_mincuts)
+from treecut.replay import full_replay
+from treecut.verify import verify_quality
 
 from corpus import (bridged_triangles, brute_tree_mincut, random_graph,
                     ring_of_cliques)
@@ -55,6 +59,7 @@ class TestBuildShapes:
         for t in (build_basic(g), build_improved(g)):
             verts = g.vertex_set()
             for node in t.nodes():
+                assert type(node.weight) is int
                 assert node.weight == capacity(g, node.members,
                                                verts - node.members)
 
@@ -105,6 +110,26 @@ class TestSerialization:
         assert build_basic(g).to_json() == build_basic(g).to_json()
         assert build_improved(g).to_json() == build_improved(g).to_json()
 
+    def test_weights_are_canonical_ints(self):
+        """A weight is read back as the int it was written as; a string
+        that is not how str writes an int (the right value or not) is a
+        malformed document, not a failed tree."""
+        g = parse_edge_list("0 1 6\n")
+        blob = build_basic(g).to_json()
+        again = DecompositionTree.from_json(blob)
+        assert [type(n.weight) for n in again.nodes()] == [int] * 3
+        assert '"weight":"6"' in blob
+        for text in ("12/2", "6.0", " 6", "6 ", "+6", "06", "6_0", "1e1",
+                     "", "-0", "\u0666"):
+            bad = blob.replace('"weight":"6"', '"weight":' + json.dumps(text),
+                               1)
+            with pytest.raises(ValueError, match="weight") as exc:
+                DecompositionTree.from_json(bad)
+            assert not isinstance(exc.value, TreeError), text
+        with pytest.raises(TreeError):
+            DecompositionTree.from_json(blob.replace('"weight":"6"',
+                                                     '"weight":"5"', 1))
+
     def test_isolated_vertices_survive(self):
         g = Graph(range(3), [(0, 1, 1)])
         t = build_basic(g)
@@ -153,28 +178,33 @@ class TestMincutInTree:
             for t in (build_basic(g), build_improved(g)):
                 for b in proper_sides(g):
                     got = mincut_in_tree(t, b)
-                    assert type(got) is Fraction
+                    assert type(got) is int
                     assert got == brute_tree_mincut(t, b)
                     checked += 1
         assert checked >= 500
 
-    def test_tampered_fractional_weights_stay_exact(self):
-        """Weights edited after the build need not be integers: the DP
-        rescales them and returns the exact Fraction."""
+    @pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(3), 2.0,
+                                        True])
+    def test_non_int_weights_refused(self, weight):
+        """A weight that is not an int, set on a leaf or an inner node after
+        the build (and after a first query), is refused with TreeError by
+        the min-cut DP and by everything that reads it: an int64 array
+        would floor a Fraction silently."""
         g = bridged_triangles(2)
+        p = DemandState({(0, 0): 1, (5, 0): -1})
         for t in (build_basic(g), build_improved(g)):
-            leaf = t.leaves()[0]
-            inner = next(n for n in t.nodes()
-                         if n is not t.root and not n.is_leaf)
-            leaf.weight = Fraction(1, 2)
-            inner.weight = Fraction(7, 3)
-            values = set()
-            for b in proper_sides(g):
-                got = mincut_in_tree(t, b)
-                assert type(got) is Fraction
-                assert got == brute_tree_mincut(t, b)
-                values.add(got)
-            assert {v.denominator for v in values} >= {2, 3}
+            assert mincut_in_tree(t, {0}) == g.degree(0)
+            for node in (t.leaves()[0],
+                         next(n for n in t.nodes()[1:] if not n.is_leaf)):
+                kept = node.weight
+                node.weight = weight
+                for run in (lambda: mincut_in_tree(t, {0}),
+                            lambda: verify_quality(g, t),
+                            lambda: full_replay(t, p, {0})):
+                    with pytest.raises(TreeError, match="not an int"):
+                        run()
+                node.weight = kept
+                assert full_replay(t, p, {0}).max_charge >= 0
 
     def test_edits_after_a_query_are_seen(self):
         """The plan kept on the tree, and the min-cuts of the tree's own
@@ -187,13 +217,12 @@ class TestMincutInTree:
         def check():
             assert [mincut_in_tree(t, b) for b in sides] \
                 == [brute_tree_mincut(t, b) for b in sides]
-            scale, nodes, mcs = node_mincuts(t)
+            nodes, mcs = node_mincuts(t)
             assert nodes == t.nodes()[1:]
-            assert [Fraction(mc, scale) for mc in mcs] \
-                == [brute_tree_mincut(t, n.members) for n in nodes]
+            assert mcs == [brute_tree_mincut(t, n.members) for n in nodes]
 
         check()
-        t.leaves()[0].weight = Fraction(1, 2)
+        t.leaves()[0].weight = 0
         check()
         t.root.children[:] = t.leaves()
         check()
@@ -209,11 +238,11 @@ class TestMincutInTree:
                 for _ in range(1500)]
         assert len(_row_chunks(len(cuts), g.vertex_count)) == 3
         side = cut_sides(g.vertices, cuts)
-        scale, query = mincut_plan(t)
+        query = mincut_plan(t)
         got = query(side).tolist()
         assert got == [query(side[i:i + 1]).item() for i in range(len(cuts))]
         for i in range(0, len(cuts), 25):
-            assert Fraction(got[i], scale) == brute_tree_mincut(t, cuts[i])
+            assert got[i] == brute_tree_mincut(t, cuts[i])
 
     def test_queried_tree_pickles(self):
         g = bridged_triangles(2)
@@ -228,7 +257,7 @@ class TestMincutInTree:
         t = build_basic(g)
         t.root.children = []
         got = mincut_in_tree(t, {0})
-        assert type(got) is Fraction and got == 0
+        assert type(got) is int and got == 0
 
     def test_trivial_queries_rejected(self):
         g = parse_edge_list("0 1\n")
