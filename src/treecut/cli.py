@@ -15,7 +15,7 @@ from .oracle import (check_outcome, check_refined, cut_or_expander,
                      refined_cut_or_expander)
 from .replay import ReplayError, full_replay
 from .tree import DecompositionTree, TreeError, build_basic, build_improved
-from .util import data_lines, frac_str, parse_frac
+from .util import data_lines, parse_frac
 from .verify import VerifyError, quality_envelope, verify_quality
 
 
@@ -100,20 +100,15 @@ def _load_measure(path, g):
 
 def cmd_build(args):
     g = _load_graph(args.input)
-    cfg = _load_config(args.config)
     build = build_basic if args.mode == "basic" else build_improved
-    t = build(g, cfg)
+    t = build(g)
     _write(args.out, t.to_json(), "tree")
     # every refinement records its routing verdict (refine.check_routing)
     refined = [n.refinement for n in t.nodes() if n.refinement is not None]
     failed = sum(not res.routing.ok for res in refined)
-    summary = ("built %s tree: %d nodes, %d leaves, %d refinements, %d "
-               "failed routing" % (args.mode, len(t.nodes()), len(t.leaves()),
-                                   len(refined), failed))
-    # the paper's refinement schedule holds at the default c_phi only
-    if cfg.c_phi != DEFAULT.c_phi:
-        summary += "; off-schedule c_phi = %s" % frac_str(cfg.c_phi)
-    print(summary, file=sys.stderr)
+    print("built %s tree: %d nodes, %d leaves, %d refinements, %d failed "
+          "routing" % (args.mode, len(t.nodes()), len(t.leaves()),
+                       len(refined), failed), file=sys.stderr)
     return 0
 
 
@@ -151,10 +146,9 @@ def cmd_verify(args):
         print(line)
     n = g.vertex_count
     print("quality alpha = %s (%s over %d cuts)"
-          % (frac_str(report.worst), report.mode, report.cuts_checked))
+          % (report.worst, report.mode, report.cuts_checked))
     print("declared envelope = %s; within: %s"
-          % (frac_str(quality_envelope(n, cfg)),
-             report.within_envelope(n, cfg)))
+          % (quality_envelope(n, cfg), report.within_envelope(n, cfg)))
     if report.violations:
         print("LOWER BOUND VIOLATED at cut %r"
               % sorted(report.violations[0]))
@@ -179,7 +173,7 @@ def cmd_replay(args):
     # the stored flows are not serialized, so rebuild deterministically and
     # insist the result matches the given tree byte for byte
     build = build_basic if t_stored.mode == "basic" else build_improved
-    t = build(g, cfg)
+    t = build(g)
     if t.to_json() != blob:
         print("stored tree does not match a deterministic rebuild; "
               "refusing to replay")
@@ -192,18 +186,15 @@ def cmd_replay(args):
     for line in rep.ledger.report_lines():
         print(line)
     print("demand across cut = %s; charge mass = %s; cut capacity = %s"
-          % (frac_str(rep.dem_p), frac_str(rep.ledger.total_mass()),
-             rep.cap_cut))
+          % (rep.dem_p, rep.ledger.total_mass(), rep.cap_cut))
     print("max per-edge charge = %s (declared envelope %s); within: %s"
-          % (frac_str(rep.max_charge), frac_str(rep.envelope),
-             rep.within_envelope))
+          % (rep.max_charge, rep.envelope, rep.within_envelope))
     print("verdict: pass")
     return 0
 
 
 def cmd_oracle(args):
     g = _load_graph(args.graph)
-    cfg = _load_config(args.config)
     try:
         phi = parse_frac(args.phi)
     except ValueError:
@@ -216,27 +207,27 @@ def cmd_oracle(args):
     phi /= scale
     if args.nu:
         nu, _ = _load_measure(args.nu, g)
-        outcome = refined_cut_or_expander(g, phi, mu, nu, cfg)
+        outcome = refined_cut_or_expander(g, phi, mu, nu)
         base = outcome.base
         print("refined case: %s (base %s)" % (outcome.tag, base.tag))
         rep = check_refined(outcome)
     else:
-        outcome = cut_or_expander(g, phi, mu, cfg)
+        outcome = cut_or_expander(g, phi, mu)
         base = outcome
         print("case: %s" % outcome.tag)
         rep = check_outcome(outcome)
     print("phi = %s, sparsity threshold = %s"
-          % (frac_str(base.phi * scale), frac_str(base.threshold * scale)))
+          % (base.phi * scale, base.threshold * scale))
     print("peel steps: %d, residual size: %d"
           % (len(base.steps), len(base.residual)))
     for i, step in enumerate(base.steps):
         print("  step %d: side=%r ratio=%s"
-              % (i, sorted(step.side), frac_str(step.ratio * scale)))
+              % (i, sorted(step.side), step.ratio * scale))
     if base.certificate is not None:
         cert = base.certificate
         print("expander certificate: %s (value %s)"
               % (cert.verified, "none" if cert.value is None
-                 else frac_str(cert.value * scale)))
+                 else cert.value * scale))
     for note in rep.notes:
         print("note: %s" % note)
     if not rep.ok:
@@ -264,7 +255,6 @@ def make_parser():
     b.add_argument("--input", required=True, help="edge-list file")
     b.add_argument("--mode", choices=("basic", "improved"), default="basic")
     b.add_argument("--out", help="output tree JSON (default stdout)")
-    b.add_argument("--config")
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="verify tree quality against a graph")
@@ -291,7 +281,6 @@ def make_parser():
     o.add_argument("--phi", required=True)
     o.add_argument("--mu", required=True, help="measure file: `v weight`")
     o.add_argument("--nu", help="second measure for the refined oracle")
-    o.add_argument("--config")
     o.set_defaults(func=cmd_oracle)
 
     e = sub.add_parser("export", help="render a tree as DOT")

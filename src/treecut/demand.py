@@ -24,8 +24,8 @@ Fractions from them afresh on every read.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graph import _ZERO, Graph, SizeError, SubdivisionGraph, _min_ratio_side
-from .config import DEFAULT
+from .graph import (BRUTE_THRESHOLD, _ZERO, Graph, SizeError,
+                    SubdivisionGraph, _min_ratio_side)
 from .util import data_lines, parse_frac
 
 
@@ -307,14 +307,12 @@ def update(p: DemandState, q: DemandMatrix) -> DemandState:
                                             if n})
 
 
-def respects_exact(g: Graph, p: DemandState, threshold=None):
+def respects_exact(g: Graph, p: DemandState, threshold=BRUTE_THRESHOLD):
     """min over cuts with positive demand of cap/dem; (ratio, argmin side).
 
     Ratio is None (interpreted as +infinity) when every cut demand vanishes.
     The side is the first strict minimizer in Gray order.
     """
-    if threshold is None:
-        threshold = DEFAULT.brute_threshold
     n = g.vertex_count
     if n > threshold:
         raise SizeError("respects_exact needs n <= %d, got %d" % (threshold, n))

@@ -12,7 +12,6 @@ from collections import deque
 from fractions import Fraction
 from math import lcm
 
-from .config import Config
 from .graph import Graph, crossing
 
 S_NODE = -1
@@ -307,8 +306,10 @@ def route_from_cut(g_s: Graph, d, sink_caps, congestion_cap):
     return RouteResult(sol.value == total, sol)
 
 
-# escalate doubles the congestion cap from Config.oracle_congestion_cap up
-# to this limit, and only then boosts the sink caps.
+# escalate first routes every recorded routing flow (merge attachments and
+# refinement cuts) at FIRST_CONGESTION_CAP, doubles the cap up to
+# ORACLE_CONGESTION_LIMIT, and only then boosts the sink caps.
+FIRST_CONGESTION_CAP = Fraction(4)
 ORACLE_CONGESTION_LIMIT = Fraction(64)
 
 
@@ -324,17 +325,17 @@ class RouteRecord:
         self.within_declared = bool(within_declared)
 
 
-def escalate(solve, sink_caps, cfg: Config, boost_limit=64):
+def escalate(solve, sink_caps, boost_limit=64):
     """The one congestion-escalation loop: solve(caps, cap) routes once with
     sink caps `caps` at congestion cap `cap` and returns a RouteResult.
 
-    The cap doubles from cfg.oracle_congestion_cap up to
+    The cap doubles from FIRST_CONGESTION_CAP up to
     ORACLE_CONGESTION_LIMIT, then the sink caps are multiplied by a boost
     doubling up to boost_limit.
     Returns the RouteRecord of the first feasible level (within_declared
     only at the first), or None when no level routes.
     """
-    cap, boost, within = cfg.oracle_congestion_cap, Fraction(1), True
+    cap, boost, within = FIRST_CONGESTION_CAP, Fraction(1), True
     while True:
         caps = {v: c * boost for v, c in sink_caps.items()}
         res = solve(caps, cap)

@@ -21,7 +21,6 @@ from math import lcm
 
 import numpy as np
 
-from .config import DEFAULT
 from .util import data_lines, int_dtype, parse_frac
 
 
@@ -31,6 +30,14 @@ class GraphError(ValueError):
 
 class SizeError(GraphError):
     """Raised when an exact enumeration is requested above the threshold."""
+
+
+# Exact cut enumeration (min_ratio_cut, respects_exact) is used up to this
+# many vertices; above it the sparsest-cut backend falls back to spectral
+# sweeps and certificates are reported as sampled rather than exact.  It
+# stays at most config.EXHAUSTIVE_LIMIT, which bounds the enumeration's
+# tables.
+BRUTE_THRESHOLD = 18
 
 
 def edge_key(u, v):
@@ -485,15 +492,13 @@ def _min_ratio_side(g: Graph, weights=None, vectors=None):
     return Fraction(best_cap * scale, best_den), side
 
 
-def min_ratio_cut(g: Graph, mu: Measure, threshold=None):
+def min_ratio_cut(g: Graph, mu: Measure, threshold=BRUTE_THRESHOLD):
     """Exact minimizer of cap(S, S-bar)/min(mu(S), mu(S-bar)).
 
     Returns (ratio, side) or (None, None) when no cut has a positive
     denominator; the side is the first strict minimizer in Gray order.
     """
     n = g.vertex_count
-    if threshold is None:
-        threshold = DEFAULT.brute_threshold
     if n > threshold:
         raise SizeError("exact enumeration needs n <= %d, got %d" % (threshold, n))
     return _min_ratio_side(g, weights=[mu(v) for v in g.vertices])

@@ -9,7 +9,6 @@ max-flow separator, and intersects with the Z_i to get sub-clusters.
 from fractions import Fraction
 from functools import cached_property
 
-from .config import DEFAULT, Config
 from .demand import _unit_rows
 from .graph import (ClusterView, Graph, components_without, crossing,
                     edge_key)
@@ -37,7 +36,7 @@ def is_balanced_clustering(g_s: Graph, f_keys):
     return all(3 * len(comp) <= 2 * n for comp in comps), comps
 
 
-def solve_attachment_flow(g: Graph, sources, sinks, cfg: Config):
+def solve_attachment_flow(g: Graph, sources, sinks):
     """Saturate all sources into the sinks, escalating the congestion cap
     (the sink caps are never boosted); None when no cap up to the limit
     suffices."""
@@ -47,7 +46,7 @@ def solve_attachment_flow(g: Graph, sources, sinks, cfg: Config):
         sol, _ = max_flow(FlowNetwork(g, sources, caps, edge_scale=cap))
         return RouteResult(sol.value == total, sol)
 
-    return escalate(solve, sinks, cfg, boost_limit=1)
+    return escalate(solve, sinks, boost_limit=1)
 
 
 class ShrinkResult:
@@ -83,7 +82,7 @@ def _cap_of(view: ClusterView, keys):
     return sum(view.root.base.cap[edge_key(*k)] for k in keys)
 
 
-def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT):
+def shrink_step(view: ClusterView, f_keys):
     """One application of the shrink-or-certify step to the edge set F."""
     f_keys = frozenset(edge_key(*k) for k in f_keys)
     ok, _ = is_balanced_clustering(view.graph_in, f_keys)
@@ -93,7 +92,7 @@ def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT):
     logn = _log2n(gsub.vertex_count)
     phi = MERGE_PHI_COEFF / logn
     mu = view.split_measure(f_keys)
-    outcome = cut_or_expander(gsub, phi, mu, cfg)
+    outcome = cut_or_expander(gsub, phi, mu)
     threshold = outcome.threshold   # = MERGE_PHI_COEFF
     if outcome.tag == "Expander":
         return ShrinkResult(2, a_edges=f_keys, c_edges=frozenset(),
@@ -124,7 +123,7 @@ def shrink_step(view: ClusterView, f_keys, cfg: Config = DEFAULT):
                for u, v in sorted(c_edges)}
     sinks = {view.root.split(u, v): Fraction(view.root.base.cap[(u, v)])
              for u, v in sorted(f_in_a)}
-    flow = solve_attachment_flow(gsub, sources, sinks, cfg)
+    flow = solve_attachment_flow(gsub, sources, sinks)
     if flow is None:
         raise MergeError("separator-to-core flow infeasible at every "
                          "congestion cap")
@@ -153,8 +152,7 @@ class BalancedClustering:
         return frozenset(self.view.root.split(u, v) for u, v in self.f_keys)
 
 
-def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT) \
-        -> BalancedClustering:
+def merge_phase_1(view: ClusterView) -> BalancedClustering:
     s = view.cluster
     if len(s) == 1:
         return BalancedClustering(view, [s], frozenset(), frozenset(),
@@ -175,7 +173,7 @@ def merge_phase_1(view: ClusterView, cfg: Config = DEFAULT) \
     iters = 0
     while True:
         iters += 1
-        res = shrink_step(view, f, cfg)
+        res = shrink_step(view, f)
         outcomes.append(res.outcome)
         if res.case == 2:
             break
@@ -414,9 +412,8 @@ def _check_partition(part: MergePartition):
             raise MergeError("sub-cluster size violates the 2/3 bound")
 
 
-def merge_phase(view: ClusterView, tau, cfg: Config = DEFAULT) \
-        -> MergePartition:
+def merge_phase(view: ClusterView, tau) -> MergePartition:
     if len(view.cluster) < 2:
         raise MergeError("merge_phase needs at least two vertices")
-    clustering = merge_phase_1(view, cfg)
+    clustering = merge_phase_1(view)
     return merge_phase_2(view, clustering, tau)

@@ -23,8 +23,8 @@ from contextvars import ContextVar
 from fractions import Fraction
 from itertools import accumulate
 
-from .config import DEFAULT, Config
-from .graph import Graph, Measure, cut_expansion, min_ratio_cut
+from .graph import (BRUTE_THRESHOLD, Graph, Measure, cut_expansion,
+                    min_ratio_cut)
 from .util import rlog2
 
 
@@ -212,7 +212,7 @@ def _sweep_best(g: Graph, mu: Measure):
     return Fraction(best_cap, best_den), best_side
 
 
-def sparsest_cut(g: Graph, mu: Measure, cfg: Config = DEFAULT):
+def sparsest_cut(g: Graph, mu: Measure):
     """(ratio, side, exact?) - exact enumeration when small, sweep otherwise.
 
     The spectral orders can miss a cut of capacity 0: when the sweep finds
@@ -220,8 +220,8 @@ def sparsest_cut(g: Graph, mu: Measure, cfg: Config = DEFAULT):
     component (by least vertex) is returned with ratio 0.  Returns (None,
     None, exact?) when no cut has a positive denominator.
     """
-    if g.vertex_count <= cfg.brute_threshold:
-        ratio, side = min_ratio_cut(g, mu, cfg.brute_threshold)
+    if g.vertex_count <= BRUTE_THRESHOLD:
+        ratio, side = min_ratio_cut(g, mu)
         return ratio, side, True
     ratio, side = _sweep_best(g, mu)
     if ratio:
@@ -249,13 +249,12 @@ class ExpanderCertificate:
 
 
 class OracleOutcome:
-    def __init__(self, tag, g, phi, mu, cfg, steps, residual, certificate=None,
+    def __init__(self, tag, g, phi, mu, steps, residual, certificate=None,
                  degenerate=False):
         self.tag = tag          # Expander | BalancedCut | UnbalancedExpander
         self.graph = g
         self.phi = Fraction(phi)
         self.mu = mu
-        self.cfg = cfg
         self.steps = list(steps)
         self.residual = frozenset(residual)     # A
         self.certificate = certificate          # for Expander cases
@@ -271,7 +270,7 @@ class OracleOutcome:
         return frozenset(out)
 
 
-def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
+def cut_or_expander(g: Graph, phi, mu: Measure):
     """Peel sparse cuts until balance or none remain, then classify.
 
     Case Expander: nothing peeled (trivially when no cut has a positive
@@ -295,7 +294,7 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
             break
         g_a = g.induced(residual)
         mu_a = mu.restrict(residual)
-        ratio, side, exact = sparsest_cut(g_a, mu_a, cfg)
+        ratio, side, exact = sparsest_cut(g_a, mu_a)
         if ratio is None or ratio >= threshold:
             break
         other = frozenset(residual) - side
@@ -319,9 +318,9 @@ def cut_or_expander(g: Graph, phi, mu: Measure, cfg: Config = DEFAULT):
             cert = ExpanderCertificate(None, "heuristic",
                                        heuristic_ratio=ratio)
         tag = "UnbalancedExpander" if steps else "Expander"
-        return OracleOutcome(tag, g, phi, mu, cfg, steps, residual,
+        return OracleOutcome(tag, g, phi, mu, steps, residual,
                              certificate=cert)
-    return OracleOutcome("BalancedCut", g, phi, mu, cfg, steps, residual,
+    return OracleOutcome("BalancedCut", g, phi, mu, steps, residual,
                          degenerate=(mu.of(residual) == 0))
 
 
@@ -336,10 +335,9 @@ class RefinedOutcome:
         self.cut_a2 = cut_a2          # A2 (case 2c)
 
 
-def refined_cut_or_expander(g: Graph, phi, mu: Measure, nu: Measure,
-                            cfg: Config = DEFAULT):
+def refined_cut_or_expander(g: Graph, phi, mu: Measure, nu: Measure):
     """Five-case refinement of the oracle, keyed on the nu-mass balance."""
-    base = cut_or_expander(g, phi, mu, cfg)
+    base = cut_or_expander(g, phi, mu)
     nu_total = nu.of(g.vertices)
     verts = g.vertex_set()
     if base.tag == "Expander":
@@ -394,7 +392,6 @@ def check_outcome(outcome: OracleOutcome) -> CheckReport:
     rep = CheckReport()
     g = outcome.graph
     mu = outcome.mu
-    cfg = outcome.cfg
     mu_total = mu.of(g.vertices)
     # peel telescoping
     residual = g.vertex_set()
@@ -425,14 +422,14 @@ def check_outcome(outcome: OracleOutcome) -> CheckReport:
     if outcome.tag == "Expander":
         if outcome.steps:
             rep.fail("Expander outcome with a nonempty peel sequence")
-        _check_cert(rep, outcome.certificate, g, mu, outcome.phi, cfg,
+        _check_cert(rep, outcome.certificate, g, mu, outcome.phi,
                     "expander certificate")
     elif outcome.tag == "UnbalancedExpander":
         if not (0 < peeled_mu <= mu_total / outcome.logn):
             rep.fail("unbalanced case: peeled mass %s outside (0, mu/log n]"
                      % peeled_mu)
         _check_cert(rep, outcome.certificate, g.induced(outcome.residual),
-                    mu.restrict(outcome.residual), outcome.phi, cfg,
+                    mu.restrict(outcome.residual), outcome.phi,
                     "residual expander certificate")
     elif outcome.tag == "BalancedCut":
         if outcome.degenerate:
@@ -455,22 +452,22 @@ def check_outcome(outcome: OracleOutcome) -> CheckReport:
     return rep
 
 
-def _check_cert(rep, cert, g, mu, phi, cfg, label):
+def _check_cert(rep, cert, g, mu, phi, label):
     if cert is None:
         rep.fail("%s missing" % label)
         return
     if cert.verified == "exact":
-        val = min_ratio_cut(g, mu, cfg.brute_threshold)[0] \
-            if g.vertex_count <= cfg.brute_threshold else None
-        if g.vertex_count > cfg.brute_threshold:
+        if g.vertex_count > BRUTE_THRESHOLD:
             rep.fail("%s claims exact above the brute threshold" % label)
-        elif val != cert.value:
+            return
+        val = min_ratio_cut(g, mu)[0]
+        if val != cert.value:
             rep.fail("%s: recorded value %s != recomputed %s"
                      % (label, cert.value, val))
         elif val is not None and val < Fraction(phi):
             rep.fail("%s: expansion %s below phi %s" % (label, val, phi))
     else:
-        ratio, _, _ = sparsest_cut(g, mu, cfg)
+        ratio, _, _ = sparsest_cut(g, mu)
         if ratio is not None and ratio < Fraction(phi):
             rep.fail("%s: heuristic found a cut below phi" % label)
         rep.note("%s: heuristic only (instance above brute threshold)" % label)

@@ -10,17 +10,16 @@ verdict (`check_routing`) on the result.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
-from .config import DEFAULT, Config
 from .demand import (DemandMatrix, _flow_matrix, _unit_rows, from_matrix,
                      respects_exact)
 from .flow import escalate, path_decomposition, route_from_cut
-from .graph import (ClusterView, Graph, Measure, capacity, crossing,
-                    edge_key)
+from .graph import (BRUTE_THRESHOLD, ClusterView, Graph, Measure, capacity,
+                    crossing, edge_key)
 from .oracle import (CheckReport, check_refined, refined_cut_or_expander,
                      _log2n)
-from .util import ceil_frac, rlog2, rloglog2
+from .util import rlog2, rloglog2
 
 
 class RefineError(ValueError):
@@ -33,6 +32,11 @@ C0_DECLARED = Fraction(1)
 SCHEDULE_CF = 4 * C0_DECLARED / rlog2(Fraction(4, 3))
 # Boundary all-to-all respect rate for refinement leaves: kappa/(f*log n).
 KAPPA = Fraction(1, 384)
+# Refinement schedule phi = C_PHI / (log2 n * f(S)).  C_PHI is the largest
+# coefficient compatible with both sparsity requirements of the schedule
+# (aggregate peel cuts are at most 3*C_PHI/f(S)-sparse and the three-way
+# branch needs 1/(16 f(S))).
+C_PHI = Fraction(1, 48)
 
 
 def f_value(cluster_size: int, sigma: int, n: int):
@@ -48,7 +52,7 @@ def f_value(cluster_size: int, sigma: int, n: int):
 
 def product_envelope(j: int, n: int) -> Fraction:
     """prod_{l=j}^{3 ceil(log2 n)} (1 + 1/(l * loglog n)), exactly."""
-    top = max(1, 3 * ceil_frac(rlog2(max(2, n))))
+    top = max(1, 3 * ceil(rlog2(max(2, n))))
     ll = rloglog2(max(2, n))
     out = Fraction(1)
     for l in range(max(1, j), top + 1):
@@ -137,8 +141,7 @@ def _check_contraction(g: Graph, s, r, node: BinaryNode):
                       "measure" % (sorted(r),))
 
 
-def _route_cut_to_left(sub_root, left_set, ctx_set, cut_keys, rate,
-                       cfg: Config):
+def _route_cut_to_left(sub_root, left_set, ctx_set, cut_keys, rate):
     """Flow sending one unit per unit of cut-edge capacity into the outer
     boundary split nodes on the left side, with honest escalation records.
 
@@ -164,7 +167,7 @@ def _route_cut_to_left(sub_root, left_set, ctx_set, cut_keys, rate,
     base_caps = {x: Fraction(rate) * sub_root.split_cap[x]
                  for x in sorted(sinks)}
     rec = escalate(lambda caps, cap: route_from_cut(g, d, caps, cap),
-                   base_caps, cfg)
+                   base_caps)
     return rec, sinks
 
 
@@ -211,14 +214,13 @@ def _cut_rows(sub_root, flow, cut_keys, left_set):
 
 
 class _Builder:
-    def __init__(self, view: ClusterView, sigma, cfg: Config):
+    def __init__(self, view: ClusterView, sigma):
         self.sub_root = view.root
         self.g = view.root.base
         self.n = self.g.vertex_count
         self.sigma = sigma
-        self.cfg = cfg
         self.outcomes = []
-        self.depth_limit = 40 + 10 * max(1, ceil_frac(rlog2(self.n))) ** 2
+        self.depth_limit = 40 + 10 * max(1, ceil(rlog2(self.n))) ** 2
 
     def leaf(self, dset, case, j):
         node = BinaryNode(dset, case, j)
@@ -231,7 +233,6 @@ class _Builder:
         if depth > self.depth_limit:
             raise RefineError("refinement recursion exceeded its depth guard")
         dset = frozenset(dset)
-        cfg = self.cfg
         f = f_value(len(dset), self.sigma, self.n)
         view = self.sub_root.view(dset)
         mu = view.boundary_measure()
@@ -239,9 +240,9 @@ class _Builder:
             return self.leaf(dset, "1", j)
         gt = view.g_tilde
         logt = _log2n(gt.vertex_count)
-        phi = cfg.c_phi / (logt * f)
+        phi = C_PHI / (logt * f)
         nu = Measure.indicator(dset)
-        out = refined_cut_or_expander(gt, phi, mu, nu, cfg)
+        out = refined_cut_or_expander(gt, phi, mu, nu)
         self.outcomes.append((dset, out))
         rep = check_refined(out)
         if not rep.ok:
@@ -256,9 +257,8 @@ class _Builder:
         a = frozenset(out.cut_a) & dset
         rest = dset - a
         if not a or not rest:
-            # the relocated cut keeps S whole (a threshold above 1, from a
-            # large c_phi, lets the oracle peel a lone split node): S stays
-            # one cluster
+            # the relocated cut keeps S whole (one side of the oracle's cut
+            # holds split nodes only): S stays one cluster
             node.cluster_leaf = True
             return node
         if out.tag == "3a":
@@ -309,7 +309,7 @@ class _Builder:
         node.cut_keys = cut_keys
         rate = C0_DECLARED * phi * logt
         route, sinks = _route_cut_to_left(self.sub_root, left_set, ctx_set,
-                                          cut_keys, rate, self.cfg)
+                                          cut_keys, rate)
         node.sink_splits = sinks
         # with no outer-boundary sink on the left side the mass stays on the
         # cut: the route stays None and check_routing fails
@@ -323,35 +323,34 @@ class _Builder:
             node.unit_rows = _unit_rows(node.rows, node.unit)
 
 
-def refine(view: ClusterView, sigma: int, cfg: Config = DEFAULT) \
-        -> RefinementResult:
+def refine(view: ClusterView, sigma: int) -> RefinementResult:
     s = view.cluster
     if 2 * sigma < 3 * len(s):
         raise RefineError("refine needs sigma >= (3/2)|S|")
-    b = _Builder(view, sigma, cfg)
+    b = _Builder(view, sigma)
     root = b.build(s, 0, 1)
     clusters = [n.dset for n in root.walk() if n.cluster_leaf]
-    certs = [_leaf_certificate(view.root, c, sigma, cfg)
+    certs = [_leaf_certificate(view.root, c, sigma)
              for c in sorted(clusters, key=min)]
     res = RefinementResult(view, root, clusters, certs, b.outcomes)
     res.routing = check_routing(res)
     return res
 
 
-def _leaf_certificate(sub_root, cluster, sigma, cfg: Config):
+def _leaf_certificate(sub_root, cluster, sigma):
     n = sub_root.base.vertex_count
     f = f_value(len(cluster), sigma, n)
     view = sub_root.view(cluster)
     target = KAPPA / (f * _log2n(n))
     if not view.x_boundary:
         return LeafCertificate(target, None, "exact", True)
-    if view.sprime.vertex_count > cfg.brute_threshold:
+    if view.sprime.vertex_count > BRUTE_THRESHOLD:
         return LeafCertificate(target, None, "unverified", None)
     weight = {x: sub_root.split_cap[x] for x in view.x_boundary}
     # each boundary split sources its full capacity, spread over the others
     # in proportion to their capacities
     p = from_matrix(DemandMatrix.spread(weight, weight, weight.get))
-    ratio, _ = respects_exact(view.sprime, p, cfg.brute_threshold)
+    ratio, _ = respects_exact(view.sprime, p)
     if ratio is None:
         return LeafCertificate(target, None, "exact", True)
     return LeafCertificate(target, ratio, "exact", ratio >= target)

@@ -17,13 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT, Config
 from .graph import (Graph, capacity, format_edge_list, parse_edge_list,
                     subdivide)
 from .merge import merge_phase
 from .oracle import _fiedler_memo, _log2n
 from .refine import refine
-from .util import frac_str, int_dtype
+from .util import int_dtype
 
 
 class TreeError(ValueError):
@@ -141,7 +140,7 @@ class DecompositionTree:
                    "kind": node.kind,
                    "weight": str(node.weight)}
             if node.info:
-                rec["info"] = {k: (frac_str(v) if isinstance(v, Fraction)
+                rec["info"] = {k: (str(v) if isinstance(v, Fraction)
                                    else v)
                                for k, v in sorted(node.info.items())}
             if node.children:
@@ -207,7 +206,7 @@ def _node(g: Graph, members, kind, info=None) -> TreeNode:
 
 
 @_fiedler_memo()
-def _grow(g: Graph, cfg: Config, mode: str, tau) -> DecompositionTree:
+def _grow(g: Graph, mode: str, tau) -> DecompositionTree:
     """Grow the tree top-down from one work list of (node, cluster, sigma)
     items, depth first.  sigma None is a merge step: the merge phase with
     separator weight tau splits the cluster, and its sub-clusters hang below
@@ -235,7 +234,7 @@ def _grow(g: Graph, cfg: Config, mode: str, tau) -> DecompositionTree:
             continue
         steps = []
         if sigma is None:
-            part = merge_phase(sub.view(cluster), tau, cfg)
+            part = merge_phase(sub.view(cluster), tau)
             node.detail = part
             node.info["tau"] = tau
             sigma = len(cluster) if mode == "improved" else None
@@ -258,7 +257,7 @@ def _grow(g: Graph, cfg: Config, mode: str, tau) -> DecompositionTree:
             if 2 * sigma < 3 * len(cluster):
                 raise TreeError("merge phase broke its 2/3 size contract "
                                 "(sigma=%d, |S|=%d)" % (sigma, len(cluster)))
-            res = refine(sub.view(cluster), sigma, cfg)
+            res = refine(sub.view(cluster), sigma)
             node.refinement = res
             node.info["sigma"] = sigma
             if res.clusters == (frozenset(cluster),):
@@ -276,15 +275,15 @@ def _grow(g: Graph, cfg: Config, mode: str, tau) -> DecompositionTree:
     return tree
 
 
-def build_basic(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
+def build_basic(g: Graph) -> DecompositionTree:
     """Merge phases alone, with the small separator weight 1/log2 n."""
-    return _grow(g, cfg, "basic", Fraction(1) / _log2n(g.vertex_count))
+    return _grow(g, "basic", Fraction(1) / _log2n(g.vertex_count))
 
 
-def build_improved(g: Graph, cfg: Config = DEFAULT) -> DecompositionTree:
+def build_improved(g: Graph) -> DecompositionTree:
     """Full-weight merge phases, each sub-cluster refined before it is
     merged."""
-    return _grow(g, cfg, "improved", Fraction(1))
+    return _grow(g, "improved", Fraction(1))
 
 
 # cut_sides, a min-cut query and verify_quality's scoring work on chunks of

@@ -1,5 +1,5 @@
-"""Small shared helpers: rational logs, ceilings, deterministic formatting,
-'#'-commented data lines."""
+"""Small shared helpers: rational logs, rational literals, '#'-commented
+data lines and exact integer dtypes."""
 
 import math
 from fractions import Fraction
@@ -31,18 +31,6 @@ def rloglog2(n) -> Fraction:
     if l <= 1:
         return Fraction(1)
     return max(Fraction(1), rlog2(l))
-
-
-def ceil_frac(x) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
-
-
-def frac_str(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def parse_frac(s: str) -> Fraction:

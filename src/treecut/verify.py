@@ -19,7 +19,7 @@ from .config import DEFAULT, EXHAUSTIVE_LIMIT, Config
 from .graph import Graph
 from .oracle import _log2n
 from .tree import DecompositionTree, _row_chunks, cut_sides, mincut_plan
-from .util import frac_str, int_dtype, rloglog2
+from .util import int_dtype, rloglog2
 
 
 class VerifyError(ValueError):
@@ -68,7 +68,7 @@ class QualityReport:
     def to_json(self):
         doc = {"format_version": 1,
                "mode": self.mode,
-               "worst_ratio": frac_str(self.worst),
+               "worst_ratio": str(self.worst),
                "cuts_checked": self.cuts_checked,
                "violations": [sorted(c) for c in self.violations]}
         if self.mode == "sampled":
@@ -86,20 +86,20 @@ class QualityReport:
             if len(cut) > 6:
                 names += ",..."
             out.append("%-30s %10s %10s %10s"
-                       % ("{%s}" % names, cap, mc, frac_str(ratio)))
+                       % ("{%s}" % names, cap, mc, ratio))
         return out
 
 
 class CutTable:
     """The cuts of one verify, row by row: the graph cut capacity c and the
-    tree estimate m as int arrays, and side(i), the frozenset of row i,
-    built on demand; records() reads the sides of the cut source cuts
-    (_MaskCuts or _PackedCuts) one _row_chunks chunk at a time.  Row i is
-    a violation when c > m, and has the ratio m / c when 0 < c <= m."""
+    tree estimate m as int arrays over the rows of the cut source cuts
+    (_MaskCuts or _PackedCuts).  cuts.side(i) builds the frozenset of row i
+    on demand, and records() reads the sides one _row_chunks chunk at a
+    time.  Row i is a violation when c > m, and has the ratio m / c when
+    0 < c <= m."""
 
-    def __init__(self, side, caps, mcs, cuts=None):
-        self.side, self.cuts = side, cuts
-        self.caps, self.mcs = caps, mcs
+    def __init__(self, cuts, caps, mcs):
+        self.cuts, self.caps, self.mcs = cuts, caps, mcs
 
     def __len__(self):
         return len(self.caps)
@@ -186,8 +186,8 @@ class CutTable:
                 rows = rows[ratio >= bound]
             best.append(self._ranked(start + rows, limit))
         rows = self._ranked(np.sort(np.concatenate(best)), limit)
-        return [(self.side(i),) + self._tail(int(self.caps[i]),
-                                             int(self.mcs[i]))
+        return [(self.cuts.side(i),) + self._tail(int(self.caps[i]),
+                                                  int(self.mcs[i]))
                 for i in rows.tolist()]
 
 
@@ -378,7 +378,7 @@ def verify_quality(g: Graph, t: DecompositionTree, mode=None,
         if caps is None:
             caps, mcs = np.empty(rows, c.dtype), np.empty(rows, m.dtype)
         caps[start:stop], mcs[start:stop] = c, m
-    table = CutTable(cuts.side, caps, mcs, cuts)
+    table = CutTable(cuts, caps, mcs)
     violations = [cuts.side(i) for i in table.violating()]
     return QualityReport(table, table.worst(), mode, samples, cfg.seed,
                          violations)

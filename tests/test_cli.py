@@ -6,13 +6,14 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import treecut
 from treecut.cli import main
 from treecut.config import DEFAULT, EXHAUSTIVE_LIMIT, Config, load_config
-from treecut.graph import Graph, format_edge_list
+from treecut.graph import BRUTE_THRESHOLD, Graph, format_edge_list
 from treecut.oracle import CheckReport
 from treecut.tree import DecompositionTree, TreeNode, build_improved
 
@@ -103,7 +104,7 @@ class TestBuildVerify:
         assert a.read_bytes() == b.read_bytes()
 
     def test_tampered_weight_exits_one(self, tree_file, tmp_path, capsys):
-        blob = open(tree_file).read()
+        blob = Path(tree_file).read_text()
         bad = tmp_path / "bad.json"
         bad.write_text(blob.replace('"weight":"4"', '"weight":"1"', 1))
         rc = main(["verify", "--graph", RING, "--tree", str(bad)])
@@ -114,7 +115,7 @@ class TestBuildVerify:
                                                     tmp_path, capsys):
         """A tampered tree exits 1 and a malformed one 2, whichever command
         reads it."""
-        blob = open(tree_file).read()
+        blob = Path(tree_file).read_text()
         doc = json.loads(blob)
 
         def edited(**changes):
@@ -148,7 +149,7 @@ class TestBuildVerify:
                                             capsys):
         """A weight of the right value that is not written as str writes
         the int is a malformed document in every command that reads it."""
-        blob = open(tree_file).read()
+        blob = Path(tree_file).read_text()
         assert '"weight":"6"' in blob
         bad = tmp_path / "bad.json"
         bad.write_text(blob.replace('"weight":"6"',
@@ -176,8 +177,8 @@ class TestBuildVerify:
                                "--cut", "0"]),
                 ("0 1/0\n", ["oracle", "--graph", RING, "--phi", "1",
                              "--mu", str(bad)]),
-                ("quality_C = 1/0\n", ["build", "--input", RING,
-                                       "--config", str(bad)])):
+                ("quality_C = 1/0\n", ["verify", "--graph", RING, "--tree",
+                                       tree_file, "--config", str(bad)])):
             bad.write_text(text)
             assert_usage_error(argv, capsys)
 
@@ -276,58 +277,23 @@ def ring_of_cliques_file(path, k, s):
 
 class TestConfig:
     def test_zero_congestion_cap_exits_two(self, tmp_path):
-        """A zero cap once made the congestion escalation double 0 forever,
-        so the build runs in a subprocess under a timeout."""
-        ring = ring_of_cliques_file(tmp_path / "ring.edges", 6, 4)
+        """A zero cap once made the congestion escalation double 0 forever.
+        The first cap is a constant now and build takes no config file:
+        a build handed one exits 2 before it starts (in a subprocess under
+        a timeout, as argparse exits)."""
         cfg = tmp_path / "cap.cfg"
         for value in ("0", "-1"):
             cfg.write_text("oracle_congestion_cap = %s\n" % value)
-            proc = run_cli(["build", "--input", ring, "--config", str(cfg),
+            proc = run_cli(["build", "--input", RING, "--config", str(cfg),
                             "--out", str(tmp_path / "t.json")])
             assert proc.returncode == 2, proc.stderr
-            assert "error:" in proc.stderr
+            assert "unrecognized arguments: --config" in proc.stderr
             assert "Traceback" not in proc.stderr
-
-    def test_large_c_phi_builds_a_verified_tree(self, tmp_path, capsys):
-        """With c_phi = 100 the refinement threshold passes 1, and the
-        oracle's relocated cut on the 4x5 ring kept the whole cluster: the
-        build once ended in a RefineError traceback."""
-        ring = ring_of_cliques_file(tmp_path / "ring.edges", 4, 5)
-        cfg, out = tmp_path / "c_phi.cfg", tmp_path / "t.json"
-        cfg.write_text("c_phi = 100\n")
-        assert main(["build", "--input", ring, "--mode", "improved",
-                     "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["verify", "--graph", ring, "--tree", str(out),
-                     "--config", str(cfg)]) == 0
-        assert "within: True" in capsys.readouterr().out
-
-    def test_off_schedule_c_phi_is_labelled(self, tmp_path, capsys):
-        """The build summary names a c_phi off the paper's schedule and
-        says nothing of c_phi at the default, written out or not."""
-        ring = ring_of_cliques_file(tmp_path / "ring.edges", 3, 4)
-        cfg, out = tmp_path / "c_phi.cfg", tmp_path / "t.json"
-        argv = ["build", "--input", ring, "--mode", "improved", "--out",
-                str(out)]
-        assert main(argv) == 0
-        plain = capsys.readouterr().err
-        assert plain.endswith(" failed routing\n") and "c_phi" not in plain
-        cfg.write_text("c_phi = 1/48\n")
-        assert main(argv + ["--config", str(cfg)]) == 0
-        assert capsys.readouterr().err == plain
-        cfg.write_text("c_phi = 1/24\n")
-        assert main(argv + ["--config", str(cfg)]) == 0
-        assert capsys.readouterr().err == \
-            plain[:-1] + "; off-schedule c_phi = 1/24\n"
+            assert not (tmp_path / "t.json").exists()
 
     def test_out_of_range_constants_exit_two(self, tmp_path, capsys):
-        """A c_phi <= 0 makes every refinement phi 0 or negative, and a
-        zero quality_C declares an envelope no replay can meet."""
+        """A zero quality_C declares an envelope no replay can meet."""
         cfg = tmp_path / "bad.cfg"
-        for line in ("c_phi = 0", "c_phi = -1"):
-            cfg.write_text(line + "\n")
-            assert_usage_error(["build", "--input", RING, "--config",
-                                str(cfg), "--out", str(tmp_path / "t.json")],
-                               capsys)
         tree = tmp_path / "ring.json"
         assert main(["build", "--input", RING, "--out", str(tree)]) == 0
         replay = ["replay", "--graph", RING, "--tree", str(tree), "--demands",
@@ -337,7 +303,7 @@ class TestConfig:
         cfg.write_text("quality_C = 0\n")
         assert_usage_error(replay + ["--config", str(cfg)], capsys)
 
-    def test_removed_keys_exit_two(self, tmp_path, capsys):
+    def test_removed_keys_exit_two(self, tree_file, tmp_path, capsys):
         """The constants the paper fixes are no Config keys: a file that
         sets one, even to its old default, is refused by name."""
         cfg = tmp_path / "old.cfg"
@@ -345,11 +311,13 @@ class TestConfig:
                      "merge_phi_coeff = 1/6", "merge_shrink_coeff = 1/8",
                      "merge_loop_slack = 16", "tau_basic = none",
                      "c0_declared = 1", "kappa = 1/384",
-                     "alpha_improved_cap = 8", "replay_tau_c = 6"):
+                     "alpha_improved_cap = 8", "replay_tau_c = 6",
+                     "brute_threshold = 18", "oracle_congestion_cap = 4",
+                     "c_phi = 1/48"):
             key = line.split()[0]
             cfg.write_text("# an older config\n" + line + "\n")
-            argv = ["build", "--input", RING, "--config", str(cfg), "--out",
-                    str(tmp_path / "t.json")]
+            argv = ["verify", "--graph", RING, "--tree", tree_file,
+                    "--config", str(cfg)]
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
@@ -357,40 +325,30 @@ class TestConfig:
 
     def test_load_config_types(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("# tuned\nbrute_threshold = 12\nsamples = 500\n"
-                       "seed = 7  # fixed\nc_phi = 1/96\nquality_C = 8\n")
+        cfg.write_text("# tuned\nsamples = 500\nseed = 7  # fixed\n"
+                       "quality_C = 17/2\n")
         c = load_config(str(cfg))
-        for name, value in (("brute_threshold", 12), ("samples", 500),
-                            ("seed", 7)):
+        for name, value in (("samples", 500), ("seed", 7)):
             assert type(getattr(c, name)) is int
             assert getattr(c, name) == value
-        for name, value in (("c_phi", Fraction(1, 96)), ("quality_C", 8)):
-            assert type(getattr(c, name)) is Fraction
-            assert getattr(c, name) == value
-        with pytest.raises(ValueError, match="oracle_congestion_cap"):
-            DEFAULT.replace(oracle_congestion_cap=0)
+        assert type(c.quality_C) is Fraction
+        assert c.quality_C == Fraction(17, 2)
 
-    def test_six_fields(self):
+    def test_three_fields(self):
         assert [f.name for f in dataclasses.fields(Config)] == [
-            "brute_threshold", "oracle_congestion_cap", "c_phi", "quality_C",
-            "samples", "seed"]
+            "quality_C", "samples", "seed"]
 
     def test_api_refuses_bad_values(self):
-        for name in ("quality_C", "oracle_congestion_cap", "c_phi"):
-            for value in (Fraction(0), Fraction(-1, 2)):
-                with pytest.raises(ValueError, match=name):
-                    Config(**{name: value})
+        for value in (Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="quality_C"):
+                Config(quality_C=value)
         for name in ("samples", "seed"):
             with pytest.raises(ValueError, match=name):
                 DEFAULT.replace(**{name: -5})
             assert getattr(Config(**{name: 0}), name) == 0
-        # enumeration tables grow as 2^n: the threshold stops where an
-        # exhaustive verify does
-        for value in (-1, EXHAUSTIVE_LIMIT + 1, 40):
-            with pytest.raises(ValueError, match="brute_threshold"):
-                Config(brute_threshold=value)
-        for value in (0, EXHAUSTIVE_LIMIT):
-            assert Config(brute_threshold=value).brute_threshold == value
+        for name in ("brute_threshold", "oracle_congestion_cap", "c_phi"):
+            with pytest.raises(TypeError, match=name):
+                Config(**{name: 1})
 
     def test_negative_samples_exit_two(self, tree_file, tmp_path, capsys):
         assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
@@ -439,7 +397,7 @@ class TestReplay:
     def test_edited_tree_refused(self, tree_file, tmp_path, capsys):
         # structurally valid but not the deterministic build: flows for it
         # do not exist, so the replay refuses
-        blob = open(tree_file).read()
+        blob = Path(tree_file).read_text()
         doc = json.loads(blob)
         # fabricate a consistent star tree over the same graph (leaf
         # weights are the vertex degrees)
@@ -518,20 +476,23 @@ class TestOracle:
             assert_usage_error(["oracle", "--graph", RING, "--phi", phi,
                                 "--mu", str(mu)], capsys)
 
-    def test_out_of_range_brute_threshold_exits_two(self, tmp_path, capsys):
+    def test_out_of_range_brute_threshold_exits_two(self, tmp_path):
         """On a 40-vertex graph, brute_threshold = 40 would table 2^27 sides
-        of 42 ints.  The config is refused by name; the graph here is the
-        8-vertex ring, so a build that accepted it would only run."""
+        of 42 ints.  The threshold is a constant now, stopping where an
+        exhaustive verify does (enumeration tables grow as 2^n), and the
+        oracle takes no config file: one handed a file exits 2 before it
+        starts, in a subprocess, as argparse exits."""
+        assert BRUTE_THRESHOLD <= EXHAUSTIVE_LIMIT
         mu = tmp_path / "mu.txt"
         mu.write_text("".join("%d 1\n" % v for v in range(8)))
         cfg = tmp_path / "big.cfg"
         for value in ("40", "25", "-1"):
             cfg.write_text("brute_threshold = %s\n" % value)
-            rc = main(["oracle", "--graph", RING, "--phi", "1/24",
-                       "--mu", str(mu), "--config", str(cfg)])
-            err = capsys.readouterr().err
-            assert rc == 2 and err.startswith("error: "), err
-            assert "brute_threshold" in err and "Traceback" not in err
+            proc = run_cli(["oracle", "--graph", RING, "--phi", "1/24",
+                            "--mu", str(mu), "--config", str(cfg)])
+            assert proc.returncode == 2, proc.stderr
+            assert "unrecognized arguments: --config" in proc.stderr
+            assert "Traceback" not in proc.stderr and not proc.stdout
 
 
 class TestExport:

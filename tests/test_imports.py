@@ -291,9 +291,10 @@ def test_split_facts_have_one_owner():
 
 # The constants the paper fixes.  Each is bound once, where it is defined:
 # a rebinding anywhere else would be a Config field in hiding.
-FIXED = ("ORACLE_SPARSITY_C", "ORACLE_CONGESTION_LIMIT", "MERGE_PHI_COEFF",
-         "MERGE_SHRINK_COEFF", "C0_DECLARED", "SCHEDULE_CF", "KAPPA",
-         "REPLAY_TAU_C", "ALPHA_IMPROVED_CAP")
+FIXED = ("BRUTE_THRESHOLD", "ORACLE_SPARSITY_C", "FIRST_CONGESTION_CAP",
+         "ORACLE_CONGESTION_LIMIT", "MERGE_PHI_COEFF", "MERGE_SHRINK_COEFF",
+         "C0_DECLARED", "SCHEDULE_CF", "KAPPA", "C_PHI", "REPLAY_TAU_C",
+         "ALPHA_IMPROVED_CAP")
 
 
 def bindings(source, names):

@@ -24,7 +24,6 @@ from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
 from treecut.oracle import _sweep_best, _sweep_orders
 from treecut.tree import (_row_chunks, build_basic, build_improved,
                           mincut_in_tree)
-from treecut.util import frac_str
 from treecut.verify import verify_quality
 
 from corpus import (DENOMINATORS, brute_tree_mincut, cycle, labelled_graph,
@@ -745,7 +744,7 @@ def assert_same_report(got, want, limits=()):
     assert got.violations == want.violations
     assert got.worst == want.worst and type(got.worst) is Fraction
     doc = {"format_version": 1, "mode": want.mode,
-           "worst_ratio": frac_str(want.worst),
+           "worst_ratio": str(want.worst),
            "cuts_checked": len(want.records),
            "violations": [sorted(c) for c in want.violations]}
     if want.mode == "sampled":

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from treecut import graph, merge, oracle
-from treecut.config import DEFAULT
-from treecut.flow import ORACLE_CONGESTION_LIMIT
-from treecut.graph import Graph, parse_edge_list
+from treecut.flow import FIRST_CONGESTION_CAP, ORACLE_CONGESTION_LIMIT
+from treecut.graph import BRUTE_THRESHOLD, Graph, parse_edge_list
 from treecut.merge import (MergeError, is_balanced_clustering, merge_phase,
                            merge_phase_1, merge_phase_2, shrink_step,
                            solve_attachment_flow)
@@ -80,30 +79,30 @@ class TestShrink:
 
 class TestAttachmentFlow:
     def test_escalates_the_cap_only(self):
-        """One unit along the path 0-1-2 needs congestion 1: from a declared
-        cap of 1/64 the cap doubles six times; the sink caps never grow, so
-        a demand beyond the cap limit has no flow."""
+        """k units along the unit path 0-1-2 need congestion k: one unit
+        routes at the declared cap of 4, five units once the cap has
+        doubled to 8; the sink caps never grow, so a demand beyond the cap
+        limit has no flow."""
         g = parse_edge_list("0 1\n1 2\n")
-        cfg = DEFAULT.replace(oracle_congestion_cap=Fraction(1, 64))
-        rec = solve_attachment_flow(g, {0: Fraction(1)}, {2: Fraction(1)},
-                                    cfg)
+        one = Fraction(1)
+        rec = solve_attachment_flow(g, {0: one}, {2: one})
+        assert rec.within_declared
+        assert rec.congestion_cap == FIRST_CONGESTION_CAP == 4
+        five = Fraction(5)
+        rec = solve_attachment_flow(g, {0: five}, {2: five})
         assert not rec.within_declared
-        assert (rec.congestion_cap, rec.sink_boost) == (1, 1)
-        assert rec.flow.value == 1
+        assert (rec.congestion_cap, rec.sink_boost) == (8, 1)
+        assert rec.flow.value == 5
         sol = rec.flow
-        assert (sol.source_out, sol.sink_in) == ({0: 1}, {2: 1})
-        rec = solve_attachment_flow(g, {0: Fraction(1)}, {2: Fraction(1)},
-                                    DEFAULT)
-        assert rec.within_declared and rec.congestion_cap == 4
+        assert (sol.source_out, sol.sink_in) == ({0: 5}, {2: 5})
         big = Fraction(ORACLE_CONGESTION_LIMIT + 1)
-        assert solve_attachment_flow(g, {0: big}, {2: big}, DEFAULT) is None
+        assert solve_attachment_flow(g, {0: big}, {2: big}) is None
 
     @pytest.mark.parametrize("build", [build_basic, build_improved])
     def test_reached_from_a_build(self, build, monkeypatch):
         """On this graph shrink_step certifies an UnbalancedExpander core
-        through the attachment flow once per build.  The tree verifies at
-        the declared cap, and still does when a cap of 1/64 has to escalate
-        to 1."""
+        through the attachment flow once per build, at the declared cap,
+        and the tree verifies."""
         g = Graph(range(12), [(0, 6, 6), (0, 9, 3), (0, 11, 7), (1, 9, 6),
                               (3, 5, 5), (3, 8, 1), (3, 9, 8), (3, 10, 1),
                               (4, 9, 5), (6, 8, 2), (6, 11, 7), (7, 10, 6),
@@ -115,16 +114,12 @@ class TestAttachmentFlow:
             return recs[-1]
 
         monkeypatch.setattr(merge, "solve_attachment_flow", recorded)
-        low = DEFAULT.replace(oracle_congestion_cap=Fraction(1, 64))
-        for cfg in (DEFAULT, low):
-            recs.clear()
-            t = build(g, cfg)
-            assert recs and None not in recs
-            report = verify_quality(g, t, mode="exhaustive", cfg=cfg)
-            assert not report.violations
-            assert report.worst == Fraction(31, 6)
-        assert all(not r.within_declared and r.congestion_cap == 1
-                   for r in recs)
+        t = build(g)
+        assert recs and all(r is not None and r.within_declared
+                            for r in recs)
+        report = verify_quality(g, t, mode="exhaustive")
+        assert not report.violations
+        assert report.worst == Fraction(31, 6)
 
 
 class TestMergePhase1:
@@ -180,11 +175,10 @@ class TestMergePhase1:
             g = random_graph(rng, rng.randint(3, 6), 0.8, 3)
             view = view_of(g, g.vertices)
             cl = merge_phase_1(view)
-            if view.sub_in.vertex_count > DEFAULT.brute_threshold \
+            if view.sub_in.vertex_count > BRUTE_THRESHOLD \
                     or cl.alpha_declared is None:
                 continue
-            measured, _ = exact(view.sub_in, view.split_measure(cl.f_keys),
-                                DEFAULT.brute_threshold)
+            measured, _ = exact(view.sub_in, view.split_measure(cl.f_keys))
             if measured is None:
                 continue
             exact_tags = all(o.certificate is None or

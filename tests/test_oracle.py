@@ -6,11 +6,11 @@ from math import lcm
 import pytest
 
 from treecut import oracle, tree
-from treecut.config import DEFAULT
 import treecut.flow
 from treecut.flow import ORACLE_CONGESTION_LIMIT, RouteResult, escalate
-from treecut.graph import (Graph, Measure, cut_capacity, cut_expansion,
-                           min_ratio_cut, parse_edge_list, subdivide)
+from treecut.graph import (BRUTE_THRESHOLD, Graph, Measure, cut_capacity,
+                           cut_expansion, min_ratio_cut, parse_edge_list,
+                           subdivide)
 from treecut.merge import MergePartition
 from treecut.oracle import (check_outcome, check_refined, cut_or_expander,
                             refined_cut_or_expander, sparsest_cut, _log2n,
@@ -31,8 +31,7 @@ def k8_pendant():
 class TestSparsestCut:
     def test_exact_below_threshold(self):
         g = k_n(5)
-        ratio, side, exact = sparsest_cut(g, Measure.indicator(g.vertices),
-                                          DEFAULT)
+        ratio, side, exact = sparsest_cut(g, Measure.indicator(g.vertices))
         assert exact and ratio == 3
 
     def test_heuristic_is_honest_above_threshold(self):
@@ -41,7 +40,7 @@ class TestSparsestCut:
         rng = random.Random(1)
         g = random_graph(rng, 24, 0.3, 3)
         mu = Measure.indicator(g.vertices)
-        ratio, side, exact = sparsest_cut(g, mu, DEFAULT)
+        ratio, side, exact = sparsest_cut(g, mu)
         assert not exact
         m = min(mu.of(side), mu.total() - mu.of(side))
         assert ratio == Fraction(cut_capacity(g, side)) / m
@@ -55,29 +54,35 @@ class TestSparsestCut:
 
     def test_massed_components_give_a_zero_cut(self):
         """Above the threshold the spectral orders alone can miss a cut of
-        capacity 0 between two massed components; sparsest_cut must not."""
-        g = Graph(range(5), [(0, 4, 8), (2, 4, 5)])
+        capacity 0 between two massed components; sparsest_cut must not.
+        The isolated massless vertices 5.. lift the graph above the
+        threshold and change no cut ratio."""
+        n = BRUTE_THRESHOLD + 1
+        g = Graph(range(n), [(0, 4, 8), (2, 4, 5)])
         mu = Measure({0: 35, 3: 3})      # 5/3 and 1/7 times their lcm 21
-        cfg = DEFAULT.replace(brute_threshold=4)
-        assert sparsest_cut(g, mu, cfg) == (0, frozenset({0, 2, 4}), False)
-        out = cut_or_expander(g, Fraction(1, 21), mu, cfg)
+        assert sparsest_cut(g, mu) == (0, frozenset({0, 2, 4}), False)
+        out = cut_or_expander(g, Fraction(1, 21), mu)
         assert out.tag == "UnbalancedExpander"
-        assert [step.side for step in out.steps] == [frozenset({1, 3})]
+        assert [step.side for step in out.steps] \
+            == [frozenset({1, 3}) | frozenset(range(5, n))]
         assert check_outcome(out).ok
 
     def test_zero_ratio_whenever_enumeration_finds_one(self):
+        """The sweep on each graph padded above the threshold with isolated
+        massless vertices, which change no cut ratio, finds a zero cut
+        exactly when enumeration on the graph itself does."""
         rng = random.Random(61)
-        cfg = DEFAULT.replace(brute_threshold=2)
         zeros = 0
         for _ in range(300):
             g = random_graph(rng, rng.randint(3, 9), rng.choice((0.1, 0.3)),
                              4)
             mu = random_measure(rng, g.vertices)
-            ratio, side, exact = sparsest_cut(g, mu, cfg)
+            padded = Graph(range(BRUTE_THRESHOLD + 1), g.edges)
+            ratio, side, exact = sparsest_cut(padded, mu)
             want, _ = min_ratio_cut(g, mu)
             assert not exact and (ratio == 0) == (want == 0)
             if ratio is not None:
-                assert ratio == cut_expansion(g, side, mu)
+                assert ratio == cut_expansion(padded, side, mu)
             zeros += want == 0
         assert zeros > 50
 
@@ -246,11 +251,11 @@ class TestFiedlerMemo:
         merge_phase = tree.merge_phase
         inside = []
 
-        def solving(view, tau, cfg):
+        def solving(view, tau):
             before = eigh_calls[0]
             sparsest_cut(big, mu)
             inside.append(eigh_calls[0] - before)
-            return merge_phase(view, tau, cfg)
+            return merge_phase(view, tau)
 
         monkeypatch.setattr(tree, "merge_phase", solving)
         build_basic(ring_of_cliques(3, 4))
@@ -259,7 +264,7 @@ class TestFiedlerMemo:
         sparsest_cut(big, mu)
         assert eigh_calls[0] - before == 2
 
-        def failing(view, tau, cfg):
+        def failing(view, tau):
             sparsest_cut(big, mu)
             raise RuntimeError("merge failed")
 
@@ -539,8 +544,7 @@ class TestEscalation:
                 tried.append((cap, sink_caps["x"] / 3))
                 return RouteResult(False, None)
 
-            rec = escalate(solve, {"x": Fraction(3)}, DEFAULT,
-                           boost_limit=limit)
+            rec = escalate(solve, {"x": Fraction(3)}, boost_limit=limit)
             assert tried == want
             assert rec is None
 
@@ -552,7 +556,7 @@ class TestEscalation:
         def solve(sink_caps, cap):
             return RouteResult(sink_caps["x"] == 12, routed)
 
-        rec = escalate(solve, {"x": Fraction(3)}, DEFAULT)
+        rec = escalate(solve, {"x": Fraction(3)})
         assert rec.flow is routed
         assert rec.congestion_cap == ORACLE_CONGESTION_LIMIT == 64
         assert (rec.sink_boost, rec.sink_caps) == (4, {"x": 12})

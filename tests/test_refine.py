@@ -1,14 +1,16 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from treecut.config import DEFAULT
+from treecut.demand import _unit_rows
 from treecut.graph import Graph, edge_key
 from treecut.merge import MergePartition
 from treecut.oracle import CheckReport
 from treecut.refine import (C0_DECLARED, SCHEDULE_CF, RefineError,
-                            check_routing, f_value, product_envelope, refine)
+                            _route_cut_to_left, check_routing, f_value,
+                            product_envelope, refine)
 from treecut.tree import build_basic, build_improved
 from treecut.util import rlog2, rloglog2
 
@@ -227,20 +229,23 @@ class TestRouting:
         assert_rows_cover_cuts(res)
 
     def test_escalated_routes_keep_their_caps(self):
-        """At a declared cap of 1e-6 the cut-to-left routes must escalate;
-        each records the cap it reached, and its flow stays within it."""
-        g = triangle_chain()
-        cfg = DEFAULT.replace(oracle_congestion_cap=Fraction(1, 10 ** 6))
-        res = refine(view_of(g, range(12)), 30, cfg)
-        escalated = [node.route for node in res.root.walk()
-                     if node.route is not None
-                     and not node.route.within_declared]
-        assert escalated
-        for route in escalated:
-            assert route.flow.congestion() <= route.congestion_cap
-        assert res.routing.ok, res.routing.failures
-        assert sum(res.boundary_loads.values()) == sum(
-            Fraction(g.cap[k]) for k in res.inter_cluster_keys)
+        """The unit bridge 2-3 routes into {0, 1, 2}, whose one outer sink
+        is the split node of the 10^5 edge 0-12.  At a rate of 1/(8 * 10^5)
+        that sink takes 1/8 of a unit, so the route escalates the cap to
+        its limit and then boosts the sink 8-fold; the record keeps the cap
+        and boost it reached, and its flow stays within the cap.  Below
+        1/(64 * 10^5) no level routes."""
+        sub = view_of(triangle_chain(), range(12)).root
+        route = (sub, range(3), range(6), ((2, 3),))
+        rec, sinks = _route_cut_to_left(*route, Fraction(1, 8 * 10 ** 5))
+        assert sinks == {sub.split(0, 12)}
+        assert not rec.within_declared
+        assert (rec.congestion_cap, rec.sink_boost) == (64, 8)
+        assert rec.sink_caps == {sub.split(0, 12): 1}
+        assert rec.flow.value == 1
+        assert rec.flow.congestion() <= rec.congestion_cap
+        rec, _ = _route_cut_to_left(*route, Fraction(1, 65 * 10 ** 5))
+        assert rec is None
 
 
 class TestRoutingTamper:
@@ -364,9 +369,7 @@ def reference_check_routing(res):
 
 def random_refinements(seeds, per_seed):
     """refine() on random_graph draws, per seed per_seed clusters with
-    sigma drawn as in TestRandomSweep, each at the default c_phi and at
-    c_phi = 100; a draw that raises RefineError is left out."""
-    cfgs = (DEFAULT, DEFAULT.replace(c_phi=Fraction(100)))
+    sigma drawn as in TestRandomSweep."""
     for seed in seeds:
         rng = random.Random(seed)
         for _ in range(per_seed):
@@ -375,26 +378,53 @@ def random_refinements(seeds, per_seed):
             k = rng.randint(1, n - 1)
             cluster = rng.sample(range(n), k)
             sigma = rng.randint((3 * k + 1) // 2, 3 * k)
-            for cfg in cfgs:
-                try:
-                    yield refine(view_of(g, cluster), sigma, cfg)
-                except RefineError:
-                    pass
+            yield refine(view_of(g, cluster), sigma)
+
+
+def scale_rows(node):
+    node.rows = {x: [(sink, a * 10 ** 6) for sink, a in row]
+                 for x, row in node.rows.items()}
+    node.unit_rows = _unit_rows(node.rows, node.unit)
+
+
+def scale_flow(node):
+    flow = node.route.flow
+    flow.flow = {k: f * 10 ** 9 for k, f in flow.flow.items()}
+
+
+def drop_route(node):
+    node.route = None
+
+
+def tampered(res):
+    """res, then one copy of it per tamper of its first routed node: rows
+    that carry a million times their mass, a flow a billion times its
+    congestion, no route.  A result with no route has no copies."""
+    yield res
+    for tamper in (scale_rows, scale_flow, drop_route):
+        bad = copy.deepcopy(res)
+        routed = [node for node in bad.root.walk() if node.route is not None]
+        if not routed:
+            return
+        tamper(routed[0])
+        yield bad
 
 
 def test_check_routing_matches_fraction_reference():
     """The int check gives the Fraction check's verdict, failure texts and
-    boundary loads, failing verdicts included (95 split clusters and 13
-    failing verdicts among these 239 refinements)."""
+    boundary loads, on these 240 refinements (66 split clusters, every
+    verdict passing) and on the tampered copies of the 19 with a route
+    (57 failing verdicts)."""
     splits = failing = 0
-    for res in random_refinements(range(4), 30):
-        want, loads = reference_check_routing(res)
-        rep = check_routing(res)
-        assert (rep.ok, rep.failures) == (want.ok, want.failures)
-        assert res.boundary_loads == loads
+    for res in random_refinements(range(4), 60):
         splits += len(res.clusters) > 1
-        failing += not rep.ok
-    assert splits > 50 and failing > 5
+        for case in tampered(res):
+            want, loads = reference_check_routing(case)
+            rep = check_routing(case)
+            assert (rep.ok, rep.failures) == (want.ok, want.failures)
+            assert case.boundary_loads == loads
+            failing += not rep.ok
+    assert splits > 50 and failing >= 13
 
 
 def assert_unit_rows_recorded(flow, rows):

@@ -3,6 +3,7 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -151,7 +152,8 @@ class TestQuality:
         mcs = np.full(rows, 4, np.int64)
         caps[-1], mcs[-1] = 1, 9
         mcs[-2] = 1
-        table = CutTable(lambda i: frozenset({i}), caps, mcs)
+        table = CutTable(SimpleNamespace(side=lambda i: frozenset({i})),
+                         caps, mcs)
         assert table.worst() == 9
         assert table.violating() == [rows - 2]
         assert table.top(2) == [(frozenset({rows - 1}), 1, 9, 9),
