@@ -1,6 +1,6 @@
 """Hierarchical tree cut-sparsifiers with mechanically checked certificates."""
 
-from .config import Config, DEFAULT, load_config
+from .config import Config, DEFAULT
 from .graph import (
     Graph,
     GraphError,
@@ -65,7 +65,7 @@ from .verify import (
 )
 
 __all__ = [
-    "Config", "DEFAULT", "load_config",
+    "Config", "DEFAULT",
     "Graph", "GraphError", "SizeError", "Measure", "SubdivisionGraph",
     "ClusterView", "capacity", "cut_capacity", "cut_expansion",
     "min_ratio_cut", "subdivide", "parse_edge_list", "parse_measure",

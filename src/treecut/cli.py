@@ -8,7 +8,7 @@ malformed input.
 import argparse
 import sys
 
-from .config import DEFAULT, load_config
+from .config import DEFAULT, Config
 from .demand import parse_demands
 from .graph import parse_edge_list, parse_measure
 from .oracle import (check_outcome, check_refined, cut_or_expander,
@@ -48,15 +48,6 @@ def _load_graph(path):
         return parse_edge_list(_read(path, "edge-list"))
     except ValueError as exc:
         raise _UsageError("graph file %r: %s" % (path, exc))
-
-
-def _load_config(path):
-    if path is None:
-        return DEFAULT
-    try:
-        return load_config(path)
-    except (OSError, ValueError) as exc:
-        raise _UsageError("config file %r: %s" % (path, exc))
 
 
 def _known(g, vertices, what):
@@ -127,12 +118,8 @@ def _load_tree(path):
 
 def cmd_verify(args):
     g = _load_graph(args.graph)
-    cfg = _load_config(args.config)
     try:
-        if args.samples is not None:
-            cfg = cfg.replace(samples=args.samples)
-        if args.seed is not None:
-            cfg = cfg.replace(seed=args.seed)
+        cfg = Config(samples=args.samples, seed=args.seed)
     except ValueError as exc:
         raise _UsageError(str(exc))
     t, _ = _load_tree(args.tree)
@@ -158,7 +145,6 @@ def cmd_verify(args):
 
 def cmd_replay(args):
     g = _load_graph(args.graph)
-    cfg = _load_config(args.config)
     t_stored, blob = _load_tree(args.tree)
     if t_stored.graph.vertex_set() != g.vertex_set() \
             or t_stored.graph.cap != g.cap:
@@ -179,7 +165,7 @@ def cmd_replay(args):
               "refusing to replay")
         return 1
     try:
-        rep = full_replay(t, p, b, cfg)
+        rep = full_replay(t, p, b)
     except ReplayError as exc:
         print("replay failed: %s" % exc)
         return 1
@@ -261,9 +247,8 @@ def make_parser():
     v.add_argument("--graph", required=True)
     v.add_argument("--tree", required=True)
     v.add_argument("--exhaustive", action="store_true")
-    v.add_argument("--samples", type=int)
-    v.add_argument("--seed", type=int)
-    v.add_argument("--config")
+    v.add_argument("--samples", type=int, default=DEFAULT.samples)
+    v.add_argument("--seed", type=int, default=DEFAULT.seed)
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("replay", help="replay a demand state over the tree")
@@ -273,7 +258,6 @@ def make_parser():
                    help="file of `v commodity num den` lines")
     r.add_argument("--cut", required=True,
                    help="comma/space separated vertex list")
-    r.add_argument("--config")
     r.set_defaults(func=cmd_replay)
 
     o = sub.add_parser("oracle", help="run one cut-or-expander oracle call")

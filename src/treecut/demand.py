@@ -319,10 +319,11 @@ def respects_exact(g: Graph, p: DemandState, threshold=BRUTE_THRESHOLD):
     if not p.is_valid():
         raise DemandError("respects_exact requires a valid demand state")
     vectors = {v: {} for v in g.vertices}
-    for (v, k), a in p.entries.items():
+    for (v, k), a in p.nums.items():
         if v in vectors:
             vectors[v][k] = a
-    return _min_ratio_side(g, vectors=[vectors[v] for v in g.vertices])
+    return _min_ratio_side(g, vectors=[vectors[v] for v in g.vertices],
+                           scale=p.den)
 
 
 def leaf_init(p: DemandState, sub: SubdivisionGraph):

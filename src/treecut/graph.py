@@ -10,9 +10,9 @@ Conventions used throughout the package:
 Exact cut enumeration (min_ratio_cut here, respects_exact in demand.py)
 runs on one kernel, _min_ratio_side, which scores all 2^(n-1) sides in
 numpy blocks of subset sums.  Every side is scored in ints (Python ints
-past 2^62): a measure's weights are ints already, and the kernel scales
-the rational demand vectors of respects_exact by the lcm of their
-denominators.  It builds one Fraction for the returned ratio.
+past 2^62): a measure's weights are ints already, and respects_exact
+passes a demand state's int numerators with its one denominator as the
+scale.  It builds one Fraction for the returned ratio.
 """
 
 from fractions import Fraction
@@ -35,7 +35,7 @@ class SizeError(GraphError):
 # Exact cut enumeration (min_ratio_cut, respects_exact) is used up to this
 # many vertices; above it the sparsest-cut backend falls back to spectral
 # sweeps and certificates are reported as sampled rather than exact.  It
-# stays at most config.EXHAUSTIVE_LIMIT, which bounds the enumeration's
+# stays at most verify.EXHAUSTIVE_LIMIT, which bounds the enumeration's
 # tables.
 BRUTE_THRESHOLD = 18
 
@@ -407,35 +407,33 @@ def _side_sums(rows, first, verts):
     return t
 
 
-def _min_ratio_side(g: Graph, weights=None, vectors=None):
+def _min_ratio_side(g: Graph, weights=None, vectors=None, scale=1):
     """Exact minimizer of cap(S, S-bar)/den(S) over the cuts of g.
 
     Exactly one of `weights` and `vectors` is given, as a list aligned with
     g.vertices.  With `weights` (ints), den(S) = min(w(S), w(S-bar)).
-    With `vectors` (dicts commodity -> rational mass),
-    den(S) = sum_k |sum_{v in S} m_k(v)|.  Cuts with den(S) = 0 are skipped,
-    and so is the whole vertex set (its demand need not vanish when the
-    demand state has mass outside g).
+    With `vectors` (dicts commodity -> int mass numerator over `scale`),
+    den(S) = sum_k |sum_{v in S} m_k(v)| / scale.  Cuts with den(S) = 0
+    are skipped, and so is the whole vertex set (its demand need not
+    vanish when the demand state has mass outside g).
 
     The first vertex stays in S, and bit j - 1 of a side's mask stands for
-    vertex j.  Vector masses are scaled by the lcm of their denominators,
-    and the sides are tabled in ints by _side_sums: first the first vertex
-    plus every subset of the high vertices, then, one block at a time, each
-    of those plus every subset of the low vertices.  Each block is scored in
-    numpy; floats pick the sides within _FLOAT_SLACK of its least ratio,
-    and ints compare those in Gray order (a block of odd index runs
-    through its table backwards).  Returns (ratio, side) for the first
+    vertex j.  The sides are tabled in ints by _side_sums: first the first
+    vertex plus every subset of the high vertices, then, one block at a
+    time, each of those plus every subset of the low vertices.  Each block
+    is scored in numpy; floats pick the sides within _FLOAT_SLACK of its
+    least ratio, and ints compare those in Gray order (a block of odd index
+    runs through its table backwards).  Returns (ratio, side) for the first
     strict minimizer in Gray order, or (None, None) when every den(S) is 0.
     """
     n = g.vertex_count
     if vectors is None:
-        scale, total = 1, sum(weights)
+        total = sum(weights)
         masses = [[w] for w in weights]
         # min(w(S), w(S-bar)) > 0 needs weight on both sides
         if sum(1 for w in weights if w) < 2:
             return None, None
     else:
-        scale = lcm(*(a.denominator for vec in vectors for a in vec.values()))
         commodity = {}
         for vec in vectors:
             for k in vec:
@@ -446,7 +444,7 @@ def _min_ratio_side(g: Graph, weights=None, vectors=None):
         for vec in vectors:
             row = [0] * len(commodity)
             for k, a in vec.items():
-                row[commodity[k]] = a.numerator * (scale // a.denominator)
+                row[commodity[k]] = a
             masses.append(row)
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}

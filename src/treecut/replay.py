@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .config import DEFAULT, Config
+from .config import DEFAULT
 from .demand import (DemandMatrix, DemandState, _flow_matrix,
                      invariant_check, leaf_init, sum_states, update)
 from .graph import _ZERO, ClusterView, crossing, cut_capacity, subdivide
@@ -310,13 +310,13 @@ def route_refined_state(state, res: RefinementResult, b_lift, ledger, trace):
 
 
 @lru_cache(maxsize=64)
-def _envelope(mode, n, cfg):
+def _envelope(mode, n):
     """The per-edge charge envelope of an n-vertex tree of the mode:
     quality_C * (log2 n)^3 for basic trees, the quality envelope for
-    improved ones.  Kept per (mode, n, cfg): it costs four rlog2 calls."""
+    improved ones.  Kept per (mode, n): it costs four rlog2 calls."""
     if mode == "basic":
-        return cfg.quality_C * _log2n(n) ** 3
-    return quality_envelope(n, cfg)
+        return DEFAULT.quality_C * _log2n(n) ** 3
+    return quality_envelope(n)
 
 
 class ReplayReport:
@@ -335,8 +335,7 @@ class ReplayReport:
         return self.max_charge <= self.envelope
 
 
-def full_replay(t: DecompositionTree, p: DemandState, b,
-                cfg: Config = DEFAULT) -> ReplayReport:
+def full_replay(t: DecompositionTree, p: DemandState, b) -> ReplayReport:
     """Replay a demand state the tree 1-respects, bottom to top, and return
     the accumulated charge ledger.  Every structural claim along the way is
     hard-asserted; a violation raises ReplayError.
@@ -451,4 +450,4 @@ def full_replay(t: DecompositionTree, p: DemandState, b,
 
     return ReplayReport(ledger, trace, dem_p, cap_cut, initial_dem,
                         ledger.max_per_edge(),
-                        _envelope(t.mode, g.vertex_count, cfg))
+                        _envelope(t.mode, g.vertex_count))

@@ -15,11 +15,18 @@ from math import ceil, log
 
 import numpy as np
 
-from .config import DEFAULT, EXHAUSTIVE_LIMIT, Config
+from .config import DEFAULT, Config
 from .graph import Graph
 from .oracle import _log2n
 from .tree import DecompositionTree, _row_chunks, cut_sides, mincut_plan
 from .util import int_dtype, rloglog2
+
+# Exhaustive verification keeps two ints for each of its 2^(n-1) - 1 cuts
+# and no frozenset; its time and memory double with each vertex, to about
+# 2.5 s and 128 MiB at this limit (n = 24, 2 vCPUs).  Exact cut enumeration
+# up to graph.BRUTE_THRESHOLD vertices first tables 2^(n - 13) sides of
+# n + 2 ints each (graph._min_ratio_side), so the same limit bounds it.
+EXHAUSTIVE_LIMIT = 24
 
 
 class VerifyError(ValueError):

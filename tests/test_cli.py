@@ -12,10 +12,12 @@ import pytest
 
 import treecut
 from treecut.cli import main
-from treecut.config import DEFAULT, EXHAUSTIVE_LIMIT, Config, load_config
-from treecut.graph import BRUTE_THRESHOLD, Graph, format_edge_list
+from treecut.config import DEFAULT, Config
+from treecut.graph import (BRUTE_THRESHOLD, Graph, format_edge_list,
+                           parse_edge_list)
 from treecut.oracle import CheckReport
 from treecut.tree import DecompositionTree, TreeNode, build_improved
+from treecut.verify import EXHAUSTIVE_LIMIT, verify_quality
 
 from corpus import ring_of_cliques
 
@@ -169,18 +171,25 @@ class TestBuildVerify:
         assert "error" in capsys.readouterr().err
 
     def test_malformed_numbers_exit_two(self, tree_file, tmp_path, capsys):
-        """A zero denominator is malformed input in every file format."""
+        """A zero denominator is malformed input in every file format, and
+        in the int flags of verify (which argparse refuses)."""
         bad = tmp_path / "bad.txt"
         for text, argv in (
                 ("0 0 1 0\n", ["replay", "--graph", RING, "--tree",
                                tree_file, "--demands", str(bad),
                                "--cut", "0"]),
                 ("0 1/0\n", ["oracle", "--graph", RING, "--phi", "1",
-                             "--mu", str(bad)]),
-                ("quality_C = 1/0\n", ["verify", "--graph", RING, "--tree",
-                                       tree_file, "--config", str(bad)])):
+                             "--mu", str(bad)])):
             bad.write_text(text)
             assert_usage_error(argv, capsys)
+        for flag in ("--samples", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--graph", RING, "--tree", tree_file, flag,
+                      "1/0"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "invalid int value: '1/0'" in captured.err
+            assert not captured.out
 
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         assert_usage_error(["build", "--input", RING, "--out",
@@ -275,6 +284,14 @@ def ring_of_cliques_file(path, k, s):
     return str(path)
 
 
+def assert_refused_option(proc, option):
+    """A child run that argparse stopped at an option it does not know:
+    exit 2, no traceback and nothing on stdout."""
+    assert proc.returncode == 2, proc.stderr
+    assert "unrecognized arguments: %s" % option in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 class TestConfig:
     def test_zero_congestion_cap_exits_two(self, tmp_path):
         """A zero cap once made the congestion escalation double 0 forever.
@@ -284,15 +301,16 @@ class TestConfig:
         cfg = tmp_path / "cap.cfg"
         for value in ("0", "-1"):
             cfg.write_text("oracle_congestion_cap = %s\n" % value)
-            proc = run_cli(["build", "--input", RING, "--config", str(cfg),
-                            "--out", str(tmp_path / "t.json")])
-            assert proc.returncode == 2, proc.stderr
-            assert "unrecognized arguments: --config" in proc.stderr
-            assert "Traceback" not in proc.stderr
+            assert_refused_option(
+                run_cli(["build", "--input", RING, "--config", str(cfg),
+                         "--out", str(tmp_path / "t.json")]), "--config")
             assert not (tmp_path / "t.json").exists()
 
     def test_out_of_range_constants_exit_two(self, tmp_path, capsys):
-        """A zero quality_C declares an envelope no replay can meet."""
+        """A zero quality_C once declared an envelope no replay can meet.
+        No file sets quality_C now: replay takes no config file, and one
+        handed a file exits 2 before it starts (in a subprocess, as
+        argparse exits)."""
         cfg = tmp_path / "bad.cfg"
         tree = tmp_path / "ring.json"
         assert main(["build", "--input", RING, "--out", str(tree)]) == 0
@@ -301,72 +319,69 @@ class TestConfig:
         assert main(replay) == 0
         assert "verdict: pass" in capsys.readouterr().out
         cfg.write_text("quality_C = 0\n")
-        assert_usage_error(replay + ["--config", str(cfg)], capsys)
+        assert_refused_option(run_cli(replay + ["--config", str(cfg)]),
+                              "--config")
 
-    def test_removed_keys_exit_two(self, tree_file, tmp_path, capsys):
-        """The constants the paper fixes are no Config keys: a file that
-        sets one, even to its old default, is refused by name."""
+    def test_removed_keys_exit_two(self, tree_file, tmp_path):
+        """The constants the paper fixes are no Config fields: the
+        constructor refuses each by name, and verify, which takes no config
+        file, exits 2 on a file that sets them (in a subprocess, as
+        argparse exits)."""
+        keys = ("oracle_sparsity_c", "oracle_congestion_limit",
+                "merge_phi_coeff", "merge_shrink_coeff", "merge_loop_slack",
+                "tau_basic", "c0_declared", "kappa", "alpha_improved_cap",
+                "replay_tau_c", "brute_threshold", "oracle_congestion_cap",
+                "c_phi")
+        for key in keys:
+            with pytest.raises(TypeError, match=key):
+                Config(**{key: 1})
         cfg = tmp_path / "old.cfg"
-        for line in ("oracle_sparsity_c = 1", "oracle_congestion_limit = 64",
-                     "merge_phi_coeff = 1/6", "merge_shrink_coeff = 1/8",
-                     "merge_loop_slack = 16", "tau_basic = none",
-                     "c0_declared = 1", "kappa = 1/384",
-                     "alpha_improved_cap = 8", "replay_tau_c = 6",
-                     "brute_threshold = 18", "oracle_congestion_cap = 4",
-                     "c_phi = 1/48"):
-            key = line.split()[0]
-            cfg.write_text("# an older config\n" + line + "\n")
-            argv = ["verify", "--graph", RING, "--tree", tree_file,
-                    "--config", str(cfg)]
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and "Traceback" not in err
-            assert ":2: unknown key %r" % key in err, err
+        cfg.write_text("# an older config\nsamples = 40\n"
+                       + "".join("%s = 1\n" % key for key in keys))
+        assert_refused_option(
+            run_cli(["verify", "--graph", RING, "--tree", tree_file,
+                     "--config", str(cfg)]), "--config")
 
-    def test_load_config_types(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("# tuned\nsamples = 500\nseed = 7  # fixed\n"
-                       "quality_C = 17/2\n")
-        c = load_config(str(cfg))
+    def test_field_types(self):
+        """quality_C is exact and samples and seed are ints, as the
+        defaults and the report of a sampled verify hold them."""
+        assert type(DEFAULT.quality_C) is Fraction
+        g = parse_edge_list(Path(RING).read_text())
+        rep = verify_quality(g, build_improved(g), "sampled",
+                             Config(samples=500, seed=7))
+        doc = json.loads(rep.to_json())
         for name, value in (("samples", 500), ("seed", 7)):
-            assert type(getattr(c, name)) is int
-            assert getattr(c, name) == value
-        assert type(c.quality_C) is Fraction
-        assert c.quality_C == Fraction(17, 2)
+            assert type(doc[name]) is int
+            assert doc[name] == value
 
     def test_three_fields(self):
         assert [f.name for f in dataclasses.fields(Config)] == [
             "quality_C", "samples", "seed"]
 
     def test_api_refuses_bad_values(self):
-        for value in (Fraction(0), Fraction(-1, 2)):
+        """Config is the one typed way in besides the flags: a value of the
+        wrong type or range is a ValueError that names its field."""
+        for value in (0, Fraction(0), Fraction(-1, 2), 1.5, "16", True,
+                      None):
             with pytest.raises(ValueError, match="quality_C"):
                 Config(quality_C=value)
         for name in ("samples", "seed"):
-            with pytest.raises(ValueError, match=name):
-                DEFAULT.replace(**{name: -5})
+            for value in (-5, 2.5, True, "5", None):
+                with pytest.raises(ValueError, match=name):
+                    Config(**{name: value})
             assert getattr(Config(**{name: 0}), name) == 0
-        for name in ("brute_threshold", "oracle_congestion_cap", "c_phi"):
-            with pytest.raises(TypeError, match=name):
-                Config(**{name: 1})
+        # an int quality_C is as exact as a Fraction
+        assert Config(quality_C=16).quality_C == DEFAULT.quality_C
 
-    def test_negative_samples_exit_two(self, tree_file, tmp_path, capsys):
+    def test_negative_samples_exit_two(self, tree_file, capsys):
         assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
                             "--samples", "-5"], capsys)
-        cfg = tmp_path / "samples.cfg"
-        cfg.write_text("samples = -1\n")
-        assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
-                            "--config", str(cfg)], capsys)
 
-    def test_negative_seed_exit_two(self, tree_file, tmp_path, capsys):
+    def test_negative_seed_exit_two(self, tree_file, capsys):
         """Random seeds from |seed|: a negative seed would check the cuts
         of its positive twin while the report names the negative one."""
         assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
                             "--seed", "-3"], capsys)
-        cfg = tmp_path / "seed.cfg"
-        cfg.write_text("seed = -1\n")
-        assert_usage_error(["verify", "--graph", RING, "--tree", tree_file,
-                            "--config", str(cfg)], capsys)
 
 
 class TestReplay:
@@ -488,11 +503,9 @@ class TestOracle:
         cfg = tmp_path / "big.cfg"
         for value in ("40", "25", "-1"):
             cfg.write_text("brute_threshold = %s\n" % value)
-            proc = run_cli(["oracle", "--graph", RING, "--phi", "1/24",
-                            "--mu", str(mu), "--config", str(cfg)])
-            assert proc.returncode == 2, proc.stderr
-            assert "unrecognized arguments: --config" in proc.stderr
-            assert "Traceback" not in proc.stderr and not proc.stdout
+            assert_refused_option(
+                run_cli(["oracle", "--graph", RING, "--phi", "1/24",
+                         "--mu", str(mu), "--config", str(cfg)]), "--config")
 
 
 class TestExport:

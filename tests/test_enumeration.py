@@ -186,6 +186,16 @@ class TestRespectsExact:
             assert ratio == want
             if ratio is not None:
                 assert side != g.vertex_set()
+        # the kernel reads the state's numerators over its one den, which
+        # the mass at 4 and 5 makes 7 times the lcm of the in-graph ones
+        g = cycle(4)
+        p = DemandState({(0, 0): Fraction(1, 2), (2, 0): Fraction(-1, 2),
+                         (1, 1): 1, (4, 1): Fraction(-1, 7),
+                         (5, 1): Fraction(-6, 7)})
+        inside = [a for (v, _), a in p.entries.items() if v in g.vertices]
+        assert p.den == 7 * lcm(*(a.denominator for a in inside))
+        assert respects_exact(g, p) == (Fraction(4, 3), frozenset({0, 1}))
+        assert reference_min_ratio(g, p.dem_across)[0] == Fraction(4, 3)
 
     def test_all_zero_demand(self):
         for _, g in graphs(6, count=10):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from treecut.config import DEFAULT
+from treecut.config import DEFAULT, Config
 from treecut.graph import Graph, cut_capacity, parse_edge_list
 from treecut import tree, verify
 from treecut.tree import (DecompositionTree, TreeNode, build_basic,
@@ -109,7 +109,7 @@ class TestQuality:
         t = build_basic(g)
         with pytest.raises(VerifyError, match="limit"):
             verify_quality(g, t, "exhaustive")
-        assert verify_quality(g, t, cfg=DEFAULT.replace(samples=5)).ok
+        assert verify_quality(g, t, cfg=Config(samples=5)).ok
 
     def test_exhaustive_memory_stays_per_row(self):
         """A forced exhaustive verify at n = 20 keeps two ints per cut and
@@ -176,7 +176,7 @@ class TestQuality:
 def test_ring8_report_bytes_pinned(build, mode):
     with open(RING) as fh:
         g = parse_edge_list(fh.read())
-    r = verify_quality(g, build(g), mode, DEFAULT.replace(samples=200, seed=0))
+    r = verify_quality(g, build(g), mode, Config(samples=200, seed=0))
     blob = r.to_json() + "\n".join(r.table_lines(limit=None)) + "\n"
     assert hashlib.sha256(blob.encode()).hexdigest() == RING_REPORTS[mode]
 
@@ -212,7 +212,7 @@ class TestSampled:
     def test_forced_cuts_present(self):
         g = cycle(14)
         t = build_basic(g)
-        cfg = DEFAULT.replace(samples=50)
+        cfg = Config(samples=50)
         r = verify_quality(g, t, cfg=cfg)
         assert r.mode == "sampled"
         verts = g.vertex_set()
@@ -304,7 +304,7 @@ class TestSampled:
     def test_reports_are_deterministic(self):
         g = Graph(range(13), [(i, (i + 1) % 13, 2) for i in range(13)])
         t = build_basic(g)
-        cfg = DEFAULT.replace(samples=40)
+        cfg = Config(samples=40)
         assert verify_quality(g, t, cfg=cfg).to_json() \
             == verify_quality(g, t, cfg=cfg).to_json()
 
